@@ -1,8 +1,9 @@
 """Exact combinatorics of interacting-particle genealogies and finite
 ensemble-size expansions of their moment measures.
 
-The package splits into a combinatorial layer (leveled forests, colored
-forests, orbit counts, generating-function censuses), an exact linear
+The package splits into a combinatorial layer (colored forests, of which
+plain leveled forests are the white-topped case, orbit counts,
+generating-function censuses), an exact linear
 algebra layer over finite-state weighted Markov models (signed measures
 and tensor functions with rational entries), the expansion engines that
 tie the two together, and two independent ground truths: a sampling-free
@@ -28,33 +29,6 @@ from .errors import (
     ToolkitError,
     ValidationError,
 )
-from .forest import (
-    Forest,
-    MapSeq,
-    Tree,
-    brute_force_orbit_count,
-    brute_force_stabilizer_size,
-    chain_tree,
-    count_jungles,
-    cut_branch_forest,
-    double_pair_forest,
-    enumerate_forests,
-    enumerate_orbits,
-    enumerate_trees,
-    forest,
-    forest_of,
-    nested_merge_forest,
-    pair_merge_forest,
-    planar_mapseq,
-    remove_roots,
-    staggered_merge_forest,
-    symmetry_multiset,
-    tree,
-    triple_merge_forest,
-    trivial_forest,
-    two_tree_merge_forest,
-    wick_pair_forest,
-)
 from .colored_forest import (
     ColoredForest,
     ColoredMapSeq,
@@ -71,6 +45,8 @@ from .colored_forest import (
     enumerate_colored_forests,
     enumerate_colored_orbits,
     first_order_path_forest,
+    flat_blocks,
+    flat_pairs,
     normalize_path_profile,
     path_profile_bar,
     white,
@@ -93,7 +69,6 @@ from .fk_core import (
     center_function,
     constant_function,
     delta_colored,
-    delta_forest,
     dot_partial_tv,
     eta_measure,
     eta_tensor,

@@ -26,7 +26,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .colored_forest import enumerate_colored_orbits, path_profile_bar
+from .colored_forest import (brute_force_colored_orbit_count,
+                             colored_planar_mapseq, enumerate_colored_forests,
+                             enumerate_colored_orbits, flat_blocks, flat_pairs,
+                             path_profile_bar)
 from .combinatorics import stirling_first, stirling_second
 from .config import Caps, DEFAULT_CAPS
 from .errors import (CapExceeded, IdentityMismatch, InvalidParameter,
@@ -40,8 +43,6 @@ from .fk_core import (FKModel, SignedMeasure, TensorFunction,
                       center_function, constant_function, eta_tensor,
                       fiber_count, flow, format_scalar,
                       function_from_vector, tensor_minus_dot_tv)
-from .forest import enumerate_forests, enumerate_orbits, planar_mapseq
-from .forest import brute_force_orbit_count
 from .genfunc import (coalescence_series, hilbert_series,
                       marginalize_coalescence)
 from .models import (DOCUMENTED_FLOW, bundled_model, bundled_names,
@@ -212,35 +213,33 @@ def _add_selection_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _selection(args: argparse.Namespace, caps: Caps):
-    """Resolve the flat/colored choice shared by enumerate and count."""
+    """Resolve the flat/colored choice shared by enumerate and count: the
+    kind, the selection as the manifest records it, the block profile and
+    the classes with their orbit sizes."""
     if args.q_seq:
         prof = _parse_ints(args.q_seq)
         if args.n is not None or args.q is not None:
             raise InvalidParameter("--q-seq replaces --n/--q")
-        return "colored", prof, enumerate_colored_orbits(
-            prof, args.max_coal, caps)
-    if args.n is None or args.q is None:
+        kind, sel = "colored", list(prof)
+    elif args.n is None or args.q is None:
         raise InvalidParameter("need --n and --q, or --q-seq")
-    return "flat", (args.n, args.q), enumerate_orbits(
-        args.n, args.q, args.max_coal, caps)
+    else:
+        prof = flat_blocks(args.n, args.q)
+        kind, sel = "flat", {"n": args.n, "q": args.q}
+    return kind, sel, prof, enumerate_colored_orbits(prof, args.max_coal,
+                                                     caps)
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     caps = _caps_from_args(args)
-    kind, sel, terms = _selection(args, caps)
+    kind, sel, _, terms = _selection(args, caps)
     manifest = _manifest(args, {
-        "kind": kind, "selection": list(sel) if kind == "colored" else
-        {"n": sel[0], "q": sel[1]},
+        "kind": kind, "selection": sel,
         "max_coal": args.max_coal, "format": args.fmt})
-    if kind == "flat":
-        rows = [(f.encoding, " ".join(map(str, f.profile)),
-                 " ".join(map(str, f.coal)), cnt) for f, cnt in terms]
-        header = ("encoding", "profile", "coal", "count")
-    else:
-        rows = [(f.encoding, " ".join(map(str, f.wprofile)),
-                 " ".join(map(str, f.bprofile)),
-                 " ".join(map(str, f.coal)), cnt) for f, cnt in terms]
-        header = ("encoding", "whites", "blacks", "coal", "count")
+    rows = [(f.encoding, " ".join(map(str, f.wprofile)),
+             " ".join(map(str, f.bprofile)),
+             " ".join(map(str, f.coal)), cnt) for f, cnt in terms]
+    header = ("encoding", "whites", "blacks", "coal", "count")
     if args.fmt == "csv":
         _emit_csv(args, manifest, header, rows)
     else:
@@ -253,11 +252,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _identity_total(kind: str, sel) -> int:
-    if kind == "flat":
-        n, q = sel
-        return q ** (q * (n + 1))
-    pairs = path_profile_bar(sel)
+def _identity_total(prof: Sequence[int]) -> int:
+    """Number of labeled ancestries: each vertex below the top level picks
+    one of the blacks above it."""
+    pairs = path_profile_bar(prof)
     total = 1
     for k in range(1, len(pairs)):
         total *= pairs[k - 1][1] ** (pairs[k][0] + pairs[k][1])
@@ -266,10 +264,9 @@ def _identity_total(kind: str, sel) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     caps = _caps_from_args(args)
-    kind, sel, terms = _selection(args, caps)
+    kind, sel, prof, terms = _selection(args, caps)
     manifest = _manifest(args, {
-        "kind": kind, "selection": list(sel) if kind == "colored" else
-        {"n": sel[0], "q": sel[1]},
+        "kind": kind, "selection": sel,
         "max_coal": args.max_coal, "format": args.fmt})
     by_coal: Dict[int, List[int]] = {}
     for f, cnt in terms:
@@ -277,7 +274,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         slot[0] += 1
         slot[1] += cnt
     total = sum(cnt for _, cnt in terms)
-    identity = _identity_total(kind, sel)
+    identity = _identity_total(prof)
     # the labeled-ancestry identity only covers the full class list
     complete = args.max_coal is None
     result = {
@@ -308,6 +305,8 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
     if args.n is None:
         raise InvalidParameter("need --n")
     trunc_list = _parse_ints(args.truncation)
+    if not trunc_list:
+        raise InvalidParameter("--truncation needs at least one bound")
     trunc = trunc_list if len(trunc_list) > 1 else trunc_list[0]
     manifest = _manifest(args, {
         "n": args.n, "truncation": list(trunc_list),
@@ -532,8 +531,9 @@ def _check_model_flow():
 def _check_orbit_counts():
     want, got = [], []
     for n, q in [(0, 2), (0, 3), (1, 2)]:
-        for f, cnt in enumerate_orbits(n, q):
-            want.append(brute_force_orbit_count(planar_mapseq(f)))
+        for f, cnt in enumerate_colored_orbits(flat_blocks(n, q)):
+            want.append(brute_force_colored_orbit_count(
+                colored_planar_mapseq(f)))
             got.append(cnt)
     return want, got
 
@@ -542,11 +542,12 @@ def _check_partition_sums():
     want, got = [], []
     for q in (1, 2, 3):
         for n in (0, 1, 2):
-            got.append(sum(c for _, c in enumerate_orbits(n, q)))
+            got.append(sum(c for _, c in
+                           enumerate_colored_orbits(flat_blocks(n, q))))
             want.append(q ** (q * (n + 1)))
     for prof in [(1, 1), (2, 1), (1, 1, 1)]:
         got.append(sum(c for _, c in enumerate_colored_orbits(prof)))
-        want.append(_identity_total("colored", prof))
+        want.append(_identity_total(prof))
     return want, got
 
 
@@ -559,7 +560,7 @@ def _check_series_census():
             continue
         prof = mono[:max(i + 1 for i, v in enumerate(mono) if v)]
         got.append(coeff)
-        want.append(len(enumerate_forests(prof)))
+        want.append(len(enumerate_colored_forests(flat_pairs(prof))))
     marg = marginalize_coalescence(coalescence_series(n, bounds), n)
     want.append(sorted(series.terms.items()))
     got.append(sorted(marg.terms.items()))

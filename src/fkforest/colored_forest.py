@@ -1,11 +1,19 @@
-"""Two-colored trees and forests for tensor products across several times.
+"""Two-colored trees and forests: the one genealogy stack of the package.
 
 White vertices are frozen sample points: they never have children.  Black
 vertices carry the genealogy forward, so every parent is black.  A colored
 map sequence records, per level, two 1-based parent maps (one for the white
 vertices of the level below, one for the black ones), both into the black
 vertices above.  Products of per-color symmetric groups act by relabeling;
-colored forests are the orbits, exactly as in the uncolored case.
+colored forests are the orbits.
+
+Plain leveled forests are the colored forests whose whites all sit on the
+top level: a plain profile (p_0..p_h) becomes the colored profile
+((0,p_0)..(0,p_{h-1}),(p_h,0)), see :func:`flat_pairs`, and the orbits and
+orbit sizes are the same on both sides.  In particular the q-block classes
+of height n+1 are the colored classes of the block profile
+``flat_blocks(n, q) == (0,)*n + (q,)``.  Trees are interned: building the
+same shape twice returns the same object.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, InvalidParameter
+from .genfunc import count_forests
 
 _CPOOL: Dict[Tuple[bool, Tuple["ColoredTree", ...]], "ColoredTree"] = {}
 
@@ -26,7 +35,7 @@ class ColoredTree:
     """Immutable colored tree; build through :func:`black` / :func:`white`."""
 
     __slots__ = ("children", "is_white", "encoding", "wprofile", "bprofile",
-                 "internal", "coal")
+                 "internal", "coal", "coal_degree")
 
     def __init__(self, is_white: bool, children: Tuple["ColoredTree", ...],
                  _token=None):
@@ -57,14 +66,11 @@ class ColoredTree:
         self.internal = tuple(inter)
         self.coal = tuple(wp[k + 1] + bp[k + 1] - inter[k]
                           for k in range(depth - 1))
+        self.coal_degree = sum(self.coal)
 
     @property
     def height(self) -> int:
         return len(self.wprofile) - 1
-
-    @property
-    def coal_degree(self) -> int:
-        return sum(self.coal)
 
     def __repr__(self) -> str:
         return "ColoredTree(%s)" % self.encoding
@@ -411,20 +417,46 @@ def path_profile_bar(q: Sequence[int]) -> PairProfile:
     return tuple(pairs)
 
 
+def flat_blocks(n: int, q: int) -> Tuple[int, ...]:
+    """Block profile of the plain q-block classes of height n+1: all q
+    coordinates freeze at time n."""
+    if n < 0 or q < 1:
+        raise InvalidParameter("need n >= 0 and q >= 1")
+    return (0,) * n + (q,)
+
+
+def flat_pairs(profile: Sequence[int]) -> PairProfile:
+    """Colored level profile of the plain forests with per-level vertex
+    counts profile: blacks below the top level, whites on it."""
+    p = tuple(int(v) for v in profile)
+    if not p or any(v <= 0 for v in p):
+        raise InvalidParameter("profile entries must be positive")
+    return tuple((0, v) for v in p[:-1]) + ((p[-1], 0),)
+
+
 def enumerate_colored_forests(pairs: PairProfile,
                               max_coal: Optional[int] = None,
                               caps: Caps = DEFAULT_CAPS
                               ) -> List[ColoredForest]:
     """All colored forests with the given per-level color counts.
 
-    No closed-form size predictor is available for the colored census, so
-    the cap is always enforced while generating.
+    A plain profile (see :func:`flat_pairs`) without a merge budget has its
+    size predicted exactly by the census, and the call refuses up front
+    when it would exceed ``caps.forests``.  Otherwise the cap is enforced
+    while generating.
     """
     pp = tuple((int(w), int(b)) for (w, b) in pairs)
     if any(w < 0 or b < 0 or (w + b) == 0 for w, b in pp):
         raise InvalidParameter("levels need nonnegative counts, not empty")
     if any(b == 0 for _, b in pp[:-1]) and len(pp) > 1:
         raise InvalidParameter("levels below the top need black vertices")
+    if (max_coal is None and pp and pp[-1][1] == 0
+            and not any(w for w, _ in pp[:-1])):
+        predicted = count_forests(tuple(b for _, b in pp[:-1])
+                                  + (pp[-1][0],))
+        if predicted > caps.forests:
+            raise CapExceeded("enumeration would produce too many forests",
+                              predicted=predicted, cap=caps.forests)
     results = _enum_colored_rec(pp, max_coal, caps.forests)
     results.sort(key=lambda g: g.encoding)
     return results
@@ -475,74 +507,103 @@ def _colored_candidates(tail: PairProfile) -> List[PairProfile]:
 
 def _enum_colored_rec(pairs: PairProfile, max_coal: Optional[int],
                       cap: Optional[int]) -> List[ColoredForest]:
+    """Forests as multisets of tree shapes, one candidate shape at a time.
+
+    The remaining vertex counts below the roots travel as one flat tuple
+    (w_1, b_1, w_2, b_2, ...); each candidate carries its body in the same
+    layout.  Candidates come longest first, so once the search moves past
+    the last candidate reaching a level, that level must already be used
+    up, which prunes most dead branches without recursing into them.
+    """
     if not pairs:
         return [colored_forest(())]
     tail = pairs[1:]
-    candidates = _colored_candidates(tail)
+    width = 2 * len(tail)
+    plan = []
+    reach = width
+    for shape in _colored_candidates(tail):
+        body = [0] * width
+        for i, (w, b) in enumerate(shape[1:]):
+            body[2 * i] = w
+            body[2 * i + 1] = b
+        need = tuple((i, v) for i, v in enumerate(body) if v)
+        span = 2 * (len(shape) - 1)
+        # levels from span up are out of reach from this candidate on
+        done = slice(span, reach) if span < reach else None
+        reach = span
+        plan.append((shape, shape[0] == (1, 0), tuple(body), need, done))
+    filtered: Dict[Tuple[int, Optional[int]], Tuple[ColoredTree, ...]] = {}
     results: List[ColoredForest] = []
 
-    def lower_bound(roots: int, rem: PairProfile) -> int:
+    def shapes_within(idx: int, budget: Optional[int]
+                      ) -> Tuple[ColoredTree, ...]:
+        key = (idx, budget)
+        got = filtered.get(key)
+        if got is None:
+            got = _enumerate_colored_trees(plan[idx][0])
+            if budget is not None:
+                got = tuple(t for t in got if t.coal_degree <= budget)
+            filtered[key] = got
+        return got
+
+    def lower_bound(roots: int, rem: Tuple[int, ...]) -> int:
+        # merges no placement can avoid: a level cannot host more parents
+        # than it has blacks
         total = 0
         prev = roots
-        for w, b in rem:
-            if w + b > prev:
-                total += w + b - prev
-            prev = b
+        for i in range(0, width, 2):
+            here = rem[i] + rem[i + 1]
+            if here > prev:
+                total += here - prev
+            prev = rem[i + 1]
         return total
 
-    def rec(idx: int, wroots: int, broots: int, rem: PairProfile, budget,
-            chosen: List[ColoredTree]):
+    def rec(idx: int, wroots: int, broots: int, rem: Tuple[int, ...],
+            budget: Optional[int], chosen: Tuple[ColoredTree, ...]):
         if budget is not None and lower_bound(broots, rem) > budget:
             return
-        if wroots == 0 and broots == 0:
-            if all(w == 0 and b == 0 for w, b in rem):
-                results.append(colored_forest(chosen))
-                if cap is not None and len(results) > cap:
-                    raise CapExceeded(
-                        "colored enumeration exceeded the forest cap",
-                        predicted=len(results), cap=cap)
+        while True:
+            if wroots == 0 and broots == 0:
+                if not any(rem):
+                    results.append(colored_forest(chosen))
+                    if cap is not None and len(results) > cap:
+                        raise CapExceeded(
+                            "colored enumeration exceeded the forest cap",
+                            predicted=len(results), cap=cap)
+                return
+            if idx == len(plan):
+                return
+            _, is_white, body, need, done = plan[idx]
+            if done is not None and any(rem[done]):
+                return
+            limit = wroots if is_white else broots
+            for i, v in need:
+                if rem[i] // v < limit:
+                    limit = rem[i] // v
+            if limit:
+                break
+            idx += 1
+        shapes = shapes_within(idx, budget)
+        rec(idx + 1, wroots, broots, rem, budget, chosen)
+        if not shapes:
             return
-        if idx == len(candidates):
-            return
-        shape = candidates[idx]
-        rw, rb = shape[0]
-        body = shape[1:]
-        if rw:
-            limit = wroots
-        else:
-            limit = broots
-        for i, (w, b) in enumerate(body):
-            if w:
-                limit = min(limit, rem[i][0] // w)
-            if b:
-                limit = min(limit, rem[i][1] // b)
-        shapes = _enumerate_colored_trees(shape)
-        if budget is not None:
-            shapes = tuple(t for t in shapes if t.coal_degree <= budget)
-        for k in range(limit + 1):
-            nxt = [(w - k * bw, b - k * bb) for (w, b), (bw, bb)
-                   in zip(rem, body + ((0, 0),) * (len(rem) - len(body)))]
-            if any(w < 0 or b < 0 for w, b in nxt):
-                break
-            if k == 0:
-                rec(idx + 1, wroots, broots, tuple(nxt), budget, chosen)
-                continue
-            if not shapes:
-                break
-            nw = wroots - k * rw
-            nb = broots - k * rb
-            if nw < 0 or nb < 0:
-                break
+        nxt = rem
+        for k in range(1, limit + 1):
+            nxt = tuple(a - b for a, b in zip(nxt, body))
+            if is_white:
+                nw, nb = wroots - k, broots
+            else:
+                nw, nb = wroots, broots - k
             for picks in itertools.combinations_with_replacement(shapes, k):
-                cost = sum(t.coal_degree for t in picks)
-                if budget is not None and cost > budget:
+                if budget is None:
+                    rec(idx + 1, nw, nb, nxt, None, chosen + picks)
                     continue
-                rec(idx + 1, nw, nb, tuple(nxt),
-                    None if budget is None else budget - cost,
-                    chosen + list(picks))
+                cost = sum(t.coal_degree for t in picks)
+                if cost <= budget:
+                    rec(idx + 1, nw, nb, nxt, budget - cost, chosen + picks)
 
     (w0, b0) = pairs[0]
-    rec(0, w0, b0, tail, max_coal, [])
+    rec(0, w0, b0, tuple(v for pair in tail for v in pair), max_coal, ())
     return results
 
 
@@ -560,14 +621,19 @@ def enumerate_colored_orbits(q: Sequence[int],
 # named colored shapes
 
 
+def _merge(kids: Iterable[ColoredTree], k: int) -> ColoredTree:
+    """A black at level k with the given children, under a bare chain."""
+    t = black(kids)
+    for _ in range(k):
+        t = black((t,))
+    return t
+
+
 def wick_colored_tree(k: int, l: int, m: int) -> ColoredTree:
     """Single merge at level k, white tips frozen at levels l+1 and m+1."""
     if not 0 <= k <= l <= m:
         raise InvalidParameter("need 0 <= k <= l <= m")
-    split = black((white_topped_chain(l - k), white_topped_chain(m - k)))
-    for _ in range(k):
-        split = black((split,))
-    return split
+    return _merge((white_topped_chain(l - k), white_topped_chain(m - k)), k)
 
 
 def build_wick_forest(t: Dict[Tuple[int, int, int], int]) -> ColoredForest:
@@ -599,3 +665,87 @@ def first_order_path_forest(n: int, q: int, k: int, m: int) -> ColoredForest:
         raise InvalidParameter("needs q >= 1")
     return colored_forest([black_chain(k), wick_colored_tree(k, m, n)]
                           + [white_topped_chain(n + 1)] * (q - 1))
+
+
+# The plain q-block shapes below live in the classes of flat_blocks(n, q).
+# Lines that reach the top level end in a white; a line that stops below
+# it (the stub left by a merge) is a bare black chain.
+
+
+def _check_merges(n: int, q: int, levels: Sequence[int]) -> None:
+    flat_blocks(n, q)
+    if (levels[0] < 0 or levels[-1] > n
+            or list(levels) != sorted(set(levels))):
+        raise InvalidParameter("merge levels %r must increase strictly "
+                               "within 0..%d" % (tuple(levels), n))
+
+
+def _flat_shape(n: int, q: int,
+                parts: Sequence[ColoredTree]) -> ColoredForest:
+    """The parts, padded up to q top whites with untouched full chains."""
+    lines = sum(sum(t.wprofile) for t in parts)
+    if q < lines:
+        raise InvalidParameter("needs q >= %d" % lines)
+    return colored_forest(list(parts)
+                          + [white_topped_chain(n + 1)] * (q - lines))
+
+
+def trivial_forest(n: int, q: int) -> ColoredForest:
+    """q white-topped chains spanning all levels: the no-interaction class."""
+    flat_blocks(n, q)
+    return _flat_shape(n, q, ())
+
+
+def pair_merge_forest(n: int, q: int, k: int) -> ColoredForest:
+    """One binary merge at level k, everything else untouched."""
+    _check_merges(n, q, (k,))
+    return _flat_shape(n, q, (wick_colored_tree(k, n, n), black_chain(k)))
+
+
+def triple_merge_forest(n: int, q: int, k: int) -> ColoredForest:
+    """One ternary merge at level k."""
+    _check_merges(n, q, (k,))
+    split = _merge((white_topped_chain(n - k),) * 3, k)
+    return _flat_shape(n, q, (split,) + (black_chain(k),) * 2)
+
+
+def double_pair_forest(n: int, q: int, k: int) -> ColoredForest:
+    """Two disjoint binary merges at the same level k."""
+    _check_merges(n, q, (k,))
+    return _flat_shape(n, q,
+                       (wick_colored_tree(k, n, n), black_chain(k)) * 2)
+
+
+def nested_merge_forest(n: int, q: int, k: int, l: int) -> ColoredForest:
+    """Merge at level k whose offspring merges again at level l > k."""
+    _check_merges(n, q, (k, l))
+    inner = _merge((white_topped_chain(n - l),) * 2, l - k - 1)
+    split = _merge((inner, white_topped_chain(n - k)), k)
+    return _flat_shape(n, q, (split, black_chain(k), black_chain(l)))
+
+
+def cut_branch_forest(n: int, q: int, k: int, l: int) -> ColoredForest:
+    """Merge at level k; the sibling line stops at level l, forcing a
+    second merge there inside the same tree."""
+    _check_merges(n, q, (k, l))
+    inner = _merge((white_topped_chain(n - l),) * 2, l - k - 1)
+    split = _merge((inner, black_chain(l - k - 1)), k)
+    return _flat_shape(n, q, (split, black_chain(k)))
+
+
+def two_tree_merge_forest(n: int, q: int, k: int, l: int) -> ColoredForest:
+    """Independent binary merges at levels k and l in different trees."""
+    _check_merges(n, q, (k, l))
+    return _flat_shape(n, q, (
+        wick_colored_tree(k, n, n), wick_colored_tree(l, n, n),
+        black_chain(k), black_chain(l)))
+
+
+def staggered_merge_forest(n: int, q: int, k: int, l: int) -> ColoredForest:
+    """Merge at level k with one line stopping at level l, plus an
+    independent binary merge at level l in another tree."""
+    _check_merges(n, q, (k, l))
+    stop_at_l = _merge((black_chain(l - k - 1), white_topped_chain(n - k)),
+                       k)
+    return _flat_shape(n, q, (
+        stop_at_l, wick_colored_tree(l, n, n), black_chain(k)))

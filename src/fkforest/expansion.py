@@ -24,8 +24,11 @@ order k,
 
 times the class count #(f).  Stirling factors outside their triangle are
 zero, which silently discards classes whose coalescence pattern cannot
-realize the requested order.  Plain forests use the constant source vector
-(q..q); colored forests use the per-level black counts.
+realize the requested order.  The source sizes are the per-level black
+counts of the colored classes.  Plain q-block moments are the block
+profile flat_blocks(n, q) = (0,..,0,q), whose classes have q blacks on
+every level below the top, so their source vector is the constant (q..q);
+the flat entry points are thin calls into the per-time-profile engines.
 
 Every coefficient measure is block-symmetrized before being returned, so
 pairing it against an arbitrary function equals pairing the raw sum
@@ -44,10 +47,18 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from .colored_forest import (
     ColoredForest,
     build_wick_forest,
+    cut_branch_forest,
+    double_pair_forest,
     enumerate_colored_orbits,
     first_order_path_forest,
+    flat_blocks,
+    nested_merge_forest,
     normalize_path_profile,
+    pair_merge_forest,
     path_profile_bar,
+    staggered_merge_forest,
+    triple_merge_forest,
+    two_tree_merge_forest,
 )
 from .combinatorics import compositions, falling_factorial, stirling_first
 from .config import Caps, DEFAULT_CAPS
@@ -59,7 +70,6 @@ from .fk_core import (
     TensorFunction,
     center_function,
     delta_colored,
-    delta_forest,
     eta_tensor,
     flow,
     format_scalar,
@@ -68,18 +78,6 @@ from .fk_core import (
     gamma_tensor,
     is_centered,
     semigroup,
-)
-from .forest import (
-    Forest,
-    cut_branch_forest,
-    double_pair_forest,
-    enumerate_orbits,
-    nested_merge_forest,
-    pair_merge_forest,
-    staggered_merge_forest,
-    triple_merge_forest,
-    two_tree_merge_forest,
-    wick_pair_forest,
 )
 
 __all__ = [
@@ -115,37 +113,23 @@ Scalar = Union[Fraction, float]
 # ---------------------------------------------------------------------------
 # shared plumbing
 
-_ORBITS: Dict[Tuple, List[Tuple[Forest, int]]] = {}
+# Both caches are keyed on the caps as well, so a cap is enforced the same
+# way whatever earlier calls left behind.
 _COLORED: Dict[Tuple, List[Tuple[ColoredForest, int]]] = {}
 _DELTAS: Dict[Tuple, SignedMeasure] = {}
 
 
-def _orbit_terms(n: int, q: int, max_coal: Optional[int],
-                 caps: Caps) -> List[Tuple[Forest, int]]:
-    key = (n, q, max_coal)
-    if key not in _ORBITS:
-        _ORBITS[key] = enumerate_orbits(n, q, max_coal, caps)
-    return _ORBITS[key]
-
-
 def _colored_terms(profile: Tuple[int, ...], max_coal: Optional[int],
                    caps: Caps) -> List[Tuple[ColoredForest, int]]:
-    key = (profile, max_coal)
+    key = (profile, max_coal, caps)
     if key not in _COLORED:
         _COLORED[key] = enumerate_colored_orbits(profile, max_coal, caps)
     return _COLORED[key]
 
 
-def _delta(model: FKModel, f: Forest, caps: Caps) -> SignedMeasure:
-    key = (model, f)
-    if key not in _DELTAS:
-        _DELTAS[key] = delta_forest(model, f, caps=caps)
-    return _DELTAS[key]
-
-
 def _delta_path(model: FKModel, f: ColoredForest,
                 profile: Tuple[int, ...], caps: Caps) -> SignedMeasure:
-    key = (model, f, profile)
+    key = (model, f, profile, caps)
     if key not in _DELTAS:
         _DELTAS[key] = delta_colored(model, f, profile, caps=caps)
     return _DELTAS[key]
@@ -153,7 +137,7 @@ def _delta_path(model: FKModel, f: ColoredForest,
 
 def _order_weight(image: Sequence[int], src: Sequence[int],
                   k: int) -> Fraction:
-    """Order-k weight shared by the flat and per-time-profile engines."""
+    """Order-k weight of a class with these image and source sizes."""
     bounds = [s - 1 for s in src]
     total = 0
     for r in compositions(k, len(src), bounds):
@@ -242,42 +226,14 @@ def exact_QN(model: FKModel, n: int, q: int, N: int,
     block-symmetric measure when F is omitted.
     """
     _check_nq(model, n, q)
-    if N < q:
-        raise InvalidParameter(
-            "ensemble size N=%d is below the block size q=%d" % (N, q))
-    scale_den = N ** (q * (n + 1))
-    total: Optional[SignedMeasure] = None
-    for f, cnt in _orbit_terms(n, q, None, caps):
-        num = cnt
-        den = 1
-        for m in f.internal[:n + 1]:
-            num *= falling_factorial(N, m)
-            den *= falling_factorial(q, m)
-        term = _delta(model, f, caps).scale(Fraction(num, den * scale_den))
-        total = term if total is None else total + term
-    assert total is not None
-    total = total.symmetrize_blocks()
-    return total if F is None else total.pair(F)
+    return path_exact_QN(model, flat_blocks(n, q), N, F, caps)
 
 
 def derivative_Q(model: FKModel, n: int, q: int, k: int,
                  caps: Caps = DEFAULT_CAPS) -> SignedMeasure:
     """Order-k coefficient measure of the q-block moment expansion."""
     _check_nq(model, n, q)
-    if not 0 <= k <= max_order_Q(n, q):
-        raise InvalidParameter(
-            "order %d outside 0..%d" % (k, max_order_Q(n, q)))
-    src = (q,) * (n + 1)
-    total: Optional[SignedMeasure] = None
-    for f, cnt in _orbit_terms(n, q, k, caps):
-        w = _order_weight(f.internal[:n + 1], src, k)
-        if w == 0:
-            continue
-        term = _delta(model, f, caps).scale(w * cnt)
-        total = term if total is None else total + term
-    if total is None:
-        return _zero_measure(model, (n,) * q)
-    return total.symmetrize_blocks()
+    return path_derivative_Q(model, flat_blocks(n, q), k, caps)
 
 
 def closed_form_low_orders(model: FKModel, n: int, q: int,
@@ -300,9 +256,10 @@ def closed_form_low_orders(model: FKModel, n: int, q: int,
             "degenerate, use derivative_Q whose generic sum handles "
             "small q automatically" % q)
     _check_nq(model, n, q)
+    prof = flat_blocks(n, q)
 
-    def dlt(f: Forest) -> SignedMeasure:
-        return _delta(model, f, caps)
+    def dlt(f: ColoredForest) -> SignedMeasure:
+        return _delta_path(model, f, prof, caps)
 
     g = gamma_tensor(model, n, q)
     zero = _zero_measure(model, (n,) * q)
@@ -435,35 +392,7 @@ def wick_Q(model: FKModel, n: int, q: int, F: TensorFunction,
     coefficient before returning; a disagreement raises IdentityMismatch.
     """
     _check_nq(model, n, q)
-    if F.levels != (n,) * q:
-        raise InvalidParameter("F must live on %d copies of level %d"
-                               % (q, n))
-    if not is_centered(model, F):
-        raise InvalidParameter(
-            "Wick evaluation needs a symmetric function whose "
-            "per-coordinate conditional means vanish; run center_function "
-            "first")
-    lowest = (q + 1) // 2
-    vanishing = {k: derivative_Q(model, n, q, k, caps).pair(F)
-                 for k in range(lowest)}
-    if q % 2:
-        return vanishing, None
-    half = q // 2
-    qfact = math.factorial(q)
-    total = model.zero
-    for r in compositions(half, n + 1, [q - 1] * (n + 1)):
-        rfact = 1
-        for rj in r:
-            rfact *= math.factorial(rj)
-        coeff = Fraction(qfact, (2 ** half) * rfact)
-        f = wick_pair_forest(n, q, r)
-        total = total + coeff * _delta(model, f, caps).pair(F)
-    generic = derivative_Q(model, n, q, half, caps).pair(F)
-    if not _scalars_agree(model, total, generic):
-        raise IdentityMismatch(
-            "pair-merge shape sum disagrees with the generic order-%d "
-            "coefficient" % half, lhs=total, rhs=generic)
-    return vanishing, total
+    return path_wick_Q(model, flat_blocks(n, q), F, caps)
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +723,8 @@ def first_order_P(model: FKModel, n_plus_1: int, q: int,
     piece1 = zero
     if q >= 2:
         for kk in range(n + 1):
-            d = _delta(model, pair_merge_forest(n, q, kk), caps)
+            d = _delta_path(model, pair_merge_forest(n, q, kk),
+                            flat_blocks(n, q), caps)
             piece1 = piece1 + d.transport_block(0, np1)
         piece1 = piece1.scale(half)
     piece2 = zero
@@ -1107,37 +1037,10 @@ class ExpansionReport:
         }
 
 
-def expansion_report_Q(model: FKModel, n: int, q: int,
-                       Ns: Sequence[int] = (),
-                       F: Optional[TensorFunction] = None,
-                       caps: Caps = DEFAULT_CAPS) -> ExpansionReport:
-    """Full coefficient family of the flat q-block moment, checked against
-    the exact finite-size values when sizes are supplied."""
-    _check_nq(model, n, q)
-    base: object = gamma_tensor(model, n, q)
-    orders: Dict[int, object] = {
-        k: derivative_Q(model, n, q, k, caps)
-        for k in range(1, max_order_Q(n, q) + 1)}
-    if F is not None:
-        base = base.pair(F)
-        orders = {k: v.pair(F) for k, v in orders.items()}
-    report = ExpansionReport(
-        kind="block-moment",
-        params={"n": n, "q": q, "field": model.field},
-        base=base,
-        orders=orders,
-        evaluations={N: exact_QN(model, n, q, N, F, caps) for N in Ns},
-    )
-    report.check()
-    return report
-
-
-def expansion_report_path_Q(model: FKModel, q: Sequence[int],
-                            Ns: Sequence[int] = (),
-                            F: Optional[TensorFunction] = None,
-                            caps: Caps = DEFAULT_CAPS) -> ExpansionReport:
-    """Per-time profile version of expansion_report_Q."""
-    prof = _check_profile(model, q)
+def _moment_report(model: FKModel, prof: Tuple[int, ...], kind: str,
+                   params: Dict[str, object], Ns: Sequence[int],
+                   F: Optional[TensorFunction],
+                   caps: Caps) -> ExpansionReport:
     base: object = path_derivative_Q(model, prof, 0, caps)
     orders: Dict[int, object] = {
         k: path_derivative_Q(model, prof, k, caps)
@@ -1146,15 +1049,36 @@ def expansion_report_path_Q(model: FKModel, q: Sequence[int],
         base = base.pair(F)
         orders = {k: v.pair(F) for k, v in orders.items()}
     report = ExpansionReport(
-        kind="path-block-moment",
-        params={"profile": list(prof), "field": model.field},
+        kind=kind,
+        params=params,
         base=base,
         orders=orders,
-        evaluations={N: path_exact_QN(model, prof, N, F, caps)
-                     for N in Ns},
+        evaluations={N: path_exact_QN(model, prof, N, F, caps) for N in Ns},
     )
     report.check()
     return report
+
+
+def expansion_report_Q(model: FKModel, n: int, q: int,
+                       Ns: Sequence[int] = (),
+                       F: Optional[TensorFunction] = None,
+                       caps: Caps = DEFAULT_CAPS) -> ExpansionReport:
+    """Full coefficient family of the flat q-block moment, checked against
+    the exact finite-size values when sizes are supplied."""
+    _check_nq(model, n, q)
+    return _moment_report(model, flat_blocks(n, q), "block-moment",
+                          {"n": n, "q": q, "field": model.field}, Ns, F, caps)
+
+
+def expansion_report_path_Q(model: FKModel, q: Sequence[int],
+                            Ns: Sequence[int] = (),
+                            F: Optional[TensorFunction] = None,
+                            caps: Caps = DEFAULT_CAPS) -> ExpansionReport:
+    """Per-time profile version of expansion_report_Q."""
+    prof = _check_profile(model, q)
+    return _moment_report(model, prof, "path-block-moment",
+                          {"profile": list(prof), "field": model.field},
+                          Ns, F, caps)
 
 
 def expansion_report_P(model: FKModel, n_plus_1: int, q: int,

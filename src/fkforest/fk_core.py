@@ -25,7 +25,6 @@ from .colored_forest import (ColoredForest, ColoredMapSeq,
 from .combinatorics import falling_factorial, stirling_first, stirling_second
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, InvalidParameter, ValidationError
-from .forest import Forest, MapSeq, planar_mapseq
 
 Scalar = Union[Fraction, float]
 
@@ -781,37 +780,7 @@ def dot_partial_tv(q: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# forest measures
-
-
-def delta_forest(model: FKModel, f: Union[Forest, MapSeq],
-                 n: Optional[int] = None, q: Optional[int] = None,
-                 caps: Caps = DEFAULT_CAPS) -> SignedMeasure:
-    """Signed measure of a genealogy class: alternate selection pushforwards
-    with per-coordinate one-step transports, streamed level by level."""
-    a = planar_mapseq(f) if isinstance(f, Forest) else f
-    if not isinstance(a, MapSeq):
-        raise InvalidParameter("expected a Forest or a MapSeq")
-    sizes = a.sizes
-    hn = len(sizes) - 2
-    if n is not None and n != hn:
-        raise InvalidParameter("map sequence has height %d, n=%d given"
-                               % (hn + 1, n))
-    if q is not None and any(p != q for p in sizes):
-        raise InvalidParameter("profile %r is not uniform at q=%d"
-                               % (sizes, q))
-    if hn > model.horizon:
-        raise InvalidParameter("model horizon %d too short for n=%d"
-                               % (model.horizon, hn))
-    mu = SignedMeasure(model, (), [model.one], caps=caps)
-    e0 = measure_from_vector(model, 0, model.eta0)
-    for _ in range(sizes[0]):
-        mu = mu.tensor(e0)
-    for k, amap in enumerate(a.maps):
-        mu = mu.pushforward([v - 1 for v in amap])
-        if k + 1 <= hn:
-            mu = mu.transport_block(0, k + 1)
-    return mu
+# path-space and genealogy measures
 
 
 def path_gamma(model: FKModel, q: Sequence[int], p: int,

@@ -1,0 +1,97 @@
+"""The command-line interface: results, byte-stable outputs and exit codes.
+
+Exit codes are 0 (success), 1 (failed identity) and 2 (structured
+refusal); a refusal writes one JSON line to stderr and no output file.
+"""
+
+import json
+
+import pytest
+
+from fkforest.cli import main
+
+
+def run(tmp_path, *argv, name="out.json"):
+    out = tmp_path / name
+    rc = main(list(argv) + ["--out", str(out)])
+    return rc, (out.read_bytes() if out.exists() else None)
+
+
+def result(tmp_path, *argv):
+    rc, data = run(tmp_path, *argv)
+    assert rc == 0
+    return json.loads(data)["result"]
+
+
+def test_verify_passes_every_check(tmp_path):
+    res = result(tmp_path, "verify")
+    assert res["failed"] == 0
+    assert res["passed"] == len(res["checks"]) == 13
+
+
+def test_count_of_a_flat_selection(tmp_path):
+    res = result(tmp_path, "count", "--n", "3", "--q", "3")
+    assert res["kind"] == "flat"
+    assert res["classes"] == 252
+    assert res["total_jungles"] == 531441 == 3 ** 12
+    assert res["identity_holds"] is True
+
+
+def test_enumerate_lists_flat_classes_in_colored_columns(tmp_path):
+    res = result(tmp_path, "enumerate", "--n", "1", "--q", "2")
+    assert res["kind"] == "flat"
+    assert res["classes"] == 4
+    assert res["total_jungles"] == 2 ** 4
+    for row in res["rows"]:
+        assert sorted(row) == ["blacks", "coal", "count", "encoding",
+                               "whites"]
+        assert (row["whites"], row["blacks"]) == ("0 0 2", "2 2 0")
+
+
+def test_flat_expansion_is_the_block_profile_expansion(tmp_path):
+    flat = result(tmp_path, "expand", "--model", "drift2", "--n", "1",
+                  "--q", "2", "--evaluate", "3")
+    path = result(tmp_path, "expand", "--model", "drift2", "--q-seq", "0,2",
+                  "--evaluate", "3")
+    assert flat["kind"] == "block-moment"
+    assert path["kind"] == "path-block-moment"
+    for key in ("base", "orders", "evaluations"):
+        assert flat[key] == path[key]
+    assert sorted(flat["orders"]) == ["1", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "1", "--q", "2"],
+    ["count", "--q-seq", "2,1", "--format", "csv"],
+    ["hilbert", "--n", "1", "--truncation", "2,3", "--coalescence"],
+    ["expand", "--model", "drift2", "--n", "1", "--q", "2", "--evaluate",
+     "3,5"],
+])
+def test_identical_runs_write_identical_bytes(tmp_path, argv):
+    rc_a, a = run(tmp_path, *argv, name="a")
+    rc_b, b = run(tmp_path, *argv, name="b")
+    assert rc_a == rc_b == 0
+    assert a == b
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--n", "-1", "--q", "2"],
+    ["count", "--n", "1", "--q", "0"],
+    ["enumerate", "--n", "1"],
+    ["hilbert", "--n", "1", "--truncation", ""],
+])
+def test_bad_parameters_are_refused(tmp_path, capsys, argv):
+    rc, data = run(tmp_path, *argv)
+    assert rc == 2
+    assert data is None
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidParameter"
+
+
+def test_cap_refusal_comes_before_enumeration(tmp_path, capsys):
+    rc, data = run(tmp_path, "count", "--n", "3", "--q", "4",
+                   "--cap-forests", "10")
+    assert rc == 2
+    assert data is None
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "CapExceeded"
+    assert (err["predicted"], err["cap"]) == (5503, 10)

@@ -23,14 +23,14 @@ from fkforest import (
     center_function,
     colored_forest,
     constant_function,
-    count_jungles,
+    count_colored_jungles,
     delta_colored,
-    delta_forest,
     dot_partial_tv,
     eta_tensor,
     fiber_count,
     flow,
-    forest_of,
+    colored_forest_of,
+    flat_blocks,
     function_from_vector,
     gamma_measure,
     gamma_tensor,
@@ -38,16 +38,15 @@ from fkforest import (
     lq_derivative,
     lq_operator,
     measure_from_vector,
-    pair_merge_forest,
     path_gamma,
     path_semigroup,
     q_operator,
     semigroup,
     tensor_minus_dot_tv,
-    trivial_forest,
     white_topped_chain,
 )
-from fkforest.forest import MapSeq
+from fkforest.colored_forest import (ColoredMapSeq, pair_merge_forest,
+                                     trivial_forest)
 from fkforest.combinatorics import falling_factorial
 
 
@@ -421,36 +420,38 @@ def test_tv_formulas_against_constructed_measures():
 
 def test_trivial_genealogy_is_the_gamma_tensor(drift2, blend3):
     for m, n, q in ((drift2, 2, 3), (blend3, 2, 2), (drift2, 0, 2)):
-        mu = delta_forest(m, trivial_forest(n, q))
+        mu = delta_colored(m, trivial_forest(n, q), flat_blocks(n, q))
         assert mu == gamma_tensor(m, n, q)
 
 
-def test_delta_forest_is_class_invariant(drift2):
+def test_delta_colored_is_class_invariant(drift2):
     f = pair_merge_forest(1, 3, 1)
-    base = delta_forest(drift2, f).symmetrize_blocks()
-    sizes = f.profile
+    blocks = flat_blocks(1, 3)
+    base = delta_colored(drift2, f, blocks).symmetrize_blocks()
+    ws, bs = f.wprofile, f.bprofile
     reps = 0
     for maps in itertools.product(
-            *[itertools.product(range(1, sizes[k] + 1),
-                                repeat=sizes[k + 1])
-              for k in range(len(sizes) - 1)]):
-        a = MapSeq(sizes, maps)
-        if forest_of(a) == f:
+            *[itertools.product(
+                itertools.product(range(1, bs[k] + 1), repeat=ws[k + 1]),
+                itertools.product(range(1, bs[k] + 1), repeat=bs[k + 1]))
+              for k in range(len(ws) - 1)]):
+        a = ColoredMapSeq(ws, bs, maps)
+        if colored_forest_of(a) == f:
             reps += 1
-            assert delta_forest(drift2, a).symmetrize_blocks() == base
-    assert reps == count_jungles(f)
+            assert delta_colored(drift2, a, blocks).symmetrize_blocks() \
+                == base
+    assert reps == count_colored_jungles(f)
 
 
 def test_delta_forest_rejects_mismatched_shape(drift2):
+    """A plain class measured under another (n, q) block profile."""
     f = trivial_forest(1, 2)
     with pytest.raises(InvalidParameter):
-        delta_forest(drift2, f, n=2)
+        delta_colored(drift2, f, flat_blocks(2, 2))
     with pytest.raises(InvalidParameter):
-        delta_forest(drift2, f, q=3)
+        delta_colored(drift2, f, flat_blocks(1, 3))
     with pytest.raises(InvalidParameter):
-        delta_forest(drift2, trivial_forest(4, 1))
-    with pytest.raises(InvalidParameter):
-        delta_forest(drift2, "nope")
+        delta_colored(drift2, trivial_forest(4, 1), flat_blocks(4, 1))
 
 
 def test_path_gamma_layout_and_mass(drift2):

@@ -1,10 +1,12 @@
-"""Forest enumeration and orbit counting against exhaustive grouping.
+"""Plain leveled forests, as colored forests whose whites sit on top.
 
-The main oracle below generates every labeled ancestry (all parent-map
-choices for a level profile), groups them by their unlabeled class, and
-compares both the class list and every orbit size with the package's
-enumeration and its product formula.  Nothing on the oracle side touches
-stabilizers or symmetry multisets.
+A plain profile (p_0..p_h) embeds as the colored profile
+((0,p_0)..(0,p_{h-1}),(p_h,0)), and a plain map sequence (one parent map
+per level) as the colored one whose only white part is the top map.  The
+main oracle below generates every labeled ancestry for a plain profile,
+groups them by unlabeled class, and compares both the class list and every
+orbit size with the colored enumeration and its product formula.  Nothing
+on the oracle side touches stabilizers or symmetry multisets.
 """
 
 import itertools
@@ -15,16 +17,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fkforest import (Caps, brute_force_orbit_count, chain_tree,
-                      count_forests, count_jungles, cut_branch_forest,
-                      double_pair_forest, enumerate_forests, enumerate_orbits,
-                      enumerate_trees, forest, forest_of, nested_merge_forest,
-                      pair_merge_forest, planar_mapseq, remove_roots,
-                      staggered_merge_forest, symmetry_multiset, tree,
-                      triple_merge_forest, trivial_forest,
-                      two_tree_merge_forest, wick_pair_forest)
+from fkforest import (Caps, black, black_chain,
+                      brute_force_colored_orbit_count, build_wick_forest,
+                      colored_forest, colored_forest_of,
+                      colored_planar_mapseq, colored_symmetry_multiset,
+                      count_colored_jungles,
+                      count_forests, enumerate_colored_forests,
+                      enumerate_colored_orbits, flat_blocks, flat_pairs,
+                      path_profile_bar, white, white_topped_chain)
+from fkforest.colored_forest import (ColoredMapSeq, colored_remove_roots,
+                                     cut_branch_forest,
+                                     double_pair_forest, nested_merge_forest,
+                                     pair_merge_forest, staggered_merge_forest,
+                                     triple_merge_forest, trivial_forest,
+                                     two_tree_merge_forest)
 from fkforest.errors import CapExceeded, InvalidParameter
-from fkforest.forest import LEAF, MapSeq
+
+
+def embedded(sizes, maps):
+    """The colored map sequence of a plain one: whites only on top."""
+    sizes = tuple(sizes)
+    ws = (0,) * (len(sizes) - 1) + (sizes[-1],)
+    bs = sizes[:-1] + (0,)
+    cmaps = [((), tuple(m)) for m in maps[:-1]]
+    if maps:
+        cmaps.append((tuple(maps[-1]), ()))
+    return ColoredMapSeq(ws, bs, cmaps)
+
+
+def plain_maps(a):
+    """Inverse of embedded: one parent map per level."""
+    return [w + b for w, b in a.maps]
+
+
+def forests(profile, max_coal=None):
+    return enumerate_colored_forests(flat_pairs(profile), max_coal)
 
 
 def all_mapseqs(sizes):
@@ -33,13 +60,13 @@ def all_mapseqs(sizes):
                                    repeat=sizes[k + 1])
                  for k in range(len(sizes) - 1)]
     for maps in itertools.product(*per_level):
-        yield MapSeq(sizes, maps)
+        yield embedded(sizes, maps)
 
 
 def orbits_by_grouping(sizes):
     counts = {}
     for a in all_mapseqs(sizes):
-        f = forest_of(a)
+        f = colored_forest_of(a)
         counts[f] = counts.get(f, 0) + 1
     return counts
 
@@ -52,11 +79,12 @@ GROUPING_PROFILES = [(2,), (1, 2), (2, 2), (3, 2), (2, 3), (3, 3),
 @pytest.mark.parametrize("profile", GROUPING_PROFILES)
 def test_enumeration_and_orbit_sizes_match_exhaustive_grouping(profile):
     grouped = orbits_by_grouping(profile)
-    listed = enumerate_forests(profile)
+    listed = forests(profile)
     assert sorted(f.encoding for f in listed) == \
         sorted(f.encoding for f in grouped)
     for f in listed:
-        assert count_jungles(f) == grouped[f]
+        assert f.pair_profile == flat_pairs(profile)
+        assert count_colored_jungles(f) == grouped[f]
     total = 1
     for k in range(len(profile) - 1):
         total *= profile[k] ** profile[k + 1]
@@ -65,95 +93,103 @@ def test_enumeration_and_orbit_sizes_match_exhaustive_grouping(profile):
 
 @pytest.mark.parametrize("profile", [(2, 2), (3, 2), (2, 3), (2, 2, 2)])
 def test_orbit_formula_matches_stabilizer_sweep(profile):
-    for f in enumerate_forests(profile):
-        assert count_jungles(f) == brute_force_orbit_count(planar_mapseq(f))
+    for f in forests(profile):
+        assert count_colored_jungles(f) == \
+            brute_force_colored_orbit_count(colored_planar_mapseq(f))
 
 
-def random_relabeling(a, rng):
-    perms = [list(rng.sample(range(1, v + 1), v)) for v in a.sizes]
-    maps = []
-    for k, m in enumerate(a.maps):
+def random_relabeling(sizes, maps, rng):
+    perms = [list(rng.sample(range(1, v + 1), v)) for v in sizes]
+    out = []
+    for k, m in enumerate(maps):
         up, dn = perms[k], perms[k + 1]
         inv_dn = [0] * len(dn)
         for i, x in enumerate(dn, start=1):
             inv_dn[x - 1] = i
-        maps.append(tuple(up[m[inv_dn[j] - 1] - 1]
-                          for j in range(len(m))))
-    return MapSeq(a.sizes, maps)
+        out.append(tuple(up[m[inv_dn[j] - 1] - 1] for j in range(len(m))))
+    return embedded(sizes, out)
 
 
 def test_unlabeling_is_invariant_under_relabeling():
     rng = random.Random(7)
     for profile in [(2, 2, 2), (3, 3), (2, 3, 2)]:
-        for f in enumerate_forests(profile):
-            a = planar_mapseq(f)
+        for f in forests(profile):
+            maps = plain_maps(colored_planar_mapseq(f))
             for _ in range(5):
-                assert forest_of(random_relabeling(a, rng)) == f
+                a = random_relabeling(profile, maps, rng)
+                assert colored_forest_of(a) == f
 
 
 def test_planar_representative_roundtrip():
     for profile in [(2, 2), (3, 3), (2, 2, 2), (1, 3, 2)]:
-        for f in enumerate_forests(profile):
-            a = planar_mapseq(f)
-            assert forest_of(a) == f
-            assert a.sizes == f.profile
+        for f in forests(profile):
+            a = colored_planar_mapseq(f)
+            assert colored_forest_of(a) == f
+            assert a == embedded(profile, plain_maps(a))
             assert a.coal == f.coal
             # planar maps are weakly increasing level by level
-            for m in a.maps:
+            for m in plain_maps(a):
                 assert list(m) == sorted(m)
 
 
 def test_forest_builder_sorts_and_merges_duplicates():
-    a = tree((LEAF, LEAF))
-    b = chain_tree(1)
-    assert forest([a, b, a]) == forest([a, a, b])
-    assert forest([a, b, a]).items == forest([b, a, a]).items
-    f = forest([a, a])
+    a = black((white(), white()))
+    b = white_topped_chain(1)
+    assert colored_forest([a, b, a]) == colored_forest([a, a, b])
+    assert colored_forest([a, b, a]).items == colored_forest([b, a, a]).items
+    f = colored_forest([a, a])
     assert f.n_trees == 2
-    assert f.profile == (2, 4)
+    assert f.pair_profile == flat_pairs((2, 4))
     with pytest.raises(InvalidParameter):
-        forest([a, "oops"])
+        colored_forest([a, "oops"])
 
 
 def test_tree_profile_and_coalescence_bookkeeping():
-    t = tree((tree((LEAF, LEAF)), LEAF))
-    assert t.profile == (1, 2, 2)
+    # a line stopping below the top level ends in a black leaf
+    t = black((black((white(), white())), black_chain(0)))
+    assert t.bprofile == (1, 2, 0)
+    assert t.wprofile == (0, 0, 2)
     assert t.internal == (1, 1, 0)
     assert t.coal == (1, 1)
     assert t.height == 2
-    f = forest([t, chain_tree(2)])
-    assert f.profile == (2, 3, 3)
+    f = colored_forest([t, white_topped_chain(2)])
+    assert f.pair_profile == flat_pairs((2, 3, 3))
     assert f.coal == (1, 1)
     assert f.coal_degree == 2
 
 
 def test_root_removal_is_a_bijection_onto_shorter_forests():
     for body in [(2,), (2, 2), (3, 2), (2, 3)]:
-        trees = enumerate_trees((1,) + body)
-        bodies = enumerate_forests(body)
+        trees = forests((1,) + body)
+        bodies = forests(body)
         assert len(trees) == len(bodies)
-        removed = {remove_roots(forest([t])) for t in trees}
+        assert all(f.n_trees == 1 for f in trees)
+        removed = {colored_remove_roots(f) for f in trees}
         assert removed == set(bodies)
 
 
 def test_merge_budget_filters_the_full_enumeration():
     profile = (3, 3, 3)
-    full = enumerate_forests(profile)
+    full = forests(profile)
     for budget in range(0, 5):
-        got = enumerate_forests(profile, max_coal=budget)
+        got = forests(profile, max_coal=budget)
         want = [f for f in full if f.coal_degree <= budget]
         assert got == want
 
 
 def test_level_orbit_listing_matches_profile_enumeration():
-    out = enumerate_orbits(1, 2)
-    assert [f.profile for f, _ in out] == [(2, 2, 2)] * len(out)
+    out = enumerate_colored_orbits(flat_blocks(1, 2))
+    assert path_profile_bar(flat_blocks(1, 2)) == flat_pairs((2, 2, 2))
+    assert [f.pair_profile for f, _ in out] == \
+        [flat_pairs((2, 2, 2))] * len(out)
     assert {f: c for f, c in out} == \
-        {f: count_jungles(f) for f in enumerate_forests((2, 2, 2))}
+        {f: count_colored_jungles(f) for f in forests((2, 2, 2))}
     with pytest.raises(InvalidParameter):
-        enumerate_orbits(-1, 2)
+        flat_blocks(-1, 2)
     with pytest.raises(InvalidParameter):
-        enumerate_orbits(0, 0)
+        flat_blocks(0, 0)
+    with pytest.raises(InvalidParameter):
+        flat_pairs((2, 0, 1))
 
 
 def test_enumeration_refuses_early_with_predicted_size():
@@ -161,7 +197,7 @@ def test_enumeration_refuses_early_with_predicted_size():
     small = Caps(forests=10, group=10 ** 6, tensor=10 ** 6,
                  configs=10 ** 5, series=10 ** 6)
     with pytest.raises(CapExceeded) as err:
-        enumerate_forests(profile, caps=small)
+        enumerate_colored_forests(flat_pairs(profile), caps=small)
     assert err.value.predicted == count_forests(profile)
     assert err.value.cap == 10
 
@@ -182,8 +218,8 @@ NAMED_SHAPES = [
 def test_named_shapes_live_in_the_uniform_enumeration(builder, nq, kw):
     n, q = nq
     f = builder(n, q, **kw)
-    assert f.profile == (q,) * (n + 2)
-    assert f in enumerate_forests((q,) * (n + 2))
+    assert f.pair_profile == flat_pairs((q,) * (n + 2))
+    assert f in forests((q,) * (n + 2))
 
 
 def test_named_shape_merge_counts():
@@ -195,27 +231,33 @@ def test_named_shape_merge_counts():
     assert cut_branch_forest(2, 2, 0, 2).coal_degree == 2
     assert two_tree_merge_forest(1, 4, 0, 1).coal_degree == 2
     assert staggered_merge_forest(2, 3, 0, 1).coal_degree == 2
-    w = wick_pair_forest(1, 4, (1, 1))
-    assert w.profile == (4, 4, 4)
+    # pure pairing shape: one binary merge per level, whites all on top
+    w = build_wick_forest({(0, 1, 1): 1, (1, 1, 1): 1})
+    assert w.pair_profile == flat_pairs((4, 4, 4))
     assert w.coal == (1, 1)
     with pytest.raises(InvalidParameter):
-        wick_pair_forest(1, 3, (1, 0))
+        build_wick_forest({})
     with pytest.raises(InvalidParameter):
         pair_merge_forest(1, 2, 3)
+    with pytest.raises(InvalidParameter):
+        pair_merge_forest(1, 1, 0)
+    with pytest.raises(InvalidParameter):
+        nested_merge_forest(2, 3, 1, 1)
 
 
 def test_symmetry_multiset_examples():
-    two_leaves = tree((LEAF, LEAF))
-    assert symmetry_multiset(forest([two_leaves])) == (2,)
-    mixed = tree((chain_tree(1), LEAF))
-    assert symmetry_multiset(forest([mixed])) == (1, 1)
-    assert symmetry_multiset(forest([LEAF, LEAF])) == ()
+    two_leaves = black((white(), white()))
+    assert colored_symmetry_multiset(colored_forest([two_leaves])) == (2,)
+    mixed = black((white_topped_chain(1), black_chain(0)))
+    assert colored_symmetry_multiset(colored_forest([mixed])) == (1, 1)
+    assert colored_symmetry_multiset(colored_forest([white(), white()])) \
+        == ()
 
 
 def test_orbit_sizes_divide_the_group_order():
     for n, q in [(0, 3), (1, 2), (1, 3)]:
         group = factorial(q) ** (n + 2)
-        for f, c in enumerate_orbits(n, q):
+        for f, c in enumerate_colored_orbits(flat_blocks(n, q)):
             assert group % c == 0
 
 
@@ -226,13 +268,15 @@ def small_mapseq(draw):
     maps = [tuple(draw(st.integers(1, sizes[k]))
                   for _ in range(sizes[k + 1]))
             for k in range(depth - 1)]
-    return MapSeq(sizes, maps)
+    return sizes, maps
 
 
 @given(small_mapseq())
 @settings(max_examples=80, deadline=None)
-def test_unlabel_then_canonical_label_is_stable(a):
-    f = forest_of(a)
-    assert forest_of(planar_mapseq(f)) == f
-    assert f.profile == a.sizes
+def test_unlabel_then_canonical_label_is_stable(sizes_maps):
+    sizes, maps = sizes_maps
+    a = embedded(sizes, maps)
+    f = colored_forest_of(a)
+    assert colored_forest_of(colored_planar_mapseq(f)) == f
+    assert f.pair_profile == flat_pairs(sizes)
     assert f.coal == a.coal

@@ -1,7 +1,8 @@
 """Series censuses against exhaustive forest enumeration.
 
 Every coefficient asserted here is recomputed by listing the forests it
-claims to count.  Boxes that dip and then rise again get their own cases:
+claims to count, with the colored enumerator on the white-topped
+embedding of each plain profile.  Boxes that dip and then rise again get their own cases:
 the census is built over a monotone envelope internally, and these
 profiles used to be dropped.
 """
@@ -13,9 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fkforest import (Caps, SparseSeries, coalescence_series, count_forests,
-                      enumerate_forests, hilbert_series,
+                      enumerate_colored_forests, flat_pairs, hilbert_series,
                       marginalize_coalescence)
 from fkforest.errors import CapExceeded, InvalidParameter
+
+
+def enumerate_forests(profile):
+    """Plain forests with this profile, as white-topped colored forests."""
+    return enumerate_colored_forests(flat_pairs(profile))
 
 
 def monomial_to_profile(mono):

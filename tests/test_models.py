@@ -1,5 +1,6 @@
 """Bundled models, their frozen flow tables, and the seeded generator."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,35 @@ def test_documented_flow_is_reproduced(name):
     assert tuple(format_scalar(v) for v in fl.gnorm) == doc["gamma_mass"]
     for k, vec in enumerate(fl.eta_vec):
         assert tuple(format_scalar(v) for v in vec) == doc["eta"][k]
+
+
+def path_sum_gamma(model, n):
+    """gamma_n per state: a sum over all state paths of eta0 * prod M *
+    prod G, with no use of the flow recursion."""
+    out = [Fraction(0)] * model.size(n)
+    for path in itertools.product(*[range(model.size(k))
+                                    for k in range(n + 1)]):
+        w = model.eta0[path[0]]
+        for k in range(1, n + 1):
+            w *= model.M[k - 1][path[k - 1]][path[k]]
+        for p in range(n):
+            w *= model.G[p][path[p]]
+        out[path[n]] += w
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", ["drift2", "flat2", "skew2", "cycle3",
+                                  "blend3"])
+def test_flow_and_documented_table_match_path_sums(name):
+    m = bundled_model(name)
+    fl = flow(m)
+    doc = DOCUMENTED_FLOW[name]
+    for k in range(m.horizon + 1):
+        vec = path_sum_gamma(m, k)
+        assert vec == fl.gamma_vec[k]
+        mass = sum(vec)
+        assert format_scalar(mass) == doc["gamma_mass"][k]
+        assert tuple(format_scalar(v / mass) for v in vec) == doc["eta"][k]
 
 
 def test_unknown_bundled_model_lists_choices():
