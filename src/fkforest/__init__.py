@@ -11,6 +11,7 @@ configuration dynamic program and a seeded Monte Carlo simulator.
 """
 
 from .combinatorics import (
+    bell_number,
     compositions,
     falling_factorial,
     mi_factorial,
@@ -18,6 +19,7 @@ from .combinatorics import (
     mi_leq,
     mi_norm,
     mi_stirling_first,
+    set_partitions,
     stirling_first,
     stirling_second,
 )
@@ -82,6 +84,7 @@ from .fk_core import (
     lq_derivative,
     lq_operator,
     measure_from_vector,
+    partition_sums,
     path_gamma,
     path_semigroup,
     q_operator,

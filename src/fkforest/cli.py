@@ -345,7 +345,9 @@ def cmd_expand(args: argparse.Namespace) -> int:
     caps = _caps_from_args(args)
     model = load_model(args.model, args.field)
     oracle_ns = _parse_ints(args.oracle)
-    eval_ns = _parse_ints(args.evaluate) or oracle_ns
+    # every oracle size is evaluated too, so it has a value to compare with
+    eval_ns = _parse_ints(args.evaluate)
+    eval_ns += tuple(N for N in oracle_ns if N not in eval_ns)
     F: Optional[TensorFunction] = None
     if args.function:
         F = _load_function(model, args.function, caps)
@@ -722,7 +724,9 @@ def _common_flags() -> argparse.ArgumentParser:
     c.add_argument("--field", choices=("rational", "float"),
                    default="rational", help="arithmetic mode")
     c.add_argument("--cap-forests", type=int, default=None,
-                   help="override the enumeration size cap")
+                   help="override the enumeration size cap: genealogy "
+                        "classes listed, and set partitions of one live "
+                        "block in the moment expansions")
     c.add_argument("--cap-tensor", type=int, default=None,
                    help="override the dense table size cap")
     c.add_argument("--seed", type=int, default=0)

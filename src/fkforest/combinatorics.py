@@ -57,6 +57,29 @@ def stirling_second(q: int, p: int, cap: int = STIRLING_CAP) -> int:
     return p * stirling_second(q - 1, p, cap) + stirling_second(q - 1, p - 1, cap)
 
 
+def bell_number(q: int) -> int:
+    """Number of set partitions of a q-set."""
+    return sum(stirling_second(q, p) for p in range(q + 1))
+
+
+def set_partitions(q: int) -> Iterable[tuple]:
+    """Every set partition of 0..q-1 once, as its restricted growth string:
+    entry i is the 0-based block of i, blocks numbered in order of first
+    appearance.  Deterministic lexicographic order; bell_number(q) of them.
+    """
+    if q < 0:
+        raise InvalidParameter("set_partitions needs q >= 0")
+
+    def grow(prefix: tuple, blocks: int) -> Iterable[tuple]:
+        if len(prefix) == q:
+            yield prefix
+            return
+        for v in range(blocks + 1):
+            yield from grow(prefix + (v,), max(blocks, v + 1))
+
+    yield from grow((), 0)
+
+
 def falling_factorial(n: int, m: int) -> int:
     """Product n (n-1) ... (n-m+1); equals 0 iff 0 <= n < m for integer n >= 0."""
     if m < 0:

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 class Caps:
     """Hard limits for the combinatorial and tensor layers.
 
-    forests:  largest forest/orbit enumeration accepted (predicted count).
+    forests:  largest combinatorial enumeration accepted (predicted count):
+              forest/orbit classes, and the Bell(b) set partitions of a
+              live block of b coordinates that the moment engines sum over.
     group:    largest permutation-group size accepted by brute-force orbit walks.
     tensor:   largest dense tensor table (number of entries).
     configs:  largest particle-configuration state space per level.

@@ -1,8 +1,8 @@
 """Laurent-coefficient engines for the exact particle-block measures.
 
-Everything here turns enumerated genealogy classes into concrete signed
-measures on small product spaces, plus scalar identities a test can check
-to the last digit.  Four families are covered:
+Everything here turns the genealogy of a mean-field particle system into
+concrete signed measures on small product spaces, plus scalar identities a
+test can check to the last digit.  Four families are covered:
 
 * unnormalized q-block moments: the exact value at finite ensemble size N,
   every coefficient of the expansion in 1/N, the low-order closed forms
@@ -15,20 +15,29 @@ to the last digit.  Four families are covered:
   coefficient assembled by three independent routes, the tensor-product
   variant, and a residual-decay report for U-statistics.
 
-Derivative weights follow one shared rule.  A class with per-level image
-sizes (m_0..m_n) under per-level source sizes (s_0..s_n) receives, at
-order k,
+Block moments are computed as one operator product.  For a profile
+(q_0..q_n), level k holds b_k = q_k + .. + q_n live coordinates.  Start
+from eta0 on all b_0 of them.  At each level, select among the live
+coordinates, freeze the first q_k, and move the rest one step with the
+weighted transition.  On the exchangeable live block the selection only
+depends on the set partition of a map (`fk_core.partition_sums`): a
+partition with p blocks weighs (N)_p / N**b_k at ensemble size N, and
+s(p, b_k - j) in the coefficient of x**j, x = 1/N.  The exact value
+applies the first weights, the coefficients carry the product as a
+polynomial in x, and the two stay independent routes.
 
-    sum over r >= 0 with ||r|| = k of  prod_j stirling_first(m_j, s_j - r_j)
-    divided by                         prod_j falling_factorial(s_j, m_j)
+The genealogy class sum is the same product expanded over map sequences
+and grouped by orbit.  A class with per-level image sizes (m_0..m_n)
+under per-level source sizes (b_0..b_n) receives, at order k,
 
-times the class count #(f).  Stirling factors outside their triangle are
-zero, which silently discards classes whose coalescence pattern cannot
-realize the requested order.  The source sizes are the per-level black
-counts of the colored classes.  Plain q-block moments are the block
-profile flat_blocks(n, q) = (0,..,0,q), whose classes have q blacks on
-every level below the top, so their source vector is the constant (q..q);
-the flat entry points are thin calls into the per-time-profile engines.
+    sum over r >= 0 with ||r|| = k of  prod_j stirling_first(m_j, b_j - r_j)
+    divided by                         prod_j falling_factorial(b_j, m_j)
+
+times the class count #(f) and its measure `delta_colored`.  That sum is
+kept as a tier-1 cross-check (tests/test_operator_route.py) and as the
+per-class explanation behind the named shapes used here.  Plain q-block
+moments are the block profile flat_blocks(n, q) = (0,..,0,q); the flat
+entry points are thin calls into the per-time-profile engines.
 
 Every coefficient measure is block-symmetrized before being returned, so
 pairing it against an arbitrary function equals pairing the raw sum
@@ -49,7 +58,6 @@ from .colored_forest import (
     build_wick_forest,
     cut_branch_forest,
     double_pair_forest,
-    enumerate_colored_orbits,
     first_order_path_forest,
     flat_blocks,
     nested_merge_forest,
@@ -60,9 +68,10 @@ from .colored_forest import (
     triple_merge_forest,
     two_tree_merge_forest,
 )
-from .combinatorics import compositions, falling_factorial, stirling_first
+from .combinatorics import (bell_number, compositions, falling_factorial,
+                            stirling_first)
 from .config import Caps, DEFAULT_CAPS
-from .errors import IdentityMismatch, InvalidParameter
+from .errors import CapExceeded, IdentityMismatch, InvalidParameter
 from .fk_core import (
     FKModel,
     Flow,
@@ -77,6 +86,8 @@ from .fk_core import (
     gamma_measure,
     gamma_tensor,
     is_centered,
+    measure_from_vector,
+    partition_sums,
     semigroup,
 )
 
@@ -112,50 +123,6 @@ Scalar = Union[Fraction, float]
 
 # ---------------------------------------------------------------------------
 # shared plumbing
-
-# Both caches are keyed on the caps as well, so a cap is enforced the same
-# way whatever earlier calls left behind.
-_COLORED: Dict[Tuple, List[Tuple[ColoredForest, int]]] = {}
-_DELTAS: Dict[Tuple, SignedMeasure] = {}
-
-
-def _colored_terms(profile: Tuple[int, ...], max_coal: Optional[int],
-                   caps: Caps) -> List[Tuple[ColoredForest, int]]:
-    key = (profile, max_coal, caps)
-    if key not in _COLORED:
-        _COLORED[key] = enumerate_colored_orbits(profile, max_coal, caps)
-    return _COLORED[key]
-
-
-def _delta_path(model: FKModel, f: ColoredForest,
-                profile: Tuple[int, ...], caps: Caps) -> SignedMeasure:
-    key = (model, f, profile, caps)
-    if key not in _DELTAS:
-        _DELTAS[key] = delta_colored(model, f, profile, caps=caps)
-    return _DELTAS[key]
-
-
-def _order_weight(image: Sequence[int], src: Sequence[int],
-                  k: int) -> Fraction:
-    """Order-k weight of a class with these image and source sizes."""
-    bounds = [s - 1 for s in src]
-    total = 0
-    for r in compositions(k, len(src), bounds):
-        term = 1
-        for m, s, rj in zip(image, src, r):
-            c = stirling_first(m, s - rj)
-            if c == 0:
-                term = 0
-                break
-            term *= c
-        total += term
-    if total == 0:
-        return Fraction(0)
-    den = 1
-    for m, s in zip(image, src):
-        den *= falling_factorial(s, m)
-    return Fraction(total, den)
-
 
 def _blacks(profile: Sequence[int]) -> Tuple[int, ...]:
     # per-level count of still-moving lineages: suffix sums of the profile
@@ -221,9 +188,9 @@ def exact_QN(model: FKModel, n: int, q: int, N: int,
              caps: Caps = DEFAULT_CAPS) -> Union[Scalar, SignedMeasure]:
     """Exact q-block tensor moment of the unnormalized ensemble at size N.
 
-    Sums every genealogy class with its exact rational prefactor; no
-    sampling anywhere.  Returns the pairing against F, or the full
-    block-symmetric measure when F is omitted.
+    Runs the selection-and-transport product with the exact weights of
+    size N; no sampling anywhere.  Returns the pairing against F, or the
+    full block-symmetric measure when F is omitted.
     """
     _check_nq(model, n, q)
     return path_exact_QN(model, flat_blocks(n, q), N, F, caps)
@@ -259,7 +226,7 @@ def closed_form_low_orders(model: FKModel, n: int, q: int,
     prof = flat_blocks(n, q)
 
     def dlt(f: ColoredForest) -> SignedMeasure:
-        return _delta_path(model, f, prof, caps)
+        return delta_colored(model, f, prof, caps)
 
     g = gamma_tensor(model, n, q)
     zero = _zero_measure(model, (n,) * q)
@@ -297,8 +264,9 @@ def closed_form_low_orders(model: FKModel, n: int, q: int,
           + cross_b.scale(half)).symmetrize_blocks()
 
     if verify:
+        generic = _moment_polynomial(model, prof, 2, caps)
         for k, cand in ((0, d0), (1, d1), (2, d2)):
-            gen = derivative_Q(model, n, q, k, caps)
+            gen = generic[k].symmetrize_blocks()
             if not _measures_agree(model, cand, gen):
                 raise IdentityMismatch(
                     "closed-form order %d differs from the generic "
@@ -418,40 +386,111 @@ def _check_profile(model: FKModel, q: Sequence[int]) -> Tuple[int, ...]:
     return prof
 
 
+def _check_product_caps(model: FKModel, prof: Tuple[int, ...],
+                        caps: Caps) -> None:
+    """Refuse before any table is built.  Level 0 has the most set
+    partitions; every table of the product, transport steps included, is
+    no larger than the table right after some level's selection."""
+    blacks = _blacks(prof)
+    bell = bell_number(blacks[0])
+    if bell > caps.forests:
+        raise CapExceeded("selection would enumerate too many set partitions",
+                          predicted=bell, cap=caps.forests)
+    prefix = 1
+    for k, b in enumerate(blacks):
+        size = prefix * model.size(k) ** b
+        if size > caps.tensor:
+            raise CapExceeded("dense table too large",
+                              predicted=size, cap=caps.tensor)
+        prefix *= model.size(k) ** prof[k]
+
+
+def _select_and_transport(model: FKModel, prof: Tuple[int, ...],
+                          select, caps: Caps) -> List[SignedMeasure]:
+    """The operator product behind every block moment.
+
+    Starts from eta0 on all b_0 coordinates.  At level k the live block of
+    b_k coordinates goes through the selection: `select(b_k, pieces)` turns
+    the partition pieces of each current table into the next tables.  Then
+    the first q_k live coordinates freeze and the rest move one step.
+    """
+    blacks = _blacks(prof)
+    _check_product_caps(model, prof, caps)
+    mu = SignedMeasure(model, (), [model.one], caps=caps)
+    e0 = measure_from_vector(model, 0, model.eta0)
+    for _ in range(blacks[0]):
+        mu = mu.tensor(e0)
+    tables = [mu]
+    frozen = 0
+    for k, b in enumerate(blacks):
+        tables = select(b, [partition_sums(t, frozen, caps) for t in tables])
+        frozen += prof[k]
+        if k + 1 < len(prof):
+            tables = [t.transport_block(frozen, k + 1) for t in tables]
+    return tables
+
+
+def _combination(model: FKModel, levels: Tuple[int, ...],
+                 terms: Iterable[Tuple[Scalar, SignedMeasure]],
+                 caps: Caps) -> SignedMeasure:
+    data = [model.zero] * _prod(model.size(k) for k in levels)
+    for c, mu in terms:
+        for i, w in enumerate(mu.data):
+            if w:
+                data[i] += c * w
+    return SignedMeasure(model, levels, data, caps=caps)
+
+
+def _moment_polynomial(model: FKModel, prof: Tuple[int, ...], top: int,
+                       caps: Caps) -> List[SignedMeasure]:
+    """Coefficients 0..top of the moment in x = 1/N, before the block
+    symmetrization.
+
+    The selection at a level with b live coordinates is the polynomial
+    sum_j x**j sum_p s(p, b - j) piece_p; the product over the levels is
+    carried degree by degree and cut above `top`.
+    """
+    def select(b: int, pieces: List[Dict[int, SignedMeasure]]
+               ) -> List[SignedMeasure]:
+        levels = pieces[0][b].levels
+        out = []
+        for e in range(min(len(pieces) + b - 1, top + 1)):
+            terms = []
+            for d in range(max(0, e - b + 1), min(e, len(pieces) - 1) + 1):
+                for p, piece in pieces[d].items():
+                    c = stirling_first(p, b - (e - d))
+                    if c:
+                        terms.append((c, piece))
+            out.append(_combination(model, levels, terms, caps))
+        return out
+
+    return _select_and_transport(model, prof, select, caps)
+
+
 def path_exact_QN(model: FKModel, q: Sequence[int], N: int,
                   F: Optional[TensorFunction] = None,
-                  caps: Caps = DEFAULT_CAPS,
-                  denominator: str = "falling"
+                  caps: Caps = DEFAULT_CAPS
                   ) -> Union[Scalar, SignedMeasure]:
     """Exact joint per-time block moment of the unnormalized ensemble.
 
-    `denominator` selects how the per-level normalizing pairing is read:
-    "falling" is the implemented reading, consistent with the flat case;
-    "power" exists only so tests can demonstrate, against the ensemble
-    oracle, that the alternative reading is wrong.
+    The selection at a level with b live coordinates weighs each set
+    partition with p blocks by (N)_p / N**b; the coefficient polynomial is
+    never evaluated, so the two stay independent routes.
     """
     prof = _check_profile(model, q)
-    if denominator not in ("falling", "power"):
-        raise InvalidParameter("denominator must be 'falling' or 'power'")
-    n = len(prof) - 1
     if N < sum(prof):
         raise InvalidParameter(
             "ensemble size N=%d below the total block size %d"
             % (N, sum(prof)))
-    blacks = _blacks(prof)
-    scale_den = N ** sum(blacks)
-    total: Optional[SignedMeasure] = None
-    for f, cnt in _colored_terms(prof, None, caps):
-        num = cnt
-        den = 1
-        for m, b in zip(f.internal[:n + 1], blacks):
-            num *= falling_factorial(N, m)
-            den *= falling_factorial(b, m) if denominator == "falling" \
-                else b ** m
-        term = _delta_path(model, f, prof, caps).scale(
-            Fraction(num, den * scale_den))
-        total = term if total is None else total + term
-    assert total is not None
+
+    def select(b: int, pieces: List[Dict[int, SignedMeasure]]
+               ) -> List[SignedMeasure]:
+        (own,) = pieces
+        terms = [(model.scalar(falling_factorial(N, p), N ** b), piece)
+                 for p, piece in own.items()]
+        return [_combination(model, own[b].levels, terms, caps)]
+
+    (total,) = _select_and_transport(model, prof, select, caps)
     total = total.symmetrize_blocks()
     return total if F is None else total.pair(F)
 
@@ -460,21 +499,10 @@ def path_derivative_Q(model: FKModel, q: Sequence[int], k: int,
                       caps: Caps = DEFAULT_CAPS) -> SignedMeasure:
     """Order-k coefficient measure for a per-time block profile."""
     prof = _check_profile(model, q)
-    n = len(prof) - 1
-    blacks = _blacks(prof)
-    top = sum(b - 1 for b in blacks)
+    top = path_max_order(prof)
     if not 0 <= k <= top:
         raise InvalidParameter("order %d outside 0..%d" % (k, top))
-    total: Optional[SignedMeasure] = None
-    for f, cnt in _colored_terms(prof, k, caps):
-        w = _order_weight(f.internal[:n + 1], blacks, k)
-        if w == 0:
-            continue
-        term = _delta_path(model, f, prof, caps).scale(w * cnt)
-        total = term if total is None else total + term
-    if total is None:
-        return _zero_measure(model, _block_levels(prof))
-    return total.symmetrize_blocks()
+    return _moment_polynomial(model, prof, k, caps)[k].symmetrize_blocks()
 
 
 def _wick_assignments(prof: Tuple[int, ...],
@@ -511,11 +539,12 @@ def path_wick_Q(model: FKModel, q: Sequence[int], F: TensorFunction,
             "run center_function first")
     tot = sum(prof)
     lowest = (tot + 1) // 2
-    vanishing = {k: path_derivative_Q(model, prof, k, caps).pair(F)
-                 for k in range(lowest)}
+    half = tot // 2
+    coeffs = [t.symmetrize_blocks().pair(F)
+              for t in _moment_polynomial(model, prof, half, caps)]
+    vanishing = dict(enumerate(coeffs[:lowest]))
     if tot % 2:
         return vanishing, None
-    half = tot // 2
     qfact = 1
     for qj in prof:
         qfact *= math.factorial(qj)
@@ -529,8 +558,8 @@ def path_wick_Q(model: FKModel, q: Sequence[int], F: TensorFunction,
         coeff = Fraction(qfact, (2 ** diag) * tfact)
         f = build_wick_forest(t)
         assert f.pair_profile == pairs
-        total = total + coeff * _delta_path(model, f, prof, caps).pair(F)
-    generic = path_derivative_Q(model, prof, half, caps).pair(F)
+        total = total + coeff * delta_colored(model, f, prof, caps).pair(F)
+    generic = coeffs[half]
     if not _scalars_agree(model, total, generic):
         raise IdentityMismatch(
             "merge-assignment sum disagrees with the generic order-%d "
@@ -600,8 +629,9 @@ def centered_moment_expansion(model: FKModel, n: int, q: int,
             pfact *= math.factorial(pj)
         coeff = Fraction(qfact, pfact)
         integrand = _block_product(model, prof, gb)
+        coeffs = _moment_polynomial(model, prof, pmax, caps)
         for k in range(lowest, pmax + 1):
-            val = path_derivative_Q(model, prof, k, caps).pair(integrand)
+            val = coeffs[k].symmetrize_blocks().pair(integrand)
             orders[k] = orders[k] + coeff * val
     report = ExpansionReport(
         kind="mass-defect-moment",
@@ -723,8 +753,8 @@ def first_order_P(model: FKModel, n_plus_1: int, q: int,
     piece1 = zero
     if q >= 2:
         for kk in range(n + 1):
-            d = _delta_path(model, pair_merge_forest(n, q, kk),
-                            flat_blocks(n, q), caps)
+            d = delta_colored(model, pair_merge_forest(n, q, kk),
+                              flat_blocks(n, q), caps)
             piece1 = piece1 + d.transport_block(0, np1)
         piece1 = piece1.scale(half)
     piece2 = zero
@@ -1041,13 +1071,12 @@ def _moment_report(model: FKModel, prof: Tuple[int, ...], kind: str,
                    params: Dict[str, object], Ns: Sequence[int],
                    F: Optional[TensorFunction],
                    caps: Caps) -> ExpansionReport:
-    base: object = path_derivative_Q(model, prof, 0, caps)
-    orders: Dict[int, object] = {
-        k: path_derivative_Q(model, prof, k, caps)
-        for k in range(1, path_max_order(prof) + 1)}
+    coeffs: List[object] = [
+        t.symmetrize_blocks()
+        for t in _moment_polynomial(model, prof, path_max_order(prof), caps)]
     if F is not None:
-        base = base.pair(F)
-        orders = {k: v.pair(F) for k, v in orders.items()}
+        coeffs = [c.pair(F) for c in coeffs]
+    base, orders = coeffs[0], dict(enumerate(coeffs[1:], start=1))
     report = ExpansionReport(
         kind=kind,
         params=params,

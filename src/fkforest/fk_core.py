@@ -22,7 +22,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 from .colored_forest import (ColoredForest, ColoredMapSeq,
                              colored_planar_mapseq, normalize_path_profile,
                              path_profile_bar)
-from .combinatorics import falling_factorial, stirling_first, stirling_second
+from .combinatorics import (bell_number, falling_factorial, set_partitions,
+                            stirling_first, stirling_second)
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, InvalidParameter, ValidationError
 
@@ -401,11 +402,17 @@ class SignedMeasure(_Table):
     def symmetrize_blocks(self) -> "SignedMeasure":
         """Average over coordinate permutations within same-level groups."""
         perms = list(_block_permutations(self.levels))
-        total = None
-        for im in perms:
-            term = self.pushforward(im)
-            total = term if total is None else total + term
-        return total.scale(self.model.scalar(1, len(perms)))
+        sizes = self.sizes
+        share = self.model.scalar(1, len(perms))
+        out = []
+        # the permutations form a group, so the average at a point is the
+        # average of the entries at its permuted copies
+        for point in itertools.product(*self._ranges()):
+            vals = [self.data[_encode([point[i] for i in im], sizes)]
+                    for im in perms]
+            total = _sum(v for v in vals if v)
+            out.append(total * share if total else self.model.zero)
+        return SignedMeasure(self.model, self.levels, out)
 
     def weight_coord(self, pos: int,
                      vec: Sequence[Scalar]) -> "SignedMeasure":
@@ -744,6 +751,65 @@ def lq_derivative(q: int, k: int) -> DMap:
             w = Fraction(s, falling_factorial(q, p))
             combo[b] = combo.get(b, 0) + w
     return DMap(combo, target_arity=q)
+
+
+def partition_sums(mu: SignedMeasure, frozen: int,
+                   caps: Caps = DEFAULT_CAPS) -> Dict[int, SignedMeasure]:
+    """Selection on the live block of mu, one piece per number of blocks.
+
+    The coordinates from `frozen` on are the live block: b coordinates at
+    one level, in which mu must be exchangeable; the frozen prefix stays as
+    it is.  Piece p sums, over the set partitions of the b live positions
+    into p blocks, the pushforward of mu under the partition's canonical
+    map (position i reads live coordinate "block of i").  Every map with
+    the same kernel pushes an exchangeable mu to the same table, so the
+    selection operators over all b**b maps are combinations of the pieces:
+
+        lq_operator(b, N)    ->  sum_p (N)_p / N**b    * piece_p
+        lq_derivative(b, j)  ->  sum_p s(p, b - j)     * piece_p
+
+    The Bell(b) partitions are refused up front beyond caps.forests.
+    """
+    levels = mu.levels
+    live = levels[frozen:]
+    if not live or any(k != live[0] for k in live):
+        raise InvalidParameter("the live block must sit on one level")
+    b = len(live)
+    bell = bell_number(b)
+    if bell > caps.forests:
+        raise CapExceeded("selection would enumerate too many set partitions",
+                          predicted=bell, cap=caps.forests)
+    s = mu.model.size(live[0])
+    prefix = _prod(mu.sizes[:frozen])
+    zero = mu.model.zero
+    # margs[p]: mu on the frozen prefix and its first p live coordinates
+    margs = {b: mu.data}
+    for p in range(b, 1, -1):
+        src = margs[p]
+        margs[p - 1] = [_sum(src[i:i + s]) for i in range(0, len(src), s)]
+    places = [s ** (b - 1 - i) for i in range(b)]
+    targets: Dict[int, List[Dict[int, int]]] = {
+        p: [{} for _ in range(s ** p)] for p in margs}
+    for rgs in set_partitions(b):
+        p = max(rgs) + 1
+        for zi, z in enumerate(itertools.product(range(s), repeat=p)):
+            y = sum(z[v] * w for v, w in zip(rgs, places))
+            hits = targets[p][zi]
+            hits[y] = hits.get(y, 0) + 1
+    out: Dict[int, SignedMeasure] = {}
+    width = s ** b
+    for p, src in margs.items():
+        data = [zero] * (prefix * width)
+        step = s ** p
+        for pre in range(prefix):
+            base = pre * width
+            for zi, hits in enumerate(targets[p]):
+                w = src[pre * step + zi]
+                if w:
+                    for y, c in hits.items():
+                        data[base + y] += c * w if c > 1 else w
+        out[p] = SignedMeasure(mu.model, levels, data, caps=caps)
+    return out
 
 
 def fiber_count(q: int, N: int, image_size: int) -> int:

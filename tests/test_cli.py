@@ -5,6 +5,7 @@ refusal); a refusal writes one JSON line to stderr and no output file.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -95,3 +96,40 @@ def test_cap_refusal_comes_before_enumeration(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "CapExceeded"
     assert (err["predicted"], err["cap"]) == (5503, 10)
+
+
+def function_file(tmp_path, levels, values):
+    path = tmp_path / "function.json"
+    path.write_text(json.dumps({"levels": levels, "values": values}))
+    return str(path)
+
+
+def test_oracle_sizes_outside_evaluate_are_evaluated(tmp_path):
+    F = function_file(tmp_path, [0, 1, 1],
+                      ["1", "2", "3", "-1", "1/2", "5", "7", "1/3"])
+    res = result(tmp_path, "expand", "--model", "drift2", "--q-seq", "1,2",
+                 "--function", F, "--evaluate", "4", "--oracle", "3")
+    assert sorted(res["evaluations"]) == ["3", "4"]
+    assert res["oracle_deltas"] == {"3": "0/1"}
+
+
+def test_flat_expansion_matches_the_oracle(tmp_path):
+    F = function_file(tmp_path, [1, 1], ["1", "2", "3", "-1/2"])
+    res = result(tmp_path, "expand", "--model", "drift2", "--n", "1",
+                 "--q", "2", "--function", F, "--oracle", "2,3")
+    assert res["kind"] == "block-moment"
+    assert res["oracle_deltas"] == {"2": "0/1", "3": "0/1"}
+
+
+def test_block_law_expansion_reports_its_residual(tmp_path):
+    F = function_file(tmp_path, [1, 1], ["1", "2", "3", "-1/2"])
+    res = result(tmp_path, "expand", "--model", "drift2", "--n", "1",
+                 "--q", "2", "--block", "--function", F, "--oracle", "3")
+    assert res["kind"] == "block-law"
+    assert sorted(res["orders"]) == ["1", "2"]
+    resid = Fraction(res["diagnostics"]["residuals"]["3"])
+    assert resid == Fraction(res["evaluations"]["3"]) - (
+        Fraction(res["base"]) + Fraction(res["orders"]["1"]) / 3
+        + Fraction(res["orders"]["2"]) / 9)
+    assert Fraction(res["diagnostics"]["scaled_residuals"]["3"]) \
+        == 27 * resid

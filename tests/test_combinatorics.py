@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fkforest.combinatorics import (MultiIndex, compositions,
+from fkforest.combinatorics import (MultiIndex, bell_number, compositions,
                                     falling_factorial, mi_factorial,
                                     mi_falling, mi_leq, mi_norm,
                                     mi_stirling_first, stirling_first,
                                     stirling_second)
+from fkforest.combinatorics import set_partitions as growth_strings
 from fkforest.errors import CapExceeded, InvalidParameter
 
 
@@ -53,6 +54,23 @@ def test_second_kind_counts_set_partitions(q):
         by_blocks[len(part)] = by_blocks.get(len(part), 0) + 1
     for p in range(0, q + 2):
         assert stirling_second(q, p) == by_blocks.get(p, 0)
+
+
+@pytest.mark.parametrize("q", range(0, 7))
+def test_growth_strings_list_each_set_partition_once(q):
+    strings = list(growth_strings(q))
+    assert strings == sorted(strings)
+    as_blocks = set()
+    for rgs in strings:
+        # blocks are numbered in order of first appearance
+        assert [v for i, v in enumerate(rgs) if v not in rgs[:i]] \
+            == list(range(len(set(rgs))))
+        as_blocks.add(frozenset(
+            frozenset(i for i in range(q) if rgs[i] == v) for v in set(rgs)))
+    want = {frozenset(frozenset(b) for b in part)
+            for part in set_partitions(list(range(q)))}
+    assert as_blocks == want
+    assert len(strings) == bell_number(q)
 
 
 @pytest.mark.parametrize("p", range(0, 8))

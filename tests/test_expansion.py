@@ -2,15 +2,17 @@
 leading order.
 
 The flat q-block entry points run on the block profile (0,..,0,q) of the
-colored engines.  The other cross-checks of the engines on the bundled
+per-time-profile engines; tests/test_operator_route.py checks those
+against the genealogy class sum.  The other cross-checks of the engines on the bundled
 models (oracle, closed forms, block law) are the `verify` checks, which
 tests/test_cli.py runs.
 """
 
 import pytest
 
-from fkforest import (Caps, CapExceeded, IdentityMismatch, center_function,
-                      derivative_Q, exact_QN, expansion_report_Q,
+from fkforest import (Caps, CapExceeded, IdentityMismatch, bell_number,
+                      center_function, derivative_Q, enumerate_colored_orbits,
+                      exact_QN, expansion_report_Q, flat_blocks,
                       function_from_vector, gamma_tensor,
                       gaussian_product_moment, path_wick_Q, wick_Q)
 
@@ -23,15 +25,39 @@ def observable(m, k):
 
 
 def test_caps_hold_whatever_the_caches_hold(drift2):
-    # a first call with default caps fills the class caches
+    prof = flat_blocks(2, 3)
+    # first calls with default caps fill whatever caches there are
     derivative_Q(drift2, 2, 3, 3)
-    with pytest.raises(CapExceeded) as err:
-        derivative_Q(drift2, 2, 3, 3, caps=SMALL)
-    assert err.value.predicted == 11
     exact_QN(drift2, 2, 3, 5)
+    enumerate_colored_orbits(prof, 3)
+    enumerate_colored_orbits(prof)
+    # the moment engines enumerate the Bell(3) = 5 set partitions of the
+    # live block, not forests
+    for call in (lambda c: derivative_Q(drift2, 2, 3, 3, caps=c),
+                 lambda c: exact_QN(drift2, 2, 3, 5, caps=c)):
+        with pytest.raises(CapExceeded) as err:
+            call(Caps(forests=4))
+        assert (err.value.predicted, err.value.cap) == (5, 4)
+        call(Caps(forests=5))
     with pytest.raises(CapExceeded) as err:
-        exact_QN(drift2, 2, 3, 5, caps=SMALL)
+        enumerate_colored_orbits(prof, 3, SMALL)
+    assert err.value.predicted == 11
+    with pytest.raises(CapExceeded) as err:
+        enumerate_colored_orbits(prof, None, SMALL)
     assert err.value.predicted == 54
+
+
+def test_moment_engines_refuse_before_building_tables(drift2):
+    with pytest.raises(CapExceeded) as err:
+        derivative_Q(drift2, 2, 3, 3, caps=Caps(tensor=7))
+    assert (err.value.predicted, err.value.cap) == (8, 7)
+    # the 2**25-entry start table is refused, not built
+    with pytest.raises(CapExceeded) as err:
+        exact_QN(drift2, 0, 25, 30, caps=Caps(forests=10 ** 30))
+    assert err.value.predicted == 2 ** 25
+    with pytest.raises(CapExceeded) as err:
+        exact_QN(drift2, 0, 25, 30)
+    assert err.value.predicted == bell_number(25)
 
 
 def test_report_is_the_exact_polynomial_in_one_over_n(drift2):

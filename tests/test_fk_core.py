@@ -12,6 +12,8 @@ from fractions import Fraction
 import pytest
 
 from fkforest import (
+    CapExceeded,
+    Caps,
     DMap,
     FKModel,
     InvalidParameter,
@@ -38,6 +40,7 @@ from fkforest import (
     lq_derivative,
     lq_operator,
     measure_from_vector,
+    partition_sums,
     path_gamma,
     path_semigroup,
     q_operator,
@@ -47,7 +50,7 @@ from fkforest import (
 )
 from fkforest.colored_forest import (ColoredMapSeq, pair_merge_forest,
                                      trivial_forest)
-from fkforest.combinatorics import falling_factorial
+from fkforest.combinatorics import falling_factorial, stirling_first
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +384,44 @@ def test_lq_laurent_coefficients_sum_back():
             assert combo == lq_operator(q, N).weights
     with pytest.raises(InvalidParameter):
         lq_derivative(3, 3)
+
+
+def test_partition_pieces_are_the_selection_operators(drift2):
+    rng = random.Random(4)
+    b = 3
+    # no frozen prefix: compare with the map combinations themselves
+    live = random_measure(drift2, (1,) * b, rng).symmetrize_blocks()
+    pieces = partition_sums(live, 0)
+    assert sorted(pieces) == [1, 2, 3]
+    for N in (3, 4, 9):
+        got = None
+        for p, piece in pieces.items():
+            term = piece.scale(Fraction(falling_factorial(N, p), N ** b))
+            got = term if got is None else got + term
+        assert got == lq_operator(b, N).on_measure(live)
+    # a frozen coordinate in front stays where it is
+    mu = random_measure(drift2, (0,) + (1,) * b, rng).symmetrize_blocks()
+    pieces = partition_sums(mu, 1)
+    for j in range(b):
+        want = None
+        for a, w in lq_derivative(b, j).weights.items():
+            term = mu.pushforward([0] + list(a)).scale(w)
+            want = term if want is None else want + term
+        got = None
+        for p, piece in pieces.items():
+            term = piece.scale(stirling_first(p, b - j))
+            got = term if got is None else got + term
+        assert got == want
+
+
+def test_partition_pieces_refuse_beyond_the_cap(drift2):
+    mu = gamma_tensor(drift2, 1, 4)
+    with pytest.raises(CapExceeded) as err:
+        partition_sums(mu, 0, Caps(forests=14))
+    assert (err.value.predicted, err.value.cap) == (15, 14)
+    assert sorted(partition_sums(mu, 0, Caps(forests=15))) == [1, 2, 3, 4]
+    with pytest.raises(InvalidParameter):
+        partition_sums(path_gamma(drift2, (1, 1), 0).transport_block(1, 1), 0)
 
 
 def test_fiber_count_by_brute_force():
