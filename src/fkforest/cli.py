@@ -728,7 +728,9 @@ def _common_flags() -> argparse.ArgumentParser:
                         "classes listed, and set partitions of one live "
                         "block in the moment expansions")
     c.add_argument("--cap-tensor", type=int, default=None,
-                   help="override the dense table size cap")
+                   help="override the dense table size cap; the same value "
+                        "also caps the configurations of one oracle level "
+                        "and the retained terms of a truncated series")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", default=None, help="output file (default stdout)")
     c.add_argument("--format", dest="fmt", choices=("json", "csv"),
@@ -782,7 +784,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--evaluate", default=None,
                    help="ensemble sizes for exact finite-size values")
     p.add_argument("--oracle", default=None,
-                   help="ensemble sizes to cross-check against the DP oracle")
+                   help="ensemble sizes to cross-check against the "
+                        "configuration oracle (oracle_deltas); with --block "
+                        "these sizes are evaluated by the block-law oracle "
+                        "and feed the residuals in diagnostics, and no "
+                        "oracle_deltas are written")
     p.add_argument("--wick", action="store_true",
                    help="report vanishing orders for a centered function")
     p.set_defaults(func=cmd_expand)

@@ -18,8 +18,12 @@ class Caps:
               forest/orbit classes, and the Bell(b) set partitions of a
               live block of b coordinates that the moment engines sum over.
     group:    largest permutation-group size accepted by brute-force orbit walks.
-    tensor:   largest dense tensor table (number of entries).
-    configs:  largest particle-configuration state space per level.
+    tensor:   largest dense tensor table (number of entries); in the
+              configuration oracle, the table over the coordinates frozen
+              before the last level, carried per configuration.
+    configs:  largest particle-configuration state space per level; the
+              oracle's forward pass holds one level's configurations at a
+              time, so its work is sum_k |C_k||C_{k+1}| transitions.
     series:   largest number of retained terms in a truncated power series.
     """
 

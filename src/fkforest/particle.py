@@ -4,7 +4,11 @@ The oracle side evolves the exact law of the unordered particle system:
 configurations are occupation-count tuples, transitions are multinomial
 draws from the selection-mutation mixture, and every expectation is a
 finite sum.  Exchangeability makes configurations sufficient for all the
-symmetric functionals handled here.
+symmetric functionals handled here.  Every oracle is one forward pass over
+the configurations of each level: the unnormalized ones carry, per
+configuration, the path probability times the mass factor (and, for a
+per-time block profile, a table over the coordinates already frozen), so
+the work is sum_k |C_k||C_{k+1}| transitions, never one walk per path.
 
 The Monte Carlo side samples the same dynamics with a counter-based
 generator; replica r of seed s uses the key (s, r), so replica sets are
@@ -17,7 +21,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, fsum
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -43,19 +48,35 @@ def config_count(n_states: int, N: int) -> int:
     return comb(N + n_states - 1, N)
 
 
-def _multinomial_weight(cfg: Config, probs: Sequence[Scalar],
-                        one: Scalar) -> Scalar:
-    N = sum(cfg)
-    coeff = 1
-    rem = N
-    for c in cfg:
-        coeff *= comb(rem, c)
-        rem -= c
-    w = one * coeff
-    for c, p in zip(cfg, probs):
-        if c:
-            w = w * p ** c
-    return w
+def _check_configs(model: FKModel, N: int, horizon: int, caps: Caps) -> None:
+    if N < 1:
+        raise InvalidParameter("N must be >= 1")
+    if not 0 <= horizon <= model.horizon:
+        raise InvalidParameter("horizon outside the model range")
+    for k in range(horizon + 1):
+        cnt = config_count(model.size(k), N)
+        if cnt > caps.configs:
+            raise CapExceeded("configuration space too large at level %d" % k,
+                              predicted=cnt, cap=caps.configs)
+
+
+def _multinomial_weights(targets: Sequence[Config], probs: Sequence[Scalar],
+                         N: int, one: Scalar) -> List[Scalar]:
+    """Multinomial probability of every target configuration."""
+    pows = [[p ** c for c in range(N + 1)] for p in probs]
+    out = []
+    for cfg in targets:
+        coeff = 1
+        rem = N
+        for c in cfg:
+            coeff *= comb(rem, c)
+            rem -= c
+        w = one * coeff
+        for c, pw in zip(cfg, pows):
+            if c:
+                w = w * pw[c]
+        out.append(w)
+    return out
 
 
 def _mixture(model: FKModel, k: int, cfg: Config) -> Tuple[Scalar, ...]:
@@ -70,73 +91,78 @@ def _mixture(model: FKModel, k: int, cfg: Config) -> Tuple[Scalar, ...]:
         for y in range(model.size(k)))
 
 
+# ---------------------------------------------------------------------------
+# forward pass over configurations
+#
+# A law here maps each level-k configuration to a vector: the sum, over
+# the configuration paths that reach it, of the path probability times a
+# per-path vector built level by level.  Carrying the vectors forward one
+# transition at a time costs sum_k |C_k||C_{k+1}| instead of the
+# prod_k |C_k| of walking every path.
+
+Law = Dict[Config, List[Scalar]]
+Weigh = Callable[[int, Config, List[Scalar]], List[Scalar]]
+
+
+def _start(model: FKModel, N: int, vec: Sequence[Scalar]) -> Law:
+    """Level-0 law: iid draws from eta0, each carrying vec."""
+    targets = list(_configs(model.size(0), N))
+    return {cfg: [w * v for v in vec]
+            for cfg, w in zip(targets, _multinomial_weights(
+                targets, model.eta0, N, model.one)) if w}
+
+
+def _transport(model: FKModel, k: int, N: int, law: Law) -> Law:
+    """Level-k law from the level k-1 law: every vector moves to each
+    level-k configuration, scaled by the transition probability."""
+    targets = list(_configs(model.size(k), N))
+    out: Law = {}
+    for cfg, vec in law.items():
+        row = _multinomial_weights(targets, _mixture(model, k, cfg), N,
+                                   model.one)
+        for cfg2, w2 in zip(targets, row):
+            if not w2:
+                continue
+            acc = out.get(cfg2)
+            if acc is None:
+                out[cfg2] = [v * w2 for v in vec]
+            else:
+                for i, v in enumerate(vec):
+                    acc[i] = acc[i] + v * w2
+    return out
+
+
+def _forward(model: FKModel, N: int, n: int, start: Sequence[Scalar],
+             weigh: Weigh, caps: Caps) -> Law:
+    """Level-n law whose per-path vector starts at `start` and is replaced
+    by weigh(k, cfg_k, vec) on leaving each level k < n."""
+    _check_configs(model, N, n, caps)
+    law = _start(model, N, start)
+    for k in range(1, n + 1):
+        law = _transport(model, k, N, {cfg: weigh(k - 1, cfg, vec)
+                                       for cfg, vec in law.items()})
+    return law
+
+
 def exact_config_distribution(model: FKModel, N: int, horizon: int,
                               caps: Caps = DEFAULT_CAPS
                               ) -> List[ConfigDistribution]:
     """Exact law of the occupation counts at levels 0..horizon."""
-    if N < 1:
-        raise InvalidParameter("N must be >= 1")
-    if not 0 <= horizon <= model.horizon:
-        raise InvalidParameter("horizon outside the model range")
-    for k in range(horizon + 1):
-        cnt = config_count(model.size(k), N)
-        if cnt > caps.configs:
-            raise CapExceeded("configuration space too large at level %d" % k,
-                              predicted=cnt, cap=caps.configs)
-    dist: ConfigDistribution = {}
-    for cfg in _configs(model.size(0), N):
-        w = _multinomial_weight(cfg, model.eta0, model.one)
-        if w:
-            dist[cfg] = w
-    out = [dist]
+    _check_configs(model, N, horizon, caps)
+    laws = [_start(model, N, [model.one])]
     for k in range(1, horizon + 1):
-        nxt: ConfigDistribution = {}
-        for cfg, w in out[-1].items():
-            mix = _mixture(model, k, cfg)
-            for cfg2 in _configs(model.size(k), N):
-                w2 = _multinomial_weight(cfg2, mix, model.one)
-                if w2:
-                    nxt[cfg2] = nxt.get(cfg2, model.zero) + w * w2
-        out.append(nxt)
-    return out
-
-
-def config_paths(model: FKModel, N: int, horizon: int,
-                 caps: Caps = DEFAULT_CAPS
-                 ) -> Iterator[Tuple[Tuple[Config, ...], Scalar]]:
-    """All configuration paths with their exact probabilities."""
-    if N < 1:
-        raise InvalidParameter("N must be >= 1")
-    if not 0 <= horizon <= model.horizon:
-        raise InvalidParameter("horizon outside the model range")
-    predicted = 1
-    for k in range(horizon + 1):
-        predicted *= config_count(model.size(k), N)
-        if predicted > caps.configs:
-            raise CapExceeded("configuration path count too large",
-                              predicted=predicted, cap=caps.configs)
-
-    def rec(k: int, prefix: Tuple[Config, ...], w: Scalar):
-        if not w:
-            return
-        if k > horizon:
-            yield prefix, w
-            return
-        if k == 0:
-            for cfg in _configs(model.size(0), N):
-                w2 = _multinomial_weight(cfg, model.eta0, model.one)
-                yield from rec(1, (cfg,), w * w2)
-        else:
-            mix = _mixture(model, k, prefix[-1])
-            for cfg in _configs(model.size(k), N):
-                w2 = _multinomial_weight(cfg, mix, model.one)
-                yield from rec(k + 1, prefix + (cfg,), w * w2)
-
-    yield from rec(0, (), model.one)
+        laws.append(_transport(model, k, N, laws[-1]))
+    return [{cfg: vec[0] for cfg, vec in law.items()} for law in laws]
 
 
 # ---------------------------------------------------------------------------
 # per-configuration estimator values
+
+
+def _level_mass(model: FKModel, k: int, cfg: Config, N: int) -> Scalar:
+    """Empirical mean of the level-k potential, eta^N_k(G_k)."""
+    gmean = sum(c * g for c, g in zip(cfg, model.G[k]))
+    return gmean / N if model.field == "float" else gmean * Fraction(1, N)
 
 
 def _gamma_norms(model: FKModel, path: Sequence[Config],
@@ -152,16 +178,23 @@ def _gamma_norms(model: FKModel, path: Sequence[Config],
     return out
 
 
-def tensor_moment(cfg: Config, F: TensorFunction, N: int) -> Scalar:
-    """Plain q-fold empirical tensor of one configuration against F."""
-    q = F.arity
-    total = F.model.zero
-    for point in itertools.product(*[range(s) for s in F.sizes]):
+def _count_products(cfg: Config, q: int) -> List[int]:
+    """prod_i cfg[x_i] at every point x of the q-fold level domain, in
+    table order."""
+    out = []
+    for point in itertools.product(range(len(cfg)), repeat=q):
         w = 1
         for x in point:
             w *= cfg[x]
-        if w:
-            total = total + F.value(point) * w
+        out.append(w)
+    return out
+
+
+def tensor_moment(cfg: Config, F: TensorFunction, N: int) -> Scalar:
+    """Plain q-fold empirical tensor of one configuration against F."""
+    q = F.arity
+    total = sum((f * w for f, w in zip(F.data, _count_products(cfg, q)) if w),
+                F.model.zero)
     return total / N ** q if F.model.field == "float" \
         else total * Fraction(1, N ** q)
 
@@ -185,24 +218,27 @@ def dot_moment(cfg: Config, F: TensorFunction, N: int) -> Scalar:
         else total * Fraction(1, falling_factorial(N, q))
 
 
-def block_tensor_moment(path: Sequence[Config], F: TensorFunction,
-                        N: int) -> Scalar:
-    """Product-across-levels empirical tensor: coordinate i of F reads the
-    configuration at its own level."""
-    total = F.model.zero
-    sizes = F.sizes
-    for point in itertools.product(*[range(s) for s in sizes]):
-        w = 1
-        for pos, x in enumerate(point):
-            w *= path[F.levels[pos]][x]
-        if w:
-            total = total + F.value(point) * w
-    return total / N ** F.arity if F.model.field == "float" \
-        else total * Fraction(1, N ** F.arity)
-
-
 # ---------------------------------------------------------------------------
 # oracles
+#
+# The mass factor of a path multiplies level by level:
+# prod_lvl gamma^N_lvl(1)^{q_lvl} = prod_k eta^N_k(G_k)^{r_k} with
+# r_k = sum_{lvl > k} q_lvl, so a block moment scales the carried vector
+# by the mass power of each level k < n before the transition.
+
+
+def _block_weigh(model: FKModel, N: int, qvec: Sequence[int]) -> Weigh:
+    """Per-level step of a block moment: the vector is a table over the
+    coordinates frozen so far; leaving level k multiplies it by
+    eta^N_k(G_k)^{r_k} and extends it by the q_k-fold count products of
+    the level-k configuration."""
+    rest = [sum(qvec[k + 1:]) for k in range(len(qvec))]
+
+    def weigh(k: int, cfg: Config, vec: List[Scalar]) -> List[Scalar]:
+        m = _level_mass(model, k, cfg, N) ** rest[k]
+        return [v * m * c for v in vec for c in _count_products(cfg, qvec[k])]
+
+    return weigh
 
 
 def exact_QN_oracle(model: FKModel, N: int,
@@ -214,7 +250,10 @@ def exact_QN_oracle(model: FKModel, N: int,
 
     With integer q the moment is the q-fold tensor at level n; with a
     block-size sequence q the coordinates of F read one level per block in
-    time order and the weight multiplies the per-level masses."""
+    time order and the weight multiplies the per-level masses.
+
+    caps.configs bounds the configurations of each level and caps.tensor
+    the table over the coordinates frozen before level n."""
     if isinstance(q, int):
         if n is None:
             if len(set(F.levels)) != 1:
@@ -230,15 +269,23 @@ def exact_QN_oracle(model: FKModel, N: int,
     if F.levels != want:
         raise InvalidParameter("F domain %r does not match blocks %r"
                                % (F.levels, want))
-    total = model.zero
-    for path, w in config_paths(model, N, n, caps):
-        norms = _gamma_norms(model, path, N)
-        factor = model.one
-        for lvl, cnt in enumerate(qvec):
-            if cnt:
-                factor = factor * norms[lvl] ** cnt
-        total = total + w * factor * block_tensor_moment(path, F, N)
-    return total
+    frozen = 1
+    for k in range(n):
+        frozen *= model.size(k) ** qvec[k]
+    if frozen > caps.tensor:
+        raise CapExceeded("frozen-coordinate table too large",
+                          predicted=frozen, cap=caps.tensor)
+    weigh = _block_weigh(model, N, qvec)
+    law = _forward(model, N, n, [model.one], weigh, caps)
+    # the last step completes the expected weighted count tensor, which is
+    # paired with F once
+    moment = [model.zero] * len(F.data)
+    for cfg, vec in law.items():
+        for i, t in enumerate(weigh(n, cfg, vec)):
+            moment[i] = moment[i] + t
+    total = sum((f * t for f, t in zip(F.data, moment) if t), model.zero)
+    return total / N ** F.arity if model.field == "float" \
+        else total * Fraction(1, N ** F.arity)
 
 
 def exact_QN_dot_oracle(model: FKModel, N: int, n: int, q: int,
@@ -247,10 +294,13 @@ def exact_QN_dot_oracle(model: FKModel, N: int, n: int, q: int,
     """Exact expectation of the injective unnormalized moment at level n."""
     if F.levels != (n,) * q:
         raise InvalidParameter("F must live on the q-fold level-n space")
+    if q > N:
+        raise InvalidParameter("injective tensor needs q <= N")
+    law = _forward(model, N, n, [model.one],
+                   _block_weigh(model, N, (0,) * n + (q,)), caps)
     total = model.zero
-    for path, w in config_paths(model, N, n, caps):
-        norms = _gamma_norms(model, path, N)
-        total = total + w * norms[n] ** q * dot_moment(path[n], F, N)
+    for cfg, vec in law.items():
+        total = total + vec[0] * dot_moment(cfg, F, N)
     return total
 
 
@@ -285,20 +335,28 @@ def exact_eta_tensor_oracle(model: FKModel, N: int, n: int, q: int,
 
 def exact_EN_oracle(model: FKModel, N: int, n: int, q: int,
                     caps: Caps = DEFAULT_CAPS) -> Scalar:
-    """Exact q-th centered moment of the relative mass defect at level n."""
+    """Exact q-th centered moment of the relative mass defect at level n.
+
+    With d_k = eta^N_k(G_k)/eta_k(G_k) - 1, the defect after level k obeys
+    Z_k = Z_{k-1}(1 + d_k) - d_k from Z_{-1} = 0, and Z_n = 1 - X with
+    X = gamma^N_n(G_n)/gamma_n(G_n).  The pass carries the powers
+    Z^0..Z^q per configuration; these stay small, where a binomial
+    expansion of (1 - X)^q would cancel terms of order one in float mode."""
     if q < 0:
         raise InvalidParameter("q must be >= 0")
     fl = flow(model)
-    gG = sum(g * v for g, v in zip(fl.gamma_vec[n], model.G[n]))
-    total = model.zero
-    for path, w in config_paths(model, N, n, caps):
-        norms = _gamma_norms(model, path, N)
-        cfg = path[n]
-        emp = sum(c * g for c, g in zip(cfg, model.G[n]))
-        emp = emp / N if model.field == "float" else emp * Fraction(1, N)
-        v = 1 - norms[n] * emp / gG
-        total = total + w * v ** q
-    return total
+    means = [sum(e * g for e, g in zip(fl.eta_vec[k], model.G[k]))
+             for k in range(n + 1)]
+
+    def step(k: int, cfg: Config, vec: List[Scalar]) -> List[Scalar]:
+        d = _level_mass(model, k, cfg, N) / means[k] - 1
+        return [sum(comb(j, i) * (1 + d) ** i * (-d) ** (j - i) * vec[i]
+                    for i in range(j + 1))
+                for j in range(q + 1)]
+
+    law = _forward(model, N, n, [model.one] + [model.zero] * q, step, caps)
+    return sum((step(n, cfg, vec)[q] for cfg, vec in law.items()),
+               model.zero)
 
 
 # ---------------------------------------------------------------------------

@@ -133,3 +133,35 @@ def test_block_law_expansion_reports_its_residual(tmp_path):
         + Fraction(res["orders"]["2"]) / 9)
     assert Fraction(res["diagnostics"]["scaled_residuals"]["3"]) \
         == 27 * resid
+
+
+def test_a_failed_check_exits_1_with_a_reproducer(tmp_path, monkeypatch):
+    from fkforest import cli
+    monkeypatch.setattr(cli, "_CHECKS", cli._CHECKS + [
+        ("always-unequal", lambda: ([Fraction(1)], [Fraction(2)]))])
+    rc, data = run(tmp_path, "verify", "--only", "always-unequal")
+    assert rc == 1
+    res = json.loads(data)["result"]
+    assert (res["passed"], res["failed"]) == (0, 1)
+    (record,) = res["checks"]
+    assert record["status"] == "fail"
+    assert record["expected"] == ["1/1"] and record["actual"] == ["2/1"]
+    assert record["reproducer"]["command"] == "verify"
+    assert record["reproducer"]["parameters"] == {"only": "always-unequal"}
+
+
+def test_a_failed_identity_in_expand_exits_1(tmp_path, capsys, monkeypatch):
+    """A finite-size value that disagrees with the coefficient sum stops
+    the report check: exit 1, one JSON error line and no output file."""
+    from fkforest import expansion
+    exact = expansion.path_exact_QN
+    monkeypatch.setattr(expansion, "path_exact_QN",
+                        lambda *a, **k: exact(*a, **k) + Fraction(1, 10 ** 9))
+    F = function_file(tmp_path, [1, 1], ["1", "2", "3", "-1/2"])
+    rc, data = run(tmp_path, "expand", "--model", "drift2", "--n", "1",
+                   "--q", "2", "--function", F, "--evaluate", "3")
+    assert rc == 1
+    assert data is None
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "IdentityMismatch"
+    assert "N=3" in err["message"]

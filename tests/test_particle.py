@@ -1,9 +1,13 @@
 """Configuration dynamic program and simulator.
 
-The cross-check here is a second, independent oracle that tracks the
-ordered particle vectors directly from the sampling description, with no
-occupation-count shortcut.  At N = 2 on two- and three-state models the
-labeled path space is small enough to enumerate outright.
+Two references check the forward pass.  The first is an independent
+oracle that tracks the ordered particle vectors directly from the sampling
+description, with no occupation-count shortcut; at N = 2 on two- and
+three-state models the labeled path space is small enough to enumerate
+outright.  The second walks every configuration path and weighs it whole,
+which is exact at any N but costs the product of the per-level
+configuration counts.  A third route, exact interpolation in 1/N, checks
+the forward pass against the coefficients of the expansion engines.
 """
 
 import itertools
@@ -34,10 +38,12 @@ from fkforest import (
     simulate,
 )
 from fkforest.combinatorics import falling_factorial
+from fkforest.expansion import (exact_QN, expansion_report_path_Q,
+                                expansion_report_Q)
 from fkforest.fk_core import TensorFunction
 from fkforest.particle import (
-    block_tensor_moment,
-    config_paths,
+    _configs,
+    _mixture,
     dot_moment,
     tensor_moment,
     trajectory_config,
@@ -213,6 +219,197 @@ def test_normalized_estimator_is_biased_for_skew2(skew2):
 
 
 # ---------------------------------------------------------------------------
+# path-walk reference: every configuration path, weighed whole
+
+
+def multinomial_weight(cfg, probs):
+    w = Fraction(math.factorial(sum(cfg)))
+    for c, p in zip(cfg, probs):
+        w = w / math.factorial(c) * p ** c
+    return w
+
+
+def config_paths(model, N, horizon):
+    """All configuration paths up to level horizon with their exact
+    probabilities."""
+    def rec(prefix, w):
+        k = len(prefix)
+        if k > horizon:
+            yield prefix, w
+            return
+        probs = model.eta0 if k == 0 else _mixture(model, k, prefix[-1])
+        for cfg in _configs(model.size(k), N):
+            w2 = w * multinomial_weight(cfg, probs)
+            if w2:
+                yield from rec(prefix + (cfg,), w2)
+
+    yield from rec((), Fraction(1))
+
+
+def path_masses(model, path, N):
+    """Entry k: product of the empirical potential means before level k."""
+    out = [Fraction(1)]
+    for k in range(1, len(path)):
+        out.append(out[-1] * Fraction(
+            sum(c * g for c, g in zip(path[k - 1], model.G[k - 1])), N))
+    return out
+
+
+def block_tensor_moment(path, F, N):
+    """Product-across-levels empirical tensor: coordinate i of F reads the
+    configuration at its own level."""
+    total = Fraction(0)
+    for point in itertools.product(*[range(s) for s in F.sizes]):
+        w = 1
+        for pos, x in enumerate(point):
+            w *= path[F.levels[pos]][x]
+        if w:
+            total += F.value(point) * w
+    return total / N ** F.arity
+
+
+def walk_QN(model, N, qvec, F):
+    total = Fraction(0)
+    for path, w in config_paths(model, N, len(qvec) - 1):
+        norms = path_masses(model, path, N)
+        factor = math.prod(norms[lvl] ** c for lvl, c in enumerate(qvec))
+        total += w * factor * block_tensor_moment(path, F, N)
+    return total
+
+
+def walk_QN_dot(model, N, n, F):
+    return sum(w * path_masses(model, path, N)[n] ** F.arity
+               * dot_moment(path[n], F, N)
+               for path, w in config_paths(model, N, n))
+
+
+def walk_EN(model, N, n, q):
+    fl = flow(model)
+    gG = sum(g * v for g, v in zip(fl.gamma_vec[n], model.G[n]))
+    total = Fraction(0)
+    for path, w in config_paths(model, N, n):
+        emp = Fraction(sum(c * g for c, g in zip(path[n], model.G[n])), N)
+        total += w * (1 - path_masses(model, path, N)[n] * emp / gG) ** q
+    return total
+
+
+def sample_function(model, levels):
+    size = math.prod(model.size(k) for k in levels)
+    return TensorFunction(model, levels, [Fraction((-1) ** i * (i % 5 + 1),
+                                                   i % 3 + 2)
+                                          for i in range(size)])
+
+
+def profile_levels(qvec):
+    return tuple(lvl for lvl, c in enumerate(qvec) for _ in range(c))
+
+
+@pytest.mark.parametrize("name,qvec,Ns", [
+    ("drift2", (0, 0, 0, 2), (1, 2, 4)),
+    ("drift2", (1, 0, 1, 1), (2, 3)),
+    ("drift2", (0, 2, 1), (2, 5)),
+    ("skew2", (0, 0, 3), (1, 3, 5)),
+    ("skew2", (1, 1, 1), (2, 5)),
+    ("cycle3", (0, 0, 2), (1, 3)),
+    ("cycle3", (1, 0, 1), (2, 3)),
+    ("blend3", (0, 1, 2), (2, 3)),
+    ("blend3", (2, 0, 1), (1, 3)),
+])
+def test_forward_pass_equals_the_path_walk(name, qvec, Ns):
+    m = bundled_model(name)
+    n = len(qvec) - 1
+    q = qvec[-1]
+    F = sample_function(m, profile_levels(qvec))
+    Fn = sample_function(m, (n,) * q)
+    for N in Ns:
+        assert exact_QN_oracle(m, N, qvec, F) == walk_QN(m, N, qvec, F)
+        assert exact_QN_oracle(m, N, q, Fn, n=n) \
+            == walk_QN(m, N, (0,) * n + (q,), Fn)
+        if q <= N:
+            assert exact_QN_dot_oracle(m, N, n, q, Fn) \
+                == walk_QN_dot(m, N, n, Fn)
+        for p in (2, 3):
+            assert exact_EN_oracle(m, N, n, p) == walk_EN(m, N, n, p)
+
+
+def test_float_forward_pass_tracks_the_rational_walk():
+    """Float mode adds in another order than the path walk did, so it is
+    held to the rational value within a relative 1e-12, far wider than
+    double rounding over a few hundred terms."""
+    for name, qvec, N in [("cycle3", (1, 0, 1), 3), ("drift2", (0, 2, 1), 4)]:
+        m, mf = bundled_model(name), bundled_model(name, field="float")
+        n = len(qvec) - 1
+        F = sample_function(m, profile_levels(qvec))
+        Ff = TensorFunction(mf, F.levels, [float(v) for v in F.data])
+        assert exact_QN_oracle(mf, N, qvec, Ff) \
+            == pytest.approx(float(walk_QN(m, N, qvec, F)), rel=1e-12)
+        assert exact_EN_oracle(mf, N, n, 3) == pytest.approx(
+            float(walk_EN(m, N, n, 3)), rel=1e-12, abs=1e-12)
+    # a high centered moment is small against the binomial terms of
+    # (1 - X)^q, which would lose about 4e-13 of it here
+    m, mf = bundled_model("drift2"), bundled_model("drift2", field="float")
+    assert exact_EN_oracle(mf, 12, 2, 8) == pytest.approx(
+        float(exact_EN_oracle(m, 12, 2, 8)), rel=1e-13, abs=0)
+
+
+def test_forward_pass_runs_past_the_path_count(cycle3):
+    """At N = 9 there are 55**3 = 166,375 configuration paths but only 55
+    configurations per level."""
+    F = sample_function(cycle3, (2, 2))
+    assert config_count(3, 9) ** 3 > Caps().configs
+    assert exact_QN_oracle(cycle3, 9, 2, F, n=2) \
+        == exact_QN(cycle3, 2, 2, 9, F)
+
+
+# ---------------------------------------------------------------------------
+# interpolation in 1/N
+
+
+def interpolate_in_inverse_N(values):
+    """Coefficients c_0..c_D of the polynomial in x = 1/N through
+    (1/N, values[N]) for N = 1..D+1, by exact Lagrange interpolation."""
+    xs = [Fraction(1, N) for N in sorted(values)]
+    ys = [values[N] for N in sorted(values)]
+    coeffs = [Fraction(0)] * len(xs)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        basis = [Fraction(1)]
+        scale = yi
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            # basis *= (x - xj)
+            basis = [b - xj * a for a, b in zip(basis + [0], [0] + basis)]
+            scale /= xi - xj
+        for d, b in enumerate(basis):
+            coeffs[d] += scale * b
+    return coeffs
+
+
+@pytest.mark.parametrize("name,qvec", [
+    ("drift2", (0, 2)), ("drift2", (0, 0, 2)), ("drift2", (0, 3)),
+    ("drift2", (1, 1)), ("drift2", (2, 1, 1)),
+    ("cycle3", (0, 2)), ("cycle3", (1, 1, 1)),
+])
+def test_interpolated_oracle_gives_every_coefficient(name, qvec):
+    m = bundled_model(name)
+    F = sample_function(m, profile_levels(qvec))
+    # live block size at level k: the coordinates not frozen before k
+    live = [sum(qvec[k:]) for k in range(len(qvec))]
+    D = sum(b - 1 for b in live)
+    got = interpolate_in_inverse_N(
+        {N: exact_QN_oracle(m, N, qvec, F) for N in range(1, D + 2)})
+    n, q = len(qvec) - 1, qvec[-1]
+    if qvec == (0,) * n + (q,):
+        assert D == (n + 1) * (q - 1)
+        report = expansion_report_Q(m, n, q, F=F)
+    else:
+        report = expansion_report_path_Q(m, qvec, F=F)
+    assert got == [report.base] + [report.orders.get(j, 0)
+                                   for j in range(1, D + 1)]
+    assert sorted(report.orders) == list(range(1, D + 1))
+
+
+# ---------------------------------------------------------------------------
 # per-configuration values
 
 
@@ -255,13 +452,27 @@ def test_block_moment_is_a_product_across_levels(drift2):
 
 
 def test_oracle_caps_report_predicted_sizes(blend3):
+    """caps.configs bounds the configurations of one level, caps.tensor the
+    table over frozen coordinates; both refuse before any transition."""
     small = Caps(configs=5)
     with pytest.raises(CapExceeded) as err:
         exact_config_distribution(blend3, 4, 1, caps=small)
     assert err.value.predicted == config_count(3, 4)
+    F = sample_function(blend3, (2, 2))
+    for N in (2, 3):
+        for run in (lambda: exact_QN_oracle(blend3, N, 2, F, n=2, caps=small),
+                    lambda: exact_QN_dot_oracle(blend3, N, 2, 2, F, small),
+                    lambda: exact_EN_oracle(blend3, N, 2, 2, small)):
+            with pytest.raises(CapExceeded) as err:
+                run()
+            assert (err.value.predicted, err.value.cap) \
+                == (config_count(3, N), 5)
+    Fp = sample_function(blend3, (0, 1, 2))
     with pytest.raises(CapExceeded) as err:
-        list(config_paths(blend3, 3, 2, caps=small))
-    assert err.value.predicted > 5
+        exact_QN_oracle(blend3, 2, (1, 1, 1), Fp, caps=Caps(tensor=8))
+    assert (err.value.predicted, err.value.cap) == (9, 8)
+    assert exact_QN_oracle(blend3, 2, (1, 1, 1), Fp, caps=Caps(tensor=9)) \
+        == walk_QN(blend3, 2, (1, 1, 1), Fp)
 
 
 def test_oracle_argument_validation(drift2):
