@@ -39,7 +39,6 @@ from .colored_forest import (
     black_chain,
     brute_force_colored_orbit_count,
     build_wick_forest,
-    colored_forest,
     colored_forest_of,
     colored_planar_mapseq,
     colored_symmetry_multiset,
@@ -108,7 +107,6 @@ from .expansion import (
     centered_moment_expansion,
     closed_form_low_orders,
     derivative_P,
-    derivative_P_tilde,
     derivative_Q,
     exact_QN,
     expansion_report_P,
@@ -127,7 +125,6 @@ from .expansion import (
     path_wick_Q,
     ustat_decay_check,
     wick_Q,
-    zolotarev_interval,
 )
 from .models import (
     DOCUMENTED_FLOW,

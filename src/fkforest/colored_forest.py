@@ -227,11 +227,6 @@ class ColoredMapSeq:
         return w + b
 
     @property
-    def image_sizes(self) -> Tuple[int, ...]:
-        return tuple(len(set(self.combined(k)))
-                     for k in range(len(self.maps)))
-
-    @property
     def coal(self) -> Tuple[int, ...]:
         return tuple(self.white_sizes[k + 1] + self.black_sizes[k + 1]
                      - len(set(self.combined(k)))

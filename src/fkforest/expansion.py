@@ -39,16 +39,21 @@ per-class explanation behind the named shapes used here.  Plain q-block
 moments are the block profile flat_blocks(n, q) = (0,..,0,q); the flat
 entry points are thin calls into the per-time-profile engines.
 
-Every coefficient measure is block-symmetrized before being returned, so
-pairing it against an arbitrary function equals pairing the raw sum
-against the symmetrized function.
+Every table of the operator product is symmetric within each same-level
+group of coordinates by construction, so no symmetrization pass runs on
+it: eta0 on all b_0 coordinates is exchangeable; each partition piece of
+an exchangeable live block is exchangeable, because permuting positions
+permutes the set partitions; and freezing and transport act alike on
+every coordinate of a group and never mix groups.  Pairing a coefficient
+against any function therefore equals pairing it against the function's
+block symmetrization.  Only the class-based routes (the named-shape
+closed forms and the first-order block law) symmetrize their sums.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -77,7 +82,6 @@ from .fk_core import (
     Flow,
     SignedMeasure,
     TensorFunction,
-    center_function,
     delta_colored,
     eta_tensor,
     flow,
@@ -109,9 +113,7 @@ __all__ = [
     "centered_moment_expansion",
     "derivative_P",
     "first_order_P",
-    "derivative_P_tilde",
     "ustat_decay_check",
-    "zolotarev_interval",
     "expansion_report_Q",
     "expansion_report_path_Q",
     "expansion_report_P",
@@ -266,7 +268,7 @@ def closed_form_low_orders(model: FKModel, n: int, q: int,
     if verify:
         generic = _moment_polynomial(model, prof, 2, caps)
         for k, cand in ((0, d0), (1, d1), (2, d2)):
-            gen = generic[k].symmetrize_blocks()
+            gen = generic[k]
             if not _measures_agree(model, cand, gen):
                 raise IdentityMismatch(
                     "closed-form order %d differs from the generic "
@@ -303,7 +305,6 @@ def gaussian_covariance(model: FKModel, m1: int, phi1: Sequence[Scalar],
     time m1 and one at time m2: shared noise enters at every common step."""
     fl = fl or flow(model)
     total = model.zero
-    rows_cache = {}
     for k in range(min(m1, m2) + 1):
         a = _apply_semigroup(model, k, m1, phi1)
         b = _apply_semigroup(model, k, m2, phi2)
@@ -443,8 +444,7 @@ def _combination(model: FKModel, levels: Tuple[int, ...],
 
 def _moment_polynomial(model: FKModel, prof: Tuple[int, ...], top: int,
                        caps: Caps) -> List[SignedMeasure]:
-    """Coefficients 0..top of the moment in x = 1/N, before the block
-    symmetrization.
+    """Coefficients 0..top of the moment in x = 1/N.
 
     The selection at a level with b live coordinates is the polynomial
     sum_j x**j sum_p s(p, b - j) piece_p; the product over the levels is
@@ -491,7 +491,6 @@ def path_exact_QN(model: FKModel, q: Sequence[int], N: int,
         return [_combination(model, own[b].levels, terms, caps)]
 
     (total,) = _select_and_transport(model, prof, select, caps)
-    total = total.symmetrize_blocks()
     return total if F is None else total.pair(F)
 
 
@@ -502,7 +501,7 @@ def path_derivative_Q(model: FKModel, q: Sequence[int], k: int,
     top = path_max_order(prof)
     if not 0 <= k <= top:
         raise InvalidParameter("order %d outside 0..%d" % (k, top))
-    return _moment_polynomial(model, prof, k, caps)[k].symmetrize_blocks()
+    return _moment_polynomial(model, prof, k, caps)[k]
 
 
 def _wick_assignments(prof: Tuple[int, ...],
@@ -540,8 +539,7 @@ def path_wick_Q(model: FKModel, q: Sequence[int], F: TensorFunction,
     tot = sum(prof)
     lowest = (tot + 1) // 2
     half = tot // 2
-    coeffs = [t.symmetrize_blocks().pair(F)
-              for t in _moment_polynomial(model, prof, half, caps)]
+    coeffs = [t.pair(F) for t in _moment_polynomial(model, prof, half, caps)]
     vanishing = dict(enumerate(coeffs[:lowest]))
     if tot % 2:
         return vanishing, None
@@ -631,7 +629,7 @@ def centered_moment_expansion(model: FKModel, n: int, q: int,
         integrand = _block_product(model, prof, gb)
         coeffs = _moment_polynomial(model, prof, pmax, caps)
         for k in range(lowest, pmax + 1):
-            val = coeffs[k].symmetrize_blocks().pair(integrand)
+            val = coeffs[k].pair(integrand)
             orders[k] = orders[k] + coeff * val
     report = ExpansionReport(
         kind="mass-defect-moment",
@@ -824,48 +822,6 @@ def first_order_P(model: FKModel, n_plus_1: int, q: int,
     return generic
 
 
-def derivative_P_tilde(model: FKModel, n_plus_1: int, q: int, k: int,
-                       caps: Caps = DEFAULT_CAPS) -> SignedMeasure:
-    """Order-k coefficient of the plain q-fold tensor law at time n_plus_1.
-
-    Same p-sum as derivative_P, but the widened last block lives one step
-    later, so no extra transport is needed; the two laws agree at q=1.
-    """
-    np1 = n_plus_1
-    if np1 < 1:
-        raise InvalidParameter("needs a target time >= 1")
-    if np1 > model.horizon:
-        raise InvalidParameter("model horizon %d too short" % model.horizon)
-    if q < 1 or k < 0:
-        raise InvalidParameter("need q >= 1 and k >= 0")
-    fl = flow(model)
-    if k == 0:
-        return eta_tensor(model, np1, q, fl)
-    n = np1 - 1
-    gb = [gbar_vector(model, j, fl) for j in range(n + 1)]
-    total: Optional[SignedMeasure] = None
-    for l in range(2 * k):
-        for p in compositions(l, n + 1):
-            prof = tuple(p) + (q,)
-            if k > sum(b - 1 for b in _blacks(prof)):
-                continue
-            nu = path_derivative_Q(model, prof, k, caps)
-            vecs: List[Sequence[Scalar]] = []
-            for j, pj in enumerate(p):
-                vecs.extend([gb[j]] * pj)
-            sigma = nu.contract(range(len(vecs)), vecs) if vecs else nu
-            pfact = 1
-            for pj in p:
-                pfact *= math.factorial(pj)
-            coeff = Fraction(math.factorial(q - 1 + l),
-                             math.factorial(q - 1) * pfact)
-            term = sigma.scale(coeff)
-            total = term if total is None else total + term
-    if total is None:
-        return _zero_measure(model, (np1,) * q)
-    return _center_image(model, total, np1, q, fl)
-
-
 # ---------------------------------------------------------------------------
 # U-statistic decay report
 
@@ -894,7 +850,7 @@ def ustat_decay_check(model: FKModel, n: int, q: int, F: TensorFunction,
     grid = sorted(set(int(N) for N in Ns))
     if any(N < q for N in grid):
         raise InvalidParameter("every grid size must be >= q")
-    Fs = F if F.is_symmetric() else F.symmetrize()
+    Fs = F.symmetrize_blocks()
     fl = flow(model)
     base = eta_tensor(model, n, q, fl).pair(Fs)
     centered = is_centered(model, Fs, fl)
@@ -937,41 +893,6 @@ def ustat_decay_check(model: FKModel, n: int, q: int, F: TensorFunction,
         "settling": settling,
         "bounded": bounded,
     }
-
-
-# ---------------------------------------------------------------------------
-# seminorm bracketing
-
-
-def zolotarev_interval(model: FKModel, mu: SignedMeasure,
-                       trials: int = 64, seed: int = 0
-                       ) -> Tuple[Scalar, Scalar]:
-    """Bracket the seminorm of mu over centered symmetric functions of unit
-    sup norm.
-
-    The lower end maximizes the pairing over randomized candidates drawn
-    from that class (certified: each candidate is exactly centered and
-    normalized); the upper end is the total variation norm, which bounds
-    the supremum over the whole unit ball.  Exact arithmetic keeps both
-    ends trustworthy, at the price of the gap between them.
-    """
-    if trials < 1:
-        raise InvalidParameter("needs at least one trial")
-    rng = random.Random(seed)
-    upper = mu.tv_norm()
-    best = model.zero
-    size = _prod(model.size(k) for k in mu.levels)
-    for _ in range(trials):
-        vals = [model.scalar(rng.randint(-8, 8), 8) for _ in range(size)]
-        cand = TensorFunction(model, mu.levels, vals)
-        cand = center_function(model, cand)
-        s = cand.sup_norm()
-        if not s:
-            continue
-        v = abs(mu.pair(cand)) / s
-        if v > best:
-            best = v
-    return best, upper
 
 
 # ---------------------------------------------------------------------------
@@ -1071,9 +992,8 @@ def _moment_report(model: FKModel, prof: Tuple[int, ...], kind: str,
                    params: Dict[str, object], Ns: Sequence[int],
                    F: Optional[TensorFunction],
                    caps: Caps) -> ExpansionReport:
-    coeffs: List[object] = [
-        t.symmetrize_blocks()
-        for t in _moment_polynomial(model, prof, path_max_order(prof), caps)]
+    coeffs: List[object] = list(
+        _moment_polynomial(model, prof, path_max_order(prof), caps))
     if F is not None:
         coeffs = [c.pair(F) for c in coeffs]
     base, orders = coeffs[0], dict(enumerate(coeffs[1:], start=1))
@@ -1126,7 +1046,9 @@ def expansion_report_P(model: FKModel, n_plus_1: int, q: int,
     np1 = n_plus_1
     if top is None:
         top = 2
-    Fs = F if F.is_symmetric() else F.symmetrize()
+    if top < 0:
+        raise InvalidParameter("truncation order top=%d is negative" % top)
+    Fs = F.symmetrize_blocks()
     base = derivative_P(model, np1, q, 0, caps).pair(Fs)
     orders: Dict[int, object] = {
         k: derivative_P(model, np1, q, k, caps).pair(Fs)

@@ -288,31 +288,34 @@ class _Table:
             raise InvalidParameter("domain mismatch %r vs %r"
                                    % (self.levels, other.levels))
 
+    def symmetrize_blocks(self):
+        """Average over coordinate permutations within same-level groups.
+
+        The average at a point is the mean of the table over the point's
+        orbit, since every orbit point is hit by as many permutations as the
+        point's stabilizer holds.  Sorting the coordinates of each group
+        names the orbit, so one pass sums each orbit once.
+        """
+        groups: Dict[int, List[int]] = {}
+        for pos, k in enumerate(self.levels):
+            groups.setdefault(k, []).append(pos)
+        keys = [tuple(tuple(sorted(point[i] for i in g))
+                      for g in groups.values())
+                for point in itertools.product(*self._ranges())]
+        sums: Dict[tuple, Scalar] = {}
+        sizes: Dict[tuple, int] = {}
+        for key, w in zip(keys, self.data):
+            sums[key] = sums.get(key, self.model.zero) + w
+            sizes[key] = sizes.get(key, 0) + 1
+        mean = {key: total / sizes[key] for key, total in sums.items()}
+        return type(self)(self.model, self.levels, [mean[key] for key in keys])
+
 
 def _encode(point: Sequence[int], sizes: Sequence[int]) -> int:
     idx = 0
     for x, s in zip(point, sizes):
         idx = idx * s + x
     return idx
-
-
-def _perm_blocks(levels: Sequence[int]) -> List[List[int]]:
-    groups: Dict[int, List[int]] = {}
-    for pos, k in enumerate(levels):
-        groups.setdefault(k, []).append(pos)
-    return [v for _, v in sorted(groups.items())]
-
-
-def _block_permutations(levels: Sequence[int]):
-    """All coordinate permutations preserving levels, as index maps."""
-    blocks = _perm_blocks(levels)
-    choices = [list(itertools.permutations(b)) for b in blocks]
-    for combo in itertools.product(*choices):
-        index_map = list(range(len(levels)))
-        for block, perm in zip(blocks, combo):
-            for src, dst in zip(block, perm):
-                index_map[dst] = src
-        yield tuple(index_map)
 
 
 class SignedMeasure(_Table):
@@ -398,21 +401,6 @@ class SignedMeasure(_Table):
                     pre[pos] = y
                     out[_encode(pre, new_sizes)] += w * qv
         return SignedMeasure(self.model, new_levels, out)
-
-    def symmetrize_blocks(self) -> "SignedMeasure":
-        """Average over coordinate permutations within same-level groups."""
-        perms = list(_block_permutations(self.levels))
-        sizes = self.sizes
-        share = self.model.scalar(1, len(perms))
-        out = []
-        # the permutations form a group, so the average at a point is the
-        # average of the entries at its permuted copies
-        for point in itertools.product(*self._ranges()):
-            vals = [self.data[_encode([point[i] for i in im], sizes)]
-                    for im in perms]
-            total = _sum(v for v in vals if v)
-            out.append(total * share if total else self.model.zero)
-        return SignedMeasure(self.model, self.levels, out)
 
     def weight_coord(self, pos: int,
                      vec: Sequence[Scalar]) -> "SignedMeasure":
@@ -500,34 +488,10 @@ class TensorFunction(_Table):
     def __hash__(self):
         return object.__hash__(self)
 
-    def permute(self, index_map: Sequence[int]) -> "TensorFunction":
-        """G(x) = F(x[index_map[0]], ...); index_map must be a permutation."""
-        im = tuple(index_map)
-        if sorted(im) != list(range(self.arity)):
-            raise InvalidParameter("need a permutation of coordinates")
-        new_levels = tuple(self.levels[i] for i in im)
-        new_sizes = tuple(self.model.size(k) for k in new_levels)
-        out = [self.model.zero] * len(self.data)
-        for point in itertools.product(*[range(s) for s in new_sizes]):
-            src = [0] * self.arity
-            for tgt_pos, src_pos in enumerate(im):
-                src[src_pos] = point[tgt_pos]
-            # src is only valid when levels agree position-wise
-            out[_encode(point, new_sizes)] = self.value(src)
-        return TensorFunction(self.model, new_levels, out)
-
-    def symmetrize(self) -> "TensorFunction":
-        perms = list(_block_permutations(self.levels))
-        total = None
-        for im in perms:
-            term = self.permute(im)
-            total = term if total is None else total + term
-        return total.scale(self.model.scalar(1, len(perms)))
-
     def is_symmetric(self) -> bool:
         if self.model.field == "rational":
-            return self.symmetrize() == self
-        diff = self.symmetrize() - self
+            return self.symmetrize_blocks() == self
+        diff = self.symmetrize_blocks() - self
         return diff.sup_norm() <= 1e-9 * (1 + self.sup_norm())
 
     def pull_coord(self, pos: int, k: int) -> "TensorFunction":
@@ -983,7 +947,7 @@ def center_function(model: FKModel, f: TensorFunction,
                 raise InvalidParameter(
                     "function domain does not match the block sizes")
     fl = fl or flow(model)
-    out = f.symmetrize()
+    out = f.symmetrize_blocks()
     for pos in range(out.arity):
         eta = fl.eta_vec[out.levels[pos]]
         mean = out.integrate_coord(pos, eta)

@@ -135,6 +135,16 @@ def test_block_law_expansion_reports_its_residual(tmp_path):
         == 27 * resid
 
 
+def test_negative_truncation_order_is_refused(tmp_path, capsys):
+    F = function_file(tmp_path, [1, 1], ["1", "2", "3", "-1/2"])
+    rc, data = run(tmp_path, "expand", "--model", "drift2", "--n", "1",
+                   "--q", "2", "--block", "--function", F, "--top", "-1",
+                   "--evaluate", "3")
+    assert rc == 2
+    assert data is None
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidParameter"
+
+
 def test_a_failed_check_exits_1_with_a_reproducer(tmp_path, monkeypatch):
     from fkforest import cli
     monkeypatch.setattr(cli, "_CHECKS", cli._CHECKS + [

@@ -8,18 +8,19 @@ ever point at black vertices.
 
 import itertools
 import random
+import types
 from math import factorial
 
 import pytest
 
 from fkforest import (black, black_chain, brute_force_colored_orbit_count,
-                      build_wick_forest, colored_forest, colored_forest_of,
+                      build_wick_forest, colored_forest_of,
                       colored_planar_mapseq, count_colored_jungles,
                       enumerate_colored_forests, enumerate_colored_orbits,
                       first_order_path_forest, normalize_path_profile,
                       path_profile_bar, white, white_topped_chain,
                       wick_colored_tree)
-from fkforest.colored_forest import ColoredMapSeq
+from fkforest.colored_forest import ColoredMapSeq, colored_forest
 from fkforest.errors import InvalidParameter
 
 
@@ -190,3 +191,9 @@ def test_single_fluctuation_shapes_live_in_their_profile():
             assert f.pair_profile == pairs
             assert f in enumerate_colored_forests(pairs)
             assert f.coal_degree == 1
+
+
+def test_submodule_import_binds_the_module():
+    import fkforest.colored_forest as mod
+    assert isinstance(mod, types.ModuleType)
+    assert mod.colored_forest([white()]) == colored_forest([white()])

@@ -11,10 +11,11 @@ tests/test_cli.py runs.
 import pytest
 
 from fkforest import (Caps, CapExceeded, IdentityMismatch, bell_number,
-                      center_function, derivative_Q, enumerate_colored_orbits,
-                      exact_QN, expansion_report_Q, flat_blocks,
-                      function_from_vector, gamma_tensor,
-                      gaussian_product_moment, path_wick_Q, wick_Q)
+                      bundled_model, center_function, derivative_Q,
+                      enumerate_colored_orbits, exact_QN, expansion_report_Q,
+                      flat_blocks, function_from_vector, gamma_tensor,
+                      gaussian_product_moment, path_derivative_Q,
+                      path_exact_QN, path_max_order, path_wick_Q, wick_Q)
 
 SMALL = Caps(forests=10)
 
@@ -68,6 +69,20 @@ def test_report_is_the_exact_polynomial_in_one_over_n(drift2):
     rep.orders[2] = rep.orders[2].scale(2)
     with pytest.raises(IdentityMismatch):
         rep.check()
+
+
+@pytest.mark.parametrize("name,prof", [("drift2", (0, 5)),
+                                       ("cycle3", (1, 3))])
+def test_operator_route_tables_are_block_symmetric(name, prof):
+    """eta0 on every coordinate is exchangeable, each partition piece of an
+    exchangeable block is too, and freezing and transport never mix
+    same-level groups: no table of the route needs a symmetrization."""
+    m = bundled_model(name)
+    for k in range(path_max_order(prof) + 1):
+        nu = path_derivative_Q(m, prof, k)
+        assert nu.symmetrize_blocks() == nu
+    mu = path_exact_QN(m, prof, sum(prof) + 2)
+    assert mu.symmetrize_blocks() == mu
 
 
 def test_wick_leading_order_is_the_gaussian_moment(drift2):

@@ -23,7 +23,6 @@ from fkforest import (
     bundled_model,
     bundled_names,
     center_function,
-    colored_forest,
     constant_function,
     count_colored_jungles,
     delta_colored,
@@ -48,8 +47,8 @@ from fkforest import (
     tensor_minus_dot_tv,
     white_topped_chain,
 )
-from fkforest.colored_forest import (ColoredMapSeq, pair_merge_forest,
-                                     trivial_forest)
+from fkforest.colored_forest import (ColoredMapSeq, colored_forest,
+                                     pair_merge_forest, trivial_forest)
 from fkforest.combinatorics import falling_factorial, stirling_first
 
 
@@ -244,9 +243,9 @@ def test_transport_and_pull_are_adjoint(cycle3):
 def test_symmetrization_projects(drift2):
     rng = random.Random(7)
     f = random_function(drift2, (1, 1, 2), rng)
-    s = f.symmetrize()
+    s = f.symmetrize_blocks()
     assert s.is_symmetric()
-    assert s.symmetrize() == s
+    assert s.symmetrize_blocks() == s
     # blocks at distinct levels never mix
     assert s.value((0, 1, 1)) == s.value((1, 0, 1))
     mu = random_measure(drift2, (1, 1), rng)
@@ -254,6 +253,40 @@ def test_symmetrization_projects(drift2):
     assert sym.total_mass() == mu.total_mass()
     assert sym.symmetrize_blocks() == sym
     assert sym.value((0, 1)) == sym.value((1, 0))
+
+
+def permutation_average(t):
+    """Reference symmetrizer: the mean of t over every coordinate
+    permutation that keeps each coordinate on its level."""
+    groups = {}
+    for pos, k in enumerate(t.levels):
+        groups.setdefault(k, []).append(pos)
+    perms = []
+    for combo in itertools.product(
+            *[itertools.permutations(g) for g in groups.values()]):
+        index_map = list(range(t.arity))
+        for g, perm in zip(groups.values(), combo):
+            for src, dst in zip(g, perm):
+                index_map[dst] = src
+        perms.append(index_map)
+    out = [sum(t.value([point[i] for i in im]) for im in perms) / len(perms)
+           for point in itertools.product(*[range(s) for s in t.sizes])]
+    return type(t)(t.model, t.levels, out)
+
+
+@pytest.mark.parametrize("name,levels", [
+    ("drift2", (1, 0, 1, 1, 2, 0)),
+    ("cycle3", (0, 1, 0, 1, 1)),
+    ("blend3", (2, 2, 1, 2)),
+])
+def test_orbit_sum_is_the_permutation_average(name, levels):
+    m = bundled_model(name)
+    rng = random.Random(len(levels))
+    for t in (random_measure(m, levels, rng), random_function(m, levels, rng)):
+        sym = t.symmetrize_blocks()
+        assert type(sym) is type(t)
+        assert sym == permutation_average(t)
+        assert sym.symmetrize_blocks() == sym
 
 
 def test_contract_is_weight_then_marginalize(blend3):
@@ -583,16 +616,20 @@ def test_center_function_checks_declared_shape(drift2):
     center_function(drift2, f, q=(0, 0, 2))
 
 
-def test_is_centered_requires_symmetry(drift2):
-    f = TensorFunction(drift2, (1, 1),
-                       [Fraction(v) for v in (0, 1, -1, 0)])
-    # antisymmetric, marginals vanish, still not a symmetric statistic
-    fl = flow(drift2)
+def test_is_centered_requires_symmetry(cycle3):
+    # f = a(x)b - b(x)a with a, b of zero mean: antisymmetric, every
+    # marginal vanishes, still not a symmetric statistic
+    fl = flow(cycle3)
+    e = fl.eta_vec[1]
+    a = function_from_vector(cycle3, 1, [e[1], -e[0], 0])
+    b = function_from_vector(cycle3, 1, [e[2], 0, -e[0]])
+    f = a.tensor(b) - b.tensor(a)
+    assert f.sup_norm() > 0
     for pos in range(2):
-        resid = f.integrate_coord(pos, fl.eta_vec[1])
-        assert all(v == 0 for v in resid.data) or True
+        resid = f.integrate_coord(pos, e)
+        assert all(v == 0 for v in resid.data)
     assert not f.is_symmetric()
-    assert not is_centered(drift2, f)
+    assert not is_centered(cycle3, f)
 
 
 def test_centering_in_float_mode():

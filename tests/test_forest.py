@@ -19,13 +19,14 @@ from hypothesis import strategies as st
 
 from fkforest import (Caps, black, black_chain,
                       brute_force_colored_orbit_count, build_wick_forest,
-                      colored_forest, colored_forest_of,
+                      colored_forest_of,
                       colored_planar_mapseq, colored_symmetry_multiset,
                       count_colored_jungles,
                       count_forests, enumerate_colored_forests,
                       enumerate_colored_orbits, flat_blocks, flat_pairs,
                       path_profile_bar, white, white_topped_chain)
-from fkforest.colored_forest import (ColoredMapSeq, colored_remove_roots,
+from fkforest.colored_forest import (ColoredMapSeq, colored_forest,
+                                     colored_remove_roots,
                                      cut_branch_forest,
                                      double_pair_forest, nested_merge_forest,
                                      pair_merge_forest, staggered_merge_forest,
