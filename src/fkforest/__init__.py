@@ -62,7 +62,6 @@ from .genfunc import (
     marginalize_coalescence,
 )
 from .fk_core import (
-    DMap,
     FKModel,
     Flow,
     SignedMeasure,
@@ -80,8 +79,6 @@ from .fk_core import (
     gamma_measure,
     gamma_tensor,
     is_centered,
-    lq_derivative,
-    lq_operator,
     measure_from_vector,
     partition_sums,
     path_gamma,

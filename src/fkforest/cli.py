@@ -33,7 +33,7 @@ from .colored_forest import (brute_force_colored_orbit_count,
 from .combinatorics import stirling_first, stirling_second
 from .config import Caps, DEFAULT_CAPS
 from .errors import (CapExceeded, IdentityMismatch, InvalidParameter,
-                     ToolkitError)
+                     ToolkitError, ValidationError)
 from .expansion import (centered_moment_expansion, closed_form_low_orders,
                         derivative_P, exact_QN, expansion_report_P,
                         expansion_report_Q, expansion_report_path_Q,
@@ -176,19 +176,30 @@ def _load_function(model: FKModel, path: str,
                    caps: Caps) -> TensorFunction:
     """Tensor function file: {"levels": [...], "values": [...]} with the
     values flat and row-major over coordinates left to right."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise InvalidParameter("cannot read function file %s: %s"
+                               % (path, exc))
+    except ValueError as exc:
+        raise ValidationError("function file %s is not JSON: %s"
+                              % (path, exc))
     try:
         levels = [int(k) for k in doc["levels"]]
         raw = doc["values"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameter("bad function file %s: %s" % (path, exc))
-    if model.field == "rational":
-        vals = [Fraction(v) if not isinstance(v, float) else _reject(v)
-                for v in raw]
-    else:
-        vals = [float(Fraction(v)) if isinstance(v, str) else float(v)
-                for v in raw]
+    try:
+        if model.field == "rational":
+            vals = [Fraction(v) if not isinstance(v, float) else _reject(v)
+                    for v in raw]
+        else:
+            vals = [float(Fraction(v)) if isinstance(v, str) else float(v)
+                    for v in raw]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError("bad value in function file %s: %s"
+                              % (path, exc))
     return TensorFunction(model, levels, vals, caps)
 
 

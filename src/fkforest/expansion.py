@@ -26,6 +26,16 @@ s(p, b_k - j) in the coefficient of x**j, x = 1/N.  The exact value
 applies the first weights, the coefficients carry the product as a
 polynomial in x, and the two stay independent routes.
 
+The product runs on integer stages (`fk_core.select_partitions`,
+`fk_core.transport_numerators`): the tables of a stage are Python-int
+numerators over one shared denominator.  The model gives eta0 and every
+one-step operator as integers over the lcm of their entries; the Stirling
+weights are integers; the exact value multiplies piece p by (N)_p and the
+denominator by N**b; each moved coordinate multiplies the denominator by
+that of the operator rows.  Only the final tables become measures, with
+one Fraction per entry, or in float mode one correctly rounded division
+of the exact value.
+
 The genealogy class sum is the same product expanded over map sequences
 and grouped by orbit.  A class with per-level image sizes (m_0..m_n)
 under per-level source sizes (b_0..b_n) receives, at order k,
@@ -86,13 +96,14 @@ from .fk_core import (
     eta_tensor,
     flow,
     format_scalar,
+    from_numerators,
     function_from_vector,
     gamma_measure,
     gamma_tensor,
     is_centered,
-    measure_from_vector,
-    partition_sums,
     semigroup,
+    select_partitions,
+    transport_numerators,
 )
 
 __all__ = [
@@ -410,36 +421,42 @@ def _select_and_transport(model: FKModel, prof: Tuple[int, ...],
                           select, caps: Caps) -> List[SignedMeasure]:
     """The operator product behind every block moment.
 
-    Starts from eta0 on all b_0 coordinates.  At level k the live block of
-    b_k coordinates goes through the selection: `select(b_k, pieces)` turns
-    the partition pieces of each current table into the next tables.  Then
-    the first q_k live coordinates freeze and the rest move one step.
+    Runs on integer stages: the numerator tables of one stage share one
+    denominator.  Starts from eta0 on all b_0 coordinates.  At level k the
+    live block of b_k coordinates goes through the selection:
+    `select(b_k, count)` gives, for `count` current tables, the integer
+    weights of every next table on the partition pieces (see
+    `fk_core.select_partitions`) and the factor of the denominator.  Then
+    the first q_k live coordinates freeze and the rest move one step, each
+    moved coordinate multiplying the denominator by that of the operator
+    rows.  Each final table becomes one measure, one entry at a time.
     """
     blacks = _blacks(prof)
     _check_product_caps(model, prof, caps)
-    mu = SignedMeasure(model, (), [model.one], caps=caps)
-    e0 = measure_from_vector(model, 0, model.eta0)
+    e0, den = model.exact_eta0()
+    nums = [1]
     for _ in range(blacks[0]):
-        mu = mu.tensor(e0)
-    tables = [mu]
-    frozen = 0
+        nums = [a * x for a in nums for x in e0]
+    den = den ** blacks[0]
+    tables = [nums]
+    prefix = 1
     for k, b in enumerate(blacks):
-        tables = select(b, [partition_sums(t, frozen, caps) for t in tables])
-        frozen += prof[k]
+        s = model.size(k)
+        weights, scale = select(b, len(tables))
+        tables = select_partitions(tables, prefix, b, s, weights)
+        den *= scale
+        prefix *= s ** prof[k]
         if k + 1 < len(prof):
-            tables = [t.transport_block(frozen, k + 1) for t in tables]
-    return tables
-
-
-def _combination(model: FKModel, levels: Tuple[int, ...],
-                 terms: Iterable[Tuple[Scalar, SignedMeasure]],
-                 caps: Caps) -> SignedMeasure:
-    data = [model.zero] * _prod(model.size(k) for k in levels)
-    for c, mu in terms:
-        for i, w in enumerate(mu.data):
-            if w:
-                data[i] += c * w
-    return SignedMeasure(model, levels, data, caps=caps)
+            rows, qden = model.exact_q(k + 1)
+            moved = b - prof[k]
+            for j in range(moved):
+                inner = s ** (moved - 1 - j)
+                tables = [transport_numerators(t, inner, rows)
+                          for t in tables]
+            den *= qden ** moved
+    levels = _block_levels(prof)
+    return [SignedMeasure(model, levels, from_numerators(model, t, den),
+                          caps=caps) for t in tables]
 
 
 def _moment_polynomial(model: FKModel, prof: Tuple[int, ...], top: int,
@@ -448,21 +465,17 @@ def _moment_polynomial(model: FKModel, prof: Tuple[int, ...], top: int,
 
     The selection at a level with b live coordinates is the polynomial
     sum_j x**j sum_p s(p, b - j) piece_p; the product over the levels is
-    carried degree by degree and cut above `top`.
+    carried degree by degree and cut above `top`.  The Stirling weights are
+    integers, so the denominator never changes in the selection.
     """
-    def select(b: int, pieces: List[Dict[int, SignedMeasure]]
-               ) -> List[SignedMeasure]:
-        levels = pieces[0][b].levels
-        out = []
-        for e in range(min(len(pieces) + b - 1, top + 1)):
-            terms = []
-            for d in range(max(0, e - b + 1), min(e, len(pieces) - 1) + 1):
-                for p, piece in pieces[d].items():
-                    c = stirling_first(p, b - (e - d))
-                    if c:
-                        terms.append((c, piece))
-            out.append(_combination(model, levels, terms, caps))
-        return out
+    def select(b: int, count: int):
+        weights = []
+        for e in range(min(count + b - 1, top + 1)):
+            weights.append({
+                (d, p): stirling_first(p, b - (e - d))
+                for d in range(max(0, e - b + 1), min(e, count - 1) + 1)
+                for p in range(1, b + 1)})
+        return weights, 1
 
     return _select_and_transport(model, prof, select, caps)
 
@@ -474,8 +487,9 @@ def path_exact_QN(model: FKModel, q: Sequence[int], N: int,
     """Exact joint per-time block moment of the unnormalized ensemble.
 
     The selection at a level with b live coordinates weighs each set
-    partition with p blocks by (N)_p / N**b; the coefficient polynomial is
-    never evaluated, so the two stay independent routes.
+    partition with p blocks by (N)_p / N**b: piece p is multiplied by
+    (N)_p and the denominator by N**b.  The coefficient polynomial is never
+    evaluated, so the two stay independent routes.
     """
     prof = _check_profile(model, q)
     if N < sum(prof):
@@ -483,12 +497,9 @@ def path_exact_QN(model: FKModel, q: Sequence[int], N: int,
             "ensemble size N=%d below the total block size %d"
             % (N, sum(prof)))
 
-    def select(b: int, pieces: List[Dict[int, SignedMeasure]]
-               ) -> List[SignedMeasure]:
-        (own,) = pieces
-        terms = [(model.scalar(falling_factorial(N, p), N ** b), piece)
-                 for p, piece in own.items()]
-        return [_combination(model, own[b].levels, terms, caps)]
+    def select(b: int, count: int):
+        return [{(0, p): falling_factorial(N, p)
+                 for p in range(1, b + 1)}], N ** b
 
     (total,) = _select_and_transport(model, prof, select, caps)
     return total if F is None else total.pair(F)

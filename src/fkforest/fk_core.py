@@ -4,8 +4,16 @@ A model is a finite state list per level, an initial distribution, row
 stochastic transitions and strictly positive potentials.  Measures and
 functions on products of level spaces are dense tables, flat and row-major
 over coordinates left to right, so serialized values are reproducible byte
-for byte.  Rational mode keeps every entry a Fraction; float mode exists
-for Monte Carlo work only.
+for byte.  Table entries are Fractions in rational mode and floats in
+float mode, which exists for Monte Carlo work.
+
+Transport and the partition selection run on one integer kernel: a table
+is a list of Python-int numerators over one shared denominator, the model
+supplies each one-step operator as integer rows over the lcm of its
+entries, and a step multiplies the denominator once instead of paying a
+gcd per entry.  Float inputs enter the kernel exactly, through
+Fraction(float), and each result entry is rounded once by int/int true
+division, so float-mode values are the correctly rounded exact values.
 
 Domains are tuples of level indices.  A q-fold tensor at level n has
 domain (n,)*q; a path-space block structure lists each level once per
@@ -16,6 +24,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -143,6 +153,27 @@ class FKModel:
             return Fraction(num, den)
         return num / den
 
+    def exact_eta0(self) -> Tuple[List[int], int]:
+        """eta0 as integer numerators over the lcm of its denominators."""
+        return _over_lcm(self.eta0)
+
+    def exact_q(self, k: int) -> Tuple[List[List[int]], int]:
+        """Q_k = G_{k-1} M_{k-1} as integer rows over the lcm of its
+        entries; exact in float mode too."""
+        if not 1 <= k <= self.horizon:
+            raise InvalidParameter("operator index %d outside 1..%d"
+                                   % (k, self.horizon))
+        gn, gden = _over_lcm(self.G[k - 1])
+        mn, mden = _over_lcm(p for row in self.M[k - 1] for p in row)
+        s = self.size(k)
+        flat = [gn[i // s] * v for i, v in enumerate(mn)]
+        # n_i / D with c = gcd(D, n_1, ..): D / c is the lcm of the
+        # entries' reduced denominators
+        c = math.gcd(gden * mden, *flat)
+        flat = [v // c for v in flat]
+        return ([flat[i:i + s] for i in range(0, len(flat), s)],
+                gden * mden // c)
+
     def to_json(self) -> str:
         doc = {
             "states": [list(lvl) for lvl in self.states],
@@ -238,6 +269,137 @@ def flow(model: FKModel) -> Flow:
 
 
 # ---------------------------------------------------------------------------
+# integer kernel
+
+
+def _over_lcm(vals: Iterable[object]) -> Tuple[List[int], int]:
+    """Exact integer numerators over the lcm of the denominators; floats
+    enter exactly through Fraction(float)."""
+    fr = [v if isinstance(v, Fraction) else Fraction(v) for v in vals]
+    den = math.lcm(*[v.denominator for v in fr])
+    return [v.numerator * (den // v.denominator) for v in fr], den
+
+
+def from_numerators(model: FKModel, nums: Sequence[int],
+                    den: int) -> List[Scalar]:
+    """Table entries num/den: one Fraction per entry in rational mode, one
+    correctly rounded int/int true division per entry in float mode."""
+    if model.field == "rational":
+        zero = model.zero
+        return [Fraction(v, den) if v else zero for v in nums]
+    return [v / den for v in nums]
+
+
+def _partition_targets(b: int,
+                       s: int) -> Dict[int, List[List[Tuple[int, int]]]]:
+    """For p = 1..b and every point z of s**p (row-major index), the live
+    points y that the canonical maps of the set partitions of b positions
+    into p blocks send z to, with multiplicities."""
+    width = s ** b
+    places = [s ** (b - 1 - i) for i in range(b)]
+    # z and y in one key z * width + y, counted at C speed
+    keys: Dict[int, List[int]] = {p: [] for p in range(1, b + 1)}
+    for rgs in set_partitions(b):
+        p = max(rgs) + 1
+        weights = [0] * p
+        for v, w in zip(rgs, places):
+            weights[v] += w
+        # block v adds z_v * (its places in y + its place in z)
+        ks = [0]
+        for v, w in enumerate(weights):
+            w += width * s ** (p - 1 - v)
+            ks = [k + x * w for k in ks for x in range(s)]
+        keys[p].extend(ks)
+    out = {}
+    for p, kp in keys.items():
+        hits: List[List[Tuple[int, int]]] = [[] for _ in range(s ** p)]
+        for key, c in Counter(kp).items():
+            hits[key // width].append((key % width, c))
+        out[p] = hits
+    return out
+
+
+def select_partitions(tables: Sequence[Sequence[int]], prefix: int, b: int,
+                      s: int, weights: Sequence[Dict[Tuple[int, int], int]]
+                      ) -> List[List[int]]:
+    """Selection on the live block of integer tables of one stage.
+
+    Every table is laid out as prefix frozen points times s**b live points.
+    Piece (d, p) of input table d sums, over the set partitions of the b
+    live positions into p blocks, the pushforward under the partition's
+    canonical map; output e is sum of weights[e][d, p] * piece (d, p).  The
+    partition targets are built once for all tables, and each output folds
+    its weights into the marginals before one scatter per p.  The stage
+    denominator is unchanged.
+    """
+    targets = _partition_targets(b, s)
+    margs = []
+    for t in tables:
+        # m[p]: the table on the frozen prefix and its first p live points
+        m = {b: t}
+        for p in range(b, 1, -1):
+            src = m[p]
+            m[p - 1] = [sum(src[i:i + s]) for i in range(0, len(src), s)]
+        margs.append(m)
+    width = s ** b
+    out = []
+    for combo in weights:
+        by_p: Dict[int, List[int]] = {}
+        for (d, p), c in combo.items():
+            if not c:
+                continue
+            src = margs[d][p]
+            acc = by_p.get(p)
+            if acc is None:
+                by_p[p] = src if c == 1 else [c * v for v in src]
+            else:
+                by_p[p] = [a + c * v for a, v in zip(acc, src)]
+        data = [0] * (prefix * width)
+        for p, src in by_p.items():
+            tp = targets[p]
+            step = len(tp)
+            for pre in range(prefix):
+                base = pre * width
+                for hit, w in zip(tp, src[pre * step:(pre + 1) * step]):
+                    if w:
+                        for y, c in hit:
+                            data[base + y] += c * w
+        out.append(data)
+    return out
+
+
+def transport_numerators(nums: Sequence[int], inner: int,
+                         rows: Sequence[Sequence[int]]) -> List[int]:
+    """Move one coordinate through integer operator rows by index strides.
+
+    The table is laid out as (outer, x, inner) with x the moved coordinate;
+    the result is (outer, y, inner) with entries sum_x num * rows[x][y].
+    The caller multiplies the denominator by the rows' denominator.
+    """
+    s_in = len(rows)
+    cols = list(zip(*rows))
+    out: List[int] = []
+    if inner == 1:
+        for o in range(0, len(nums), s_in):
+            seg = nums[o:o + s_in]
+            out.extend([sum([a * r for a, r in zip(seg, col) if a])
+                        for col in cols])
+        return out
+    block = s_in * inner
+    for o in range(0, len(nums), block):
+        segs = [nums[o + x * inner:o + (x + 1) * inner] for x in range(s_in)]
+        segs = [(seg, x) for x, seg in enumerate(segs) if any(seg)]
+        for col in cols:
+            acc = [0] * inner
+            for seg, x in segs:
+                r = col[x]
+                if r:
+                    acc = [a + r * v for a, v in zip(acc, seg)]
+            out.extend(acc)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # dense tables
 
 
@@ -322,9 +484,15 @@ class SignedMeasure(_Table):
     """Signed measure as a dense weight table over a product domain."""
 
     def tv_norm(self) -> Scalar:
+        if self.model.field == "rational":
+            nums, den = _over_lcm(self.data)
+            return Fraction(sum(map(abs, nums)), den)
         return _sum(abs(w) for w in self.data)
 
     def total_mass(self) -> Scalar:
+        if self.model.field == "rational":
+            nums, den = _over_lcm(self.data)
+            return Fraction(sum(nums), den)
         return _sum(self.data)
 
     def pair(self, f: "TensorFunction") -> Scalar:
@@ -377,30 +545,21 @@ class SignedMeasure(_Table):
 
     def transport_block(self, start: int, k: int) -> "SignedMeasure":
         """Move coordinates start.. from level k-1 to level k through the
-        one-step operator, one coordinate at a time."""
-        rows = q_operator(self.model, k)
-        cur = self
+        one-step operator, one coordinate at a time on the integer kernel."""
+        rows, qden = self.model.exact_q(k)
         for pos in range(start, self.arity):
-            cur = cur._transport_coord(pos, k, rows)
-        return cur
-
-    def _transport_coord(self, pos: int, k: int, rows) -> "SignedMeasure":
-        if self.levels[pos] != k - 1:
-            raise InvalidParameter(
-                "coordinate %d sits at level %d, expected %d"
-                % (pos, self.levels[pos], k - 1))
-        new_levels = self.levels[:pos] + (k,) + self.levels[pos + 1:]
-        new_sizes = tuple(self.model.size(j) for j in new_levels)
-        out = [self.model.zero] * _prod(new_sizes)
-        for point, w in zip(itertools.product(*self._ranges()), self.data):
-            if not w:
-                continue
-            pre = list(point)
-            for y, qv in enumerate(rows[point[pos]]):
-                if qv:
-                    pre[pos] = y
-                    out[_encode(pre, new_sizes)] += w * qv
-        return SignedMeasure(self.model, new_levels, out)
+            if self.levels[pos] != k - 1:
+                raise InvalidParameter(
+                    "coordinate %d sits at level %d, expected %d"
+                    % (pos, self.levels[pos], k - 1))
+        nums, den = _over_lcm(self.data)
+        sizes = self.sizes
+        for pos in range(start, self.arity):
+            nums = transport_numerators(nums, _prod(sizes[pos + 1:]), rows)
+            den *= qden
+        levels = self.levels[:start] + (k,) * (self.arity - start)
+        return SignedMeasure(self.model, levels,
+                             from_numerators(self.model, nums, den))
 
     def weight_coord(self, pos: int,
                      vec: Sequence[Scalar]) -> "SignedMeasure":
@@ -601,122 +760,6 @@ def eta_tensor(model: FKModel, n: int, q: int,
 # selection operators
 
 
-MapCombo = Dict[Tuple[int, ...], Scalar]
-
-
-class DMap:
-    """Coordinate-selection operator, possibly a weighted combination.
-
-    A single map b of length r with values in 1..q sends functions of r
-    arguments to functions of q arguments by index substitution, and acts
-    on measures of q coordinates by the adjoint pushforward.
-    """
-
-    __slots__ = ("weights", "source_arity", "target_arity")
-
-    def __init__(self, mapping: Union[Tuple[int, ...], MapCombo],
-                 target_arity: Optional[int] = None):
-        if isinstance(mapping, tuple):
-            weights: MapCombo = {mapping: 1}
-        elif isinstance(mapping, dict):
-            weights = dict(mapping)
-        else:
-            raise InvalidParameter("mapping must be a tuple or a dict")
-        if not weights:
-            raise InvalidParameter("empty map combination")
-        arities = {len(b) for b in weights}
-        if len(arities) != 1:
-            raise InvalidParameter("maps in a combination share one arity")
-        r = arities.pop()
-        peak = max((max(b) if b else 1) for b in weights)
-        q = target_arity if target_arity is not None else peak
-        for b in weights:
-            if any(not 1 <= v <= q for v in b):
-                raise InvalidParameter("map values must lie in 1..%d" % q)
-        self.weights = weights
-        self.source_arity = r
-        self.target_arity = q
-
-    def on_function(self, f: TensorFunction) -> TensorFunction:
-        if f.arity != self.source_arity:
-            raise InvalidParameter("function arity %d, operator wants %d"
-                                   % (f.arity, self.source_arity))
-        lv = set(f.levels)
-        if len(lv) > 1:
-            raise InvalidParameter("selection acts within a single level")
-        k = f.levels[0] if f.levels else 0
-        new_levels = (k,) * self.target_arity
-        new_sizes = tuple(f.model.size(k) for _ in new_levels)
-        out = [f.model.zero] * _prod(new_sizes)
-        for point in itertools.product(*[range(s) for s in new_sizes]):
-            acc = f.model.zero
-            for b, w in self.weights.items():
-                if w:
-                    acc = acc + w * f.value([point[v - 1] for v in b])
-            out[_encode(point, new_sizes)] = acc
-        return TensorFunction(f.model, new_levels, out)
-
-    def on_measure(self, mu: SignedMeasure) -> SignedMeasure:
-        if mu.arity != self.target_arity:
-            raise InvalidParameter("measure arity %d, operator wants %d"
-                                   % (mu.arity, self.target_arity))
-        total = None
-        for b, w in self.weights.items():
-            if not w:
-                continue
-            term = mu.pushforward([v - 1 for v in b]).scale(w)
-            total = term if total is None else total + term
-        if total is None:
-            new_levels = (mu.levels[0] if mu.levels else 0,) * self.source_arity
-            size = _prod(mu.model.size(k) for k in new_levels)
-            return SignedMeasure(mu.model, new_levels, [mu.model.zero] * size)
-        return total
-
-    def compose(self, other: "DMap") -> "DMap":
-        """Operator product: on functions self applies after other, on
-        measures the pushforwards chain the opposite way; for single maps
-        a and b the result carries the map i -> a(b(i))."""
-        if self.source_arity != other.target_arity:
-            raise InvalidParameter("arity mismatch in composition")
-        combo: MapCombo = {}
-        for a, wa in self.weights.items():
-            for b, wb in other.weights.items():
-                ab = tuple(a[v - 1] for v in b)
-                combo[ab] = combo.get(ab, 0) + wa * wb
-        combo = {c: w for c, w in combo.items() if w}
-        return DMap(combo, target_arity=self.target_arity)
-
-
-def all_maps(q: int) -> List[Tuple[int, ...]]:
-    return [tuple(b) for b in itertools.product(range(1, q + 1), repeat=q)]
-
-
-def lq_operator(q: int, N: int) -> DMap:
-    """Exact map combination linking plain and injective empirical tensors."""
-    if not 1 <= q <= N:
-        raise InvalidParameter("needs 1 <= q <= N")
-    combo: MapCombo = {}
-    for b in all_maps(q):
-        p = len(set(b))
-        combo[b] = Fraction(falling_factorial(N, p),
-                            N ** q * falling_factorial(q, p))
-    return DMap(combo, target_arity=q)
-
-
-def lq_derivative(q: int, k: int) -> DMap:
-    """k-th Laurent coefficient of the map combination above."""
-    if not 0 <= k < q:
-        raise InvalidParameter("needs 0 <= k < q")
-    combo: MapCombo = {}
-    for b in all_maps(q):
-        p = len(set(b))
-        s = stirling_first(p, q - k)
-        if s:
-            w = Fraction(s, falling_factorial(q, p))
-            combo[b] = combo.get(b, 0) + w
-    return DMap(combo, target_arity=q)
-
-
 def partition_sums(mu: SignedMeasure, frozen: int,
                    caps: Caps = DEFAULT_CAPS) -> Dict[int, SignedMeasure]:
     """Selection on the live block of mu, one piece per number of blocks.
@@ -728,11 +771,13 @@ def partition_sums(mu: SignedMeasure, frozen: int,
     map (position i reads live coordinate "block of i").  Every map with
     the same kernel pushes an exchangeable mu to the same table, so the
     selection operators over all b**b maps are combinations of the pieces:
+    the plain empirical q-block at ensemble size N weighs piece p by
+    (N)_p / N**b, and its coefficient of x**j, x = 1/N, by s(p, b - j).
 
-        lq_operator(b, N)    ->  sum_p (N)_p / N**b    * piece_p
-        lq_derivative(b, j)  ->  sum_p s(p, b - j)     * piece_p
-
-    The Bell(b) partitions are refused up front beyond caps.forests.
+    This is a thin wrapper over `select_partitions`: the entries go onto
+    one denominator, the integer kernel builds every piece, and each comes
+    back as a table.  The Bell(b) partitions are refused up front beyond
+    caps.forests.
     """
     levels = mu.levels
     live = levels[frozen:]
@@ -743,37 +788,13 @@ def partition_sums(mu: SignedMeasure, frozen: int,
     if bell > caps.forests:
         raise CapExceeded("selection would enumerate too many set partitions",
                           predicted=bell, cap=caps.forests)
-    s = mu.model.size(live[0])
-    prefix = _prod(mu.sizes[:frozen])
-    zero = mu.model.zero
-    # margs[p]: mu on the frozen prefix and its first p live coordinates
-    margs = {b: mu.data}
-    for p in range(b, 1, -1):
-        src = margs[p]
-        margs[p - 1] = [_sum(src[i:i + s]) for i in range(0, len(src), s)]
-    places = [s ** (b - 1 - i) for i in range(b)]
-    targets: Dict[int, List[Dict[int, int]]] = {
-        p: [{} for _ in range(s ** p)] for p in margs}
-    for rgs in set_partitions(b):
-        p = max(rgs) + 1
-        for zi, z in enumerate(itertools.product(range(s), repeat=p)):
-            y = sum(z[v] * w for v, w in zip(rgs, places))
-            hits = targets[p][zi]
-            hits[y] = hits.get(y, 0) + 1
-    out: Dict[int, SignedMeasure] = {}
-    width = s ** b
-    for p, src in margs.items():
-        data = [zero] * (prefix * width)
-        step = s ** p
-        for pre in range(prefix):
-            base = pre * width
-            for zi, hits in enumerate(targets[p]):
-                w = src[pre * step + zi]
-                if w:
-                    for y, c in hits.items():
-                        data[base + y] += c * w if c > 1 else w
-        out[p] = SignedMeasure(mu.model, levels, data, caps=caps)
-    return out
+    nums, den = _over_lcm(mu.data)
+    tables = select_partitions([nums], _prod(mu.sizes[:frozen]), b,
+                               mu.model.size(live[0]),
+                               [{(0, p): 1} for p in range(1, b + 1)])
+    return {p: SignedMeasure(mu.model, levels,
+                             from_numerators(mu.model, t, den), caps=caps)
+            for p, t in enumerate(tables, start=1)}
 
 
 def fiber_count(q: int, N: int, image_size: int) -> int:

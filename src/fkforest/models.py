@@ -17,7 +17,7 @@ import string
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .errors import IdentityMismatch, InvalidParameter
+from .errors import IdentityMismatch, InvalidParameter, ValidationError
 from .fk_core import FKModel, flow, format_scalar
 
 __all__ = [
@@ -174,7 +174,12 @@ def load_model(source: str, field: Optional[str] = None) -> FKModel:
         return bundled_model(source, field or "rational")
     if os.path.exists(source):
         with open(source, "r", encoding="utf-8") as fh:
-            model = FKModel.from_json(fh.read())
+            text = fh.read()
+        try:
+            model = FKModel.from_json(text)
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            # not JSON, or an entry that is no number
+            raise ValidationError("bad model file %s: %s" % (source, exc))
         if field is not None and field != model.field:
             # re-enter through the constructor so the target field's
             # validation applies to the converted entries

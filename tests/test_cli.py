@@ -175,3 +175,46 @@ def test_a_failed_identity_in_expand_exits_1(tmp_path, capsys, monkeypatch):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "IdentityMismatch"
     assert "N=3" in err["message"]
+
+
+@pytest.mark.parametrize("case", ["function-not-json", "model-not-json",
+                                  "function-missing", "function-value",
+                                  "model-value"])
+def test_malformed_input_files_are_refused(tmp_path, capsys, case):
+    """A file that cannot be read as the documented JSON is a refusal (exit
+    2, one JSON error line), never a traceback with the exit code of a
+    failed identity."""
+    F = function_file(tmp_path, [1, 1], ["1", "2", "3", "-1/2"])
+    model = "drift2"
+    if case == "function-not-json":
+        (tmp_path / "function.json").write_text("{")
+    elif case == "model-not-json":
+        model = str(tmp_path / "model.json")
+        (tmp_path / "model.json").write_text("{")
+    elif case == "function-missing":
+        F = str(tmp_path / "absent.json")
+    elif case == "function-value":
+        F = function_file(tmp_path, [1, 1], ["1", "x", "3", "-1/2"])
+    else:
+        from fkforest import bundled_model
+        doc = json.loads(bundled_model("drift2").to_json())
+        doc["eta0"][0] = "x"
+        model = str(tmp_path / "model.json")
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+    rc, data = run(tmp_path, "expand", "--model", model, "--n", "1",
+                   "--q", "2", "--function", F, "--evaluate", "3")
+    assert rc == 2
+    assert data is None
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] in ("ValidationError", "InvalidParameter")
+
+
+def test_float_mode_mirrored_entries_are_equal(tmp_path):
+    """Float mode computes exactly and rounds once, so an entry and its
+    mirror under a swap of same-level coordinates are the same float."""
+    res = result(tmp_path, "expand", "--model", "drift2", "--n", "1",
+                 "--q", "2", "--field", "float", "--evaluate", "3")
+    for table in [res["base"]] + list(res["orders"].values()) \
+            + list(res["evaluations"].values()):
+        values = {tuple(e["point"]): e["value"] for e in table["entries"]}
+        assert values[(0, 1)] == values[(1, 0)]

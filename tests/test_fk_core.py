@@ -2,19 +2,22 @@
 
 Everything here is checked against small hand-rolled computations: path
 sums for the flow, explicit matrix products for the semigroups, and
-direct enumeration for the coordinate-selection operators.
+direct enumeration for the coordinate-selection operators.  The b**b map
+combinations (`DMap`, `lq_operator`, `lq_derivative`) and the Fraction
+bodies of the partition selection and the one-coordinate transport live
+here as references for the integer kernel.
 """
 
 import itertools
 import random
 from fractions import Fraction
+from typing import Dict, List, Optional, Tuple, Union
 
 import pytest
 
 from fkforest import (
     CapExceeded,
     Caps,
-    DMap,
     FKModel,
     InvalidParameter,
     SignedMeasure,
@@ -36,8 +39,6 @@ from fkforest import (
     gamma_measure,
     gamma_tensor,
     is_centered,
-    lq_derivative,
-    lq_operator,
     measure_from_vector,
     partition_sums,
     path_gamma,
@@ -49,7 +50,10 @@ from fkforest import (
 )
 from fkforest.colored_forest import (ColoredMapSeq, colored_forest,
                                      pair_merge_forest, trivial_forest)
-from fkforest.combinatorics import falling_factorial, stirling_first
+from fkforest.combinatorics import (falling_factorial, set_partitions,
+                                    stirling_first)
+from fkforest.fk_core import _encode, _prod
+from fkforest.models import random_rational_model
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +323,242 @@ def test_integrate_expand_and_tv(drift2):
 
 # ---------------------------------------------------------------------------
 # coordinate-selection operators
+
+
+MapCombo = Dict[Tuple[int, ...], Fraction]
+
+
+class DMap:
+    """Coordinate-selection operator, possibly a weighted combination.
+
+    A single map b of length r with values in 1..q sends functions of r
+    arguments to functions of q arguments by index substitution, and acts
+    on measures of q coordinates by the adjoint pushforward.
+    """
+
+    __slots__ = ("weights", "source_arity", "target_arity")
+
+    def __init__(self, mapping: Union[Tuple[int, ...], MapCombo],
+                 target_arity: Optional[int] = None):
+        if isinstance(mapping, tuple):
+            weights: MapCombo = {mapping: 1}
+        elif isinstance(mapping, dict):
+            weights = dict(mapping)
+        else:
+            raise InvalidParameter("mapping must be a tuple or a dict")
+        if not weights:
+            raise InvalidParameter("empty map combination")
+        arities = {len(b) for b in weights}
+        if len(arities) != 1:
+            raise InvalidParameter("maps in a combination share one arity")
+        r = arities.pop()
+        peak = max((max(b) if b else 1) for b in weights)
+        q = target_arity if target_arity is not None else peak
+        for b in weights:
+            if any(not 1 <= v <= q for v in b):
+                raise InvalidParameter("map values must lie in 1..%d" % q)
+        self.weights = weights
+        self.source_arity = r
+        self.target_arity = q
+
+    def on_function(self, f: TensorFunction) -> TensorFunction:
+        if f.arity != self.source_arity:
+            raise InvalidParameter("function arity %d, operator wants %d"
+                                   % (f.arity, self.source_arity))
+        lv = set(f.levels)
+        if len(lv) > 1:
+            raise InvalidParameter("selection acts within a single level")
+        k = f.levels[0] if f.levels else 0
+        new_levels = (k,) * self.target_arity
+        new_sizes = tuple(f.model.size(k) for _ in new_levels)
+        out = [f.model.zero] * _prod(new_sizes)
+        for point in itertools.product(*[range(s) for s in new_sizes]):
+            acc = f.model.zero
+            for b, w in self.weights.items():
+                if w:
+                    acc = acc + w * f.value([point[v - 1] for v in b])
+            out[_encode(point, new_sizes)] = acc
+        return TensorFunction(f.model, new_levels, out)
+
+    def on_measure(self, mu: SignedMeasure) -> SignedMeasure:
+        if mu.arity != self.target_arity:
+            raise InvalidParameter("measure arity %d, operator wants %d"
+                                   % (mu.arity, self.target_arity))
+        total = None
+        for b, w in self.weights.items():
+            if not w:
+                continue
+            term = mu.pushforward([v - 1 for v in b]).scale(w)
+            total = term if total is None else total + term
+        if total is None:
+            new_levels = (mu.levels[0] if mu.levels else 0,) * self.source_arity
+            size = _prod(mu.model.size(k) for k in new_levels)
+            return SignedMeasure(mu.model, new_levels, [mu.model.zero] * size)
+        return total
+
+    def compose(self, other: "DMap") -> "DMap":
+        """Operator product: on functions self applies after other, on
+        measures the pushforwards chain the opposite way; for single maps
+        a and b the result carries the map i -> a(b(i))."""
+        if self.source_arity != other.target_arity:
+            raise InvalidParameter("arity mismatch in composition")
+        combo: MapCombo = {}
+        for a, wa in self.weights.items():
+            for b, wb in other.weights.items():
+                ab = tuple(a[v - 1] for v in b)
+                combo[ab] = combo.get(ab, 0) + wa * wb
+        combo = {c: w for c, w in combo.items() if w}
+        return DMap(combo, target_arity=self.target_arity)
+
+
+def all_maps(q: int) -> List[Tuple[int, ...]]:
+    return [tuple(b) for b in itertools.product(range(1, q + 1), repeat=q)]
+
+
+def lq_operator(q: int, N: int) -> DMap:
+    """Exact map combination linking plain and injective empirical tensors."""
+    if not 1 <= q <= N:
+        raise InvalidParameter("needs 1 <= q <= N")
+    combo: MapCombo = {}
+    for b in all_maps(q):
+        p = len(set(b))
+        combo[b] = Fraction(falling_factorial(N, p),
+                            N ** q * falling_factorial(q, p))
+    return DMap(combo, target_arity=q)
+
+
+def lq_derivative(q: int, k: int) -> DMap:
+    """k-th Laurent coefficient of the map combination above."""
+    if not 0 <= k < q:
+        raise InvalidParameter("needs 0 <= k < q")
+    combo: MapCombo = {}
+    for b in all_maps(q):
+        p = len(set(b))
+        s = stirling_first(p, q - k)
+        if s:
+            w = Fraction(s, falling_factorial(q, p))
+            combo[b] = combo.get(b, 0) + w
+    return DMap(combo, target_arity=q)
+
+
+def reference_partition_sums(mu, frozen):
+    """The Fraction partition selection the integer kernel replaced: per
+    set partition and per point, one Fraction addition per target."""
+    levels = mu.levels
+    live = levels[frozen:]
+    b = len(live)
+    s = mu.model.size(live[0])
+    prefix = _prod(mu.sizes[:frozen])
+    zero = mu.model.zero
+    margs = {b: mu.data}
+    for p in range(b, 1, -1):
+        src = margs[p]
+        margs[p - 1] = [sum(src[i:i + s], zero)
+                        for i in range(0, len(src), s)]
+    places = [s ** (b - 1 - i) for i in range(b)]
+    targets = {p: [{} for _ in range(s ** p)] for p in margs}
+    for rgs in set_partitions(b):
+        p = max(rgs) + 1
+        for zi, z in enumerate(itertools.product(range(s), repeat=p)):
+            y = sum(z[v] * w for v, w in zip(rgs, places))
+            hits = targets[p][zi]
+            hits[y] = hits.get(y, 0) + 1
+    out = {}
+    width = s ** b
+    for p, src in margs.items():
+        data = [zero] * (prefix * width)
+        step = s ** p
+        for pre in range(prefix):
+            base = pre * width
+            for zi, hits in enumerate(targets[p]):
+                w = src[pre * step + zi]
+                if w:
+                    for y, c in hits.items():
+                        data[base + y] += c * w
+        out[p] = SignedMeasure(mu.model, levels, data)
+    return out
+
+
+def reference_transport_block(mu, start, k):
+    """The Fraction transport the integer kernel replaced: every point of
+    the table walked with itertools.product, one coordinate at a time."""
+    rows = q_operator(mu.model, k)
+    cur = mu
+    for pos in range(start, mu.arity):
+        assert cur.levels[pos] == k - 1
+        new_levels = cur.levels[:pos] + (k,) + cur.levels[pos + 1:]
+        new_sizes = tuple(cur.model.size(j) for j in new_levels)
+        out = [cur.model.zero] * _prod(new_sizes)
+        for point, w in zip(itertools.product(*cur._ranges()), cur.data):
+            if not w:
+                continue
+            pre = list(point)
+            for y, qv in enumerate(rows[point[pos]]):
+                if qv:
+                    pre[pos] = y
+                    out[_encode(pre, new_sizes)] += w * qv
+        cur = SignedMeasure(cur.model, new_levels, out)
+    return cur
+
+
+KERNEL_MODELS = {
+    "drift2": lambda: bundled_model("drift2"),
+    "cycle3": lambda: bundled_model("cycle3"),
+    "sizes232": lambda: random_rational_model(7, sizes=(2, 3, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+@pytest.mark.parametrize("frozen", [0, 1, 2])
+def test_kernel_equals_the_fraction_references(name, frozen):
+    """Frozen prefixes of 0-2 coordinates on earlier levels, in front of a
+    live block; on the (2, 3, 2) model the levels have unequal sizes, so
+    the strides of the transport and the selection differ per level."""
+    m = KERNEL_MODELS[name]()
+    rng = random.Random(100 + frozen)
+    prefix = tuple(range(frozen))
+    for b in (1, 2, 3):
+        k = frozen
+        mu = random_measure(m, prefix + (k,) * b, rng).symmetrize_blocks()
+        got = partition_sums(mu, frozen)
+        want = reference_partition_sums(mu, frozen)
+        assert sorted(got) == sorted(want) == list(range(1, b + 1))
+        for p in got:
+            assert got[p] == want[p]
+        if k + 1 <= m.horizon:
+            for start in range(frozen, frozen + b + 1):
+                assert mu.transport_block(start, k + 1) == \
+                    reference_transport_block(mu, start, k + 1)
+
+
+def exact_twin(m):
+    """The rational model with the exact values of a float model's entries;
+    its rows need not sum to 1 exactly, so it bypasses the validation."""
+    twin = object.__new__(FKModel)
+    twin.states = m.states
+    twin.eta0 = tuple(Fraction(v) for v in m.eta0)
+    twin.M = tuple(tuple(tuple(Fraction(v) for v in row) for row in mk)
+                   for mk in m.M)
+    twin.G = tuple(tuple(Fraction(v) for v in gk) for gk in m.G)
+    twin.field = "rational"
+    return twin
+
+
+def test_float_kernel_rounds_the_exact_result_once():
+    m = bundled_model("cycle3", "float")
+    rng = random.Random(21)
+    data = [rng.uniform(-1, 1) for _ in range(27)]
+    mu = SignedMeasure(m, (0, 1, 1), data)
+    exact = [Fraction(v) for v in data]
+    twin = exact_twin(m)
+    ref = SignedMeasure(twin, (0, 1, 1), exact)
+    for start in (1, 2):
+        got = mu.transport_block(start, 2)
+        want = reference_transport_block(ref, start, 2)
+        assert got.data == tuple(float(v) for v in want.data)
+    got = partition_sums(mu, 1)
+    for p, piece in reference_partition_sums(ref, 1).items():
+        assert got[p].data == tuple(float(v) for v in piece.data)
 
 
 def single_level_model(size):

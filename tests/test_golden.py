@@ -1,0 +1,80 @@
+"""Pinned SHA-256 digests of rational `expand` outputs.
+
+Rational results are exact, so a kernel change that keeps them right
+keeps them byte-identical.  Each case runs one `expand` request and
+compares the digest of its output file, with the toolkit version string
+blanked, against the digest recorded before the integer kernel replaced
+the Fraction tables.  A new digest means a changed rational output.
+"""
+
+import hashlib
+import json
+import re
+
+import pytest
+
+from fkforest.cli import main
+
+_VERSION_FIELD = re.compile(rb'\n *"version": "[^"\n]*",?')
+
+F2 = ([1, 1], ["1", "2", "3", "-1/2"])
+F3 = ([1, 1], ["1", "-2", "1/3", "0", "5/2", "-1", "2", "1/4", "-3"])
+
+CASES = {
+    "drift2-flat": (
+        ["--model", "drift2", "--n", "2", "--q", "3", "--evaluate", "5"],
+        None,
+        "fa06718ea4e12aa5be77d37df40ff286d137911d0dd763406f4dfbd3eedadbfd"),
+    "cycle3-q-seq": (
+        ["--model", "cycle3", "--q-seq", "2,1,1", "--evaluate", "5"],
+        None,
+        "a5033594079674858b637b8a2eb7d0237946c77c6ab463a1de205172916a8c19"),
+    "drift2-wick": (
+        ["--model", "drift2", "--q-seq", "0,4", "--center", "--wick",
+         "--evaluate", "6"],
+        ([1, 1, 1, 1], ["1", "-1", "2", "1/2", "0", "3", "-2", "1",
+                        "1/3", "2", "-1", "0", "5", "1", "-1/2", "2"]),
+        "07b270d105d3789ded1aab0aedf44217bdd47b0278bf748a9f267264276091b3"),
+    "cycle3-center": (
+        ["--model", "cycle3", "--n", "1", "--q", "2", "--center",
+         "--evaluate", "4"],
+        F3,
+        "587df36a70a905bdbb4566772fda319ffd99c6ee241adb05b395053070010f44"),
+    "drift2-block": (
+        ["--model", "drift2", "--n", "1", "--q", "2", "--block",
+         "--oracle", "3"],
+        F2,
+        "6e672c66dcffb8c24a43d28dc1f1514085bda7c10a0565bf69fff1f7353aa11b"),
+    "cycle3-block": (
+        ["--model", "cycle3", "--n", "1", "--q", "2", "--block",
+         "--top", "1", "--evaluate", "4"],
+        F3,
+        "d57cdeb72f18b0b88c28a21f15bf57a2249634d3464a0514aea88558c60b9a9e"),
+    "drift2-oracle": (
+        ["--model", "drift2", "--q-seq", "1,2", "--oracle", "3"],
+        ([0, 1, 1], ["1", "2", "3", "-1", "1/2", "5", "7", "1/3"]),
+        "0ba8f04cfd4f2b08157c86b0443705bc3f5393da8cf9fdebb08c5ab0c5a682eb"),
+    "cycle3-oracle": (
+        ["--model", "cycle3", "--n", "1", "--q", "2", "--oracle", "3"],
+        F3,
+        "eeb13d5c3cc1720aca52c59f1041a5c0ea6dd94dbb7e5bd10be731ac88b3c4e4"),
+}
+
+
+def output_digest(tmp_path, argv, function):
+    args = ["expand"] + list(argv)
+    if function is not None:
+        path = tmp_path / "function.json"
+        levels, values = function
+        path.write_text(json.dumps({"levels": levels, "values": values}))
+        args += ["--function", str(path)]
+    out = tmp_path / "out.json"
+    assert main(args + ["--out", str(out)]) == 0
+    return hashlib.sha256(
+        _VERSION_FIELD.sub(b"", out.read_bytes())).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_rational_expand_output_is_pinned(tmp_path, name):
+    argv, function, digest = CASES[name]
+    assert output_digest(tmp_path, argv, function) == digest

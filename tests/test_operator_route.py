@@ -15,6 +15,7 @@ from fkforest import (bundled_model, delta_colored, enumerate_colored_orbits,
                       path_max_order)
 from fkforest.combinatorics import (compositions, falling_factorial,
                                     stirling_first)
+from fkforest.models import random_rational_model
 
 
 def blacks(prof):
@@ -80,14 +81,23 @@ CASES = [
     ("drift2", (1, 2, 1)),
     ("cycle3", flat_blocks(2, 3)),
     ("cycle3", (1, 1, 2)),
+    # 2, 3 and 2 states on levels 0, 1 and 2: unequal strides per level
+    ("sizes232", (1, 1, 1)),
+    ("sizes232", (0, 3)),
 ]
+
+
+def model(name):
+    if name == "sizes232":
+        return random_rational_model(7, sizes=(2, 3, 2))
+    return bundled_model(name)
 
 
 @pytest.mark.parametrize("name,prof", CASES,
                          ids=["%s-%s" % (m, "".join(map(str, p)))
                               for m, p in CASES])
 def test_operator_route_is_the_class_sum(name, prof):
-    m = bundled_model(name)
+    m = model(name)
     ref = ClassSum(m, prof)
     for k in range(path_max_order(prof) + 1):
         assert path_derivative_Q(m, prof, k) == ref.coefficient(k)
@@ -106,3 +116,25 @@ def test_float_mode_agrees_with_the_class_sum():
     for k in range(path_max_order(prof) + 1):
         assert close(path_derivative_Q(m, prof, k), ref.coefficient(k))
     assert close(path_exact_QN(m, prof, 5), ref.exact(5))
+
+
+@pytest.mark.parametrize("name,prof", [("drift2", (2, 1, 1)),
+                                       ("cycle3", (0, 3)),
+                                       ("blend3", (1, 1))])
+def test_float_mode_is_the_rounded_rational_route(name, prof):
+    """Float entries enter the integer kernel exactly and every result is
+    rounded once: each float table entry is float() of the rational route
+    run on the exact Fractions of the float model's entries."""
+    from test_fk_core import exact_twin
+    m = bundled_model(name, "float")
+    twin = exact_twin(m)
+
+    def rounded(mu):
+        return tuple(float(v) for v in mu.data)
+
+    for k in range(path_max_order(prof) + 1):
+        assert path_derivative_Q(m, prof, k).data == \
+            rounded(path_derivative_Q(twin, prof, k))
+    N = sum(prof) + 1
+    assert path_exact_QN(m, prof, N).data == \
+        rounded(path_exact_QN(twin, prof, N))
