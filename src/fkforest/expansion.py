@@ -104,6 +104,7 @@ from .fk_core import (
     semigroup,
     select_partitions,
     transport_numerators,
+    _over_lcm,
 )
 
 __all__ = [
@@ -433,7 +434,7 @@ def _select_and_transport(model: FKModel, prof: Tuple[int, ...],
     """
     blacks = _blacks(prof)
     _check_product_caps(model, prof, caps)
-    e0, den = model.exact_eta0()
+    e0, den = _over_lcm(model.eta0)
     nums = [1]
     for _ in range(blacks[0]):
         nums = [a * x for a in nums for x in e0]

@@ -153,26 +153,17 @@ class FKModel:
             return Fraction(num, den)
         return num / den
 
-    def exact_eta0(self) -> Tuple[List[int], int]:
-        """eta0 as integer numerators over the lcm of its denominators."""
-        return _over_lcm(self.eta0)
-
     def exact_q(self, k: int) -> Tuple[List[List[int]], int]:
         """Q_k = G_{k-1} M_{k-1} as integer rows over the lcm of its
-        entries; exact in float mode too."""
+        entries, from the exact products of the entries in either field."""
         if not 1 <= k <= self.horizon:
             raise InvalidParameter("operator index %d outside 1..%d"
                                    % (k, self.horizon))
-        gn, gden = _over_lcm(self.G[k - 1])
-        mn, mden = _over_lcm(p for row in self.M[k - 1] for p in row)
+        flat, den = _over_lcm(Fraction(g) * Fraction(p)
+                              for g, row in zip(self.G[k - 1], self.M[k - 1])
+                              for p in row)
         s = self.size(k)
-        flat = [gn[i // s] * v for i, v in enumerate(mn)]
-        # n_i / D with c = gcd(D, n_1, ..): D / c is the lcm of the
-        # entries' reduced denominators
-        c = math.gcd(gden * mden, *flat)
-        flat = [v // c for v in flat]
-        return ([flat[i:i + s] for i in range(0, len(flat), s)],
-                gden * mden // c)
+        return [flat[i:i + s] for i in range(0, len(flat), s)], den
 
     def to_json(self) -> str:
         doc = {
@@ -374,28 +365,30 @@ def transport_numerators(nums: Sequence[int], inner: int,
 
     The table is laid out as (outer, x, inner) with x the moved coordinate;
     the result is (outer, y, inner) with entries sum_x num * rows[x][y].
-    The caller multiplies the denominator by the rows' denominator.
+    The entries with a given x are gathered by strided slices, one per
+    inner index, so every product runs over all of them at once wherever
+    the moved coordinate sits.  The caller multiplies the denominator by
+    the rows' denominator.
     """
-    s_in = len(rows)
-    cols = list(zip(*rows))
-    out: List[int] = []
-    if inner == 1:
-        for o in range(0, len(nums), s_in):
-            seg = nums[o:o + s_in]
-            out.extend([sum([a * r for a, r in zip(seg, col) if a])
-                        for col in cols])
-        return out
+    s_in, s_out = len(rows), len(rows[0])
     block = s_in * inner
-    for o in range(0, len(nums), block):
-        segs = [nums[o + x * inner:o + (x + 1) * inner] for x in range(s_in)]
-        segs = [(seg, x) for x, seg in enumerate(segs) if any(seg)]
-        for col in cols:
-            acc = [0] * inner
-            for seg, x in segs:
-                r = col[x]
-                if r:
-                    acc = [a + r * v for a, v in zip(acc, seg)]
-            out.extend(acc)
+    outer = len(nums) // block
+    subs = []
+    for x in range(s_in):
+        sub: List[int] = []
+        for i in range(x * inner, (x + 1) * inner):
+            sub += nums[i::block]
+        subs.append(sub)
+    step = s_out * inner
+    out = [0] * (outer * step)
+    for y in range(s_out):
+        acc = [0] * (outer * inner)
+        for x, sub in enumerate(subs):
+            r = rows[x][y]
+            if r:
+                acc = [a + r * v for a, v in zip(acc, sub)]
+        for i in range(inner):
+            out[y * inner + i::step] = acc[i * outer:(i + 1) * outer]
     return out
 
 
@@ -483,17 +476,16 @@ def _encode(point: Sequence[int], sizes: Sequence[int]) -> int:
 class SignedMeasure(_Table):
     """Signed measure as a dense weight table over a product domain."""
 
+    # both sums run on integer numerators over one denominator, exact in
+    # either field and rounded once in float mode
+
     def tv_norm(self) -> Scalar:
-        if self.model.field == "rational":
-            nums, den = _over_lcm(self.data)
-            return Fraction(sum(map(abs, nums)), den)
-        return _sum(abs(w) for w in self.data)
+        nums, den = _over_lcm(self.data)
+        return self.model.scalar(sum(map(abs, nums)), den)
 
     def total_mass(self) -> Scalar:
-        if self.model.field == "rational":
-            nums, den = _over_lcm(self.data)
-            return Fraction(sum(nums), den)
-        return _sum(self.data)
+        nums, den = _over_lcm(self.data)
+        return self.model.scalar(sum(nums), den)
 
     def pair(self, f: "TensorFunction") -> Scalar:
         self._same_domain(f)

@@ -173,12 +173,14 @@ def load_model(source: str, field: Optional[str] = None) -> FKModel:
     if source in _DEFS:
         return bundled_model(source, field or "rational")
     if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
         try:
-            model = FKModel.from_json(text)
+            with open(source, "r", encoding="utf-8") as fh:
+                model = FKModel.from_json(fh.read())
+        except OSError as exc:
+            raise InvalidParameter("cannot read model file %s: %s"
+                                   % (source, exc))
         except (ValueError, TypeError, ZeroDivisionError) as exc:
-            # not JSON, or an entry that is no number
+            # not UTF-8, not JSON, or an entry that is no number
             raise ValidationError("bad model file %s: %s" % (source, exc))
         if field is not None and field != model.field:
             # re-enter through the constructor so the target field's

@@ -179,7 +179,8 @@ def test_a_failed_identity_in_expand_exits_1(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("case", ["function-not-json", "model-not-json",
                                   "function-missing", "function-value",
-                                  "model-value"])
+                                  "model-value", "model-directory",
+                                  "model-not-utf8", "function-not-utf8"])
 def test_malformed_input_files_are_refused(tmp_path, capsys, case):
     """A file that cannot be read as the documented JSON is a refusal (exit
     2, one JSON error line), never a traceback with the exit code of a
@@ -195,6 +196,14 @@ def test_malformed_input_files_are_refused(tmp_path, capsys, case):
         F = str(tmp_path / "absent.json")
     elif case == "function-value":
         F = function_file(tmp_path, [1, 1], ["1", "x", "3", "-1/2"])
+    elif case == "model-directory":
+        model = str(tmp_path / "models")
+        (tmp_path / "models").mkdir()
+    elif case == "model-not-utf8":
+        model = str(tmp_path / "model.json")
+        (tmp_path / "model.json").write_bytes(b"\xff\xfe{")
+    elif case == "function-not-utf8":
+        (tmp_path / "function.json").write_bytes(b"\xff\xfe{")
     else:
         from fkforest import bundled_model
         doc = json.loads(bundled_model("drift2").to_json())
