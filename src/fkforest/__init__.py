@@ -41,7 +41,6 @@ from .colored_forest import (
     build_wick_forest,
     colored_forest_of,
     colored_planar_mapseq,
-    colored_symmetry_multiset,
     count_colored_jungles,
     enumerate_colored_forests,
     enumerate_colored_orbits,
@@ -69,7 +68,6 @@ from .fk_core import (
     center_function,
     constant_function,
     delta_colored,
-    dot_partial_tv,
     eta_measure,
     eta_tensor,
     fiber_count,

@@ -32,10 +32,15 @@ PairProfile = Tuple[Tuple[int, int], ...]
 
 
 class ColoredTree:
-    """Immutable colored tree; build through :func:`black` / :func:`white`."""
+    """Immutable colored tree; build through :func:`black` / :func:`white`.
+
+    ``aut`` is the number of automorphisms (relabelings of each level that
+    fix the tree): with children grouped into distinct shapes c of
+    multiplicity m, aut = prod_c m! * aut(c)^m, and a leaf has aut = 1.
+    """
 
     __slots__ = ("children", "is_white", "encoding", "wprofile", "bprofile",
-                 "internal", "coal", "coal_degree")
+                 "internal", "coal", "coal_degree", "aut")
 
     def __init__(self, is_white: bool, children: Tuple["ColoredTree", ...],
                  _token=None):
@@ -67,6 +72,12 @@ class ColoredTree:
         self.coal = tuple(wp[k + 1] + bp[k + 1] - inter[k]
                           for k in range(depth - 1))
         self.coal_degree = sum(self.coal)
+        # sorted children put equal (interned) shapes side by side
+        aut, run = 1, 0
+        for i, c in enumerate(children):
+            run = run + 1 if i and c is children[i - 1] else 1
+            aut *= run * c.aut
+        self.aut = aut
 
     @property
     def height(self) -> int:
@@ -303,39 +314,22 @@ def colored_planar_mapseq(f: ColoredForest) -> ColoredMapSeq:
     return ColoredMapSeq(ws, bs, maps)
 
 
-def colored_remove_roots(f: ColoredForest) -> ColoredForest:
-    out: List[ColoredTree] = []
-    for t, m in f.items:
-        for c in t.children:
-            out.extend([c] * m)
-    return colored_forest(out)
-
-
-def colored_symmetry_multiset(f: ColoredForest) -> Tuple[int, ...]:
-    out: List[int] = []
-    for t, m in f.items:
-        local: Dict[ColoredTree, int] = {}
-        for c in t.children:
-            local[c] = local.get(c, 0) + 1
-        out.extend(sorted(local.values()) * m)
-    return tuple(sorted(out))
-
-
 def count_colored_jungles(f: ColoredForest) -> int:
-    """Orbit size of the colored forest under per-color relabelings."""
+    """Orbit size of the colored forest under per-color relabelings.
+
+    The group is the product of w_k! * b_k! over the levels.  The
+    stabilizer of a forest holding m copies of tree t, for each distinct
+    t, is prod_(t,m) m! * aut(t)^m (see :class:`ColoredTree`): the copies
+    of one tree may be permuted, and each copy by its own automorphisms.
+    """
     if f.n_trees == 0:
         raise InvalidParameter("empty forest has no labelings")
     num = 1
     for w, b in zip(f.wprofile, f.bprofile):
         num *= factorial(w) * factorial(b)
     den = 1
-    for m in sorted(m for _, m in f.items):
-        den *= factorial(m)
-    g = f
-    for _ in range(f.height):
-        for m in colored_symmetry_multiset(g):
-            den *= factorial(m)
-        g = colored_remove_roots(g)
+    for t, m in f.items:
+        den *= factorial(m) * t.aut ** m
     if num % den:
         raise AssertionError(
             "stabilizer size does not divide the group order for %r" % f)
@@ -452,7 +446,8 @@ def enumerate_colored_forests(pairs: PairProfile,
         if predicted > caps.forests:
             raise CapExceeded("enumeration would produce too many forests",
                               predicted=predicted, cap=caps.forests)
-    results = _enum_colored_rec(pp, max_coal, caps.forests)
+    results = [colored_forest(chosen)
+               for chosen in _enum_colored_rec(pp, max_coal, caps.forests)]
     results.sort(key=lambda g: g.encoding)
     return results
 
@@ -472,8 +467,8 @@ def _enumerate_colored_trees(pairs: PairProfile) -> Tuple[ColoredTree, ...]:
             out = (black(()),)
         else:
             out = tuple(sorted(
-                (black(tuple(g.trees()))
-                 for g in _enum_colored_rec(pairs[1:], None, None)),
+                (black(chosen)
+                 for chosen in _enum_colored_rec(pairs[1:], None, None)),
                 key=lambda t: t.encoding))
     else:
         raise InvalidParameter("a tree has exactly one root")
@@ -501,8 +496,9 @@ def _colored_candidates(tail: PairProfile) -> List[PairProfile]:
 
 
 def _enum_colored_rec(pairs: PairProfile, max_coal: Optional[int],
-                      cap: Optional[int]) -> List[ColoredForest]:
-    """Forests as multisets of tree shapes, one candidate shape at a time.
+                      cap: Optional[int]) -> List[Tuple[ColoredTree, ...]]:
+    """Forests as multisets of tree shapes, one candidate shape at a time;
+    each forest comes back as the tuple of its trees.
 
     The remaining vertex counts below the roots travel as one flat tuple
     (w_1, b_1, w_2, b_2, ...); each candidate carries its body in the same
@@ -511,7 +507,7 @@ def _enum_colored_rec(pairs: PairProfile, max_coal: Optional[int],
     up, which prunes most dead branches without recursing into them.
     """
     if not pairs:
-        return [colored_forest(())]
+        return [()]
     tail = pairs[1:]
     width = 2 * len(tail)
     plan = []
@@ -528,7 +524,7 @@ def _enum_colored_rec(pairs: PairProfile, max_coal: Optional[int],
         reach = span
         plan.append((shape, shape[0] == (1, 0), tuple(body), need, done))
     filtered: Dict[Tuple[int, Optional[int]], Tuple[ColoredTree, ...]] = {}
-    results: List[ColoredForest] = []
+    results: List[Tuple[ColoredTree, ...]] = []
 
     def shapes_within(idx: int, budget: Optional[int]
                       ) -> Tuple[ColoredTree, ...]:
@@ -560,7 +556,7 @@ def _enum_colored_rec(pairs: PairProfile, max_coal: Optional[int],
         while True:
             if wroots == 0 and broots == 0:
                 if not any(rem):
-                    results.append(colored_forest(chosen))
+                    results.append(chosen)
                     if cap is not None and len(results) > cap:
                         raise CapExceeded(
                             "colored enumeration exceeded the forest cap",

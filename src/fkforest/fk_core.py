@@ -33,7 +33,7 @@ from .colored_forest import (ColoredForest, ColoredMapSeq,
                              colored_planar_mapseq, normalize_path_profile,
                              path_profile_bar)
 from .combinatorics import (bell_number, falling_factorial, set_partitions,
-                            stirling_first, stirling_second)
+                            stirling_second)
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, InvalidParameter, ValidationError
 
@@ -811,15 +811,6 @@ def tensor_minus_dot_tv(q: int, N: int) -> Fraction:
             u -= Fraction(1, falling_factorial(N, q))
         total += abs(u) * falling_factorial(N, p) * stirling_second(q, p)
     return total
-
-
-def dot_partial_tv(q: int, k: int) -> int:
-    """TV mass of the k-th Laurent coefficient applied to an injective
-    empirical tensor of distinct atoms; independent of N."""
-    if not 0 <= k < q:
-        raise InvalidParameter("needs 0 <= k < q")
-    return sum(abs(stirling_first(p, q - k)) * stirling_second(q, p)
-               for p in range(q - k, q + 1))
 
 
 # ---------------------------------------------------------------------------

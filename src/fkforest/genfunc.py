@@ -151,55 +151,69 @@ class SparseSeries:
 
 
 @lru_cache(maxsize=None)
-def _tree_shape_count(children_profile: Tuple[int, ...]) -> int:
-    # trees with a given children profile <-> forests with that profile
-    return count_forests(children_profile)
-
-
-@lru_cache(maxsize=None)
 def count_forests(profile: Tuple[int, ...]) -> int:
     """Number of distinct forests with the given per-level vertex counts.
 
-    Recursive multiset knapsack: pick, for every candidate tree shape (known
-    in number from shorter profiles), how many copies appear, matching the
-    root count and every deeper level exactly.  Repetitions of one shape
-    contribute a multichoose factor.
+    Recursive multiset knapsack: pick, for every candidate tree shape, how
+    many copies appear, matching the root count and every deeper level
+    exactly.  A tree is a root over a forest of a shorter profile, so the
+    number of trees of one shape is a census read back through this
+    function; repetitions of one shape contribute a multichoose factor.
+
+    Pruning: candidates come longest first, so once the search passes the
+    last candidate reaching a level, a branch with vertices left on that
+    level is cut at once; candidates with no room for even one copy are
+    skipped in a loop instead of being recursed into.
     """
     p = _check_profile(profile)
     if len(p) <= 1:
         return 1
     tail = p[1:]
-    # candidate children profiles: any length 0..h, entry i limited by tail[i]
-    candidates = [()]
-    for length in range(1, len(tail) + 1):
-        for combo in itertools.product(
-                *(range(1, tail[i] + 1) for i in range(length))):
-            candidates.append(combo)
-    candidates.sort(key=lambda r: (-len(r), r))
+    # candidate children profiles, longest first: any length h..0, entry i
+    # limited by tail[i]
+    candidates = [shape for length in range(len(tail), -1, -1)
+                  for shape in itertools.product(
+                      *(range(1, v + 1) for v in tail[:length]))]
+    plan = []
+    reach = len(tail)
+    for shape in candidates:
+        body = shape + (0,) * (len(tail) - len(shape))
+        # levels from len(shape) up are out of reach from this candidate on
+        done = slice(len(shape), reach)
+        reach = len(shape)
+        plan.append((count_forests(shape), body, tuple(enumerate(shape)),
+                     done))
+    memo: Dict[Tuple[int, int, Tuple[int, ...]], int] = {}
 
-    @lru_cache(maxsize=None)
     def rec(idx: int, roots: int, rem: Tuple[int, ...]) -> int:
-        if roots == 0:
-            return 1 if all(v == 0 for v in rem) else 0
-        if idx == len(candidates):
-            return 0
-        shape = candidates[idx]
-        limit = roots
-        for i, need in enumerate(shape):
-            limit = min(limit, rem[i] // need)
-        kinds = _tree_shape_count(shape)
-        total = 0
-        for k in range(limit + 1):
-            nxt = list(rem)
-            for i, need in enumerate(shape):
-                nxt[i] -= k * need
-            total += comb(kinds - 1 + k, k) * rec(idx + 1, roots - k,
-                                                  tuple(nxt))
+        while True:
+            if roots == 0:
+                return 0 if any(rem) else 1
+            kinds, body, need, done = plan[idx]
+            if any(rem[done]):
+                return 0
+            if not need:
+                # only leaves are left, and every level below is used up
+                return 1
+            limit = roots
+            for i, v in need:
+                if rem[i] // v < limit:
+                    limit = rem[i] // v
+            if limit:
+                break
+            idx += 1
+        key = (idx, roots, rem)
+        if key in memo:
+            return memo[key]
+        total = rec(idx + 1, roots, rem)
+        nxt = rem
+        for k in range(1, limit + 1):
+            nxt = tuple(a - b for a, b in zip(nxt, body))
+            total += comb(kinds - 1 + k, k) * rec(idx + 1, roots - k, nxt)
+        memo[key] = total
         return total
 
-    result = rec(0, p[0], tail)
-    rec.cache_clear()
-    return result
+    return rec(0, p[0], tail)
 
 
 def _as_bounds(truncation, length: int) -> Tuple[int, ...]:

@@ -13,7 +13,7 @@ from math import factorial
 
 import pytest
 
-from fkforest import (black, black_chain, brute_force_colored_orbit_count,
+from fkforest import (Caps, black, black_chain, brute_force_colored_orbit_count,
                       build_wick_forest, colored_forest_of,
                       colored_planar_mapseq, count_colored_jungles,
                       enumerate_colored_forests, enumerate_colored_orbits,
@@ -21,7 +21,7 @@ from fkforest import (black, black_chain, brute_force_colored_orbit_count,
                       path_profile_bar, white, white_topped_chain,
                       wick_colored_tree)
 from fkforest.colored_forest import ColoredMapSeq, colored_forest
-from fkforest.errors import InvalidParameter
+from fkforest.errors import CapExceeded, InvalidParameter
 
 
 def all_colored_mapseqs(pairs):
@@ -164,6 +164,19 @@ def test_merge_budget_filters_colored_enumeration():
         want = [f for f in full if f.coal_degree <= budget]
         assert sorted(f.encoding for f in got) == \
             sorted(f.encoding for f in want)
+
+
+def test_colored_enumeration_counts_past_the_cap():
+    # no census predicts a colored profile, so the cap trips while
+    # generating, at the first class past it
+    pairs = path_profile_bar((2, 1, 1))
+    assert len(enumerate_colored_forests(pairs)) == 22
+    for cap in (1, 5, 21):
+        with pytest.raises(CapExceeded) as err:
+            enumerate_colored_forests(pairs, caps=Caps(forests=cap))
+        assert (err.value.predicted, err.value.cap) == (cap + 1, cap)
+    assert len(enumerate_colored_forests(pairs, caps=Caps(forests=22))) \
+        == 22
 
 
 def test_pairing_tree_shapes():

@@ -5,7 +5,8 @@ sums for the flow, explicit matrix products for the semigroups, and
 direct enumeration for the coordinate-selection operators.  The b**b map
 combinations (`DMap`, `lq_operator`, `lq_derivative`) and the Fraction
 bodies of the partition selection and the one-coordinate transport live
-here as references for the integer kernel.
+here as references for the integer kernel, and the closed-form TV mass
+`dot_partial_tv` as a reference for the constructed measures.
 """
 
 import itertools
@@ -29,7 +30,6 @@ from fkforest import (
     constant_function,
     count_colored_jungles,
     delta_colored,
-    dot_partial_tv,
     eta_tensor,
     fiber_count,
     flow,
@@ -51,7 +51,7 @@ from fkforest import (
 from fkforest.colored_forest import (ColoredMapSeq, colored_forest,
                                      pair_merge_forest, trivial_forest)
 from fkforest.combinatorics import (falling_factorial, set_partitions,
-                                    stirling_first)
+                                    stirling_first, stirling_second)
 from fkforest.fk_core import _encode, _prod
 from fkforest.models import random_rational_model
 
@@ -439,6 +439,15 @@ def lq_derivative(q: int, k: int) -> DMap:
             w = Fraction(s, falling_factorial(q, p))
             combo[b] = combo.get(b, 0) + w
     return DMap(combo, target_arity=q)
+
+
+def dot_partial_tv(q: int, k: int) -> int:
+    """TV mass of the k-th Laurent coefficient applied to an injective
+    empirical tensor of distinct atoms; independent of N."""
+    if not 0 <= k < q:
+        raise InvalidParameter("needs 0 <= k < q")
+    return sum(abs(stirling_first(p, q - k)) * stirling_second(q, p)
+               for p in range(q - k, q + 1))
 
 
 def reference_partition_sums(mu, frozen):

@@ -19,14 +19,12 @@ from hypothesis import strategies as st
 
 from fkforest import (Caps, black, black_chain,
                       brute_force_colored_orbit_count, build_wick_forest,
-                      colored_forest_of,
-                      colored_planar_mapseq, colored_symmetry_multiset,
+                      colored_forest_of, colored_planar_mapseq,
                       count_colored_jungles,
                       count_forests, enumerate_colored_forests,
                       enumerate_colored_orbits, flat_blocks, flat_pairs,
                       path_profile_bar, white, white_topped_chain)
 from fkforest.colored_forest import (ColoredMapSeq, colored_forest,
-                                     colored_remove_roots,
                                      cut_branch_forest,
                                      double_pair_forest, nested_merge_forest,
                                      pair_merge_forest, staggered_merge_forest,
@@ -49,6 +47,46 @@ def embedded(sizes, maps):
 def plain_maps(a):
     """Inverse of embedded: one parent map per level."""
     return [w + b for w, b in a.maps]
+
+
+# Reference orbit formula: strip the roots level by level, and divide the
+# group order by the factorials of the multiplicities of equal trees and of
+# equal sibling subtrees met on the way.  Only tests use it; the package
+# reads the same stabilizer off the per-tree automorphism counts.
+
+
+def colored_remove_roots(f):
+    out = []
+    for t, m in f.items:
+        for c in t.children:
+            out.extend([c] * m)
+    return colored_forest(out)
+
+
+def colored_symmetry_multiset(f):
+    out = []
+    for t, m in f.items:
+        local = {}
+        for c in t.children:
+            local[c] = local.get(c, 0) + 1
+        out.extend(sorted(local.values()) * m)
+    return tuple(sorted(out))
+
+
+def remove_roots_orbit_count(f):
+    num = 1
+    for w, b in zip(f.wprofile, f.bprofile):
+        num *= factorial(w) * factorial(b)
+    den = 1
+    for _, m in f.items:
+        den *= factorial(m)
+    g = f
+    for _ in range(f.height):
+        for m in colored_symmetry_multiset(g):
+            den *= factorial(m)
+        g = colored_remove_roots(g)
+    assert num % den == 0
+    return num // den
 
 
 def forests(profile, max_coal=None):
@@ -253,6 +291,43 @@ def test_symmetry_multiset_examples():
     assert colored_symmetry_multiset(colored_forest([mixed])) == (1, 1)
     assert colored_symmetry_multiset(colored_forest([white(), white()])) \
         == ()
+
+
+# (block profile, merge budget, also run the stabilizer sweep).  The sweep
+# over the 252 unbudgeted flat (3,3) classes takes seconds, so there it
+# runs on the budgeted list only.
+ORBIT_CASES = [
+    (flat_blocks(2, 3), None, True),
+    (flat_blocks(2, 3), 2, True),
+    (flat_blocks(3, 3), None, False),
+    (flat_blocks(3, 3), 1, True),
+    ((2, 1, 1), None, True),
+    ((2, 1, 1), 2, True),
+    ((1, 1, 1, 1), None, True),
+    ((1, 1, 1, 1), 2, True),
+]
+
+
+@pytest.mark.parametrize("blocks,max_coal,sweep", ORBIT_CASES)
+def test_automorphism_orbit_sizes_match_root_removal_and_stabilizers(
+        blocks, max_coal, sweep):
+    classes = enumerate_colored_orbits(blocks, max_coal)
+    assert classes
+    for f, c in classes:
+        assert c == count_colored_jungles(f) == remove_roots_orbit_count(f)
+        if sweep:
+            assert c == brute_force_colored_orbit_count(
+                colored_planar_mapseq(f))
+
+
+def test_tree_automorphism_examples():
+    assert white().aut == black(()).aut == 1
+    cherry = black((white(), white()))
+    assert cherry.aut == 2
+    # two cherries: swap them, and flip each one
+    assert black((cherry, cherry)).aut == 2 * 2 ** 2
+    assert black((cherry, white_topped_chain(1))).aut == 2
+    assert black((white(),) * 3).aut == 6
 
 
 def test_orbit_sizes_divide_the_group_order():

@@ -128,13 +128,19 @@ def test_forgetting_merge_grading_recovers_plain_census(n, bounds):
     assert marginalize_coalescence(refined, n) == hilbert_series(n, bounds)
 
 
+# the deep and lopsided ones at the end are where the census knapsack
+# prunes most
 PROFILES = [(1,), (4,), (1, 1), (2, 2), (1, 3), (3, 1), (2, 4), (4, 2),
-            (2, 1, 2), (1, 2, 4), (3, 3, 2), (2, 2, 2, 2), (1, 1, 1, 5)]
+            (2, 1, 2), (1, 2, 4), (3, 3, 2), (2, 2, 2, 2), (1, 1, 1, 5),
+            (3, 3, 3, 3, 3), (1, 2, 3, 4), (4, 1, 4), (2, 3, 1, 2),
+            (3, 1, 3, 1), (4, 4, 1), (1, 4, 4), (2, 2, 2, 2, 2)]
 
 
 @pytest.mark.parametrize("profile", PROFILES)
 def test_closed_count_equals_enumeration_length(profile):
-    assert count_forests(profile) == len(enumerate_forests(profile))
+    series = hilbert_series(len(profile) - 1, profile)
+    assert count_forests(profile) == series.coefficient(profile) == \
+        len(enumerate_forests(profile))
 
 
 def test_count_profile_edges():

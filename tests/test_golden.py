@@ -1,10 +1,13 @@
-"""Pinned SHA-256 digests of rational `expand` outputs.
+"""Pinned SHA-256 digests of rational `expand` outputs and of the
+class lists and censuses of `count` and `enumerate`.
 
 Rational results are exact, so a kernel change that keeps them right
-keeps them byte-identical.  Each case runs one `expand` request and
-compares the digest of its output file, with the toolkit version string
-blanked, against the digest recorded before the integer kernel replaced
-the Fraction tables.  A new digest means a changed rational output.
+keeps them byte-identical.  Each case runs one request and compares the
+digest of its output file, with the toolkit version string blanked,
+against a recorded digest: the `expand` ones from before the integer
+kernel replaced the Fraction tables, the `count`/`enumerate` ones from
+before the pruned census knapsack and the per-tree automorphism counts.
+A new digest means a changed output.
 """
 
 import hashlib
@@ -16,6 +19,8 @@ import pytest
 from fkforest.cli import main
 
 _VERSION_FIELD = re.compile(rb'\n *"version": "[^"\n]*",?')
+# the one-line manifest that heads a CSV output
+_VERSION_INLINE = re.compile(rb',"version":"[^"\n]*"')
 
 F2 = ([1, 1], ["1", "2", "3", "-1/2"])
 F3 = ([1, 1], ["1", "-2", "1/3", "0", "5/2", "-1", "2", "1/4", "-3"])
@@ -68,13 +73,40 @@ def output_digest(tmp_path, argv, function):
         levels, values = function
         path.write_text(json.dumps({"levels": levels, "values": values}))
         args += ["--function", str(path)]
-    out = tmp_path / "out.json"
+    return _digest(tmp_path, args)
+
+
+def _digest(tmp_path, args):
+    out = tmp_path / "out"
     assert main(args + ["--out", str(out)]) == 0
-    return hashlib.sha256(
-        _VERSION_FIELD.sub(b"", out.read_bytes())).hexdigest()
+    blanked = _VERSION_INLINE.sub(b"", _VERSION_FIELD.sub(
+        b"", out.read_bytes()))
+    return hashlib.sha256(blanked).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_rational_expand_output_is_pinned(tmp_path, name):
     argv, function, digest = CASES[name]
     assert output_digest(tmp_path, argv, function) == digest
+
+
+CLASS_CASES = {
+    "count-flat": (
+        ["count", "--n", "3", "--q", "3"],
+        "17fd7511e709b3ac404578648853794ae703168686b13614310bb9af21f06ce9"),
+    "count-colored-max-coal": (
+        ["count", "--q-seq", "2,1,1", "--max-coal", "2"],
+        "c907c23ba07ced896adec18af4c22bdabe93f2058b8a7a19370d1c7c1242d2a4"),
+    "enumerate-flat": (
+        ["enumerate", "--n", "2", "--q", "3"],
+        "23d5d719d40f00045b8361229e2c8003b73cbca02aabb7ecf58edc261cff1983"),
+    "enumerate-colored-csv": (
+        ["enumerate", "--q-seq", "1,1,1", "--format", "csv"],
+        "8ffcbaa871a807dc37c59602acf64a3f7bb73ad8b9305e53fb8b2c0c2f7517d8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_CASES))
+def test_class_output_is_pinned(tmp_path, name):
+    argv, digest = CLASS_CASES[name]
+    assert _digest(tmp_path, argv) == digest
