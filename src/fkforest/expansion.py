@@ -958,17 +958,27 @@ class ExpansionReport:
     diagnostics: Dict[str, object] = dc_field(default_factory=dict)
 
     def partial_sum(self, N: int, top: Optional[int] = None) -> object:
-        acc = self.base
-        for k in sorted(self.orders):
-            if k == 0 or (top is not None and k > top):
-                continue
-            coeff = self.orders[k]
-            w = Fraction(1, N ** k)
-            if isinstance(coeff, SignedMeasure):
-                acc = acc + coeff.scale(w)
-            else:
-                acc = acc + w * coeff
-        return acc
+        """Coefficient sum at N on integer numerators: each term over the
+        lcm of its entries, all of them over the lcm of the den_k N^k;
+        exact in either field and rounded once in float mode."""
+        terms = [(0, self.base)] + [
+            (k, c) for k, c in sorted(self.orders.items())
+            if k != 0 and (top is None or k <= top)]
+        over = []
+        for k, c in terms:
+            nums, d = _over_lcm(c.data if isinstance(c, SignedMeasure)
+                                else [c])
+            over.append((d * N ** k, nums))
+        den = math.lcm(*[d for d, _ in over])
+        nums = [sum(col) for col in zip(*[[v * (den // d) for v in vs]
+                                          for d, vs in over])]
+        if isinstance(self.base, SignedMeasure):
+            model = self.base.model
+            return SignedMeasure(model, self.base.levels,
+                                 from_numerators(model, nums, den))
+        if self.params.get("field", "rational") == "rational":
+            return Fraction(nums[0], den)
+        return nums[0] / den
 
     def check(self) -> bool:
         """Exactness of every recorded evaluation against the full sum."""

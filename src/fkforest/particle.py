@@ -10,6 +10,18 @@ configuration, the path probability times the mass factor (and, for a
 per-time block profile, a table over the coordinates already frozen), so
 the work is sum_k |C_k||C_{k+1}| transitions, never one walk per path.
 
+In rational mode the pass runs on Python ints.  From a level k-1
+configuration cfg the mixture is a_y / D with integer a_y = sum_x cfg[x]
+Q_k[x, y] (Q_k = G_{k-1} M_{k-1} over the lcm of its entries, which
+cancels) and D = sum_y a_y, so a transition row is the integer
+multinomial(c) prod_y a_y^{c_y} over D^N.  A law holds integer numerators
+over one denominator per level: a transition rescales each source to the
+lcm of the sources' D^N, and a weigh step folds its constant factors
+(the potential denominators and N) into that denominator.  Each oracle
+builds one Fraction at the end.  Float mode runs the same loops on floats
+with every row divided by its total on the spot, so its denominators
+stay 1.
+
 The Monte Carlo side samples the same dynamics with a counter-based
 generator; replica r of seed s uses the key (s, r), so replica sets are
 order-independent.  Simulation is always float; the oracles respect the
@@ -19,8 +31,10 @@ model's scalar field.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from math import comb, fsum
+from operator import getitem, mul
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -29,7 +43,8 @@ import numpy as np
 from .combinatorics import falling_factorial
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, InvalidParameter
-from .fk_core import FKModel, Scalar, TensorFunction, flow
+from .fk_core import (FKModel, Scalar, TensorFunction, _over_lcm, flow,
+                      q_operator)
 
 Config = Tuple[int, ...]
 ConfigDistribution = Dict[Config, Scalar]
@@ -60,35 +75,22 @@ def _check_configs(model: FKModel, N: int, horizon: int, caps: Caps) -> None:
                               predicted=cnt, cap=caps.configs)
 
 
-def _multinomial_weights(targets: Sequence[Config], probs: Sequence[Scalar],
-                         N: int, one: Scalar) -> List[Scalar]:
-    """Multinomial probability of every target configuration."""
-    pows = [[p ** c for c in range(N + 1)] for p in probs]
-    out = []
-    for cfg in targets:
-        coeff = 1
-        rem = N
-        for c in cfg:
-            coeff *= comb(rem, c)
-            rem -= c
-        w = one * coeff
-        for c, pw in zip(cfg, pows):
-            if c:
-                w = w * pw[c]
-        out.append(w)
-    return out
+def _numerators(model: FKModel,
+                vals: Sequence[Scalar]) -> Tuple[List[Scalar], int]:
+    """Entries as numerators over one denominator: ints over the lcm in
+    rational mode, the floats themselves over 1 in float mode."""
+    if model.field == "float":
+        return list(vals), 1
+    return _over_lcm(vals)
 
 
-def _mixture(model: FKModel, k: int, cfg: Config) -> Tuple[Scalar, ...]:
-    """Selection-mutation distribution on level k given the level k-1
-    configuration."""
-    gk = model.G[k - 1]
-    mk = model.M[k - 1]
-    weights = [cfg[x] * gk[x] for x in range(len(cfg))]
-    total = sum(weights)
-    return tuple(
-        sum(weights[x] * mk[x][y] for x in range(len(cfg))) / total
-        for y in range(model.size(k)))
+def _potential(model: FKModel, k: int, N: int) -> Tuple[List[Scalar], int]:
+    """G_k over one denominator that includes N, so that the empirical
+    mean eta^N_k(G_k) of cfg is sum_x cfg[x] g[x] / den."""
+    if model.field == "float":
+        return [g / N for g in model.G[k]], 1
+    nums, den = _over_lcm(model.G[k])
+    return nums, den * N
 
 
 # ---------------------------------------------------------------------------
@@ -96,52 +98,100 @@ def _mixture(model: FKModel, k: int, cfg: Config) -> Tuple[Scalar, ...]:
 #
 # A law here maps each level-k configuration to a vector: the sum, over
 # the configuration paths that reach it, of the path probability times a
-# per-path vector built level by level.  Carrying the vectors forward one
-# transition at a time costs sum_k |C_k||C_{k+1}| instead of the
-# prod_k |C_k| of walking every path.
+# per-path vector built level by level, as numerators over a denominator
+# shared by the whole level.  Carrying the vectors forward one transition
+# at a time costs sum_k |C_k||C_{k+1}| instead of the prod_k |C_k| of
+# walking every path.
 
 Law = Dict[Config, List[Scalar]]
-Weigh = Callable[[int, Config, List[Scalar]], List[Scalar]]
+# a weigh step, built once per level k: the map cfg, vec -> new vec and the
+# factor it puts on the level denominator
+Step = Callable[[Config, List[Scalar]], List[Scalar]]
+Weigh = Callable[[int], Tuple[Step, int]]
 
 
-def _start(model: FKModel, N: int, vec: Sequence[Scalar]) -> Law:
-    """Level-0 law: iid draws from eta0, each carrying vec."""
-    targets = list(_configs(model.size(0), N))
-    return {cfg: [w * v for v in vec]
-            for cfg, w in zip(targets, _multinomial_weights(
-                targets, model.eta0, N, model.one)) if w}
+def _spread(model: FKModel, N: int, n_states: int,
+            sources: Sequence[Tuple[Sequence[Scalar], List[Scalar]]]
+            ) -> Tuple[Law, int]:
+    """Move each source vector to every configuration of N draws from the
+    law a / sum(a) of its own row a, scaled by the multinomial weight.
 
-
-def _transport(model: FKModel, k: int, N: int, law: Law) -> Law:
-    """Level-k law from the level k-1 law: every vector moves to each
-    level-k configuration, scaled by the transition probability."""
-    targets = list(_configs(model.size(k), N))
-    out: Law = {}
-    for cfg, vec in law.items():
-        row = _multinomial_weights(targets, _mixture(model, k, cfg), N,
-                                   model.one)
-        for cfg2, w2 in zip(targets, row):
-            if not w2:
+    Rational rows are ints: the weight of c is multinomial(c) prod_y
+    a_y^{c_y} over D^N with D = sum(a).  Each vector is first rescaled by
+    (L // D)^N, L the lcm of the row totals, so that all sources share the
+    denominator L^N, which is returned.  Float rows are divided by their
+    totals here and the returned denominator is 1."""
+    targets = list(_configs(n_states, N))
+    exact = model.field == "rational"
+    totals = [sum(a) for a, _ in sources]
+    L = math.lcm(*totals) if exact else 1
+    acc: List[Optional[List[Scalar]]] = [None] * len(targets)
+    for (row, vec), total in zip(sources, totals):
+        if exact:
+            scale = (L // total) ** N
+            if scale != 1:
+                vec = [v * scale for v in vec]
+        else:
+            row = [a / total for a in row]
+        pows = [list(itertools.accumulate([a] * N, mul, initial=1))
+                for a in row]
+        for j, cfg in enumerate(targets):
+            w = math.prod(map(getitem, pows, cfg))
+            if not w:
                 continue
-            acc = out.get(cfg2)
-            if acc is None:
-                out[cfg2] = [v * w2 for v in vec]
+            cur = acc[j]
+            if cur is None:
+                acc[j] = [v * w for v in vec]
             else:
                 for i, v in enumerate(vec):
-                    acc[i] = acc[i] + v * w2
-    return out
+                    cur[i] += v * w
+    # the multinomial coefficient depends on the target only
+    out: Law = {}
+    for cfg, cur in zip(targets, acc):
+        if cur is not None:
+            coeff = math.factorial(N)
+            for c in cfg:
+                coeff //= math.factorial(c)
+            out[cfg] = [v * coeff for v in cur] if coeff != 1 else cur
+    return out, L ** N
 
 
-def _forward(model: FKModel, N: int, n: int, start: Sequence[Scalar],
-             weigh: Weigh, caps: Caps) -> Law:
-    """Level-n law whose per-path vector starts at `start` and is replaced
-    by weigh(k, cfg_k, vec) on leaving each level k < n."""
+def _start(model: FKModel, N: int, vec: List[Scalar]) -> Tuple[Law, int]:
+    """Level-0 law: iid draws from eta0, each carrying vec."""
+    return _spread(model, N, model.size(0),
+                   [(_numerators(model, model.eta0)[0], vec)])
+
+
+def _transport(model: FKModel, k: int, N: int, law: Law) -> Tuple[Law, int]:
+    """Level-k law from the level k-1 law: every vector moves to each
+    level-k configuration, scaled by the transition probability from the
+    selection-mutation mixture of its configuration."""
+    rows = (model.exact_q(k)[0] if model.field == "rational"
+            else q_operator(model, k))
+    cols = list(zip(*rows))
+    return _spread(model, N, model.size(k), [
+        ([sum(c * q for c, q in zip(cfg, col) if c) for col in cols], vec)
+        for cfg, vec in law.items()])
+
+
+def _forward(model: FKModel, N: int, n: int, start: List[Scalar],
+             weigh: Weigh, caps: Caps) -> Tuple[Law, int]:
+    """Level-n law and its denominator; the per-path vector starts at
+    `start` and is replaced by the level-k step of weigh on leaving each
+    level k < n."""
     _check_configs(model, N, n, caps)
-    law = _start(model, N, start)
+    law, den = _start(model, N, start)
     for k in range(1, n + 1):
-        law = _transport(model, k, N, {cfg: weigh(k - 1, cfg, vec)
-                                       for cfg, vec in law.items()})
-    return law
+        step, scale = weigh(k - 1)
+        law, spread = _transport(model, k, N, {cfg: step(cfg, vec)
+                                               for cfg, vec in law.items()})
+        den *= scale * spread
+    return law, den
+
+
+def _keep(k: int) -> Tuple[Step, int]:
+    """The weigh of a plain law: vectors pass unchanged."""
+    return (lambda cfg, vec: vec), 1
 
 
 def exact_config_distribution(model: FKModel, N: int, horizon: int,
@@ -149,20 +199,16 @@ def exact_config_distribution(model: FKModel, N: int, horizon: int,
                               ) -> List[ConfigDistribution]:
     """Exact law of the occupation counts at levels 0..horizon."""
     _check_configs(model, N, horizon, caps)
-    laws = [_start(model, N, [model.one])]
+    laws = [_start(model, N, [1])]
     for k in range(1, horizon + 1):
-        laws.append(_transport(model, k, N, laws[-1]))
-    return [{cfg: vec[0] for cfg, vec in law.items()} for law in laws]
+        law, den = _transport(model, k, N, laws[-1][0])
+        laws.append((law, laws[-1][1] * den))
+    return [{cfg: model.scalar(vec[0], den) for cfg, vec in law.items()}
+            for law, den in laws]
 
 
 # ---------------------------------------------------------------------------
 # per-configuration estimator values
-
-
-def _level_mass(model: FKModel, k: int, cfg: Config, N: int) -> Scalar:
-    """Empirical mean of the level-k potential, eta^N_k(G_k)."""
-    gmean = sum(c * g for c, g in zip(cfg, model.G[k]))
-    return gmean / N if model.field == "float" else gmean * Fraction(1, N)
 
 
 def _gamma_norms(model: FKModel, path: Sequence[Config],
@@ -190,13 +236,27 @@ def _count_products(cfg: Config, q: int) -> List[int]:
     return out
 
 
+def _dot_counts(cfg: Config, q: int) -> List[int]:
+    """Number of injective picks of q particles of cfg landing on each
+    point x of the q-fold level domain, prod_y (cfg[y])_{m_y} with m_y the
+    multiplicity of y in x, in table order."""
+    out = []
+    for point in itertools.product(range(len(cfg)), repeat=q):
+        w = 1
+        for x in set(point):
+            w *= falling_factorial(cfg[x], point.count(x))
+        out.append(w)
+    return out
+
+
+def _pair(values: Sequence[Scalar], counts: Sequence[Scalar]) -> Scalar:
+    return sum(f * w for f, w in zip(values, counts) if w)
+
+
 def tensor_moment(cfg: Config, F: TensorFunction, N: int) -> Scalar:
     """Plain q-fold empirical tensor of one configuration against F."""
-    q = F.arity
-    total = sum((f * w for f, w in zip(F.data, _count_products(cfg, q)) if w),
-                F.model.zero)
-    return total / N ** q if F.model.field == "float" \
-        else total * Fraction(1, N ** q)
+    return F.model.scalar(_pair(F.data, _count_products(cfg, F.arity)),
+                          N ** F.arity)
 
 
 def dot_moment(cfg: Config, F: TensorFunction, N: int) -> Scalar:
@@ -204,18 +264,8 @@ def dot_moment(cfg: Config, F: TensorFunction, N: int) -> Scalar:
     q = F.arity
     if q > N:
         raise InvalidParameter("injective tensor needs q <= N")
-    total = F.model.zero
-    for point in itertools.product(*[range(s) for s in F.sizes]):
-        mult: Dict[int, int] = {}
-        for x in point:
-            mult[x] = mult.get(x, 0) + 1
-        w = 1
-        for x, m in mult.items():
-            w *= falling_factorial(cfg[x], m)
-        if w:
-            total = total + F.value(point) * w
-    return total / falling_factorial(N, q) if F.model.field == "float" \
-        else total * Fraction(1, falling_factorial(N, q))
+    return F.model.scalar(_pair(F.data, _dot_counts(cfg, q)),
+                          falling_factorial(N, q))
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +284,16 @@ def _block_weigh(model: FKModel, N: int, qvec: Sequence[int]) -> Weigh:
     the level-k configuration."""
     rest = [sum(qvec[k + 1:]) for k in range(len(qvec))]
 
-    def weigh(k: int, cfg: Config, vec: List[Scalar]) -> List[Scalar]:
-        m = _level_mass(model, k, cfg, N) ** rest[k]
-        return [v * m * c for v in vec for c in _count_products(cfg, qvec[k])]
+    def weigh(k: int) -> Tuple[Step, int]:
+        g, gden = _potential(model, k, N)
+        r, q = rest[k], qvec[k]
+
+        def step(cfg: Config, vec: List[Scalar]) -> List[Scalar]:
+            m = sum(c * x for c, x in zip(cfg, g)) ** r
+            mc = [m * c for c in _count_products(cfg, q)]
+            return [v * w for v in vec for w in mc]
+
+        return step, gden ** r
 
     return weigh
 
@@ -276,16 +333,28 @@ def exact_QN_oracle(model: FKModel, N: int,
         raise CapExceeded("frozen-coordinate table too large",
                           predicted=frozen, cap=caps.tensor)
     weigh = _block_weigh(model, N, qvec)
-    law = _forward(model, N, n, [model.one], weigh, caps)
+    law, den = _forward(model, N, n, [1], weigh, caps)
     # the last step completes the expected weighted count tensor, which is
     # paired with F once
-    moment = [model.zero] * len(F.data)
+    step, scale = weigh(n)
+    moment: List[Scalar] = [0] * len(F.data)
     for cfg, vec in law.items():
-        for i, t in enumerate(weigh(n, cfg, vec)):
-            moment[i] = moment[i] + t
-    total = sum((f * t for f, t in zip(F.data, moment) if t), model.zero)
-    return total / N ** F.arity if model.field == "float" \
-        else total * Fraction(1, N ** F.arity)
+        for i, t in enumerate(step(cfg, vec)):
+            moment[i] += t
+    fnum, fden = _numerators(model, F.data)
+    return model.scalar(_pair(fnum, moment),
+                        fden * den * scale * N ** F.arity)
+
+
+def _pair_law(model: FKModel, law: Law, den: int, F: TensorFunction,
+              counts: Callable[[Config, int], List[int]],
+              norm: int) -> Scalar:
+    """Sum over a law of the carried weight times the empirical moment
+    pairing F with the per-point counts of each configuration over norm."""
+    fnum, fden = _numerators(model, F.data)
+    total = sum(vec[0] * _pair(fnum, counts(cfg, F.arity))
+                for cfg, vec in law.items())
+    return model.scalar(total, den * fden * norm)
 
 
 def exact_QN_dot_oracle(model: FKModel, N: int, n: int, q: int,
@@ -296,12 +365,10 @@ def exact_QN_dot_oracle(model: FKModel, N: int, n: int, q: int,
         raise InvalidParameter("F must live on the q-fold level-n space")
     if q > N:
         raise InvalidParameter("injective tensor needs q <= N")
-    law = _forward(model, N, n, [model.one],
-                   _block_weigh(model, N, (0,) * n + (q,)), caps)
-    total = model.zero
-    for cfg, vec in law.items():
-        total = total + vec[0] * dot_moment(cfg, F, N)
-    return total
+    law, den = _forward(model, N, n, [1],
+                        _block_weigh(model, N, (0,) * n + (q,)), caps)
+    return _pair_law(model, law, den, F, _dot_counts,
+                     falling_factorial(N, q))
 
 
 def exact_PN_oracle(model: FKModel, N: int, n: int, q: int,
@@ -313,11 +380,9 @@ def exact_PN_oracle(model: FKModel, N: int, n: int, q: int,
         raise InvalidParameter("F must live on the q-fold level-n space")
     if q > N:
         raise InvalidParameter("needs q <= N")
-    dist = exact_config_distribution(model, N, n, caps)[n]
-    total = model.zero
-    for cfg, w in dist.items():
-        total = total + w * dot_moment(cfg, F, N)
-    return total
+    law, den = _forward(model, N, n, [1], _keep, caps)
+    return _pair_law(model, law, den, F, _dot_counts,
+                     falling_factorial(N, q))
 
 
 def exact_eta_tensor_oracle(model: FKModel, N: int, n: int, q: int,
@@ -326,11 +391,8 @@ def exact_eta_tensor_oracle(model: FKModel, N: int, n: int, q: int,
     """Exact expectation of the plain normalized moment at level n."""
     if F.levels != (n,) * q:
         raise InvalidParameter("F must live on the q-fold level-n space")
-    dist = exact_config_distribution(model, N, n, caps)[n]
-    total = model.zero
-    for cfg, w in dist.items():
-        total = total + w * tensor_moment(cfg, F, N)
-    return total
+    law, den = _forward(model, N, n, [1], _keep, caps)
+    return _pair_law(model, law, den, F, _count_products, N ** q)
 
 
 def exact_EN_oracle(model: FKModel, N: int, n: int, q: int,
@@ -341,22 +403,41 @@ def exact_EN_oracle(model: FKModel, N: int, n: int, q: int,
     Z_k = Z_{k-1}(1 + d_k) - d_k from Z_{-1} = 0, and Z_n = 1 - X with
     X = gamma^N_n(G_n)/gamma_n(G_n).  The pass carries the powers
     Z^0..Z^q per configuration; these stay small, where a binomial
-    expansion of (1 - X)^q would cancel terms of order one in float mode."""
+    expansion of (1 - X)^q would cancel terms of order one in float mode.
+
+    In rational mode 1 + d_k = u/B and -d_k = (B - u)/B with u = S mu_den
+    and B = gden mu_num, for S/gden the empirical mean and mu the exact
+    one; entry j of the new vector then has denominator B^j, so it is
+    multiplied by B^{q-j} and the level denominator by B^q."""
     if q < 0:
         raise InvalidParameter("q must be >= 0")
     fl = flow(model)
     means = [sum(e * g for e, g in zip(fl.eta_vec[k], model.G[k]))
              for k in range(n + 1)]
+    binom = [[comb(j, i) for i in range(j + 1)] for j in range(q + 1)]
+    exact = model.field == "rational"
 
-    def step(k: int, cfg: Config, vec: List[Scalar]) -> List[Scalar]:
-        d = _level_mass(model, k, cfg, N) / means[k] - 1
-        return [sum(comb(j, i) * (1 + d) ** i * (-d) ** (j - i) * vec[i]
-                    for i in range(j + 1))
-                for j in range(q + 1)]
+    def weigh(k: int) -> Tuple[Step, int]:
+        g, gden = _potential(model, k, N)
+        mean = means[k]
+        B = gden * mean.numerator if exact else 1
+        lift = [B ** (q - j) for j in range(q + 1)]
 
-    law = _forward(model, N, n, [model.one] + [model.zero] * q, step, caps)
-    return sum((step(n, cfg, vec)[q] for cfg, vec in law.items()),
-               model.zero)
+        def step(cfg: Config, vec: List[Scalar]) -> List[Scalar]:
+            S = sum(c * x for c, x in zip(cfg, g))
+            u = S * mean.denominator if exact else S / mean
+            up = list(itertools.accumulate([u] * q, mul, initial=1))
+            wp = list(itertools.accumulate([B - u] * q, mul, initial=1))
+            return [sum(b[i] * up[i] * wp[j - i] * vec[i]
+                        for i in range(j + 1)) * lift[j]
+                    for j, b in enumerate(binom)]
+
+        return step, B ** q
+
+    law, den = _forward(model, N, n, [1] + [0] * q, weigh, caps)
+    step, scale = weigh(n)
+    return model.scalar(sum(step(cfg, vec)[q] for cfg, vec in law.items()),
+                        den * scale)
 
 
 # ---------------------------------------------------------------------------

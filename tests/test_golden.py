@@ -1,12 +1,15 @@
 """Pinned SHA-256 digests of rational `expand` outputs and of the
-class lists and censuses of `count` and `enumerate`.
+class lists and censuses of `count` and `enumerate`, and of rational
+`oracle` outputs.
 
 Rational results are exact, so a kernel change that keeps them right
 keeps them byte-identical.  Each case runs one request and compares the
 digest of its output file, with the toolkit version string blanked,
 against a recorded digest: the `expand` ones from before the integer
 kernel replaced the Fraction tables, the `count`/`enumerate` ones from
-before the pruned census knapsack and the per-tree automorphism counts.
+before the pruned census knapsack and the per-tree automorphism counts,
+the `oracle` ones from before the forward pass moved onto integer
+transition rows.
 A new digest means a changed output.
 """
 
@@ -66,8 +69,8 @@ CASES = {
 }
 
 
-def output_digest(tmp_path, argv, function):
-    args = ["expand"] + list(argv)
+def output_digest(tmp_path, argv, function, command="expand"):
+    args = [command] + list(argv)
     if function is not None:
         path = tmp_path / "function.json"
         levels, values = function
@@ -110,3 +113,31 @@ CLASS_CASES = {
 def test_class_output_is_pinned(tmp_path, name):
     argv, digest = CLASS_CASES[name]
     assert _digest(tmp_path, argv) == digest
+
+
+ORACLE_CASES = {
+    "cycle3-gamma": (
+        ["--model", "cycle3", "--N", "4", "--n", "2", "--q", "2"],
+        ([2, 2], F3[1]),
+        "a5ea471a4683a4b139bdc7882ac45a18c61609e61f62ccb8c22a475ec4370600"),
+    "cycle3-eta": (
+        ["--model", "cycle3", "--N", "4", "--n", "2", "--q", "2",
+         "--kind", "eta"],
+        ([2, 2], F3[1]),
+        "ace680082c5c588525d1ad8e14e8296217feb117987ad152614e59cf22e0da79"),
+    "drift2-block": (
+        ["--model", "drift2", "--N", "3", "--n", "1", "--q", "2",
+         "--kind", "block"],
+        F2,
+        "af68b2d540da288a439a814e9046b7d6aa3750826a3e5b9b979041b2f0d1ba0a"),
+    "drift2-q-seq": (
+        ["--model", "drift2", "--N", "3", "--q-seq", "1,1"],
+        ([0, 1], F2[1]),
+        "95549704ba83d0daaa2dbd1e083444ee7410777907c11b1533d26d362171ed31"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_rational_oracle_output_is_pinned(tmp_path, name):
+    argv, function, digest = ORACLE_CASES[name]
+    assert output_digest(tmp_path, argv, function, "oracle") == digest

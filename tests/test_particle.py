@@ -12,6 +12,7 @@ the forward pass against the coefficients of the expansion engines.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -43,7 +44,6 @@ from fkforest.expansion import (exact_QN, expansion_report_path_Q,
 from fkforest.fk_core import TensorFunction
 from fkforest.particle import (
     _configs,
-    _mixture,
     dot_moment,
     tensor_moment,
     trajectory_config,
@@ -229,6 +229,18 @@ def multinomial_weight(cfg, probs):
     return w
 
 
+def mixture(model, k, cfg):
+    """Selection-mutation distribution on level k given the level k-1
+    configuration."""
+    gk = model.G[k - 1]
+    mk = model.M[k - 1]
+    weights = [cfg[x] * gk[x] for x in range(len(cfg))]
+    total = sum(weights)
+    return tuple(
+        sum(weights[x] * mk[x][y] for x in range(len(cfg))) / total
+        for y in range(model.size(k)))
+
+
 def config_paths(model, N, horizon):
     """All configuration paths up to level horizon with their exact
     probabilities."""
@@ -237,7 +249,7 @@ def config_paths(model, N, horizon):
         if k > horizon:
             yield prefix, w
             return
-        probs = model.eta0 if k == 0 else _mixture(model, k, prefix[-1])
+        probs = model.eta0 if k == 0 else mixture(model, k, prefix[-1])
         for cfg in _configs(model.size(k), N):
             w2 = w * multinomial_weight(cfg, probs)
             if w2:
@@ -354,11 +366,64 @@ def test_float_forward_pass_tracks_the_rational_walk():
 
 def test_forward_pass_runs_past_the_path_count(cycle3):
     """At N = 9 there are 55**3 = 166,375 configuration paths but only 55
-    configurations per level."""
+    configurations per level; at N = 14, 120**3 paths and 120
+    configurations."""
     F = sample_function(cycle3, (2, 2))
     assert config_count(3, 9) ** 3 > Caps().configs
-    assert exact_QN_oracle(cycle3, 9, 2, F, n=2) \
-        == exact_QN(cycle3, 2, 2, 9, F)
+    for N in (9, 14):
+        assert exact_QN_oracle(cycle3, N, 2, F, n=2) \
+            == exact_QN(cycle3, 2, 2, N, F)
+
+
+@pytest.mark.parametrize("name", ["drift2", "skew2", "cycle3", "blend3"])
+def test_config_distribution_is_a_law_at_every_level(name):
+    m = bundled_model(name)
+    for N in range(1, 13):
+        for k, dist in enumerate(exact_config_distribution(m, N,
+                                                           m.horizon)):
+            assert sum(dist.values()) == 1
+            assert all(w > 0 for w in dist.values())
+            assert set(dist) <= set(_configs(m.size(k), N))
+
+
+def float_model_pair(seed):
+    """A float model and the rational model on the exact values of its
+    floats.  Stochastic rows are multiples of 2**-20 that sum to 1 exactly
+    in both fields; potentials and the function are arbitrary doubles."""
+    rng = random.Random(seed)
+    unit = 2 ** 20
+
+    def simplex(k):
+        cuts = sorted(rng.sample(range(1, unit), k - 1))
+        return [(b - a) / unit for a, b in zip([0] + cuts, cuts + [unit])]
+
+    sizes = (3, 3, 2)
+    states = [["s%d" % i for i in range(s)] for s in sizes]
+    eta0 = simplex(sizes[0])
+    M = [[simplex(sizes[k + 1]) for _ in range(sizes[k])]
+         for k in range(len(sizes) - 1)]
+    G = [[rng.uniform(0.2, 3.0) for _ in range(s)] for s in sizes]
+    exact = [[[Fraction(v) for v in row] for row in mk] for mk in M]
+    return (FKModel(states, eta0, M, G, field="float"),
+            FKModel(states, [Fraction(v) for v in eta0], exact,
+                    [[Fraction(v) for v in g] for g in G]))
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_float_pass_tracks_the_rational_pass_on_the_same_floats(seed):
+    mf, m = float_model_pair(seed)
+    rng = random.Random(seed)
+    for qvec, N in [((0, 0, 2), 5), ((1, 0, 1), 6), ((0, 1, 2), 7)]:
+        levels = profile_levels(qvec)
+        Ff = TensorFunction(mf, levels, [
+            rng.uniform(-2.0, 2.0)
+            for _ in range(math.prod(mf.size(k) for k in levels))])
+        F = TensorFunction(m, levels, [Fraction(v) for v in Ff.data])
+        assert exact_QN_oracle(mf, N, qvec, Ff) == pytest.approx(
+            float(exact_QN_oracle(m, N, qvec, F)), rel=1e-12)
+        for q in (2, 3):
+            assert exact_EN_oracle(mf, N, 2, q) == pytest.approx(
+                float(exact_EN_oracle(m, N, 2, q)), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
