@@ -14,11 +14,6 @@ from .combinatorics import (
     bell_number,
     compositions,
     falling_factorial,
-    mi_factorial,
-    mi_falling,
-    mi_leq,
-    mi_norm,
-    mi_stirling_first,
     set_partitions,
     stirling_first,
     stirling_second,
@@ -79,8 +74,6 @@ from .fk_core import (
     is_centered,
     measure_from_vector,
     partition_sums,
-    path_gamma,
-    path_semigroup,
     q_operator,
     semigroup,
     tensor_minus_dot_tv,

@@ -9,18 +9,28 @@ output path.  Structured results are JSON with rationals as "num/den"
 strings; listings can also be CSV.
 
 Exit codes: 0 success, 1 failed verification, 2 structured refusal
-(validation, caps, bad parameters).
+(validation, caps, bad parameters).  A refusal writes one JSON line to
+stderr and no output file; that includes argv errors (an unknown command
+or flag, a missing value or required flag, a bad integer or choice),
+which are InvalidParameter refusals like any other.
+
+Commands and their flags are one table, `_COMMANDS`; the argv parser and
+the help text both read it.  Flags take `--flag value` or `--flag=value`,
+a value may be empty or start with '-', and a flag may be abbreviated to
+any unambiguous prefix.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
 import sys
+import textwrap
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,7 +61,7 @@ from .particle import (exact_EN_oracle, exact_eta_tensor_oracle,
                        exact_PN_oracle, exact_QN_oracle, estimators,
                        simulate)
 
-__all__ = ["RunManifest", "build_parser", "main"]
+__all__ = ["RunManifest", "main", "parse_args"]
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +92,19 @@ class RunManifest:
         }
 
 
+# values _plain passes through as they are; tested by exact type first, so
+# the common leaves never reach the isinstance checks below
+_PLAIN_LEAVES = frozenset((str, int, float, bool, type(None)))
+
+
 def _plain(v: object) -> object:
     """Recursively turn scalars and tables into JSON-stable primitives."""
+    if type(v) in _PLAIN_LEAVES:
+        return v
+    if isinstance(v, dict):
+        return {str(k): _plain(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_plain(x) for x in v]
     if isinstance(v, Fraction):
         return format_scalar(v)
     if isinstance(v, SignedMeasure):
@@ -91,10 +112,6 @@ def _plain(v: object) -> object:
     if isinstance(v, TensorFunction):
         return {"levels": list(v.levels),
                 "values": [_plain(x) for x in v.data]}
-    if isinstance(v, dict):
-        return {str(k): _plain(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_plain(x) for x in v]
     if isinstance(v, (np.integer,)):
         return int(v)
     if isinstance(v, (np.floating,)):
@@ -102,7 +119,7 @@ def _plain(v: object) -> object:
     return v
 
 
-def _caps_from_args(args: argparse.Namespace) -> Caps:
+def _caps_from_args(args: SimpleNamespace) -> Caps:
     caps = DEFAULT_CAPS
     if args.cap_forests is not None:
         caps = replace(caps, forests=args.cap_forests,
@@ -113,7 +130,7 @@ def _caps_from_args(args: argparse.Namespace) -> Caps:
     return caps
 
 
-def _manifest(args: argparse.Namespace, params: Dict[str, object],
+def _manifest(args: SimpleNamespace, params: Dict[str, object],
               model: Optional[FKModel] = None) -> RunManifest:
     caps = _caps_from_args(args)
     return RunManifest(
@@ -129,7 +146,7 @@ def _manifest(args: argparse.Namespace, params: Dict[str, object],
     )
 
 
-def _write_text(args: argparse.Namespace, text: str) -> None:
+def _write_text(args: SimpleNamespace, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -137,13 +154,94 @@ def _write_text(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(args: argparse.Namespace, manifest: RunManifest,
+_INF = float("inf")
+
+
+def _json_float(v: float) -> str:
+    if v != v:
+        return "NaN"
+    if v == _INF:
+        return "Infinity"
+    if v == -_INF:
+        return "-Infinity"
+    return float.__repr__(v)
+
+
+# exact scalar type -> its JSON text; subclasses go through _write_json
+_JSON_SCALARS: Dict[type, Callable[[object], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
+def _write_json(v: object, pad: str, append: Callable[[str], None]) -> None:
+    """Append the text of v as json.dumps(v, indent=2, sort_keys=True)
+    renders it at indentation pad.  Dict keys must be strings, as _plain
+    makes them; scalar members are written without a recursive call."""
+    if isinstance(v, dict):
+        if not v:
+            append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for k in sorted(v):
+            x = v[k]
+            append(sep)
+            append(encode_basestring_ascii(k))
+            append(": ")
+            scalar = _JSON_SCALARS.get(type(x))
+            if scalar is None:
+                _write_json(x, inner, append)
+            else:
+                append(scalar(x))
+            sep = ",\n" + inner
+        append("\n" + pad + "}")
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            append("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for x in v:
+            append(sep)
+            scalar = _JSON_SCALARS.get(type(x))
+            if scalar is None:
+                _write_json(x, inner, append)
+            else:
+                append(scalar(x))
+            sep = ",\n" + inner
+        append("\n" + pad + "]")
+    elif type(v) in _JSON_SCALARS:
+        append(_JSON_SCALARS[type(v)](v))
+    elif isinstance(v, str):
+        append(encode_basestring_ascii(v))
+    elif isinstance(v, int):
+        append(int.__repr__(v))
+    elif isinstance(v, float):
+        append(_json_float(v))
+    else:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % type(v).__name__)
+
+
+def _json_text(doc: object) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True) + "\\n", in one pass."""
+    chunks: List[str] = []
+    _write_json(doc, "", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _emit_json(args: SimpleNamespace, manifest: RunManifest,
                result: object) -> None:
     doc = {"manifest": manifest.to_dict(), "result": _plain(result)}
-    _write_text(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_text(args, _json_text(doc))
 
 
-def _emit_csv(args: argparse.Namespace, manifest: RunManifest,
+def _emit_csv(args: SimpleNamespace, manifest: RunManifest,
               header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
     buf = io.StringIO()
     compact = json.dumps(manifest.to_dict(), sort_keys=True,
@@ -156,7 +254,7 @@ def _emit_csv(args: argparse.Namespace, manifest: RunManifest,
     _write_text(args, buf.getvalue())
 
 
-def _require_json(args: argparse.Namespace) -> None:
+def _require_json(args: SimpleNamespace) -> None:
     if args.fmt != "json":
         raise InvalidParameter(
             "the %s command emits structured JSON only" % args.command)
@@ -212,18 +310,7 @@ def _reject(v: float):
 # enumerate / count
 
 
-def _add_selection_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=None,
-                   help="tree height (levels 0..n)")
-    p.add_argument("--q", type=int, default=None,
-                   help="number of roots / block size")
-    p.add_argument("--q-seq", default=None,
-                   help="per-level block profile, e.g. 1,1 (colored classes)")
-    p.add_argument("--max-coal", type=int, default=None,
-                   help="retain classes with at most this many merges")
-
-
-def _selection(args: argparse.Namespace, caps: Caps):
+def _selection(args: SimpleNamespace, caps: Caps):
     """Resolve the flat/colored choice shared by enumerate and count: the
     kind, the selection as the manifest records it, the block profile and
     the classes with their orbit sizes."""
@@ -241,7 +328,7 @@ def _selection(args: argparse.Namespace, caps: Caps):
                                                      caps)
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_enumerate(args: SimpleNamespace) -> int:
     caps = _caps_from_args(args)
     kind, sel, _, terms = _selection(args, caps)
     manifest = _manifest(args, {
@@ -273,7 +360,7 @@ def _identity_total(prof: Sequence[int]) -> int:
     return total
 
 
-def cmd_count(args: argparse.Namespace) -> int:
+def cmd_count(args: SimpleNamespace) -> int:
     caps = _caps_from_args(args)
     kind, sel, prof, terms = _selection(args, caps)
     manifest = _manifest(args, {
@@ -311,7 +398,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 # hilbert
 
 
-def cmd_hilbert(args: argparse.Namespace) -> int:
+def cmd_hilbert(args: SimpleNamespace) -> int:
     caps = _caps_from_args(args)
     if args.n is None:
         raise InvalidParameter("need --n")
@@ -351,7 +438,7 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
 # expand
 
 
-def cmd_expand(args: argparse.Namespace) -> int:
+def cmd_expand(args: SimpleNamespace) -> int:
     _require_json(args)
     caps = _caps_from_args(args)
     model = load_model(args.model, args.field)
@@ -427,7 +514,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
 # oracle
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args: SimpleNamespace) -> int:
     _require_json(args)
     caps = _caps_from_args(args)
     model = load_model(args.model, args.field)
@@ -460,7 +547,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 # simulate
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: SimpleNamespace) -> int:
     caps = _caps_from_args(args)
     model = load_model(args.model, args.field)
     horizon = model.horizon if args.horizon is None else args.horizon
@@ -683,7 +770,7 @@ _CHECKS: List[Tuple[str, Callable]] = [
 ]
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     _require_json(args)
     selected = [(name, fn) for name, fn in _CHECKS
                 if args.only is None or args.only in name]
@@ -727,124 +814,237 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser and dispatch
+# command table, argv parser and dispatch
+
+_DESCRIPTION = ("Exact genealogy combinatorics and finite ensemble-size\n"
+                "expansions for weighted particle systems.")
+
+# A flag row is (flag, dest, kind, default, required, help).  kind is int or
+# str for a flag that takes a value, bool for a switch (default False), or
+# the tuple of the values a choice flag accepts.
+_COMMON_FLAGS = (
+    ("--field", "field", ("rational", "float"), "rational", False,
+     "arithmetic mode"),
+    ("--cap-forests", "cap_forests", int, None, False,
+     "override the enumeration size cap: genealogy classes listed, and set "
+     "partitions of one live block in the moment expansions"),
+    ("--cap-tensor", "cap_tensor", int, None, False,
+     "override the dense table size cap; the same value also caps the "
+     "configurations of one oracle level and the retained terms of a "
+     "truncated series"),
+    ("--seed", "seed", int, 0, False, ""),
+    ("--out", "out", str, None, False, "output file (default stdout)"),
+    ("--format", "fmt", ("json", "csv"), "json", False, ""),
+)
+
+_SELECTION_FLAGS = (
+    ("--n", "n", int, None, False, "tree height (levels 0..n)"),
+    ("--q", "q", int, None, False, "number of roots / block size"),
+    ("--q-seq", "q_seq", str, None, False,
+     "per-level block profile, e.g. 1,1 (colored classes)"),
+    ("--max-coal", "max_coal", int, None, False,
+     "retain classes with at most this many merges"),
+)
+
+# command -> (handler, help, flags); every command also takes _COMMON_FLAGS
+_COMMANDS: Dict[str, Tuple[Callable[[SimpleNamespace], int], str,
+                           Tuple[tuple, ...]]] = {
+    "enumerate": (cmd_enumerate, "list genealogy classes with their sizes",
+                  _SELECTION_FLAGS),
+    "count": (cmd_count, "class and labeled-ancestry totals",
+              _SELECTION_FLAGS),
+    "hilbert": (cmd_hilbert, "generating-function census by profile", (
+        ("--n", "n", int, None, True, ""),
+        ("--truncation", "truncation", str, None, True,
+         "exponent bound, single int or per-level list"),
+        ("--coalescence", "coalescence", bool, False, False,
+         "refine by per-level merge counts"),
+    )),
+    "expand": (cmd_expand, "coefficient report for a moment family", (
+        ("--model", "model", str, None, True,
+         "bundled model name or JSON file"),
+        ("--n", "n", int, None, False, ""),
+        ("--q", "q", int, None, False, ""),
+        ("--q-seq", "q_seq", str, None, False, ""),
+        ("--block", "block", bool, False, False,
+         "q-particle block law instead of tensor moments"),
+        ("--top", "top", int, None, False,
+         "truncation order for the block law"),
+        ("--function", "function", str, None, False,
+         "tensor function JSON file to pair against"),
+        ("--center", "center", bool, False, False,
+         "center the function before use"),
+        ("--evaluate", "evaluate", str, None, False,
+         "ensemble sizes for exact finite-size values"),
+        ("--oracle", "oracle", str, None, False,
+         "ensemble sizes to cross-check against the configuration oracle "
+         "(oracle_deltas); with --block these sizes are evaluated by the "
+         "block-law oracle and feed the residuals in diagnostics, and no "
+         "oracle_deltas are written"),
+        ("--wick", "wick", bool, False, False,
+         "report vanishing orders for a centered function"),
+    )),
+    "oracle": (cmd_oracle,
+               "exact finite-ensemble expectation by dynamic programming", (
+                   ("--model", "model", str, None, True, ""),
+                   ("--N", "N", int, None, True, ""),
+                   ("--n", "n", int, None, False, ""),
+                   ("--q", "q", int, None, False, ""),
+                   ("--q-seq", "q_seq", str, None, False, ""),
+                   ("--kind", "kind", ("gamma", "eta", "block"), "gamma",
+                    False, ""),
+                   ("--function", "function", str, None, False, ""),
+               )),
+    "simulate": (cmd_simulate,
+                 "seeded Monte Carlo replicas with estimators", (
+                     ("--model", "model", str, None, True, ""),
+                     ("--N", "N", int, None, True, ""),
+                     ("--horizon", "horizon", int, None, False, ""),
+                     ("--n", "n", int, None, False,
+                      "estimator level (default: horizon)"),
+                     ("--replicas", "replicas", int, 1, False, ""),
+                     ("--estimator", "estimator",
+                      ("gamma", "eta", "tensor-q", "dot-q"), "gamma", False,
+                      ""),
+                     ("--q", "q", int, None, False, ""),
+                     ("--function", "function", str, None, False, ""),
+                 )),
+    "verify": (cmd_verify, "run the bundled self-check suite", (
+        ("--only", "only", str, None, False,
+         "substring filter over check names"),
+    )),
+}
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    c = argparse.ArgumentParser(add_help=False)
-    c.add_argument("--field", choices=("rational", "float"),
-                   default="rational", help="arithmetic mode")
-    c.add_argument("--cap-forests", type=int, default=None,
-                   help="override the enumeration size cap: genealogy "
-                        "classes listed, and set partitions of one live "
-                        "block in the moment expansions")
-    c.add_argument("--cap-tensor", type=int, default=None,
-                   help="override the dense table size cap; the same value "
-                        "also caps the configurations of one oracle level "
-                        "and the retained terms of a truncated series")
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--out", default=None, help="output file (default stdout)")
-    c.add_argument("--format", dest="fmt", choices=("json", "csv"),
-                   default="json")
-    return c
+def _match(token: str, names: Sequence[str]) -> str:
+    """The flag token names: itself, or the one flag it is a prefix of."""
+    if token in names:
+        return token
+    hits = [n for n in names if n.startswith(token)] if len(token) > 2 else []
+    if len(hits) == 1:
+        return hits[0]
+    if hits:
+        raise InvalidParameter("ambiguous flag %s: could be %s"
+                               % (token, ", ".join(hits)))
+    raise InvalidParameter("unknown flag %r" % token)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fkforest",
-        description="Exact genealogy combinatorics and finite ensemble-size "
-                    "expansions for weighted particle systems.")
-    parser.add_argument("--version", action="version", version=__version__)
-    common = _common_flags()
-    sub = parser.add_subparsers(dest="command", required=True)
+def _show(args: SimpleNamespace) -> int:
+    sys.stdout.write(args.text)
+    return 0
 
-    p = sub.add_parser("enumerate", parents=[common],
-                       help="list genealogy classes with their sizes")
-    _add_selection_flags(p)
-    p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("count", parents=[common],
-                       help="class and labeled-ancestry totals")
-    _add_selection_flags(p)
-    p.set_defaults(func=cmd_count)
+def _help_text(command: Optional[str]) -> str:
+    helps = [("-h, --help", "show this help")]
+    if command is None:
+        head = ["usage: fkforest [-h] [--version] <command> [flags]", "",
+                _DESCRIPTION, ""]
+        sections = [("commands (fkforest <command> --help lists the flags "
+                     "of one):", [(name, entry[1])
+                                  for name, entry in _COMMANDS.items()]),
+                    ("flags:", helps + [("--version", "print the version")])]
+    else:
+        _, about, flags = _COMMANDS[command]
+        head = ["usage: fkforest %s [flags]" % command, "", about, ""]
+        for flag, dest, kind, default, required, text in flags + _COMMON_FLAGS:
+            if kind is bool:
+                usage = flag
+            elif isinstance(kind, tuple):
+                usage = "%s {%s}" % (flag, ",".join(kind))
+            else:
+                usage = "%s %s" % (flag, dest.upper())
+            if required:
+                text = (text + " (required)").strip()
+            elif default is not None and kind is not bool:
+                text = (text + " (default: %s)" % default).strip()
+            helps.append((usage, text))
+        sections = [("flags:", helps)]
+    width = min(max(len(u) for _, rows in sections for u, _ in rows), 24) + 4
+    lines = head
+    for title, rows in sections:
+        lines.append(title)
+        for usage, text in rows:
+            lead = "  " + usage
+            if len(lead) + 2 > width:
+                lines.append(lead)
+                lead = ""
+            lines.append(textwrap.fill(text, 79,
+                                       initial_indent=lead.ljust(width),
+                                       subsequent_indent=" " * width)
+                         if text else lead)
+        lines.append("")
+    return "\n".join(lines)
 
-    p = sub.add_parser("hilbert", parents=[common],
-                       help="generating-function census by profile")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--truncation", required=True,
-                   help="exponent bound, single int or per-level list")
-    p.add_argument("--coalescence", action="store_true",
-                   help="refine by per-level merge counts")
-    p.set_defaults(func=cmd_hilbert)
 
-    p = sub.add_parser("expand", parents=[common],
-                       help="coefficient report for a moment family")
-    p.add_argument("--model", required=True,
-                   help="bundled model name or JSON file")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--q-seq", default=None)
-    p.add_argument("--block", action="store_true",
-                   help="q-particle block law instead of tensor moments")
-    p.add_argument("--top", type=int, default=None,
-                   help="truncation order for the block law")
-    p.add_argument("--function", default=None,
-                   help="tensor function JSON file to pair against")
-    p.add_argument("--center", action="store_true",
-                   help="center the function before use")
-    p.add_argument("--evaluate", default=None,
-                   help="ensemble sizes for exact finite-size values")
-    p.add_argument("--oracle", default=None,
-                   help="ensemble sizes to cross-check against the "
-                        "configuration oracle (oracle_deltas); with --block "
-                        "these sizes are evaluated by the block-law oracle "
-                        "and feed the residuals in diagnostics, and no "
-                        "oracle_deltas are written")
-    p.add_argument("--wick", action="store_true",
-                   help="report vanishing orders for a centered function")
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("oracle", parents=[common],
-                       help="exact finite-ensemble expectation by dynamic "
-                            "programming")
-    p.add_argument("--model", required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--q-seq", default=None)
-    p.add_argument("--kind", choices=("gamma", "eta", "block"),
-                   default="gamma")
-    p.add_argument("--function", default=None, required=False)
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("simulate", parents=[common],
-                       help="seeded Monte Carlo replicas with estimators")
-    p.add_argument("--model", required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--n", type=int, default=None,
-                   help="estimator level (default: horizon)")
-    p.add_argument("--replicas", type=int, default=1)
-    p.add_argument("--estimator",
-                   choices=("gamma", "eta", "tensor-q", "dot-q"),
-                   default="gamma")
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--function", default=None)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="run the bundled self-check suite")
-    p.add_argument("--only", default=None,
-                   help="substring filter over check names")
-    p.set_defaults(func=cmd_verify)
-
-    return parser
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """Read argv against the command table into a namespace that holds the
+    command name, its handler as `func`, and one attribute per flag of the
+    command.  A help or version request gets a handler that prints it.
+    Raises InvalidParameter on anything the table does not accept."""
+    if not argv:
+        raise InvalidParameter("missing command; choose from %s"
+                               % ", ".join(_COMMANDS))
+    head = argv[0]
+    if head.startswith("-"):
+        top = _match("--help" if head == "-h" else head,
+                     ("--help", "--version"))
+        text = _help_text(None) if top == "--help" else __version__ + "\n"
+        return SimpleNamespace(command=None, func=_show, text=text)
+    entry = _COMMANDS.get(head)
+    if entry is None:
+        raise InvalidParameter("unknown command %r; choose from %s"
+                               % (head, ", ".join(_COMMANDS)))
+    func, _, flags = entry
+    rows = {row[0]: row for row in flags + _COMMON_FLAGS}
+    names = tuple(rows) + ("--help",)
+    args = SimpleNamespace(command=head, func=func)
+    for _, dest, _, default, _, _ in rows.values():
+        setattr(args, dest, default)
+    i = 1
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token == "-h":
+            token = "--help"
+        if not token.startswith("--"):
+            raise InvalidParameter("unrecognized argument %r" % token)
+        name, eq, value = token.partition("=")
+        flag = _match(name, names)
+        if flag == "--help":
+            return SimpleNamespace(command=head, func=_show,
+                                   text=_help_text(head))
+        _, dest, kind, _, _, _ = rows[flag]
+        if kind is bool:
+            if eq:
+                raise InvalidParameter("flag %s takes no value" % flag)
+            setattr(args, dest, True)
+            continue
+        if not eq:
+            if i == len(argv):
+                raise InvalidParameter("flag %s needs a value" % flag)
+            value = argv[i]
+            i += 1
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise InvalidParameter("flag %s needs an integer, got %r"
+                                       % (flag, value))
+        elif kind is not str and value not in kind:
+            raise InvalidParameter("flag %s must be one of %s, got %r"
+                                   % (flag, ", ".join(kind), value))
+        setattr(args, dest, value)
+    # a required flag has no default, and a given value is never None
+    missing = [row[0] for row in rows.values()
+               if row[4] and getattr(args, row[1]) is None]
+    if missing:
+        raise InvalidParameter("%s needs %s" % (head, ", ".join(missing)))
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except CapExceeded as exc:
         doc = {"error": "CapExceeded", "message": str(exc),

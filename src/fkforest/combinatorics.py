@@ -1,16 +1,14 @@
 """Exact integer combinatorics underlying every expansion coefficient.
 
-Stirling numbers of both kinds, falling factorials, and a small multi-index
-algebra over finite sequences of nonnegative integers.  Everything here is
-arbitrary-precision integer arithmetic; nothing may round or overflow.
+Stirling numbers of both kinds, Bell numbers, set partitions, falling
+factorials and compositions.  Everything here is arbitrary-precision
+integer arithmetic; nothing may round or overflow.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import CapExceeded, InvalidParameter
 
@@ -88,113 +86,6 @@ def falling_factorial(n: int, m: int) -> int:
     for i in range(m):
         out *= n - i
     return out
-
-
-IndexLike = Union["MultiIndex", Sequence[int]]
-
-
-def _as_tuple(p: IndexLike) -> tuple:
-    if isinstance(p, MultiIndex):
-        return p.entries
-    return tuple(p)
-
-
-def _pad_pair(a: tuple, b: tuple) -> tuple:
-    n = max(len(a), len(b))
-    return a + (0,) * (n - len(a)), b + (0,) * (n - len(b))
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """A finite sequence of nonnegative integers with componentwise algebra.
-
-    Comparison, addition and subtraction pad the shorter operand with zeros.
-    The paired products (factorial, falling factorial, Stirling product)
-    require both sequences to have the same explicit length.
-    """
-
-    entries: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
-        if any(e < 0 for e in self.entries):
-            raise InvalidParameter("MultiIndex entries must be nonnegative")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    @property
-    def norm(self) -> int:
-        return sum(self.entries)
-
-    def factorial(self) -> int:
-        return mi_factorial(self.entries)
-
-    def __add__(self, other: IndexLike) -> "MultiIndex":
-        a, b = _pad_pair(self.entries, _as_tuple(other))
-        return MultiIndex(tuple(x + y for x, y in zip(a, b)))
-
-    def __sub__(self, other: IndexLike) -> "MultiIndex":
-        a, b = _pad_pair(self.entries, _as_tuple(other))
-        if any(x < y for x, y in zip(a, b)):
-            raise InvalidParameter("MultiIndex subtraction requires other <= self")
-        return MultiIndex(tuple(x - y for x, y in zip(a, b)))
-
-    def __le__(self, other: IndexLike) -> bool:
-        a, b = _pad_pair(self.entries, _as_tuple(other))
-        return all(x <= y for x, y in zip(a, b))
-
-    def falling(self, p: IndexLike) -> int:
-        return mi_falling(self.entries, p)
-
-    def stirling_first(self, p: IndexLike) -> int:
-        return mi_stirling_first(self.entries, p)
-
-
-def mi_norm(p: IndexLike) -> int:
-    return sum(_as_tuple(p))
-
-
-def mi_factorial(p: IndexLike) -> int:
-    out = 1
-    for e in _as_tuple(p):
-        out *= math.factorial(e)
-    return out
-
-
-def mi_falling(l: IndexLike, p: IndexLike) -> int:
-    """Componentwise product of falling factorials; lengths must agree."""
-    lt, pt = _as_tuple(l), _as_tuple(p)
-    if len(lt) != len(pt):
-        raise InvalidParameter("mi_falling requires sequences of equal length")
-    out = 1
-    for a, b in zip(lt, pt):
-        out *= falling_factorial(a, b)
-    return out
-
-
-def mi_stirling_first(l: IndexLike, p: IndexLike) -> int:
-    """Componentwise product of signed first-kind Stirling numbers."""
-    lt, pt = _as_tuple(l), _as_tuple(p)
-    if len(lt) != len(pt):
-        raise InvalidParameter("mi_stirling_first requires sequences of equal length")
-    out = 1
-    for a, b in zip(lt, pt):
-        out *= stirling_first(a, b)
-        if out == 0:
-            return 0
-    return out
-
-
-def mi_leq(p: IndexLike, l: IndexLike) -> bool:
-    a, b = _pad_pair(_as_tuple(p), _as_tuple(l))
-    return all(x <= y for x, y in zip(a, b))
 
 
 def compositions(total: int, length: int, bounds: Sequence[int] | None = None) -> Iterable[tuple]:

@@ -817,81 +817,6 @@ def tensor_minus_dot_tv(q: int, N: int) -> Fraction:
 # path-space and genealogy measures
 
 
-def path_gamma(model: FKModel, q: Sequence[int], p: int,
-               fl: Optional[Flow] = None,
-               caps: Caps = DEFAULT_CAPS) -> SignedMeasure:
-    """Intermediate path-space measure: frozen unnormalized blocks for times
-    before p, and the still-moving block (all remaining coordinates) at p."""
-    qq = normalize_path_profile(q)
-    n = len(qq) - 1
-    if n > model.horizon:
-        raise InvalidParameter("model horizon too short")
-    if not 0 <= p <= n:
-        raise InvalidParameter("p outside 0..%d" % n)
-    fl = fl or flow(model)
-    out = SignedMeasure(model, (), [model.one], caps=caps)
-    for j in range(p):
-        g = gamma_measure(model, j, fl)
-        for _ in range(qq[j]):
-            out = out.tensor(g)
-    live = sum(qq[p:])
-    g = gamma_measure(model, p, fl)
-    for _ in range(live):
-        out = out.tensor(g)
-    return out
-
-
-class PathOperator:
-    """Composite path-space transport from intermediate time p1 to p2:
-    earlier blocks are untouched, the moving block is transported one step
-    at a time, freezing each block as its time is reached."""
-
-    __slots__ = ("model", "q", "p1", "p2")
-
-    def __init__(self, model: FKModel, q: Sequence[int], p1: int, p2: int):
-        qq = normalize_path_profile(q)
-        n = len(qq) - 1
-        if not 0 <= p1 <= p2 <= n:
-            raise InvalidParameter("need 0 <= p1 <= p2 <= %d" % n)
-        if n > model.horizon:
-            raise InvalidParameter("model horizon too short")
-        self.model = model
-        self.q = qq
-        self.p1 = p1
-        self.p2 = p2
-
-    def _domain(self, p: int) -> Tuple[int, ...]:
-        lv: Tuple[int, ...] = ()
-        for j in range(p):
-            lv += (j,) * self.q[j]
-        lv += (p,) * sum(self.q[p:])
-        return lv
-
-    def on_measure(self, mu: SignedMeasure) -> SignedMeasure:
-        if mu.levels != self._domain(self.p1):
-            raise InvalidParameter("measure domain is not the p1 layout")
-        cur = mu
-        for p in range(self.p1 + 1, self.p2 + 1):
-            frozen = sum(self.q[:p])
-            cur = cur.transport_block(frozen, p)
-        return cur
-
-    def on_function(self, f: TensorFunction) -> TensorFunction:
-        if f.levels != self._domain(self.p2):
-            raise InvalidParameter("function domain is not the p2 layout")
-        cur = f
-        for p in range(self.p2, self.p1, -1):
-            frozen = sum(self.q[:p])
-            for pos in range(frozen, cur.arity):
-                cur = cur.pull_coord(pos, p)
-        return cur
-
-
-def path_semigroup(model: FKModel, q: Sequence[int], p1: int,
-                   p2: int) -> PathOperator:
-    return PathOperator(model, q, p1, p2)
-
-
 def delta_colored(model: FKModel,
                   f: Union[ColoredForest, ColoredMapSeq],
                   q: Sequence[int],

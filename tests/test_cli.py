@@ -2,13 +2,23 @@
 
 Exit codes are 0 (success), 1 (failed identity) and 2 (structured
 refusal); a refusal writes one JSON line to stderr and no output file.
+An argv the command table does not accept is such a refusal too.
 """
 
 import json
+import math
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import fkforest
+from fkforest import cli
 from fkforest.cli import main
 
 
@@ -227,3 +237,105 @@ def test_float_mode_mirrored_entries_are_equal(tmp_path):
             + list(res["evaluations"].values()):
         values = {tuple(e["point"]): e["value"] for e in table["entries"]}
         assert values[(0, 1)] == values[(1, 0)]
+
+
+# ---------------------------------------------------------------------------
+# the argv layer
+
+
+@pytest.mark.parametrize("argv", [
+    ["bogus"],
+    ["count", "--n", "1", "--q", "2", "--bogus", "1"],
+    ["count", "--q", "2", "--n"],
+    ["count", "--c", "5", "--n", "1", "--q", "2"],
+    ["expand", "--n", "1", "--q", "2"],
+    ["expand", "--model", "drift2", "--n", "1", "--q", "2", "--wick=1"],
+    ["oracle", "--model", "drift2", "--N", "x", "--n", "1", "--q", "2"],
+    ["oracle", "--model", "drift2", "--N", "3", "--n", "1", "--q", "2",
+     "--kind", "bogus"],
+    ["count", "--n", "1", "--q", "2", "stray"],
+], ids=["unknown-command", "unknown-flag", "no-value", "ambiguous-prefix",
+        "missing-model", "switch-with-value", "bad-int", "bad-choice",
+        "stray-argument"])
+def test_argv_errors_are_refusals(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    # --out goes first so that a flag at the end really lacks its value
+    assert main(argv[:1] + ["--out", str(out)] + argv[1:]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "InvalidParameter"
+
+
+@pytest.mark.parametrize("full, other", [
+    (["count", "--q-seq", "2,1", "--max-coal", "1"],
+     ["count", "--q-seq=2,1", "--max-coal=1"]),
+    (["count", "--q-seq", "2,1", "--max-coal", "1"],
+     ["count", "--q-s", "2,1", "--max", "1"]),
+    (["expand", "--model", "drift2", "--n", "2", "--q", "2", "--evaluate",
+      "3"],
+     ["expand", "--model=drift2", "--n=2", "--q=2", "--eval=3"]),
+    (["expand", "--model", "drift2", "--n", "2", "--q", "2", "--evaluate",
+      "3"],
+     ["expand", "--mod", "drift2", "--n", "2", "--q", "2", "--ev", "3"]),
+])
+def test_equals_form_and_abbreviations_write_the_same_bytes(tmp_path, full,
+                                                           other):
+    rc_a, a = run(tmp_path, *full, name="a")
+    rc_b, b = run(tmp_path, *other, name="b")
+    assert rc_a == rc_b == 0
+    assert a == b
+
+
+def test_help_and_version_exit_0(capsys):
+    for argv in (["-h"], ["--help"]):
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert all(name in text for name in cli._COMMANDS)
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == fkforest.__version__ + "\n"
+    for name, (_, about, flags) in cli._COMMANDS.items():
+        for argv in ([name, "--help"], [name, "--seed", "1", "-h"]):
+            assert main(argv) == 0
+            text = capsys.readouterr().out
+            assert about in text
+            for row in flags + cli._COMMON_FLAGS:
+                assert re.search(r"^  %s(\s|$)" % re.escape(row[0]), text,
+                                 re.M), (name, row[0])
+
+
+def test_a_request_imports_neither_argparse_nor_locale(tmp_path):
+    """argparse, and the locale module its first message lookup imports,
+    cost more than an oracle request's arithmetic; a request loads
+    neither."""
+    src = os.path.dirname(os.path.dirname(fkforest.__file__))
+    code = ("import sys\n"
+            "from fkforest.cli import main\n"
+            "rc = main(['count', '--n', '3', '--q', '3', '--out', sys.argv[1]])\n"
+            "print(rc, sorted({'argparse', 'locale'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "[]"]
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    max_leaves=30)
+
+
+@given(json_trees)
+@example({"caf\u00e9": ["\u2203x", "\U0001f600", "\ud800", 10 ** 30, -0.0,
+                        math.inf, {}, [], None, True]})
+@settings(max_examples=300, deadline=None)
+def test_writer_equals_json_dumps(doc):
+    assert cli._json_text(doc) == \
+        json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -2,7 +2,9 @@
 
 Everything here is checked against small hand-rolled computations: path
 sums for the flow, explicit matrix products for the semigroups, and
-direct enumeration for the coordinate-selection operators.  The b**b map
+direct enumeration for the coordinate-selection operators.  The
+intermediate path-space measures and their composite transport
+(`path_gamma`, `PathOperator`) are kept here as references.  The b**b map
 combinations (`DMap`, `lq_operator`, `lq_derivative`) and the Fraction
 bodies of the partition selection and the one-coordinate transport live
 here as references for the integer kernel, and the closed-form TV mass
@@ -12,14 +14,16 @@ here as references for the integer kernel, and the closed-form TV mass
 import itertools
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import pytest
 
 from fkforest import (
     CapExceeded,
     Caps,
+    DEFAULT_CAPS,
     FKModel,
+    Flow,
     InvalidParameter,
     SignedMeasure,
     TensorFunction,
@@ -41,14 +45,13 @@ from fkforest import (
     is_centered,
     measure_from_vector,
     partition_sums,
-    path_gamma,
-    path_semigroup,
     q_operator,
     semigroup,
     tensor_minus_dot_tv,
     white_topped_chain,
 )
 from fkforest.colored_forest import (ColoredMapSeq, colored_forest,
+                                     normalize_path_profile,
                                      pair_merge_forest, trivial_forest)
 from fkforest.combinatorics import (falling_factorial, set_partitions,
                                     stirling_first, stirling_second)
@@ -739,6 +742,81 @@ def test_tv_formulas_against_constructed_measures():
 
 # ---------------------------------------------------------------------------
 # genealogy measures
+
+
+def path_gamma(model: FKModel, q: Sequence[int], p: int,
+               fl: Optional[Flow] = None,
+               caps: Caps = DEFAULT_CAPS) -> SignedMeasure:
+    """Intermediate path-space measure: frozen unnormalized blocks for times
+    before p, and the still-moving block (all remaining coordinates) at p."""
+    qq = normalize_path_profile(q)
+    n = len(qq) - 1
+    if n > model.horizon:
+        raise InvalidParameter("model horizon too short")
+    if not 0 <= p <= n:
+        raise InvalidParameter("p outside 0..%d" % n)
+    fl = fl or flow(model)
+    out = SignedMeasure(model, (), [model.one], caps=caps)
+    for j in range(p):
+        g = gamma_measure(model, j, fl)
+        for _ in range(qq[j]):
+            out = out.tensor(g)
+    live = sum(qq[p:])
+    g = gamma_measure(model, p, fl)
+    for _ in range(live):
+        out = out.tensor(g)
+    return out
+
+
+class PathOperator:
+    """Composite path-space transport from intermediate time p1 to p2:
+    earlier blocks are untouched, the moving block is transported one step
+    at a time, freezing each block as its time is reached."""
+
+    __slots__ = ("model", "q", "p1", "p2")
+
+    def __init__(self, model: FKModel, q: Sequence[int], p1: int, p2: int):
+        qq = normalize_path_profile(q)
+        n = len(qq) - 1
+        if not 0 <= p1 <= p2 <= n:
+            raise InvalidParameter("need 0 <= p1 <= p2 <= %d" % n)
+        if n > model.horizon:
+            raise InvalidParameter("model horizon too short")
+        self.model = model
+        self.q = qq
+        self.p1 = p1
+        self.p2 = p2
+
+    def _domain(self, p: int) -> Tuple[int, ...]:
+        lv: Tuple[int, ...] = ()
+        for j in range(p):
+            lv += (j,) * self.q[j]
+        lv += (p,) * sum(self.q[p:])
+        return lv
+
+    def on_measure(self, mu: SignedMeasure) -> SignedMeasure:
+        if mu.levels != self._domain(self.p1):
+            raise InvalidParameter("measure domain is not the p1 layout")
+        cur = mu
+        for p in range(self.p1 + 1, self.p2 + 1):
+            frozen = sum(self.q[:p])
+            cur = cur.transport_block(frozen, p)
+        return cur
+
+    def on_function(self, f: TensorFunction) -> TensorFunction:
+        if f.levels != self._domain(self.p2):
+            raise InvalidParameter("function domain is not the p2 layout")
+        cur = f
+        for p in range(self.p2, self.p1, -1):
+            frozen = sum(self.q[:p])
+            for pos in range(frozen, cur.arity):
+                cur = cur.pull_coord(pos, p)
+        return cur
+
+
+def path_semigroup(model: FKModel, q: Sequence[int], p1: int,
+                   p2: int) -> PathOperator:
+    return PathOperator(model, q, p1, p2)
 
 
 def test_trivial_genealogy_is_the_gamma_tensor(drift2, blend3):

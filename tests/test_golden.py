@@ -1,6 +1,7 @@
 """Pinned SHA-256 digests of rational `expand` outputs and of the
-class lists and censuses of `count` and `enumerate`, and of rational
-`oracle` outputs.
+class lists and censuses of `count` and `enumerate`, of rational
+`oracle` outputs, and of one output each of float-mode `expand`,
+`simulate`, `hilbert` and `verify`.
 
 Rational results are exact, so a kernel change that keeps them right
 keeps them byte-identical.  Each case runs one request and compares the
@@ -9,7 +10,8 @@ against a recorded digest: the `expand` ones from before the integer
 kernel replaced the Fraction tables, the `count`/`enumerate` ones from
 before the pruned census knapsack and the per-tree automorphism counts,
 the `oracle` ones from before the forward pass moved onto integer
-transition rows.
+transition rows, the last four from before the JSON writer replaced
+`json.dumps`.
 A new digest means a changed output.
 """
 
@@ -141,3 +143,26 @@ ORACLE_CASES = {
 def test_rational_oracle_output_is_pinned(tmp_path, name):
     argv, function, digest = ORACLE_CASES[name]
     assert output_digest(tmp_path, argv, function, "oracle") == digest
+
+
+OTHER_CASES = {
+    "expand-float": (
+        ["expand", "--model", "drift2", "--n", "1", "--q", "2", "--field",
+         "float", "--evaluate", "3"],
+        "5aab2ad29ebab8b38db1fc76f92a758a4efd40ab05a6b08aebc150a4946d2ca9"),
+    "simulate": (
+        ["simulate", "--model", "flat2", "--N", "16", "--replicas", "2"],
+        "e12f347395d5ec641ac6ee5c1c571e865f5ee8a59c6d54959033fd0e35c63bc6"),
+    "hilbert-coalescence": (
+        ["hilbert", "--n", "2", "--truncation", "3", "--coalescence"],
+        "11a0ab79efda364c4b89584c519d7479d6236c219bceb4a353ce5840219a1702"),
+    "verify-stirling": (
+        ["verify", "--only", "stirling"],
+        "3c6205aab57eff0b5b1d270b27cb209fd28382f7db2a7266a206f260571f135d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_CASES))
+def test_other_output_is_pinned(tmp_path, name):
+    argv, digest = OTHER_CASES[name]
+    assert _digest(tmp_path, argv) == digest
