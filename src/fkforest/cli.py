@@ -27,13 +27,9 @@ import io
 import json
 import sys
 import textwrap
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
 from .colored_forest import (brute_force_colored_orbit_count,
@@ -55,6 +51,7 @@ from .fk_core import (FKModel, SignedMeasure, TensorFunction,
                       function_from_vector, tensor_minus_dot_tv)
 from .genfunc import (coalescence_series, hilbert_series,
                       marginalize_coalescence)
+from .jsontext import canonical_json
 from .models import (DOCUMENTED_FLOW, bundled_model, bundled_names,
                      check_documented_flow, load_model, model_sha256)
 from .particle import (exact_EN_oracle, exact_eta_tensor_oracle,
@@ -68,8 +65,7 @@ __all__ = ["RunManifest", "main", "parse_args"]
 # manifest and output plumbing
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(NamedTuple):
     """Reproducibility header embedded in every output file."""
 
     command: str
@@ -112,21 +108,25 @@ def _plain(v: object) -> object:
     if isinstance(v, TensorFunction):
         return {"levels": list(v.levels),
                 "values": [_plain(x) for x in v.data]}
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
+    if type(v).__module__ == "numpy":
+        # a numpy scalar can only come from the Monte Carlo side, which has
+        # numpy loaded already
+        import numpy as np
+        if isinstance(v, np.integer):
+            return int(v)
+        if isinstance(v, np.floating):
+            return float(v)
     return v
 
 
 def _caps_from_args(args: SimpleNamespace) -> Caps:
     caps = DEFAULT_CAPS
     if args.cap_forests is not None:
-        caps = replace(caps, forests=args.cap_forests,
-                       group=args.cap_forests)
+        caps = caps._replace(forests=args.cap_forests,
+                             group=args.cap_forests)
     if args.cap_tensor is not None:
-        caps = replace(caps, tensor=args.cap_tensor,
-                       configs=args.cap_tensor, series=args.cap_tensor)
+        caps = caps._replace(tensor=args.cap_tensor,
+                             configs=args.cap_tensor, series=args.cap_tensor)
     return caps
 
 
@@ -140,9 +140,7 @@ def _manifest(args: SimpleNamespace, params: Dict[str, object],
         seed=args.seed,
         version=__version__,
         field=args.field,
-        caps={"forests": caps.forests, "group": caps.group,
-              "tensor": caps.tensor, "configs": caps.configs,
-              "series": caps.series},
+        caps=caps._asdict(),
     )
 
 
@@ -154,91 +152,10 @@ def _write_text(args: SimpleNamespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-_INF = float("inf")
-
-
-def _json_float(v: float) -> str:
-    if v != v:
-        return "NaN"
-    if v == _INF:
-        return "Infinity"
-    if v == -_INF:
-        return "-Infinity"
-    return float.__repr__(v)
-
-
-# exact scalar type -> its JSON text; subclasses go through _write_json
-_JSON_SCALARS: Dict[type, Callable[[object], str]] = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _json_float,
-    bool: lambda v: "true" if v else "false",
-    type(None): lambda v: "null",
-}
-
-
-def _write_json(v: object, pad: str, append: Callable[[str], None]) -> None:
-    """Append the text of v as json.dumps(v, indent=2, sort_keys=True)
-    renders it at indentation pad.  Dict keys must be strings, as _plain
-    makes them; scalar members are written without a recursive call."""
-    if isinstance(v, dict):
-        if not v:
-            append("{}")
-            return
-        inner = pad + "  "
-        sep = "{\n" + inner
-        for k in sorted(v):
-            x = v[k]
-            append(sep)
-            append(encode_basestring_ascii(k))
-            append(": ")
-            scalar = _JSON_SCALARS.get(type(x))
-            if scalar is None:
-                _write_json(x, inner, append)
-            else:
-                append(scalar(x))
-            sep = ",\n" + inner
-        append("\n" + pad + "}")
-    elif isinstance(v, (list, tuple)):
-        if not v:
-            append("[]")
-            return
-        inner = pad + "  "
-        sep = "[\n" + inner
-        for x in v:
-            append(sep)
-            scalar = _JSON_SCALARS.get(type(x))
-            if scalar is None:
-                _write_json(x, inner, append)
-            else:
-                append(scalar(x))
-            sep = ",\n" + inner
-        append("\n" + pad + "]")
-    elif type(v) in _JSON_SCALARS:
-        append(_JSON_SCALARS[type(v)](v))
-    elif isinstance(v, str):
-        append(encode_basestring_ascii(v))
-    elif isinstance(v, int):
-        append(int.__repr__(v))
-    elif isinstance(v, float):
-        append(_json_float(v))
-    else:
-        raise TypeError("Object of type %s is not JSON serializable"
-                        % type(v).__name__)
-
-
-def _json_text(doc: object) -> str:
-    """json.dumps(doc, indent=2, sort_keys=True) + "\\n", in one pass."""
-    chunks: List[str] = []
-    _write_json(doc, "", chunks.append)
-    chunks.append("\n")
-    return "".join(chunks)
-
-
 def _emit_json(args: SimpleNamespace, manifest: RunManifest,
                result: object) -> None:
     doc = {"manifest": manifest.to_dict(), "result": _plain(result)}
-    _write_text(args, _json_text(doc))
+    _write_text(args, canonical_json(doc) + "\n")
 
 
 def _emit_csv(args: SimpleNamespace, manifest: RunManifest,
@@ -744,6 +661,7 @@ def _check_tv_formulas():
 
 
 def _check_simulate_determinism():
+    import numpy as np
     m = bundled_model("flat2")
     a = simulate(m, 16, 5)
     b = simulate(m, 16, 5)

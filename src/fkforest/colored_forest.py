@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from math import factorial
+from operator import sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .config import Caps, DEFAULT_CAPS
@@ -497,8 +498,8 @@ def _colored_candidates(tail: PairProfile) -> List[PairProfile]:
 
 def _enum_colored_rec(pairs: PairProfile, max_coal: Optional[int],
                       cap: Optional[int]) -> List[Tuple[ColoredTree, ...]]:
-    """Forests as multisets of tree shapes, one candidate shape at a time;
-    each forest comes back as the tuple of its trees.
+    """Forests as multisets of tree shapes, one taken candidate shape per
+    level of recursion; each forest comes back as the tuple of its trees.
 
     The remaining vertex counts below the roots travel as one flat tuple
     (w_1, b_1, w_2, b_2, ...); each candidate carries its body in the same
@@ -510,19 +511,17 @@ def _enum_colored_rec(pairs: PairProfile, max_coal: Optional[int],
         return [()]
     tail = pairs[1:]
     width = 2 * len(tail)
+    shapes = _colored_candidates(tail)
     plan = []
-    reach = width
-    for shape in _colored_candidates(tail):
+    for j, shape in enumerate(shapes):
         body = [0] * width
         for i, (w, b) in enumerate(shape[1:]):
             body[2 * i] = w
             body[2 * i + 1] = b
         need = tuple((i, v) for i, v in enumerate(body) if v)
+        # the body covers the flat positions below span
         span = 2 * (len(shape) - 1)
-        # levels from span up are out of reach from this candidate on
-        done = slice(span, reach) if span < reach else None
-        reach = span
-        plan.append((shape, shape[0] == (1, 0), tuple(body), need, done))
+        plan.append((j, span, shape[0] == (1, 0), tuple(body), need))
     filtered: Dict[Tuple[int, Optional[int]], Tuple[ColoredTree, ...]] = {}
     results: List[Tuple[ColoredTree, ...]] = []
 
@@ -531,70 +530,97 @@ def _enum_colored_rec(pairs: PairProfile, max_coal: Optional[int],
         key = (idx, budget)
         got = filtered.get(key)
         if got is None:
-            got = _enumerate_colored_trees(plan[idx][0])
+            got = _enumerate_colored_trees(shapes[idx])
             if budget is not None:
                 got = tuple(t for t in got if t.coal_degree <= budget)
             filtered[key] = got
         return got
 
-    def lower_bound(roots: int, rem: Tuple[int, ...]) -> int:
+    def lower_bound(roots: int, rem: Tuple[int, ...]) -> Optional[int]:
         # merges no placement can avoid: a level cannot host more parents
-        # than it has blacks
+        # than it has blacks; None when a level holds vertices but no black
+        # is left above it to hang them from
         total = 0
         prev = roots
         for i in range(0, width, 2):
             here = rem[i] + rem[i + 1]
             if here > prev:
+                if not prev:
+                    return None
                 total += here - prev
             prev = rem[i + 1]
         return total
 
-    def rec(idx: int, wroots: int, broots: int, rem: Tuple[int, ...],
-            budget: Optional[int], chosen: Tuple[ColoredTree, ...]):
-        if budget is not None and lower_bound(broots, rem) > budget:
-            return
-        while True:
-            if wroots == 0 and broots == 0:
-                if not any(rem):
-                    results.append(chosen)
-                    if cap is not None and len(results) > cap:
-                        raise CapExceeded(
-                            "colored enumeration exceeded the forest cap",
-                            predicted=len(results), cap=cap)
-                return
-            if idx == len(plan):
-                return
-            _, is_white, body, need, done = plan[idx]
-            if done is not None and any(rem[done]):
-                return
+    def room(cands: Sequence[tuple], start: int, wroots: int, broots: int,
+             rem: Tuple[int, ...]) -> Tuple[List[tuple], List[int]]:
+        # the candidates from start on with room for a copy, and how many
+        # copies fit; rem and the roots only shrink further down, so the
+        # others never get room again and the next scan reads this list only
+        live = []
+        limits = []
+        for entry in itertools.islice(cands, start, None):
+            _, _, is_white, _, need = entry
             limit = wroots if is_white else broots
             for i, v in need:
                 if rem[i] // v < limit:
                     limit = rem[i] // v
             if limit:
-                break
-            idx += 1
-        shapes = shapes_within(idx, budget)
-        rec(idx + 1, wroots, broots, rem, budget, chosen)
-        if not shapes:
+                live.append(entry)
+                limits.append(limit)
+        return live, limits
+
+    def rec(live: List[tuple], limits: List[int], wroots: int, broots: int,
+            rem: Tuple[int, ...], budget: Optional[int],
+            chosen: Tuple[ColoredTree, ...]):
+        if wroots == 0 and broots == 0:
+            if not any(rem):
+                results.append(chosen)
+                if cap is not None and len(results) > cap:
+                    raise CapExceeded(
+                        "colored enumeration exceeded the forest cap",
+                        predicted=len(results), cap=cap)
             return
-        nxt = rem
-        for k in range(1, limit + 1):
-            nxt = tuple(a - b for a, b in zip(nxt, body))
-            if is_white:
-                nw, nb = wroots - k, broots
-            else:
-                nw, nb = wroots, broots - k
-            for picks in itertools.combinations_with_replacement(shapes, k):
-                if budget is None:
-                    rec(idx + 1, nw, nb, nxt, None, chosen + picks)
+        top = width
+        while top and not rem[top - 1]:
+            top -= 1
+        # the next candidate taken, in a loop: the recursion goes one level
+        # deeper only after taking a copy, so its depth is at most the root
+        # count, not the number of candidates
+        for pos, (j, span, is_white, body, _) in enumerate(live, 1):
+            if span < top:
+                # neither this candidate nor any later one reaches the
+                # deepest level that still holds vertices
+                return
+            shapes = shapes_within(j, budget)
+            if not shapes:
+                continue
+            nxt = rem
+            for k in range(1, limits[pos - 1] + 1):
+                nxt = tuple(map(sub, nxt, body))
+                if is_white:
+                    nw, nb = wroots - k, broots
+                else:
+                    nw, nb = wroots, broots - k
+                bound = lower_bound(nb, nxt)
+                if bound is None:
                     continue
-                cost = sum(t.coal_degree for t in picks)
-                if cost <= budget:
-                    rec(idx + 1, nw, nb, nxt, budget - cost, chosen + picks)
+                # every pick of k trees leaves the same state to fill
+                sub_live, sub_limits = room(live, pos, nw, nb, nxt) \
+                    if nw or nb else ([], [])
+                for picks in itertools.combinations_with_replacement(shapes,
+                                                                     k):
+                    if budget is None:
+                        rec(sub_live, sub_limits, nw, nb, nxt, None,
+                            chosen + picks)
+                        continue
+                    cost = sum(t.coal_degree for t in picks)
+                    if cost + bound <= budget:
+                        rec(sub_live, sub_limits, nw, nb, nxt, budget - cost,
+                            chosen + picks)
 
     (w0, b0) = pairs[0]
-    rec(0, w0, b0, tuple(v for pair in tail for v in pair), max_coal, ())
+    rem0 = tuple(v for pair in tail for v in pair)
+    rec(*room(plan, 0, w0, b0, rem0), w0, b0, rem0, max_coal, ())
     return results
 
 

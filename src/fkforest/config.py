@@ -7,12 +7,14 @@ error instead of grinding through an astronomically large enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     """Hard limits for the combinatorial and tensor layers.
+
+    A NamedTuple, so immutable and hashable: build one by keyword
+    (``Caps(forests=10)``) and derive a variant with ``caps._replace(...)``.
 
     forests:  largest combinatorial enumeration accepted (predicted count):
               forest/orbit classes, and the Bell(b) set partitions of a

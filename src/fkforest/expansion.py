@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -939,7 +938,6 @@ def _jsonable(v: object) -> object:
     return v
 
 
-@dataclass
 class ExpansionReport:
     """One expansion in a box: order-0 term, higher coefficients, exact
     evaluations at requested ensemble sizes, and whatever residual
@@ -950,12 +948,16 @@ class ExpansionReport:
     mode.
     """
 
-    kind: str
-    params: Dict[str, object]
-    base: object
-    orders: Dict[int, object]
-    evaluations: Dict[int, object] = dc_field(default_factory=dict)
-    diagnostics: Dict[str, object] = dc_field(default_factory=dict)
+    def __init__(self, kind: str, params: Dict[str, object], base: object,
+                 orders: Dict[int, object],
+                 evaluations: Optional[Dict[int, object]] = None,
+                 diagnostics: Optional[Dict[str, object]] = None):
+        self.kind = kind
+        self.params = params
+        self.base = base
+        self.orders = orders
+        self.evaluations = {} if evaluations is None else evaluations
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
     def partial_sum(self, N: int, top: Optional[int] = None) -> object:
         """Coefficient sum at N on integer numerators: each term over the

@@ -36,6 +36,7 @@ from .combinatorics import (bell_number, falling_factorial, set_partitions,
                             stirling_second)
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, InvalidParameter, ValidationError
+from .jsontext import canonical_json
 
 Scalar = Union[Fraction, float]
 
@@ -174,7 +175,7 @@ class FKModel:
             "G": [[format_scalar(v) for v in gk] for gk in self.G],
             "field": self.field,
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return canonical_json(doc)
 
     @classmethod
     def from_json(cls, text: Union[str, dict]) -> "FKModel":

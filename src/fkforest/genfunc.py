@@ -18,7 +18,8 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from operator import sub
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, InvalidParameter
@@ -160,10 +161,16 @@ def count_forests(profile: Tuple[int, ...]) -> int:
     number of trees of one shape is a census read back through this
     function; repetitions of one shape contribute a multichoose factor.
 
+    Stepping past a candidate is a loop, not a call: the recursion goes one
+    level deeper only to place what is left after taking at least one copy
+    of a candidate, so its depth is bounded by the root count p_0, not by
+    the number of candidates (1,365 for (4,4,4,4,4,4)).
+
     Pruning: candidates come longest first, so once the search passes the
     last candidate reaching a level, a branch with vertices left on that
-    level is cut at once; candidates with no room for even one copy are
-    skipped in a loop instead of being recursed into.
+    level is cut at once.  A candidate with no room for even one copy never
+    gets room further down a branch, so each call hands the calls below it
+    only the list of candidates with room.
     """
     p = _check_profile(profile)
     if len(p) <= 1:
@@ -174,46 +181,65 @@ def count_forests(profile: Tuple[int, ...]) -> int:
     candidates = [shape for length in range(len(tail), -1, -1)
                   for shape in itertools.product(
                       *(range(1, v + 1) for v in tail[:length]))]
+    # (index, length, number of trees of the shape, body, nonzero entries)
     plan = []
-    reach = len(tail)
-    for shape in candidates:
+    for j, shape in enumerate(candidates):
         body = shape + (0,) * (len(tail) - len(shape))
-        # levels from len(shape) up are out of reach from this candidate on
-        done = slice(len(shape), reach)
-        reach = len(shape)
-        plan.append((count_forests(shape), body, tuple(enumerate(shape)),
-                     done))
+        plan.append((j, len(shape), count_forests(shape), body,
+                     tuple(enumerate(shape))))
     memo: Dict[Tuple[int, int, Tuple[int, ...]], int] = {}
 
-    def rec(idx: int, roots: int, rem: Tuple[int, ...]) -> int:
-        while True:
-            if roots == 0:
-                return 0 if any(rem) else 1
-            kinds, body, need, done = plan[idx]
-            if any(rem[done]):
-                return 0
-            if not need:
-                # only leaves are left, and every level below is used up
-                return 1
+    def rec(cands: List[tuple], start: int, roots: int,
+            rem: Tuple[int, ...]) -> int:
+        # roots > 0 trees from cands[start:] fill rem exactly.  First the
+        # candidates with room for a copy, and how many copies fit: rem and
+        # the roots only shrink further down, so the others never get room
+        # again and the calls below scan this list only.
+        live = []
+        limits = []
+        for entry in itertools.islice(cands, start, None):
             limit = roots
-            for i, v in need:
+            for i, v in entry[4]:
                 if rem[i] // v < limit:
                     limit = rem[i] // v
             if limit:
+                live.append(entry)
+                limits.append(limit)
+        # Then forward to the first cut, leaf or memo hit, and fold back to
+        # front: the value from candidate j on is the value from the next
+        # candidate with room on plus the branches taking copies of j.
+        top = len(rem)
+        while top and not rem[top - 1]:
+            top -= 1
+        takers = []
+        total = 0
+        for pos, entry in enumerate(live):
+            if entry[1] < top:
+                # neither this candidate nor any later one reaches the
+                # deepest level that still holds vertices
                 break
-            idx += 1
-        key = (idx, roots, rem)
-        if key in memo:
-            return memo[key]
-        total = rec(idx + 1, roots, rem)
-        nxt = rem
-        for k in range(1, limit + 1):
-            nxt = tuple(a - b for a, b in zip(nxt, body))
-            total += comb(kinds - 1 + k, k) * rec(idx + 1, roots - k, nxt)
-        memo[key] = total
+            if not entry[4]:
+                # only leaves are left, and every level below is used up
+                total = 1
+                break
+            key = (entry[0], roots, rem)
+            if key in memo:
+                total = memo[key]
+                break
+            takers.append((key, pos, entry, limits[pos]))
+        for key, pos, (_, _, kinds, body, _), limit in reversed(takers):
+            nxt = rem
+            for k in range(1, limit + 1):
+                nxt = tuple(map(sub, nxt, body))
+                if k < roots:
+                    total += comb(kinds - 1 + k, k) * rec(live, pos + 1,
+                                                          roots - k, nxt)
+                elif not any(nxt):
+                    total += comb(kinds - 1 + k, k)
+            memo[key] = total
         return total
 
-    return rec(0, p[0], tail)
+    return rec(plan, 0, p[0], tail)
 
 
 def _as_bounds(truncation, length: int) -> Tuple[int, ...]:

@@ -25,7 +25,9 @@ stay 1.
 The Monte Carlo side samples the same dynamics with a counter-based
 generator; replica r of seed s uses the key (s, r), so replica sets are
 order-independent.  Simulation is always float; the oracles respect the
-model's scalar field.
+model's scalar field.  numpy is loaded only by the Monte Carlo side
+(`simulate`, `trajectory_config`), on first use: the exact oracles never
+import it.
 """
 
 from __future__ import annotations
@@ -35,16 +37,17 @@ import math
 from fractions import Fraction
 from math import comb, fsum
 from operator import getitem, mul
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
-
-import numpy as np
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 from .combinatorics import falling_factorial
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, InvalidParameter
 from .fk_core import (FKModel, Scalar, TensorFunction, _over_lcm, flow,
                       q_operator)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Config = Tuple[int, ...]
 ConfigDistribution = Dict[Config, Scalar]
@@ -457,6 +460,7 @@ def simulate(model: FKModel, N: int, seed: int,
     hz = model.horizon if horizon is None else horizon
     if not 0 <= hz <= model.horizon:
         raise InvalidParameter("horizon outside the model range")
+    import numpy as np
     rng = np.random.Generator(np.random.Philox(
         key=np.array([seed % 2 ** 64, replica % 2 ** 64], dtype=np.uint64)))
     p0 = np.array([float(v) for v in model.eta0], dtype=np.float64)
@@ -475,6 +479,7 @@ def simulate(model: FKModel, N: int, seed: int,
 
 def trajectory_config(traj: Sequence[np.ndarray], model: FKModel,
                       k: int) -> Config:
+    import numpy as np
     return tuple(int(v) for v in
                  np.bincount(traj[k], minlength=model.size(k)))
 

@@ -18,8 +18,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fkforest
-from fkforest import cli
+from fkforest import cli, count_forests
 from fkforest.cli import main
+from fkforest.jsontext import canonical_json
 
 
 def run(tmp_path, *argv, name="out.json"):
@@ -304,21 +305,78 @@ def test_help_and_version_exit_0(capsys):
                                  re.M), (name, row[0])
 
 
+def _run_code(code, *argv):
+    src = os.path.dirname(os.path.dirname(fkforest.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code]
+                          + [str(a) for a in argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 def test_a_request_imports_neither_argparse_nor_locale(tmp_path):
     """argparse, and the locale module its first message lookup imports,
     cost more than an oracle request's arithmetic; a request loads
     neither."""
-    src = os.path.dirname(os.path.dirname(fkforest.__file__))
     code = ("import sys\n"
             "from fkforest.cli import main\n"
             "rc = main(['count', '--n', '3', '--q', '3', '--out', sys.argv[1]])\n"
             "print(rc, sorted({'argparse', 'locale'} & set(sys.modules)))\n")
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o")],
-                          env=env, capture_output=True, text=True,
-                          timeout=120)
+    done = _run_code(code, tmp_path / "o")
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0", "[]"]
+
+
+def test_an_exact_request_imports_neither_numpy_nor_dataclasses(tmp_path):
+    """Only the Monte Carlo side uses numpy, and nothing uses dataclasses
+    (which pulls in inspect): count, expand and oracle requests load none
+    of them."""
+    F = function_file(tmp_path, [1, 1], ["1", "2", "-1/2", "3"])
+    code = ("import sys\n"
+            "from fkforest.cli import main\n"
+            "out, F = sys.argv[1:]\n"
+            "rcs = [main(['count', '--n', '3', '--q', '3', '--out', out]),\n"
+            "       main(['expand', '--model', 'drift2', '--n', '1',\n"
+            "             '--q', '2', '--out', out]),\n"
+            "       main(['oracle', '--model', 'drift2', '--N', '3',\n"
+            "             '--n', '1', '--q', '2', '--function', F,\n"
+            "             '--out', out])]\n"
+            "print(rcs, sorted({'numpy', 'dataclasses', 'inspect'}\n"
+            "                  & set(sys.modules)))\n")
+    done = _run_code(code, tmp_path / "o", F)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[0,", "0,", "0]", "[]"]
+
+
+def test_simulate_runs_and_numpy_scalars_become_plain(tmp_path):
+    import numpy as np
+    res = result(tmp_path, "simulate", "--model", "flat2", "--N", "8",
+                 "--replicas", "2")
+    assert [row["replica"] for row in res["rows"]] == [0, 1]
+    for v, want in [(np.int64(3), 3), (np.float64(0.5), 0.5)]:
+        got = cli._plain(v)
+        assert got == want and type(got) is type(want)
+
+
+def test_count_past_the_recursion_limit_answers(tmp_path, capsys):
+    """(4,4,4,4,4,4), the census profile of --n 4 --q 4, has 1,365
+    candidate tree shapes, more than Python's frame limit; the census must
+    still predict the size, a cap below it refuses with a JSON line, and
+    under the default caps the request answers."""
+    predicted = count_forests((4,) * 6)
+    assert predicted == 65833
+    rc, data = run(tmp_path, "count", "--n", "4", "--q", "4",
+                   "--cap-forests", "10")
+    assert rc == 2 and data is None
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["predicted"], err["cap"]) == \
+        ("CapExceeded", predicted, 10)
+    rc, data = run(tmp_path, "count", "--n", "4", "--q", "4")
+    assert rc == 0
+    # the enumeration is a second route to the census value
+    res = json.loads(data)["result"]
+    assert res["classes"] == predicted
+    assert res["identity_holds"] is True
 
 
 # ---------------------------------------------------------------------------
@@ -337,5 +395,4 @@ json_trees = st.recursive(
                         math.inf, {}, [], None, True]})
 @settings(max_examples=300, deadline=None)
 def test_writer_equals_json_dumps(doc):
-    assert cli._json_text(doc) == \
-        json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert canonical_json(doc) == json.dumps(doc, indent=2, sort_keys=True)

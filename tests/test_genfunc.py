@@ -143,6 +143,13 @@ def test_closed_count_equals_enumeration_length(profile):
         len(enumerate_forests(profile))
 
 
+def test_census_depth_does_not_grow_with_the_candidates():
+    """Two roots over 1,201 children: one candidate shape per child count,
+    so more candidates than Python's frame limit.  The forests are the
+    unordered splits a + b = 1201, 601 of them."""
+    assert count_forests((2, 1201)) == 601
+
+
 def test_count_profile_edges():
     with pytest.raises(InvalidParameter):
         count_forests((2, 0, 1))

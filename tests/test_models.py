@@ -1,6 +1,8 @@
 """Bundled models, their frozen flow tables, and the seeded generator."""
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -102,6 +104,40 @@ def test_model_hash_is_stable_and_discriminating():
         assert len(h1) == 64 and set(h1) <= set("0123456789abcdef")
         seen.add(h1)
     assert len(seen) == len(bundled_names())
+
+
+def indented_dump_hash(model):
+    """The hash as json.dumps(indent=2, sort_keys=True) of the model's
+    canonical document gives it."""
+    doc = {
+        "states": [list(lvl) for lvl in model.states],
+        "eta0": [format_scalar(v) for v in model.eta0],
+        "M": [[[format_scalar(v) for v in row] for row in mk]
+              for mk in model.M],
+        "G": [[format_scalar(v) for v in gk] for gk in model.G],
+        "field": model.field,
+    }
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("field", ["rational", "float"])
+def test_model_hash_equals_the_indented_json_dump(tmp_path, field):
+    for name in bundled_names():
+        model = bundled_model(name, field)
+        assert model_sha256(model) == indented_dump_hash(model)
+    # a model file with unsorted keys, odd spacing and unreduced entries
+    # hashes as its canonical form
+    text = (' { "G" : [["4/2","1/2"] ,["1","3"],["1/2","5/2"],["1","2"]],\n'
+            '"M":[[["2/4","1/2"],["1/4","3/4"]],[["2/3","1/3"],'
+            '["1/5","4/5"]],\t[["3/7","4/7"],["1/2","1/2"]]],'
+            '"states":[["a","b"],["a","b"],["a","b"],["a","b"]],'
+            '  "eta0":["1/3","4/6"]}  \n')
+    path = tmp_path / "model.json"
+    path.write_text(text, encoding="utf-8")
+    model = load_model(str(path), field)
+    assert model_sha256(model) == indented_dump_hash(model) == \
+        model_sha256(bundled_model("drift2", field))
 
 
 def test_random_model_is_seed_deterministic():
