@@ -95,7 +95,6 @@ from .expansion import (
     centered_moment_expansion,
     closed_form_low_orders,
     derivative_P,
-    derivative_Q,
     exact_QN,
     expansion_report_P,
     expansion_report_Q,
@@ -104,21 +103,17 @@ from .expansion import (
     gaussian_covariance,
     gaussian_product_moment,
     gbar_vector,
-    max_order_Q,
     measure_table,
     pair_partitions,
     path_derivative_Q,
     path_exact_QN,
     path_max_order,
     path_wick_Q,
-    ustat_decay_check,
-    wick_Q,
 )
 from .models import (
     DOCUMENTED_FLOW,
     bundled_model,
     bundled_names,
-    bundled_summary,
     check_documented_flow,
     load_model,
     model_sha256,

@@ -44,7 +44,7 @@ from .expansion import (centered_moment_expansion, closed_form_low_orders,
                         derivative_P, exact_QN, expansion_report_P,
                         expansion_report_Q, expansion_report_path_Q,
                         first_order_P, gaussian_covariance, measure_table,
-                        path_exact_QN, path_wick_Q, wick_Q)
+                        path_exact_QN, path_wick_Q)
 from .fk_core import (FKModel, SignedMeasure, TensorFunction,
                       center_function, constant_function, eta_tensor,
                       fiber_count, flow, format_scalar,
@@ -223,6 +223,19 @@ def _reject(v: float):
         "rational mode rejects float literals; use 'num/den' strings")
 
 
+def _profile(args: SimpleNamespace) -> Tuple[int, ...]:
+    """The block profile a request names: --q-seq as given, or --n/--q as
+    the flat profile flat_blocks(n, q).  Naming both is refused."""
+    if args.q_seq:
+        prof = _parse_ints(args.q_seq)
+        if args.n is not None or args.q is not None:
+            raise InvalidParameter("--q-seq replaces --n/--q")
+        return prof
+    if args.n is None or args.q is None:
+        raise InvalidParameter("need --n and --q, or --q-seq")
+    return flat_blocks(args.n, args.q)
+
+
 # ---------------------------------------------------------------------------
 # enumerate / count
 
@@ -231,15 +244,10 @@ def _selection(args: SimpleNamespace, caps: Caps):
     """Resolve the flat/colored choice shared by enumerate and count: the
     kind, the selection as the manifest records it, the block profile and
     the classes with their orbit sizes."""
+    prof = _profile(args)
     if args.q_seq:
-        prof = _parse_ints(args.q_seq)
-        if args.n is not None or args.q is not None:
-            raise InvalidParameter("--q-seq replaces --n/--q")
         kind, sel = "colored", list(prof)
-    elif args.n is None or args.q is None:
-        raise InvalidParameter("need --n and --q, or --q-seq")
     else:
-        prof = flat_blocks(args.n, args.q)
         kind, sel = "flat", {"n": args.n, "q": args.q}
     return kind, sel, prof, enumerate_colored_orbits(prof, args.max_coal,
                                                      caps)
@@ -368,58 +376,49 @@ def cmd_expand(args: SimpleNamespace) -> int:
         F = _load_function(model, args.function, caps)
         if args.center:
             F = center_function(model, F)
-    prof: Tuple[int, ...] = ()
-    if args.q_seq:
-        prof = _parse_ints(args.q_seq)
-        kind = "path"
-    elif args.block:
-        kind = "block"
-    else:
-        kind = "tensor"
-    if kind != "path" and (args.n is None or args.q is None):
-        raise InvalidParameter("need --n and --q (or --q-seq)")
-    if (oracle_ns or args.wick) and F is None and kind != "block":
-        raise InvalidParameter(
-            "--oracle/--wick need --function to pair against")
-
-    if kind == "path":
-        report = expansion_report_path_Q(model, prof, Ns=eval_ns, F=F,
-                                         caps=caps)
-    elif kind == "block":
+    if args.block:
+        # the block law lives at the one time n+1 = --n: it has no profile
+        if args.q_seq:
+            raise InvalidParameter("--q-seq replaces --n/--q and --block")
+        if args.n is None or args.q is None:
+            raise InvalidParameter("--block needs --n and --q")
         if F is None:
             raise InvalidParameter("block-law expansion needs --function")
+        if args.wick:
+            raise InvalidParameter("--wick applies to moment expansions")
+        kind = "block"
         report = expansion_report_P(model, args.n, args.q, F, Ns=eval_ns,
                                     top=args.top, caps=caps)
     else:
-        report = expansion_report_Q(model, args.n, args.q, Ns=eval_ns,
-                                    F=F, caps=caps)
+        prof = _profile(args)
+        if (oracle_ns or args.wick) and F is None:
+            raise InvalidParameter(
+                "--oracle/--wick need --function to pair against")
+        if args.q_seq:
+            kind = "path"
+            report = expansion_report_path_Q(model, prof, Ns=eval_ns, F=F,
+                                             caps=caps)
+        else:
+            kind = "tensor"
+            report = expansion_report_Q(model, args.n, args.q, Ns=eval_ns,
+                                        F=F, caps=caps)
     result = report.to_jsonable()
 
     if args.wick:
-        if kind == "path":
-            vanish, half = path_wick_Q(model, prof, F, caps)
-        elif kind == "tensor":
-            vanish, half = wick_Q(model, args.n, args.q, F, caps)
-        else:
-            raise InvalidParameter("--wick applies to moment expansions")
+        vanish, half = path_wick_Q(model, prof, F, caps)
         result["wick"] = {
             "vanishing_orders": {str(k): v for k, v in sorted(vanish.items())},
             "leading_order_value": half,
         }
-    if oracle_ns and kind in ("tensor", "path"):
-        deltas = {}
-        for N in oracle_ns:
-            if kind == "path":
-                got = exact_QN_oracle(model, N, prof, F, caps=caps)
-            else:
-                got = exact_QN_oracle(model, N, args.q, F, n=args.n,
-                                      caps=caps)
-            deltas[str(N)] = report.evaluations[N] - got
-        result["oracle_deltas"] = deltas
+    if oracle_ns and not args.block:
+        result["oracle_deltas"] = {
+            str(N): report.evaluations[N]
+            - exact_QN_oracle(model, N, prof, F, caps=caps)
+            for N in oracle_ns}
 
     manifest = _manifest(args, {
         "model": args.model, "kind": kind, "n": args.n, "q": args.q,
-        "q_seq": list(prof) if prof else None, "top": args.top,
+        "q_seq": list(prof) if args.q_seq else None, "top": args.top,
         "function": bool(args.function), "center": bool(args.center),
         "evaluate": list(eval_ns), "oracle": list(oracle_ns),
         "wick": bool(args.wick)}, model)
@@ -438,21 +437,22 @@ def cmd_oracle(args: SimpleNamespace) -> int:
     if args.function is None:
         raise InvalidParameter("oracle needs --function")
     F = _load_function(model, args.function, caps)
-    if args.q_seq:
-        prof = _parse_ints(args.q_seq)
+    if args.kind == "gamma":
+        prof = _profile(args)
         value = exact_QN_oracle(model, args.N, prof, F, caps=caps)
+    elif args.q_seq:
+        raise InvalidParameter("--q-seq needs --kind gamma, not --kind %s"
+                               % args.kind)
+    elif args.n is None or args.q is None:
+        raise InvalidParameter("need --n and --q, or --q-seq")
+    elif args.kind == "eta":
+        value = exact_eta_tensor_oracle(model, args.N, args.n, args.q, F,
+                                        caps)
+    else:
+        value = exact_PN_oracle(model, args.N, args.n, args.q, F, caps)
+    if args.q_seq:
         params = {"kind": "gamma-tensor-path", "q_seq": list(prof)}
     else:
-        if args.n is None or args.q is None:
-            raise InvalidParameter("need --n and --q, or --q-seq")
-        if args.kind == "gamma":
-            value = exact_QN_oracle(model, args.N, args.q, F, n=args.n,
-                                    caps=caps)
-        elif args.kind == "eta":
-            value = exact_eta_tensor_oracle(model, args.N, args.n, args.q,
-                                            F, caps)
-        else:
-            value = exact_PN_oracle(model, args.N, args.n, args.q, F, caps)
         params = {"kind": args.kind, "n": args.n, "q": args.q}
     params.update({"model": args.model, "N": args.N})
     manifest = _manifest(args, params, model)
@@ -602,7 +602,7 @@ def _check_ensemble_oracle():
         f = _observable(m, 1)
         F = f.tensor(f)
         for N in (2, 3):
-            want.append(exact_QN_oracle(m, N, 2, F, n=1))
+            want.append(exact_QN_oracle(m, N, flat_blocks(1, 2), F))
             got.append(exact_QN(m, 1, 2, N, F))
     m = bundled_model("drift2")
     Fp = _observable(m, 0).tensor(_observable(m, 1))
@@ -622,7 +622,7 @@ def _check_wick():
     m = bundled_model("drift2")
     f = center_function(m, _observable(m, 1))
     vec = tuple(f.data)
-    vanish, half = wick_Q(m, 1, 2, f.tensor(f))
+    vanish, half = path_wick_Q(m, flat_blocks(1, 2), f.tensor(f))
     return ([m.zero, gaussian_covariance(m, 1, vec, 1, vec)],
             [vanish[0], half])
 

@@ -12,8 +12,8 @@ test can check to the last digit.  Four families are covered:
 * the centered potential-moment expansion driven by the telescoping
   decomposition of the normalizing constant;
 * normalized q-particle block laws: derivative measures, the first-order
-  coefficient assembled by three independent routes, the tensor-product
-  variant, and a residual-decay report for U-statistics.
+  coefficient assembled by three independent routes, and a truncated
+  report with its residuals against the ensemble oracle.
 
 Block moments are computed as one operator product.  For a profile
 (q_0..q_n), level k holds b_k = q_k + .. + q_n live coordinates.  Start
@@ -46,8 +46,10 @@ under per-level source sizes (b_0..b_n) receives, at order k,
 times the class count #(f) and its measure `delta_colored`.  That sum is
 kept as a tier-1 cross-check (tests/test_operator_route.py) and as the
 per-class explanation behind the named shapes used here.  Plain q-block
-moments are the block profile flat_blocks(n, q) = (0,..,0,q); the flat
-entry points are thin calls into the per-time-profile engines.
+moments are the block profile flat_blocks(n, q) = (0,..,0,q), and callers
+pass that profile to the per-time-profile engines.  Of the moment entry
+points only exact_QN and expansion_report_Q keep an (n, q) signature, each
+one call on that profile.
 
 Every table of the operator product is symmetric within each same-level
 group of coordinates by construction, so no symmetrization pass runs on
@@ -109,10 +111,7 @@ from .fk_core import (
 __all__ = [
     "ExpansionReport",
     "exact_QN",
-    "derivative_Q",
-    "max_order_Q",
     "closed_form_low_orders",
-    "wick_Q",
     "pair_partitions",
     "gaussian_covariance",
     "gaussian_product_moment",
@@ -124,7 +123,6 @@ __all__ = [
     "centered_moment_expansion",
     "derivative_P",
     "first_order_P",
-    "ustat_decay_check",
     "expansion_report_Q",
     "expansion_report_path_Q",
     "expansion_report_P",
@@ -142,16 +140,9 @@ def _blacks(profile: Sequence[int]) -> Tuple[int, ...]:
     return tuple(sum(profile[k:]) for k in range(len(profile)))
 
 
-def _prod(vals: Iterable[int]) -> int:
-    out = 1
-    for v in vals:
-        out *= v
-    return out
-
-
 def _zero_measure(model: FKModel, levels: Sequence[int]) -> SignedMeasure:
     lv = tuple(levels)
-    size = _prod(model.size(k) for k in lv)
+    size = math.prod(model.size(k) for k in lv)
     return SignedMeasure(model, lv, [model.zero] * size)
 
 
@@ -183,19 +174,6 @@ def _gamma_mass(fl: Flow, k: int) -> Scalar:
 # flat q-block ensemble moments
 
 
-def max_order_Q(n: int, q: int) -> int:
-    """Largest order carrying a nonzero coefficient: (q-1)(n+1)."""
-    return (q - 1) * (n + 1)
-
-
-def _check_nq(model: FKModel, n: int, q: int) -> None:
-    if n < 0 or q < 1:
-        raise InvalidParameter("need n >= 0 and q >= 1")
-    if n > model.horizon:
-        raise InvalidParameter(
-            "model horizon %d too short for n=%d" % (model.horizon, n))
-
-
 def exact_QN(model: FKModel, n: int, q: int, N: int,
              F: Optional[TensorFunction] = None,
              caps: Caps = DEFAULT_CAPS) -> Union[Scalar, SignedMeasure]:
@@ -205,15 +183,7 @@ def exact_QN(model: FKModel, n: int, q: int, N: int,
     size N; no sampling anywhere.  Returns the pairing against F, or the
     full block-symmetric measure when F is omitted.
     """
-    _check_nq(model, n, q)
     return path_exact_QN(model, flat_blocks(n, q), N, F, caps)
-
-
-def derivative_Q(model: FKModel, n: int, q: int, k: int,
-                 caps: Caps = DEFAULT_CAPS) -> SignedMeasure:
-    """Order-k coefficient measure of the q-block moment expansion."""
-    _check_nq(model, n, q)
-    return path_derivative_Q(model, flat_blocks(n, q), k, caps)
 
 
 def closed_form_low_orders(model: FKModel, n: int, q: int,
@@ -226,17 +196,16 @@ def closed_form_low_orders(model: FKModel, n: int, q: int,
     Only meaningful for q >= 4: below that some catalogued shapes do not
     exist (a two-tree shape needs four distinct lineages) and the display
     degenerates.  The generic engine remains the ground truth; with
-    verify=True each order is compared against derivative_Q and any
+    verify=True each order is compared against path_derivative_Q and any
     disagreement raises IdentityMismatch carrying both measures, rather
     than silently returning a transcribed formula.
     """
     if q < 4:
         raise InvalidParameter(
             "closed forms need q >= 4; at q=%d some catalogued shapes "
-            "degenerate, use derivative_Q whose generic sum handles "
+            "degenerate, use path_derivative_Q whose generic sum handles "
             "small q automatically" % q)
-    _check_nq(model, n, q)
-    prof = flat_blocks(n, q)
+    prof = _check_profile(model, flat_blocks(n, q))
 
     def dlt(f: ColoredForest) -> SignedMeasure:
         return delta_colored(model, f, prof, caps)
@@ -361,20 +330,6 @@ def gaussian_product_moment(model: FKModel,
     return total
 
 
-def wick_Q(model: FKModel, n: int, q: int, F: TensorFunction,
-           caps: Caps = DEFAULT_CAPS
-           ) -> Tuple[Dict[int, Scalar], Optional[Scalar]]:
-    """Low-order pairings for a certified centered symmetric F.
-
-    Returns ({order: exact pairing for every order below ceil(q/2)},
-    order-q/2 value).  The second part is None for odd q.  For even q it
-    is the pair-merge shape sum, cross-checked against the generic
-    coefficient before returning; a disagreement raises IdentityMismatch.
-    """
-    _check_nq(model, n, q)
-    return path_wick_Q(model, flat_blocks(n, q), F, caps)
-
-
 # ---------------------------------------------------------------------------
 # per-time block profiles (colored genealogies)
 
@@ -393,8 +348,8 @@ def _check_profile(model: FKModel, q: Sequence[int]) -> Tuple[int, ...]:
         raise InvalidParameter("empty block profile")
     if len(prof) - 1 > model.horizon:
         raise InvalidParameter(
-            "model horizon %d too short for a %d-block profile"
-            % (model.horizon, len(prof)))
+            "model horizon %d too short for a profile over levels 0..%d"
+            % (model.horizon, len(prof) - 1))
     return prof
 
 
@@ -538,7 +493,14 @@ def _wick_assignments(prof: Tuple[int, ...],
 def path_wick_Q(model: FKModel, q: Sequence[int], F: TensorFunction,
                 caps: Caps = DEFAULT_CAPS
                 ) -> Tuple[Dict[int, Scalar], Optional[Scalar]]:
-    """Per-time profile version of wick_Q for a certified centered F."""
+    """Low-order pairings for a certified centered block-symmetric F.
+
+    With t the total block size, returns ({order: exact pairing for every
+    order below ceil(t/2)}, order-t/2 value).  The second part is None for
+    odd t.  For even t it is the merge-assignment sum over Wick forests,
+    cross-checked against the generic coefficient before returning; a
+    disagreement raises IdentityMismatch.
+    """
     prof = _check_profile(model, q)
     if F.levels != _block_levels(prof):
         raise InvalidParameter("F does not match the block layout %r"
@@ -834,79 +796,6 @@ def first_order_P(model: FKModel, n_plus_1: int, q: int,
 
 
 # ---------------------------------------------------------------------------
-# U-statistic decay report
-
-
-def ustat_decay_check(model: FKModel, n: int, q: int, F: TensorFunction,
-                      Ns: Sequence[int] = (4, 5, 6, 7, 8, 9),
-                      caps: Caps = DEFAULT_CAPS) -> Dict[str, object]:
-    """Exact distinct-index block moments across an ensemble grid, with the
-    decay order and leading coefficient they should follow.
-
-    Centered F of block size q decays at order ceil(q/2) with the
-    order-ceil(q/2) coefficient of the block law in front; non-centered F
-    converges to the limiting product value at first order.  Both the
-    scaled deviations and a boundedness flag are reported; almost-sure
-    statements are out of scope, only moment decay is checkable finitely.
-    """
-    from .particle import exact_PN_oracle
-
-    if q < 2:
-        raise InvalidParameter("needs q >= 2")
-    if n < 0 or n > model.horizon:
-        raise InvalidParameter("n outside 0..%d" % model.horizon)
-    if F.levels != (n,) * q:
-        raise InvalidParameter("F must live on %d copies of level %d"
-                               % (q, n))
-    grid = sorted(set(int(N) for N in Ns))
-    if any(N < q for N in grid):
-        raise InvalidParameter("every grid size must be >= q")
-    Fs = F.symmetrize_blocks()
-    fl = flow(model)
-    base = eta_tensor(model, n, q, fl).pair(Fs)
-    centered = is_centered(model, Fs, fl)
-    values = {N: exact_PN_oracle(model, N, n, q, Fs, caps) for N in grid}
-    if centered:
-        order = (q + 1) // 2
-        resid = dict(values)
-    else:
-        order = 1
-        resid = {N: values[N] - base for N in grid}
-    if n == 0:
-        # level-0 particles are independent, distinct-index moments are
-        # already exact at every size
-        lead = model.zero
-    else:
-        lead = derivative_P(model, n, q, order, caps).pair(Fs)
-    scaled = {N: (N ** order) * resid[N] for N in grid}
-    devs = {N: abs(scaled[N] - lead) for N in grid}
-    seq = [devs[N] for N in grid]
-    monotone = all(a >= b for a, b in zip(seq, seq[1:]))
-    # a short grid cannot certify pointwise monotone decay (the next-order
-    # terms still fight each other at small N), but approach-and-stay can
-    # be checked: the tail of the grid must not exceed the head
-    split = (len(seq) + 1) // 2
-    head = max(seq[:split]) if seq else model.zero
-    tail = max(seq[split:]) if seq[split:] else model.zero
-    settling = tail <= head
-    bounded = all(abs(scaled[N]) <= abs(lead) + head for N in grid)
-    return {
-        "grid": tuple(grid),
-        "base": base,
-        "centered": centered,
-        "decay_order": order,
-        "leading": lead,
-        "values": values,
-        "residuals": resid,
-        "scaled": scaled,
-        "deviations": devs,
-        "monotone": monotone,
-        "settling": settling,
-        "bounded": bounded,
-    }
-
-
-# ---------------------------------------------------------------------------
 # reports
 
 
@@ -924,18 +813,6 @@ def measure_table(m: SignedMeasure) -> Dict[str, object]:
         "total_mass": format_scalar(m.total_mass()),
         "tv_norm": format_scalar(m.tv_norm()),
     }
-
-
-def _jsonable(v: object) -> object:
-    if isinstance(v, SignedMeasure):
-        return measure_table(v)
-    if isinstance(v, (Fraction, float)):
-        return format_scalar(v)
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
 
 
 class ExpansionReport:
@@ -1000,15 +877,16 @@ class ExpansionReport:
         return True
 
     def to_jsonable(self) -> Dict[str, object]:
+        """The report as one dict with string keys; the values stay raw
+        (scalars, measures), for the CLI writer to render."""
         return {
             "kind": self.kind,
-            "params": _jsonable(self.params),
-            "base": _jsonable(self.base),
-            "orders": {str(k): _jsonable(v)
-                       for k, v in sorted(self.orders.items())},
-            "evaluations": {str(N): _jsonable(v)
+            "params": self.params,
+            "base": self.base,
+            "orders": {str(k): v for k, v in sorted(self.orders.items())},
+            "evaluations": {str(N): v
                             for N, v in sorted(self.evaluations.items())},
-            "diagnostics": _jsonable(self.diagnostics),
+            "diagnostics": self.diagnostics,
         }
 
 
@@ -1038,8 +916,8 @@ def expansion_report_Q(model: FKModel, n: int, q: int,
                        caps: Caps = DEFAULT_CAPS) -> ExpansionReport:
     """Full coefficient family of the flat q-block moment, checked against
     the exact finite-size values when sizes are supplied."""
-    _check_nq(model, n, q)
-    return _moment_report(model, flat_blocks(n, q), "block-moment",
+    return _moment_report(model, _check_profile(model, flat_blocks(n, q)),
+                          "block-moment",
                           {"n": n, "q": q, "field": model.field}, Ns, F, caps)
 
 

@@ -444,6 +444,34 @@ class _Table:
             raise InvalidParameter("domain mismatch %r vs %r"
                                    % (self.levels, other.levels))
 
+    def tensor(self, other: "_Table"):
+        if self.model != other.model:
+            raise InvalidParameter("tables built over different models")
+        data = [a * b for a in self.data for b in other.data]
+        return type(self)(self.model, self.levels + other.levels, data)
+
+    def __add__(self, other: "_Table"):
+        self._same_domain(other)
+        return type(self)(self.model, self.levels,
+                          [a + b for a, b in zip(self.data, other.data)])
+
+    def __sub__(self, other: "_Table"):
+        self._same_domain(other)
+        return type(self)(self.model, self.levels,
+                          [a - b for a, b in zip(self.data, other.data)])
+
+    def scale(self, c: Scalar):
+        return type(self)(self.model, self.levels, [c * v for v in self.data])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self.levels == other.levels and self.model == other.model
+                and list(self.data) == list(other.data))
+
+    def __hash__(self):
+        return object.__hash__(self)
+
     def symmetrize_blocks(self):
         """Average over coordinate permutations within same-level groups.
 
@@ -492,35 +520,6 @@ class SignedMeasure(_Table):
         self._same_domain(f)
         return _sum(w * v for w, v in zip(self.data, f.data))
 
-    def tensor(self, other: "SignedMeasure") -> "SignedMeasure":
-        if self.model != other.model:
-            raise InvalidParameter("tables built over different models")
-        data = [a * b for a in self.data for b in other.data]
-        return SignedMeasure(self.model, self.levels + other.levels, data)
-
-    def __add__(self, other: "SignedMeasure") -> "SignedMeasure":
-        self._same_domain(other)
-        return SignedMeasure(self.model, self.levels,
-                             [a + b for a, b in zip(self.data, other.data)])
-
-    def __sub__(self, other: "SignedMeasure") -> "SignedMeasure":
-        self._same_domain(other)
-        return SignedMeasure(self.model, self.levels,
-                             [a - b for a, b in zip(self.data, other.data)])
-
-    def scale(self, c: Scalar) -> "SignedMeasure":
-        return SignedMeasure(self.model, self.levels,
-                             [c * w for w in self.data])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SignedMeasure):
-            return NotImplemented
-        return (self.levels == other.levels and self.model == other.model
-                and list(self.data) == list(other.data))
-
-    def __hash__(self):
-        return object.__hash__(self)
-
     def pushforward(self, index_map: Sequence[int]) -> "SignedMeasure":
         """Image under point -> (point[i] for i in index_map); duplicate
         indices land on diagonals, dropped indices marginalize."""
@@ -530,7 +529,7 @@ class SignedMeasure(_Table):
                 raise InvalidParameter("coordinate %d out of range" % i)
         new_levels = tuple(self.levels[i] for i in im)
         new_sizes = tuple(self.model.size(k) for k in new_levels)
-        out = [self.model.zero] * _prod(new_sizes)
+        out = [self.model.zero] * math.prod(new_sizes)
         for point, w in zip(itertools.product(*self._ranges()), self.data):
             if w:
                 out[_encode([point[i] for i in im], new_sizes)] += w
@@ -548,7 +547,7 @@ class SignedMeasure(_Table):
         nums, den = _over_lcm(self.data)
         sizes = self.sizes
         for pos in range(start, self.arity):
-            nums = transport_numerators(nums, _prod(sizes[pos + 1:]), rows)
+            nums = transport_numerators(nums, math.prod(sizes[pos + 1:]), rows)
             den *= qden
         levels = self.levels[:start] + (k,) * (self.arity - start)
         return SignedMeasure(self.model, levels,
@@ -581,7 +580,7 @@ class SignedMeasure(_Table):
         keep = [i for i in range(self.arity) if i not in vecs]
         new_levels = tuple(self.levels[i] for i in keep)
         new_sizes = tuple(self.model.size(k) for k in new_levels)
-        out = [self.model.zero] * _prod(new_sizes)
+        out = [self.model.zero] * math.prod(new_sizes)
         for point, w in zip(itertools.product(*self._ranges()), self.data):
             if not w:
                 continue
@@ -594,51 +593,11 @@ class SignedMeasure(_Table):
         return SignedMeasure(self.model, new_levels, out)
 
 
-def _prod(vals: Iterable[int]) -> int:
-    out = 1
-    for v in vals:
-        out *= v
-    return out
-
-
 class TensorFunction(_Table):
     """Bounded function as a dense value table over a product domain."""
 
     def sup_norm(self) -> Scalar:
         return max(abs(v) for v in self.data) if self.data else 0
-
-    def tensor(self, other: "TensorFunction") -> "TensorFunction":
-        if self.model != other.model:
-            raise InvalidParameter("tables built over different models")
-        data = [a * b for a in self.data for b in other.data]
-        return TensorFunction(self.model, self.levels + other.levels, data)
-
-    def __add__(self, other: "TensorFunction") -> "TensorFunction":
-        self._same_domain(other)
-        return TensorFunction(self.model, self.levels,
-                              [a + b for a, b in zip(self.data, other.data)])
-
-    def __sub__(self, other: "TensorFunction") -> "TensorFunction":
-        self._same_domain(other)
-        return TensorFunction(self.model, self.levels,
-                              [a - b for a, b in zip(self.data, other.data)])
-
-    def scale(self, c: Scalar) -> "TensorFunction":
-        return TensorFunction(self.model, self.levels,
-                              [c * v for v in self.data])
-
-    def shift(self, c: Scalar) -> "TensorFunction":
-        return TensorFunction(self.model, self.levels,
-                              [v + c for v in self.data])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TensorFunction):
-            return NotImplemented
-        return (self.levels == other.levels and self.model == other.model
-                and list(self.data) == list(other.data))
-
-    def __hash__(self):
-        return object.__hash__(self)
 
     def is_symmetric(self) -> bool:
         if self.model.field == "rational":
@@ -656,7 +615,7 @@ class TensorFunction(_Table):
                 % (pos, self.levels[pos], k))
         new_levels = self.levels[:pos] + (k - 1,) + self.levels[pos + 1:]
         new_sizes = tuple(self.model.size(j) for j in new_levels)
-        out = [self.model.zero] * _prod(new_sizes)
+        out = [self.model.zero] * math.prod(new_sizes)
         for point in itertools.product(*[range(s) for s in new_sizes]):
             acc = self.model.zero
             src = list(point)
@@ -681,7 +640,7 @@ class TensorFunction(_Table):
         keep = [i for i in range(self.arity) if i != pos]
         new_levels = tuple(self.levels[i] for i in keep)
         new_sizes = tuple(self.model.size(k) for k in new_levels)
-        out = [self.model.zero] * _prod(new_sizes)
+        out = [self.model.zero] * math.prod(new_sizes)
         for point in itertools.product(*self._ranges()):
             v = self.data[_encode(point, self.sizes)]
             if v:
@@ -693,7 +652,7 @@ class TensorFunction(_Table):
         """Insert a dummy coordinate at position pos living at level k."""
         new_levels = self.levels[:pos] + (k,) + self.levels[pos:]
         new_sizes = tuple(self.model.size(j) for j in new_levels)
-        out = [self.model.zero] * _prod(new_sizes)
+        out = [self.model.zero] * math.prod(new_sizes)
         for point in itertools.product(*[range(s) for s in new_sizes]):
             reduced = point[:pos] + point[pos + 1:]
             out[_encode(point, new_sizes)] = self.value(reduced)
@@ -702,7 +661,7 @@ class TensorFunction(_Table):
 
 def constant_function(model: FKModel, levels: Sequence[int],
                       value: Scalar) -> TensorFunction:
-    size = _prod(model.size(k) for k in levels)
+    size = math.prod(model.size(k) for k in levels)
     return TensorFunction(model, levels, [value] * size)
 
 
@@ -782,7 +741,7 @@ def partition_sums(mu: SignedMeasure, frozen: int,
         raise CapExceeded("selection would enumerate too many set partitions",
                           predicted=bell, cap=caps.forests)
     nums, den = _over_lcm(mu.data)
-    tables = select_partitions([nums], _prod(mu.sizes[:frozen]), b,
+    tables = select_partitions([nums], math.prod(mu.sizes[:frozen]), b,
                                mu.model.size(live[0]),
                                [{(0, p): 1} for p in range(1, b + 1)])
     return {p: SignedMeasure(mu.model, levels,

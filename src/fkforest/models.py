@@ -1,11 +1,15 @@
 """Bundled finite-state models and seeded random model generation.
 
 Five rational models ship with the package: three on two states and two on
-three states.  Each carries frozen exact flow values (per-level total mass
-and normalized distribution) that were cross-checked against a brute-force
-path enumeration before being recorded here; ``check_documented_flow``
-re-verifies them on demand.  ``skew2`` doubles as the standard witness that
-the normalized particle estimator is biased at finite N.
+three states.  ``drift2`` (horizon 3, mild selection) is the workhorse;
+``flat2`` has unit potentials, so its particles stay independent Markov
+chains; ``cycle3`` cycles mass around its states and ``blend3`` has
+well-mixed rows.  Each carries frozen exact flow values (per-level total
+mass and normalized distribution) that were cross-checked against a
+brute-force path enumeration before being recorded here;
+``check_documented_flow`` re-verifies them on demand.  ``skew2`` (strong
+selection) doubles as the standard witness that the normalized particle
+estimator is biased at finite N.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .fk_core import FKModel, flow, format_scalar
 __all__ = [
     "bundled_model",
     "bundled_names",
-    "bundled_summary",
     "check_documented_flow",
     "DOCUMENTED_FLOW",
     "load_model",
@@ -73,16 +76,6 @@ _DEFS: Dict[str, dict] = {
             ["3/8", "3/8", "1/4"]]],
         G=[["1", "3/2", "1/2"], ["2", "1", "1"], ["1/2", "1", "3"]],
     ),
-}
-
-_SUMMARIES = {
-    "drift2": "two states, horizon 3, mild selection; the workhorse model",
-    "flat2": "two states, horizon 2, unit potentials: particles stay"
-             " independent Markov, every mass factor is 1",
-    "skew2": "two states, horizon 2, strong selection; exhibits a large"
-             " finite-N bias of the normalized estimator",
-    "cycle3": "three states, horizon 2, mass cycling around the states",
-    "blend3": "three states, horizon 2, well-mixed rows",
 }
 
 # Exact flow values per model: total masses by level, then the normalized
@@ -135,12 +128,6 @@ DOCUMENTED_FLOW: Dict[str, Dict[str, tuple]] = {
 
 def bundled_names() -> Tuple[str, ...]:
     return tuple(_DEFS)
-
-
-def bundled_summary(name: str) -> str:
-    if name not in _SUMMARIES:
-        raise InvalidParameter("unknown bundled model %r" % name)
-    return _SUMMARIES[name]
 
 
 def bundled_model(name: str, field: str = "rational") -> FKModel:

@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import comb, fsum
 from operator import getitem, mul
 from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+                    Sequence, Tuple)
 
 from .combinatorics import falling_factorial
 from .config import Caps, DEFAULT_CAPS
@@ -301,28 +301,20 @@ def _block_weigh(model: FKModel, N: int, qvec: Sequence[int]) -> Weigh:
     return weigh
 
 
-def exact_QN_oracle(model: FKModel, N: int,
-                    q: Union[int, Sequence[int]],
+def exact_QN_oracle(model: FKModel, N: int, q: Sequence[int],
                     F: TensorFunction,
-                    n: Optional[int] = None,
                     caps: Caps = DEFAULT_CAPS) -> Scalar:
-    """Exact expectation of the unnormalized empirical tensor moment.
+    """Exact expectation of the unnormalized empirical block moment over
+    the block profile q = (q_0..q_n).
 
-    With integer q the moment is the q-fold tensor at level n; with a
-    block-size sequence q the coordinates of F read one level per block in
-    time order and the weight multiplies the per-level masses.
+    The coordinates of F read one level per block in time order, and the
+    weight multiplies the per-level masses.  The plain q-fold tensor at
+    level n is the profile flat_blocks(n, q).
 
     caps.configs bounds the configurations of each level and caps.tensor
     the table over the coordinates frozen before level n."""
-    if isinstance(q, int):
-        if n is None:
-            if len(set(F.levels)) != 1:
-                raise InvalidParameter("n needed for a multi-level F")
-            n = F.levels[0]
-        qvec = (0,) * n + (q,)
-    else:
-        qvec = tuple(int(v) for v in q)
-        n = len(qvec) - 1
+    qvec = tuple(int(v) for v in q)
+    n = len(qvec) - 1
     want: Tuple[int, ...] = ()
     for lvl, cnt in enumerate(qvec):
         want += (lvl,) * cnt

@@ -91,8 +91,16 @@ def test_identical_runs_write_identical_bytes(tmp_path, argv):
     ["count", "--n", "1", "--q", "0"],
     ["enumerate", "--n", "1"],
     ["hilbert", "--n", "1", "--truncation", ""],
+    # --q-seq replaces --n/--q, --block and every oracle kind but gamma
+    ["expand", "--model", "drift2", "--q-seq", "0,2", "--n", "5", "--q", "7"],
+    ["expand", "--model", "drift2", "--q-seq", "0,2", "--block", "--top", "1"],
+    ["oracle", "--model", "drift2", "--N", "3", "--q-seq", "1,1", "--kind",
+     "eta", "--function", "F01"],
 ])
 def test_bad_parameters_are_refused(tmp_path, capsys, argv):
+    # F01 names a valid function on the levels of the profile (1,1)
+    F = function_file(tmp_path, [0, 1], ["1", "2", "-3", "1/2"])
+    argv = [F if a == "F01" else a for a in argv]
     rc, data = run(tmp_path, *argv)
     assert rc == 2
     assert data is None
@@ -144,6 +152,20 @@ def test_block_law_expansion_reports_its_residual(tmp_path):
         + Fraction(res["orders"]["2"]) / 9)
     assert Fraction(res["diagnostics"]["scaled_residuals"]["3"]) \
         == 27 * resid
+
+
+def test_block_law_with_wick_is_refused_before_the_report(tmp_path, capsys,
+                                                         monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the block-law report was built")
+
+    monkeypatch.setattr(cli, "expansion_report_P", unreachable)
+    F = function_file(tmp_path, [1, 1], ["1", "2", "3", "-1/2"])
+    rc, data = run(tmp_path, "expand", "--model", "drift2", "--n", "1",
+                   "--q", "2", "--block", "--wick", "--function", F)
+    assert rc == 2
+    assert data is None
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidParameter"
 
 
 def test_negative_truncation_order_is_refused(tmp_path, capsys):

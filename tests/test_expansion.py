@@ -1,21 +1,21 @@
 """Expansion engines: caps, the report's exactness check and the Wick
 leading order.
 
-The flat q-block entry points run on the block profile (0,..,0,q) of the
-per-time-profile engines; tests/test_operator_route.py checks those
-against the genealogy class sum.  The other cross-checks of the engines on the bundled
-models (oracle, closed forms, block law) are the `verify` checks, which
-tests/test_cli.py runs.
+A plain q-block moment is the block profile flat_blocks(n, q) =
+(0,..,0,q) of the per-time-profile engines, which
+tests/test_operator_route.py checks against the genealogy class sum.  The
+other cross-checks of the engines on the bundled models (oracle, closed
+forms, block law) are the `verify` checks, which tests/test_cli.py runs.
 """
 
 import pytest
 
 from fkforest import (Caps, CapExceeded, IdentityMismatch, bell_number,
-                      bundled_model, center_function, derivative_Q,
+                      bundled_model, center_function,
                       enumerate_colored_orbits, exact_QN, expansion_report_Q,
                       flat_blocks, function_from_vector, gamma_tensor,
                       gaussian_product_moment, path_derivative_Q,
-                      path_exact_QN, path_max_order, path_wick_Q, wick_Q)
+                      path_exact_QN, path_max_order, path_wick_Q)
 
 SMALL = Caps(forests=10)
 
@@ -28,13 +28,13 @@ def observable(m, k):
 def test_caps_hold_whatever_the_caches_hold(drift2):
     prof = flat_blocks(2, 3)
     # first calls with default caps fill whatever caches there are
-    derivative_Q(drift2, 2, 3, 3)
+    path_derivative_Q(drift2, prof, 3)
     exact_QN(drift2, 2, 3, 5)
     enumerate_colored_orbits(prof, 3)
     enumerate_colored_orbits(prof)
     # the moment engines enumerate the Bell(3) = 5 set partitions of the
     # live block, not forests
-    for call in (lambda c: derivative_Q(drift2, 2, 3, 3, caps=c),
+    for call in (lambda c: path_derivative_Q(drift2, prof, 3, caps=c),
                  lambda c: exact_QN(drift2, 2, 3, 5, caps=c)):
         with pytest.raises(CapExceeded) as err:
             call(Caps(forests=4))
@@ -50,7 +50,7 @@ def test_caps_hold_whatever_the_caches_hold(drift2):
 
 def test_moment_engines_refuse_before_building_tables(drift2):
     with pytest.raises(CapExceeded) as err:
-        derivative_Q(drift2, 2, 3, 3, caps=Caps(tensor=7))
+        path_derivative_Q(drift2, flat_blocks(2, 3), 3, caps=Caps(tensor=7))
     assert (err.value.predicted, err.value.cap) == (8, 7)
     # the 2**25-entry start table is refused, not built
     with pytest.raises(CapExceeded) as err:
@@ -89,7 +89,6 @@ def test_wick_leading_order_is_the_gaussian_moment(drift2):
     q = 4
     f = center_function(drift2, observable(drift2, 1))
     F = f.tensor(f).tensor(f).tensor(f)
-    vanish, half = wick_Q(drift2, 1, q, F)
+    vanish, half = path_wick_Q(drift2, flat_blocks(1, q), F)
     assert vanish == {0: 0, 1: 0}
     assert half == gaussian_product_moment(drift2, [(1, tuple(f.data))] * q)
-    assert (vanish, half) == path_wick_Q(drift2, (0, q), F)

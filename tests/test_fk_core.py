@@ -12,6 +12,7 @@ here as references for the integer kernel, and the closed-form TV mass
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -55,7 +56,7 @@ from fkforest.colored_forest import (ColoredMapSeq, colored_forest,
                                      pair_merge_forest, trivial_forest)
 from fkforest.combinatorics import (falling_factorial, set_partitions,
                                     stirling_first, stirling_second)
-from fkforest.fk_core import _encode, _prod
+from fkforest.fk_core import _encode
 from fkforest.models import random_rational_model
 
 
@@ -200,7 +201,8 @@ def test_pair_tensor_and_arithmetic(drift2):
     assert (mu + mu - mu) == mu
     assert mu.scale(Fraction(2)).pair(f) == 2 * mu.pair(f)
     assert (f + f.scale(-1)).sup_norm() == 0
-    assert f.shift(Fraction(1)).value((0, 0)) == f.value((0, 0)) + 1
+    one = constant_function(drift2, f.levels, Fraction(1))
+    assert (f + one).value((0, 0)) == f.value((0, 0)) + 1
     with pytest.raises(InvalidParameter):
         mu.pair(g)
 
@@ -374,7 +376,7 @@ class DMap:
         k = f.levels[0] if f.levels else 0
         new_levels = (k,) * self.target_arity
         new_sizes = tuple(f.model.size(k) for _ in new_levels)
-        out = [f.model.zero] * _prod(new_sizes)
+        out = [f.model.zero] * math.prod(new_sizes)
         for point in itertools.product(*[range(s) for s in new_sizes]):
             acc = f.model.zero
             for b, w in self.weights.items():
@@ -395,7 +397,7 @@ class DMap:
             total = term if total is None else total + term
         if total is None:
             new_levels = (mu.levels[0] if mu.levels else 0,) * self.source_arity
-            size = _prod(mu.model.size(k) for k in new_levels)
+            size = math.prod(mu.model.size(k) for k in new_levels)
             return SignedMeasure(mu.model, new_levels, [mu.model.zero] * size)
         return total
 
@@ -460,7 +462,7 @@ def reference_partition_sums(mu, frozen):
     live = levels[frozen:]
     b = len(live)
     s = mu.model.size(live[0])
-    prefix = _prod(mu.sizes[:frozen])
+    prefix = math.prod(mu.sizes[:frozen])
     zero = mu.model.zero
     margs = {b: mu.data}
     for p in range(b, 1, -1):
@@ -500,7 +502,7 @@ def reference_transport_block(mu, start, k):
         assert cur.levels[pos] == k - 1
         new_levels = cur.levels[:pos] + (k,) + cur.levels[pos + 1:]
         new_sizes = tuple(cur.model.size(j) for j in new_levels)
-        out = [cur.model.zero] * _prod(new_sizes)
+        out = [cur.model.zero] * math.prod(new_sizes)
         for point, w in zip(itertools.product(*cur._ranges()), cur.data):
             if not w:
                 continue

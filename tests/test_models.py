@@ -13,7 +13,6 @@ from fkforest import (
     InvalidParameter,
     bundled_model,
     bundled_names,
-    bundled_summary,
     check_documented_flow,
     exact_eta_tensor_oracle,
     flow,
@@ -25,14 +24,13 @@ from fkforest import (
 )
 
 
-def test_bundled_names_and_summaries():
+def test_bundled_names():
     names = bundled_names()
     assert set(names) == {"drift2", "flat2", "skew2", "cycle3", "blend3"}
     for name in names:
-        assert isinstance(bundled_summary(name), str)
-        assert bundled_summary(name)
+        assert isinstance(bundled_model(name), FKModel)
     with pytest.raises(InvalidParameter):
-        bundled_summary("nope")
+        bundled_model("nope")
 
 
 @pytest.mark.parametrize("name", ["drift2", "flat2", "skew2", "cycle3",

@@ -32,6 +32,7 @@ from fkforest import (
     exact_PN_oracle,
     exact_QN_dot_oracle,
     exact_QN_oracle,
+    flat_blocks,
     flow,
     function_from_vector,
     gamma_measure,
@@ -144,7 +145,7 @@ def test_scalar_oracles_match_labeled_law(name, n, q):
     want_Q = sum(w * labeled_mass(m, path, n) ** q
                  * labeled_block_moment(path, F)
                  for path, w in law.items())
-    assert exact_QN_oracle(m, N, q, F, n=n) == want_Q
+    assert exact_QN_oracle(m, N, flat_blocks(n, q), F) == want_Q
 
     want_eta = sum(w * labeled_block_moment(path, F)
                    for path, w in law.items())
@@ -208,7 +209,7 @@ def test_unnormalized_single_estimator_is_unbiased(drift2, cycle3):
             f = function_from_vector(m, n, list(range(1, m.size(n) + 1)))
             truth = gamma_measure(m, n).pair(f)
             for N in (1, 2, 3):
-                assert exact_QN_oracle(m, N, 1, f, n=n) == truth
+                assert exact_QN_oracle(m, N, flat_blocks(n, 1), f) == truth
 
 
 def test_normalized_estimator_is_biased_for_skew2(skew2):
@@ -335,7 +336,7 @@ def test_forward_pass_equals_the_path_walk(name, qvec, Ns):
     Fn = sample_function(m, (n,) * q)
     for N in Ns:
         assert exact_QN_oracle(m, N, qvec, F) == walk_QN(m, N, qvec, F)
-        assert exact_QN_oracle(m, N, q, Fn, n=n) \
+        assert exact_QN_oracle(m, N, flat_blocks(n, q), Fn) \
             == walk_QN(m, N, (0,) * n + (q,), Fn)
         if q <= N:
             assert exact_QN_dot_oracle(m, N, n, q, Fn) \
@@ -371,7 +372,7 @@ def test_forward_pass_runs_past_the_path_count(cycle3):
     F = sample_function(cycle3, (2, 2))
     assert config_count(3, 9) ** 3 > Caps().configs
     for N in (9, 14):
-        assert exact_QN_oracle(cycle3, N, 2, F, n=2) \
+        assert exact_QN_oracle(cycle3, N, flat_blocks(2, 2), F) \
             == exact_QN(cycle3, 2, 2, N, F)
 
 
@@ -525,7 +526,8 @@ def test_oracle_caps_report_predicted_sizes(blend3):
     assert err.value.predicted == config_count(3, 4)
     F = sample_function(blend3, (2, 2))
     for N in (2, 3):
-        for run in (lambda: exact_QN_oracle(blend3, N, 2, F, n=2, caps=small),
+        for run in (lambda: exact_QN_oracle(blend3, N, flat_blocks(2, 2), F,
+                                            caps=small),
                     lambda: exact_QN_dot_oracle(blend3, N, 2, 2, F, small),
                     lambda: exact_EN_oracle(blend3, N, 2, 2, small)):
             with pytest.raises(CapExceeded) as err:
@@ -551,10 +553,10 @@ def test_oracle_argument_validation(drift2):
     with pytest.raises(InvalidParameter):
         exact_eta_tensor_oracle(drift2, 2, 2, 1, f)
     with pytest.raises(InvalidParameter):
-        exact_QN_oracle(drift2, 2, 2, f.tensor(f), n=2)
+        exact_QN_oracle(drift2, 2, flat_blocks(2, 2), f.tensor(f))
     with pytest.raises(InvalidParameter):
-        exact_QN_oracle(drift2, 2, 1, f.tensor(function_from_vector(
-            drift2, 2, [1, 1])))
+        exact_QN_oracle(drift2, 2, flat_blocks(2, 1), f.tensor(
+            function_from_vector(drift2, 2, [1, 1])))
 
 
 # ---------------------------------------------------------------------------
