@@ -365,6 +365,11 @@ def cmd_hilbert(args: SimpleNamespace) -> int:
 
 def cmd_expand(args: SimpleNamespace) -> int:
     _require_json(args)
+    # refused rather than recorded in the manifest as applied
+    if args.center and not args.function:
+        raise InvalidParameter("--center needs --function")
+    if args.top is not None and not args.block:
+        raise InvalidParameter("--top applies to --block only")
     caps = _caps_from_args(args)
     model = load_model(args.model, args.field)
     oracle_ns = _parse_ints(args.oracle)

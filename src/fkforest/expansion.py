@@ -34,7 +34,10 @@ weights are integers; the exact value multiplies piece p by (N)_p and the
 denominator by N**b; each moved coordinate multiplies the denominator by
 that of the operator rows.  Only the final tables become measures, with
 one Fraction per entry, or in float mode one correctly rounded division
-of the exact value.
+of the exact value.  The block law reuses the same kernel through
+`_Table.map_coords`: each term contracts its leading coordinates against
+the potential-fluctuation vectors and moves the rest to the target time
+in one call, rounded once.
 
 The genealogy class sum is the same product expanded over map sequences
 and grouped by orbit.  A class with per-level image sizes (m_0..m_n)
@@ -95,16 +98,17 @@ from .fk_core import (
     TensorFunction,
     delta_colored,
     eta_tensor,
+    exact_q_rows,
     flow,
     format_scalar,
     from_numerators,
     function_from_vector,
-    gamma_measure,
     gamma_tensor,
     is_centered,
     semigroup,
     select_partitions,
     transport_numerators,
+    _block_levels,
     _over_lcm,
 )
 
@@ -144,13 +148,6 @@ def _zero_measure(model: FKModel, levels: Sequence[int]) -> SignedMeasure:
     lv = tuple(levels)
     size = math.prod(model.size(k) for k in lv)
     return SignedMeasure(model, lv, [model.zero] * size)
-
-
-def _block_levels(profile: Sequence[int]) -> Tuple[int, ...]:
-    lv: Tuple[int, ...] = ()
-    for k, cnt in enumerate(profile):
-        lv += (k,) * cnt
-    return lv
 
 
 def _scalars_agree(model: FKModel, a: Scalar, b: Scalar) -> bool:
@@ -619,12 +616,15 @@ def centered_moment_expansion(model: FKModel, n: int, q: int,
 # normalized q-particle block laws
 
 
-def _transport_all(mu: SignedMeasure, target: int) -> SignedMeasure:
-    # every coordinate sits at the same level; walk them forward together
-    cur = mu
-    while cur.arity and cur.levels[0] < target:
-        cur = cur.transport_block(0, cur.levels[0] + 1)
-    return cur
+def _contract_and_move(mu: SignedMeasure, vecs: Dict[int, Sequence[Scalar]],
+                       rows: Sequence[Sequence[Scalar]],
+                       level: int) -> SignedMeasure:
+    """One map_coords call: integrate out the coordinates vecs names against
+    their vectors, then move every other one through rows to level."""
+    moves = [(pos, [[v] for v in vecs[pos]], None)
+             for pos in sorted(vecs, reverse=True)]
+    moves += [(pos, rows, level) for pos in range(mu.arity - len(vecs))]
+    return mu.map_coords(moves)
 
 
 def _center_image(model: FKModel, sigma: SignedMeasure, np1: int, q: int,
@@ -660,6 +660,7 @@ def derivative_P(model: FKModel, n_plus_1: int, q: int, k: int,
         return eta_tensor(model, np1, q, fl)
     n = np1 - 1
     gb = [gbar_vector(model, j, fl) for j in range(n + 1)]
+    qrows = exact_q_rows(model, np1)
     total: Optional[SignedMeasure] = None
     for l in range(2 * k):
         for p in compositions(l, n + 1):
@@ -667,11 +668,8 @@ def derivative_P(model: FKModel, n_plus_1: int, q: int, k: int,
             if k > sum(b - 1 for b in _blacks(prof)):
                 continue
             nu = path_derivative_Q(model, prof, k, caps)
-            vecs: List[Sequence[Scalar]] = []
-            for j, pj in enumerate(p):
-                vecs.extend([gb[j]] * pj)
-            rho = nu.contract(range(len(vecs)), vecs) if vecs else nu
-            sigma = rho.transport_block(0, np1)
+            vecs = [gb[j] for j, pj in enumerate(p) for _ in range(pj)]
+            sigma = _contract_and_move(nu, dict(enumerate(vecs)), qrows, np1)
             pfact = 1
             for pj in p:
                 pfact *= math.factorial(pj)
@@ -711,6 +709,7 @@ def first_order_P(model: FKModel, n_plus_1: int, q: int,
     gb = [gbar_vector(model, j, fl) for j in range(n + 1)]
     half = Fraction(q * (q - 1), 2)
     zero = _zero_measure(model, (np1,) * q)
+    qrows = exact_q_rows(model, np1)
 
     generic = derivative_P(model, np1, q, 1, caps)
 
@@ -743,12 +742,12 @@ def first_order_P(model: FKModel, n_plus_1: int, q: int,
             # against the flow) and at m = n the two merge slots agree
             rho: Optional[SignedMeasure] = None
             for pos in range(qm[m]):
-                term = nu.contract([pos], [gb[m]])
+                term = _contract_and_move(nu, {pos: gb[m]}, qrows, np1)
                 rho = term if rho is None else rho + term
             assert rho is not None
             if m == n:
                 rho = rho.scale(Fraction(1, 2))
-            piece2 = piece2 + rho.transport_block(0, np1)
+            piece2 = piece2 + rho
     piece2 = piece2.scale(q * q)
     shapes = _center_image(model, piece1 + piece2, np1, q,
                            fl).symmetrize_blocks()
@@ -757,25 +756,19 @@ def first_order_P(model: FKModel, n_plus_1: int, q: int,
     if q >= 2:
         dup = [0] + list(range(q - 1))
         for kk in range(n + 1):
-            mu = gamma_measure(model, kk, fl)
-            cur = mu
-            for _ in range(q - 2):
-                cur = cur.tensor(mu)
-            cur = cur.pushforward(dup).scale(_gamma_mass(fl, kk))
-            ipiece1 = ipiece1 + _transport_all(cur, np1)
+            cur = gamma_tensor(model, kk, q - 1, fl).pushforward(dup).scale(
+                _gamma_mass(fl, kk))
+            ipiece1 = ipiece1 + _contract_and_move(
+                cur, {}, semigroup(model, kk, np1), np1)
         ipiece1 = ipiece1.scale(half)
     ipiece2 = zero
     for m in range(n + 1):
         for kk in range(m + 1):
-            rows = semigroup(model, kk, m)
-            vec = tuple(sum(row[y] * gb[m][y] for y in range(len(row)))
-                        for row in rows)
-            mu = gamma_measure(model, kk, fl)
-            cur = mu
-            for _ in range(q - 1):
-                cur = cur.tensor(mu)
-            cur = cur.weight_coord(0, vec).scale(_gamma_mass(fl, kk))
-            ipiece2 = ipiece2 + _transport_all(cur, np1)
+            vec = _apply_semigroup(model, kk, m, gb[m])
+            cur = gamma_tensor(model, kk, q, fl).weight_coord(0, vec).scale(
+                _gamma_mass(fl, kk))
+            ipiece2 = ipiece2 + _contract_and_move(
+                cur, {}, semigroup(model, kk, np1), np1)
     ipiece2 = ipiece2.scale(q * q)
     integrals = _center_image(model, ipiece1 + ipiece2, np1, q,
                               fl).symmetrize_blocks()

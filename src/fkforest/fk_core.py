@@ -7,13 +7,15 @@ over coordinates left to right, so serialized values are reproducible byte
 for byte.  Table entries are Fractions in rational mode and floats in
 float mode, which exists for Monte Carlo work.
 
-Transport and the partition selection run on one integer kernel: a table
-is a list of Python-int numerators over one shared denominator, the model
-supplies each one-step operator as integer rows over the lcm of its
-entries, and a step multiplies the denominator once instead of paying a
-gcd per entry.  Float inputs enter the kernel exactly, through
-Fraction(float), and each result entry is rounded once by int/int true
-division, so float-mode values are the correctly rounded exact values.
+The partition selection and every linear map of single coordinates run
+on one integer kernel: a table is a list of Python-int numerators over
+one shared denominator, each matrix enters as integer rows over the lcm
+of its entries, and a step multiplies the denominator once instead of
+paying a gcd per entry.  `_Table.map_coords` carries every coordinate map
+(transport, weights, contractions, integrals, pulls, centering).  Float
+inputs enter exactly, through Fraction(float), and each call rounds its
+result once by int/int true division.  Only pushforward (an index map)
+and symmetrize_blocks (orbit sums) walk the points of a table.
 
 Domains are tuples of level indices.  A q-fold tensor at level n has
 domain (n,)*q; a path-space block structure lists each level once per
@@ -272,6 +274,12 @@ def _over_lcm(vals: Iterable[object]) -> Tuple[List[int], int]:
     return [v.numerator * (den // v.denominator) for v in fr], den
 
 
+def exact_q_rows(model: FKModel, k: int) -> List[List[Fraction]]:
+    """Q_k as exact Fractions in either field, for map_coords moves."""
+    rows, den = model.exact_q(k)
+    return [[Fraction(v, den) for v in row] for row in rows]
+
+
 def from_numerators(model: FKModel, nums: Sequence[int],
                     den: int) -> List[Scalar]:
     """Table entries num/den: one Fraction per entry in rational mode, one
@@ -432,10 +440,7 @@ class _Table:
         return [range(s) for s in self.sizes]
 
     def value(self, point: Sequence[int]) -> Scalar:
-        idx = 0
-        for x, s in zip(point, self.sizes):
-            idx = idx * s + x
-        return self.data[idx]
+        return self.data[_encode(point, self.sizes)]
 
     def _same_domain(self, other: "_Table"):
         if self.model is not other.model and self.model != other.model:
@@ -472,6 +477,39 @@ class _Table:
     def __hash__(self):
         return object.__hash__(self)
 
+    def map_coords(self, moves: Iterable[Tuple[int, Sequence[Sequence[object]],
+                                                Optional[int]]]):
+        """Apply matrices to single coordinates, one move after another.
+
+        A move (pos, rows, level) replaces the table t by the table
+        sum_x t(.., x, ..) * rows[x][y] at (.., y, ..): the coordinate at
+        position pos of the current table moves to `level`, or is
+        integrated out when `level` is None (rows of one column each).
+        All moves run on one integer numerator table, rounded once.
+        """
+        nums, den = _over_lcm(self.data)
+        levels = list(self.levels)
+        sizes = list(self.sizes)
+        for pos, rows, level in moves:
+            if not 0 <= pos < len(levels):
+                raise InvalidParameter("coordinate %d out of range" % pos)
+            width = 1 if level is None else self.model.size(level)
+            if len(rows) != sizes[pos] or any(len(r) != width for r in rows):
+                raise InvalidParameter(
+                    "coordinate %d needs %d rows of %d entries"
+                    % (pos, sizes[pos], width))
+            flat, rden = _over_lcm(v for row in rows for v in row)
+            nums = transport_numerators(
+                nums, math.prod(sizes[pos + 1:]),
+                [flat[i:i + width] for i in range(0, len(flat), width)])
+            den *= rden
+            if level is None:
+                del levels[pos], sizes[pos]
+            else:
+                levels[pos], sizes[pos] = level, width
+        return type(self)(self.model, levels,
+                          from_numerators(self.model, nums, den))
+
     def symmetrize_blocks(self):
         """Average over coordinate permutations within same-level groups.
 
@@ -493,6 +531,12 @@ class _Table:
             sizes[key] = sizes.get(key, 0) + 1
         mean = {key: total / sizes[key] for key, total in sums.items()}
         return type(self)(self.model, self.levels, [mean[key] for key in keys])
+
+
+def _block_levels(profile: Sequence[int]) -> Tuple[int, ...]:
+    """The domain of a block profile (q_0..q_n): level k once per block
+    coordinate, in time order."""
+    return tuple(k for k, cnt in enumerate(profile) for _ in range(cnt))
 
 
 def _encode(point: Sequence[int], sizes: Sequence[int]) -> int:
@@ -537,34 +581,24 @@ class SignedMeasure(_Table):
 
     def transport_block(self, start: int, k: int) -> "SignedMeasure":
         """Move coordinates start.. from level k-1 to level k through the
-        one-step operator, one coordinate at a time on the integer kernel."""
-        rows, qden = self.model.exact_q(k)
+        one-step operator, in one map_coords call."""
         for pos in range(start, self.arity):
             if self.levels[pos] != k - 1:
                 raise InvalidParameter(
                     "coordinate %d sits at level %d, expected %d"
                     % (pos, self.levels[pos], k - 1))
-        nums, den = _over_lcm(self.data)
-        sizes = self.sizes
-        for pos in range(start, self.arity):
-            nums = transport_numerators(nums, math.prod(sizes[pos + 1:]), rows)
-            den *= qden
-        levels = self.levels[:start] + (k,) * (self.arity - start)
-        return SignedMeasure(self.model, levels,
-                             from_numerators(self.model, nums, den))
+        rows = exact_q_rows(self.model, k)
+        return self.map_coords((pos, rows, k)
+                               for pos in range(start, self.arity))
 
     def weight_coord(self, pos: int,
                      vec: Sequence[Scalar]) -> "SignedMeasure":
         """Multiply by a one-coordinate density; the coordinate stays."""
         if not 0 <= pos < self.arity:
             raise InvalidParameter("coordinate %d out of range" % pos)
-        v = tuple(vec)
-        if len(v) != self.sizes[pos]:
-            raise InvalidParameter("vector length mismatch at %d" % pos)
-        out = [w * v[point[pos]] if w else w
-               for point, w in zip(itertools.product(*self._ranges()),
-                                   self.data)]
-        return SignedMeasure(self.model, self.levels, out)
+        diag = [[v if x == y else 0 for y in range(len(vec))]
+                for x, v in enumerate(vec)]
+        return self.map_coords([(pos, diag, self.levels[pos])])
 
     def contract(self, positions: Sequence[int],
                  vectors: Sequence[Sequence[Scalar]]) -> "SignedMeasure":
@@ -573,24 +607,9 @@ class SignedMeasure(_Table):
         pos = tuple(positions)
         if len(set(pos)) != len(pos):
             raise InvalidParameter("duplicate contraction positions")
-        vecs = {p: tuple(v) for p, v in zip(pos, vectors)}
-        for p, v in vecs.items():
-            if len(v) != self.sizes[p]:
-                raise InvalidParameter("vector length mismatch at %d" % p)
-        keep = [i for i in range(self.arity) if i not in vecs]
-        new_levels = tuple(self.levels[i] for i in keep)
-        new_sizes = tuple(self.model.size(k) for k in new_levels)
-        out = [self.model.zero] * math.prod(new_sizes)
-        for point, w in zip(itertools.product(*self._ranges()), self.data):
-            if not w:
-                continue
-            for p, v in vecs.items():
-                w = w * v[point[p]]
-                if not w:
-                    break
-            if w:
-                out[_encode([point[i] for i in keep], new_sizes)] += w
-        return SignedMeasure(self.model, new_levels, out)
+        vecs = dict(zip(pos, vectors))
+        return self.map_coords((p, [[v] for v in vecs[p]], None)
+                               for p in sorted(vecs, reverse=True))
 
 
 class TensorFunction(_Table):
@@ -608,55 +627,25 @@ class TensorFunction(_Table):
     def pull_coord(self, pos: int, k: int) -> "TensorFunction":
         """Compose coordinate pos (level k) with the one-step operator; the
         coordinate moves down to level k-1."""
-        rows = q_operator(self.model, k)
-        if self.levels[pos] != k:
-            raise InvalidParameter(
-                "coordinate %d sits at level %d, expected %d"
-                % (pos, self.levels[pos], k))
-        new_levels = self.levels[:pos] + (k - 1,) + self.levels[pos + 1:]
-        new_sizes = tuple(self.model.size(j) for j in new_levels)
-        out = [self.model.zero] * math.prod(new_sizes)
-        for point in itertools.product(*[range(s) for s in new_sizes]):
-            acc = self.model.zero
-            src = list(point)
-            for y, qv in enumerate(rows[point[pos]]):
-                if qv:
-                    src[pos] = y
-                    acc = acc + qv * self.value(src)
-            out[_encode(point, new_sizes)] = acc
-        return TensorFunction(self.model, new_levels, out)
+        return self._pull(k, [pos])
 
     def pull_all(self, k: int) -> "TensorFunction":
-        cur = self
-        for pos in range(self.arity):
-            cur = cur.pull_coord(pos, k)
-        return cur
+        return self._pull(k, range(self.arity))
+
+    def _pull(self, k: int, pos: Sequence[int]) -> "TensorFunction":
+        # one map_coords call through the transposed one-step operator
+        for p in pos:
+            if self.levels[p] != k:
+                raise InvalidParameter(
+                    "coordinate %d sits at level %d, expected %d"
+                    % (p, self.levels[p], k))
+        rows = list(zip(*q_operator(self.model, k)))
+        return self.map_coords((p, rows, k - 1) for p in pos)
 
     def integrate_coord(self, pos: int,
                         vec: Sequence[Scalar]) -> "TensorFunction":
         """Integral over coordinate pos against a weight vector."""
-        if len(vec) != self.sizes[pos]:
-            raise InvalidParameter("vector length mismatch")
-        keep = [i for i in range(self.arity) if i != pos]
-        new_levels = tuple(self.levels[i] for i in keep)
-        new_sizes = tuple(self.model.size(k) for k in new_levels)
-        out = [self.model.zero] * math.prod(new_sizes)
-        for point in itertools.product(*self._ranges()):
-            v = self.data[_encode(point, self.sizes)]
-            if v:
-                out[_encode([point[i] for i in keep], new_sizes)] += (
-                    v * vec[point[pos]])
-        return TensorFunction(self.model, new_levels, out)
-
-    def expand_coord(self, pos: int, k: int) -> "TensorFunction":
-        """Insert a dummy coordinate at position pos living at level k."""
-        new_levels = self.levels[:pos] + (k,) + self.levels[pos:]
-        new_sizes = tuple(self.model.size(j) for j in new_levels)
-        out = [self.model.zero] * math.prod(new_sizes)
-        for point in itertools.product(*[range(s) for s in new_sizes]):
-            reduced = point[:pos] + point[pos + 1:]
-            out[_encode(point, new_sizes)] = self.value(reduced)
-        return TensorFunction(self.model, new_levels, out)
+        return self.map_coords([(pos, [[v] for v in vec], None)])
 
 
 def constant_function(model: FKModel, levels: Sequence[int],
@@ -688,24 +677,21 @@ def eta_measure(model: FKModel, k: int,
     return measure_from_vector(model, k, fl.eta_vec[k])
 
 
+def _tensor_power(mu: SignedMeasure, q: int) -> SignedMeasure:
+    out = SignedMeasure(mu.model, (), [mu.model.one])
+    for _ in range(q):
+        out = out.tensor(mu)
+    return out
+
+
 def gamma_tensor(model: FKModel, n: int, q: int,
                  fl: Optional[Flow] = None) -> SignedMeasure:
-    fl = fl or flow(model)
-    out = SignedMeasure(model, (), [model.one])
-    g = gamma_measure(model, n, fl)
-    for _ in range(q):
-        out = out.tensor(g)
-    return out
+    return _tensor_power(gamma_measure(model, n, fl), q)
 
 
 def eta_tensor(model: FKModel, n: int, q: int,
                fl: Optional[Flow] = None) -> SignedMeasure:
-    fl = fl or flow(model)
-    out = SignedMeasure(model, (), [model.one])
-    e = eta_measure(model, n, fl)
-    for _ in range(q):
-        out = out.tensor(e)
-    return out
+    return _tensor_power(eta_measure(model, n, fl), q)
 
 
 # ---------------------------------------------------------------------------
@@ -816,53 +802,28 @@ def delta_colored(model: FKModel,
 
 
 def center_function(model: FKModel, f: TensorFunction,
-                    q: Optional[Union[int, Sequence[int]]] = None,
                     fl: Optional[Flow] = None) -> TensorFunction:
     """Symmetrize within same-level blocks, then remove every per-coordinate
-    conditional mean against the normalized flow.  The result integrates to
-    zero in each coordinate separately; commuting projections make one pass
-    enough, and the claim is re-checked exactly before returning."""
-    if q is not None:
-        if isinstance(q, int):
-            want: Tuple[int, ...] = (f.levels[0] if f.levels else 0,) * q
-            if f.levels != want:
-                raise InvalidParameter("function domain does not match q")
-        else:
-            counts: Dict[int, int] = {}
-            for k in f.levels:
-                counts[k] = counts.get(k, 0) + 1
-            want_counts = {lvl: c for lvl, c in enumerate(q) if c}
-            if counts != want_counts:
-                raise InvalidParameter(
-                    "function domain does not match the block sizes")
+    conditional mean against the normalized flow: one projection move per
+    coordinate, rows delta_xy - eta_k(x), all in one map_coords call.  The
+    result integrates to zero in each coordinate separately; commuting
+    projections make one pass enough, and the claim is re-checked before
+    returning."""
     fl = fl or flow(model)
-    out = f.symmetrize_blocks()
-    for pos in range(out.arity):
-        eta = fl.eta_vec[out.levels[pos]]
-        mean = out.integrate_coord(pos, eta)
-        out = out - mean.expand_coord(pos, out.levels[pos])
-    for pos in range(out.arity):
-        eta = fl.eta_vec[out.levels[pos]]
-        resid = out.integrate_coord(pos, eta)
-        bad = max((abs(v) for v in resid.data), default=0)
-        if model.field == "rational":
-            if bad != 0:
-                raise AssertionError("centering left a nonzero mean")
-        elif bad > 1e-9:
-            raise AssertionError("centering left a mean of size %r" % bad)
+    proj = [[[(x == y) - e for y in range(len(eta))] for x, e in enumerate(eta)]
+            for eta in fl.eta_vec]
+    out = f.symmetrize_blocks().map_coords(
+        (pos, proj[k], k) for pos, k in enumerate(f.levels))
+    if not is_centered(model, out, fl):
+        raise AssertionError("centering left a nonzero mean")
     return out
 
 
 def is_centered(model: FKModel, f: TensorFunction,
                 fl: Optional[Flow] = None) -> bool:
-    # float mode gets the same slack center_function grants itself
+    # float mode allows rounding: marginals within 1e-9 of zero
     tol = 0 if model.field == "rational" else 1e-9
     fl = fl or flow(model)
-    if not f.is_symmetric():
-        return False
-    for pos in range(f.arity):
-        eta = fl.eta_vec[f.levels[pos]]
-        resid = f.integrate_coord(pos, eta)
-        if any(abs(v) > tol for v in resid.data):
-            return False
-    return True
+    return f.is_symmetric() and all(
+        abs(v) <= tol for pos, k in enumerate(f.levels)
+        for v in f.integrate_coord(pos, fl.eta_vec[k]).data)

@@ -43,8 +43,8 @@ from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
 from .combinatorics import falling_factorial
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, InvalidParameter
-from .fk_core import (FKModel, Scalar, TensorFunction, _over_lcm, flow,
-                      q_operator)
+from .fk_core import (FKModel, Scalar, TensorFunction, _block_levels,
+                      _over_lcm, flow, q_operator)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -315,9 +315,7 @@ def exact_QN_oracle(model: FKModel, N: int, q: Sequence[int],
     the table over the coordinates frozen before level n."""
     qvec = tuple(int(v) for v in q)
     n = len(qvec) - 1
-    want: Tuple[int, ...] = ()
-    for lvl, cnt in enumerate(qvec):
-        want += (lvl,) * cnt
+    want = _block_levels(qvec)
     if F.levels != want:
         raise InvalidParameter("F domain %r does not match blocks %r"
                                % (F.levels, want))

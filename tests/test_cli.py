@@ -96,6 +96,11 @@ def test_identical_runs_write_identical_bytes(tmp_path, argv):
     ["expand", "--model", "drift2", "--q-seq", "0,2", "--block", "--top", "1"],
     ["oracle", "--model", "drift2", "--N", "3", "--q-seq", "1,1", "--kind",
      "eta", "--function", "F01"],
+    # flags that would otherwise be ignored yet recorded as applied
+    ["expand", "--model", "drift2", "--n", "1", "--q", "2", "--center",
+     "--top", "5"],
+    ["expand", "--model", "drift2", "--q-seq", "1,1", "--top", "1",
+     "--function", "F01"],
 ])
 def test_bad_parameters_are_refused(tmp_path, capsys, argv):
     # F01 names a valid function on the levels of the profile (1,1)

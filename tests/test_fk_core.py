@@ -239,14 +239,18 @@ def test_transport_is_vector_matrix_product(drift2):
 
 
 def test_transport_and_pull_are_adjoint(cycle3):
+    # on the (2, 3, 2) model the moved coordinate changes size
     rng = random.Random(6)
-    mu = random_measure(cycle3, (0, 0), rng)
-    f = random_function(cycle3, (0, 1), rng)
-    lhs = mu.transport_block(1, 1).pair(f)
-    rhs = mu.pair(f.pull_coord(1, 1))
-    assert lhs == rhs
-    g = random_function(cycle3, (1, 1), rng)
-    assert mu.transport_block(0, 1).pair(g) == mu.pair(g.pull_all(1))
+    for m in (cycle3, random_rational_model(7, sizes=(2, 3, 2))):
+        mu = random_measure(m, (0, 0), rng)
+        f = random_function(m, (0, 1), rng)
+        lhs = mu.transport_block(1, 1).pair(f)
+        rhs = mu.pair(f.pull_coord(1, 1))
+        assert lhs == rhs
+        g = random_function(m, (1, 1), rng)
+        assert mu.transport_block(0, 1).pair(g) == mu.pair(g.pull_all(1))
+        with pytest.raises(InvalidParameter):
+            f.pull_coord(0, 1)
 
 
 def test_symmetrization_projects(drift2):
@@ -299,17 +303,36 @@ def test_orbit_sum_is_the_permutation_average(name, levels):
 
 
 def test_contract_is_weight_then_marginalize(blend3):
+    # pushforward stays a Fraction walk, so it is the reference; on the
+    # (2, 3, 2) model every coordinate has its own stride
     rng = random.Random(8)
-    mu = random_measure(blend3, (0, 1, 1), rng)
-    v0 = [Fraction(i - 1) for i in range(mu.sizes[0])]
-    v2 = [Fraction(2 * i + 1) for i in range(mu.sizes[2])]
-    via_contract = mu.contract([0, 2], [v0, v2])
-    via_weight = mu.weight_coord(0, v0).weight_coord(2, v2).pushforward([1])
-    assert via_contract == via_weight
+    for m in (blend3, random_rational_model(7, sizes=(2, 3, 2))):
+        mu = random_measure(m, (0, 1, 1), rng)
+        v0 = [Fraction(i - 1) for i in range(mu.sizes[0])]
+        v2 = [Fraction(2 * i + 1, 3) for i in range(mu.sizes[2])]
+        via_contract = mu.contract([0, 2], [v0, v2])
+        via_weight = mu.weight_coord(0, v0).weight_coord(2, v2).pushforward(
+            [1])
+        assert via_contract == via_weight
+        assert mu.contract([2, 0], [v2, v0]) == via_contract
+        with pytest.raises(InvalidParameter):
+            mu.contract([0, 0], [v0, v0])
+        with pytest.raises(InvalidParameter):
+            mu.weight_coord(2, v2 + v2)
+
+
+def test_map_coords_refuses_malformed_moves(drift2):
+    mu = random_measure(drift2, (0, 1), random.Random(12))
     with pytest.raises(InvalidParameter):
-        mu.contract([0, 0], [v0, v0])
+        mu.map_coords([(2, [[1], [1]], None)])
     with pytest.raises(InvalidParameter):
-        mu.weight_coord(2, v2 + v2)
+        mu.map_coords([(0, [[1, 0], [0, 1]], None)])
+    with pytest.raises(InvalidParameter):
+        mu.map_coords([(1, [[1], [1], [1]], None)])
+    # the second move reads positions of the table the first one left
+    with pytest.raises(InvalidParameter):
+        mu.map_coords([(0, [[1], [1]], None), (1, [[1], [1]], None)])
+    assert mu.map_coords([]) == mu
 
 
 def test_integrate_expand_and_tv(drift2):
@@ -318,9 +341,9 @@ def test_integrate_expand_and_tv(drift2):
     eta = flow(drift2).eta_vec[2]
     reduced = f.integrate_coord(1, eta)
     assert reduced.levels == (1,)
-    again = reduced.expand_coord(1, 2)
-    assert again.levels == (1, 2)
-    assert again.integrate_coord(1, eta) == reduced
+    for x in range(2):
+        assert reduced.value((x,)) == sum(f.value((x, y)) * eta[y]
+                                          for y in range(2))
     mu = random_measure(drift2, (1,), rng)
     assert mu.tv_norm() == sum(abs(v) for v in mu.data)
     assert mu.total_mass() == sum(mu.data)
@@ -573,6 +596,19 @@ def test_float_kernel_rounds_the_exact_result_once():
     got = partition_sums(mu, 1)
     for p, piece in reference_partition_sums(ref, 1).items():
         assert got[p].data == tuple(float(v) for v in piece.data)
+    # a contraction, a weight and a centering move: the float rows enter
+    # exactly, so each float entry is the rounded rational entry
+    vec = [rng.uniform(-1, 1) for _ in range(3)]
+    eta = flow(m).eta_vec[1]
+    center = [[(x == y) - e for y in range(3)] for x, e in enumerate(eta)]
+    for op in (lambda t, v: t.contract([0, 2], [v(vec), v(vec)]),
+               lambda t, v: t.weight_coord(1, v(vec)),
+               lambda t, v: t.map_coords([(pos, [v(row) for row in center], 1)
+                                          for pos in (1, 2)])):
+        got = op(mu, list)
+        want = op(ref, lambda row: [Fraction(x) for x in row])
+        assert got.levels == want.levels
+        assert got.data == tuple(float(v) for v in want.data)
 
 
 def single_level_model(size):
@@ -932,17 +968,6 @@ def test_center_function_kills_every_marginal(drift2):
         resid = c.integrate_coord(pos, fl.eta_vec[c.levels[pos]])
         assert all(v == 0 for v in resid.data)
     assert not is_centered(drift2, f) or f == c
-
-
-def test_center_function_checks_declared_shape(drift2):
-    rng = random.Random(15)
-    f = random_function(drift2, (2, 2), rng)
-    center_function(drift2, f, q=2)
-    with pytest.raises(InvalidParameter):
-        center_function(drift2, f, q=3)
-    with pytest.raises(InvalidParameter):
-        center_function(drift2, f, q=(1, 1))
-    center_function(drift2, f, q=(0, 0, 2))
 
 
 def test_is_centered_requires_symmetry(cycle3):

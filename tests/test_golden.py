@@ -11,7 +11,8 @@ kernel replaced the Fraction tables, the `count`/`enumerate` ones from
 before the pruned census knapsack and the per-tree automorphism counts,
 the `oracle` ones from before the forward pass moved onto integer
 transition rows, the last four from before the JSON writer replaced
-`json.dumps`.
+`json.dumps`, and the two `expand` cases past n=1 and across mixed
+levels from before the coordinate maps moved onto the integer kernel.
 A new digest means a changed output.
 """
 
@@ -68,6 +69,17 @@ CASES = {
         ["--model", "cycle3", "--n", "1", "--q", "2", "--oracle", "3"],
         F3,
         "eeb13d5c3cc1720aca52c59f1041a5c0ea6dd94dbb7e5bd10be731ac88b3c4e4"),
+    # a block law past n=1, and centering across mixed levels
+    "cycle3-block-n2": (
+        ["--model", "cycle3", "--n", "2", "--q", "2", "--block",
+         "--top", "2", "--evaluate", "4"],
+        ([2, 2], F3[1]),
+        "019e0d00c917fb9f988f3b6c3fa398ea4a363e5f99d01d6d88324a4cefe1caa8"),
+    "drift2-center-mixed": (
+        ["--model", "drift2", "--q-seq", "1,2", "--center", "--evaluate",
+         "4"],
+        ([0, 1, 1], ["1", "2", "3", "-1", "1/2", "5", "7", "1/3"]),
+        "f578631362f56033aecb06f704edaed59aedd15b651828c1fdd91f71296d43fd"),
 }
 
 
