@@ -29,7 +29,7 @@ import sys
 import textwrap
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .colored_forest import (brute_force_colored_orbit_count,
@@ -58,34 +58,11 @@ from .particle import (exact_EN_oracle, exact_eta_tensor_oracle,
                        exact_PN_oracle, exact_QN_oracle, estimators,
                        simulate)
 
-__all__ = ["RunManifest", "main", "parse_args"]
+__all__ = ["main", "parse_args"]
 
 
 # ---------------------------------------------------------------------------
 # manifest and output plumbing
-
-
-class RunManifest(NamedTuple):
-    """Reproducibility header embedded in every output file."""
-
-    command: str
-    parameters: Dict[str, object]
-    model_hash: Optional[str]
-    seed: int
-    version: str
-    field: str
-    caps: Dict[str, int]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "command": self.command,
-            "parameters": _plain(self.parameters),
-            "model_hash": self.model_hash,
-            "seed": self.seed,
-            "version": self.version,
-            "field": self.field,
-            "caps": dict(self.caps),
-        }
 
 
 # values _plain passes through as they are; tested by exact type first, so
@@ -131,17 +108,17 @@ def _caps_from_args(args: SimpleNamespace) -> Caps:
 
 
 def _manifest(args: SimpleNamespace, params: Dict[str, object],
-              model: Optional[FKModel] = None) -> RunManifest:
-    caps = _caps_from_args(args)
-    return RunManifest(
-        command=args.command,
-        parameters=params,
-        model_hash=model_sha256(model) if model is not None else None,
-        seed=args.seed,
-        version=__version__,
-        field=args.field,
-        caps=caps._asdict(),
-    )
+              model: Optional[FKModel] = None) -> Dict[str, object]:
+    """Reproducibility header embedded in every output file."""
+    return {
+        "command": args.command,
+        "parameters": _plain(params),
+        "model_hash": model_sha256(model) if model is not None else None,
+        "seed": args.seed,
+        "version": __version__,
+        "field": args.field,
+        "caps": _caps_from_args(args)._asdict(),
+    }
 
 
 def _write_text(args: SimpleNamespace, text: str) -> None:
@@ -152,16 +129,16 @@ def _write_text(args: SimpleNamespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(args: SimpleNamespace, manifest: RunManifest,
+def _emit_json(args: SimpleNamespace, manifest: Dict[str, object],
                result: object) -> None:
-    doc = {"manifest": manifest.to_dict(), "result": _plain(result)}
+    doc = {"manifest": manifest, "result": _plain(result)}
     _write_text(args, canonical_json(doc) + "\n")
 
 
-def _emit_csv(args: SimpleNamespace, manifest: RunManifest,
+def _emit_csv(args: SimpleNamespace, manifest: Dict[str, object],
               header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
     buf = io.StringIO()
-    compact = json.dumps(manifest.to_dict(), sort_keys=True,
+    compact = json.dumps(manifest, sort_keys=True,
                          separators=(",", ":"))
     buf.write("# manifest: %s\n" % compact)
     writer = csv.writer(buf, lineterminator="\n")

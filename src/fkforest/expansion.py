@@ -34,10 +34,16 @@ weights are integers; the exact value multiplies piece p by (N)_p and the
 denominator by N**b; each moved coordinate multiplies the denominator by
 that of the operator rows.  Only the final tables become measures, with
 one Fraction per entry, or in float mode one correctly rounded division
-of the exact value.  The block law reuses the same kernel through
-`_Table.map_coords`: each term contracts its leading coordinates against
-the potential-fluctuation vectors and moves the rest to the target time
-in one call, rounded once.
+of the exact value.
+
+The block law up to order top is one pass (`_block_law_orders`).  It walks
+every multi-index p of total size l < 2*top once, runs one moment
+polynomial for the profile (p, last block widened by q) up to the highest
+order that profile feeds, and adds its coefficient k, for every k > l/2,
+to order k.  Each term contracts its leading coordinates against the
+potential-fluctuation vectors and moves the rest to the target time in one
+`_Table.map_coords` call, rounded once.  All products of the pass share
+one dict of set-partition tables, so each (b, s) table is built once.
 
 The genealogy class sum is the same product expanded over map sequences
 and grouped by orbit.  A class with per-level image sizes (m_0..m_n)
@@ -110,6 +116,7 @@ from .fk_core import (
     transport_numerators,
     _block_levels,
     _over_lcm,
+    _partition_targets,
 )
 
 __all__ = [
@@ -134,6 +141,8 @@ __all__ = [
 ]
 
 Scalar = Union[Fraction, float]
+# (b, s) -> set-partition table, as fk_core._partition_targets builds it
+Targets = Dict[Tuple[int, int], Dict]
 
 
 # ---------------------------------------------------------------------------
@@ -150,17 +159,14 @@ def _zero_measure(model: FKModel, levels: Sequence[int]) -> SignedMeasure:
     return SignedMeasure(model, lv, [model.zero] * size)
 
 
-def _scalars_agree(model: FKModel, a: Scalar, b: Scalar) -> bool:
-    if model.field == "rational":
+def _agree(field: str, a, b) -> bool:
+    """Two scalars or two measures agree: exactly in rational mode, within
+    1e-9 relative to their size (absolute value, or tv norm) in float
+    mode."""
+    if field == "rational":
         return a == b
-    return abs(a - b) <= 1e-9 * (1 + abs(a) + abs(b))
-
-
-def _measures_agree(model: FKModel, a: SignedMeasure,
-                    b: SignedMeasure) -> bool:
-    if model.field == "rational":
-        return a == b
-    return (a - b).tv_norm() <= 1e-9 * (1 + a.tv_norm() + b.tv_norm())
+    size = (lambda v: v.tv_norm()) if isinstance(a, SignedMeasure) else abs
+    return size(a - b) <= 1e-9 * (1 + size(a) + size(b))
 
 
 def _gamma_mass(fl: Flow, k: int) -> Scalar:
@@ -243,10 +249,10 @@ def closed_form_low_orders(model: FKModel, n: int, q: int,
           + cross_b.scale(half)).symmetrize_blocks()
 
     if verify:
-        generic = _moment_polynomial(model, prof, 2, caps)
+        generic = _moment_polynomial(model, prof, 2, caps, {})
         for k, cand in ((0, d0), (1, d1), (2, d2)):
             gen = generic[k]
-            if not _measures_agree(model, cand, gen):
+            if not _agree(model.field, cand, gen):
                 raise IdentityMismatch(
                     "closed-form order %d differs from the generic "
                     "coefficient (tv gap %s); the generic engine is the "
@@ -311,7 +317,7 @@ def gaussian_product_moment(model: FKModel,
     facs = [(int(m), tuple(v)) for m, v in factors]
     for m, v in facs:
         mean = sum(fl.gamma_vec[m][x] * v[x] for x in range(len(v)))
-        if not _scalars_agree(model, mean, model.zero):
+        if not _agree(model.field, mean, model.zero):
             raise InvalidParameter(
                 "factor at time %d does not integrate to zero against "
                 "the unnormalized flow" % m)
@@ -370,7 +376,8 @@ def _check_product_caps(model: FKModel, prof: Tuple[int, ...],
 
 
 def _select_and_transport(model: FKModel, prof: Tuple[int, ...],
-                          select, caps: Caps) -> List[SignedMeasure]:
+                          select, caps: Caps,
+                          targets: Targets) -> List[SignedMeasure]:
     """The operator product behind every block moment.
 
     Runs on integer stages: the numerator tables of one stage share one
@@ -382,6 +389,11 @@ def _select_and_transport(model: FKModel, prof: Tuple[int, ...],
     the first q_k live coordinates freeze and the rest move one step, each
     moved coordinate multiplying the denominator by that of the operator
     rows.  Each final table becomes one measure, one entry at a time.
+
+    `targets` maps (b, s) to its set-partition table
+    (`fk_core._partition_targets`) and is filled as stages need them: a
+    caller running several products hands all of them one dict, so each
+    table is built once.
     """
     blacks = _blacks(prof)
     _check_product_caps(model, prof, caps)
@@ -395,7 +407,10 @@ def _select_and_transport(model: FKModel, prof: Tuple[int, ...],
     for k, b in enumerate(blacks):
         s = model.size(k)
         weights, scale = select(b, len(tables))
-        tables = select_partitions(tables, prefix, b, s, weights)
+        table = targets.get((b, s))
+        if table is None:
+            table = targets[b, s] = _partition_targets(b, s)
+        tables = select_partitions(tables, prefix, b, s, weights, table)
         den *= scale
         prefix *= s ** prof[k]
         if k + 1 < len(prof):
@@ -412,7 +427,7 @@ def _select_and_transport(model: FKModel, prof: Tuple[int, ...],
 
 
 def _moment_polynomial(model: FKModel, prof: Tuple[int, ...], top: int,
-                       caps: Caps) -> List[SignedMeasure]:
+                       caps: Caps, targets: Targets) -> List[SignedMeasure]:
     """Coefficients 0..top of the moment in x = 1/N.
 
     The selection at a level with b live coordinates is the polynomial
@@ -429,7 +444,7 @@ def _moment_polynomial(model: FKModel, prof: Tuple[int, ...], top: int,
                 for p in range(1, b + 1)})
         return weights, 1
 
-    return _select_and_transport(model, prof, select, caps)
+    return _select_and_transport(model, prof, select, caps, targets)
 
 
 def path_exact_QN(model: FKModel, q: Sequence[int], N: int,
@@ -453,7 +468,7 @@ def path_exact_QN(model: FKModel, q: Sequence[int], N: int,
         return [{(0, p): falling_factorial(N, p)
                  for p in range(1, b + 1)}], N ** b
 
-    (total,) = _select_and_transport(model, prof, select, caps)
+    (total,) = _select_and_transport(model, prof, select, caps, {})
     return total if F is None else total.pair(F)
 
 
@@ -464,7 +479,7 @@ def path_derivative_Q(model: FKModel, q: Sequence[int], k: int,
     top = path_max_order(prof)
     if not 0 <= k <= top:
         raise InvalidParameter("order %d outside 0..%d" % (k, top))
-    return _moment_polynomial(model, prof, k, caps)[k]
+    return _moment_polynomial(model, prof, k, caps, {})[k]
 
 
 def _wick_assignments(prof: Tuple[int, ...],
@@ -509,7 +524,8 @@ def path_wick_Q(model: FKModel, q: Sequence[int], F: TensorFunction,
     tot = sum(prof)
     lowest = (tot + 1) // 2
     half = tot // 2
-    coeffs = [t.pair(F) for t in _moment_polynomial(model, prof, half, caps)]
+    coeffs = [t.pair(F)
+              for t in _moment_polynomial(model, prof, half, caps, {})]
     vanishing = dict(enumerate(coeffs[:lowest]))
     if tot % 2:
         return vanishing, None
@@ -528,7 +544,7 @@ def path_wick_Q(model: FKModel, q: Sequence[int], F: TensorFunction,
         assert f.pair_profile == pairs
         total = total + coeff * delta_colored(model, f, prof, caps).pair(F)
     generic = coeffs[half]
-    if not _scalars_agree(model, total, generic):
+    if not _agree(model.field, total, generic):
         raise IdentityMismatch(
             "merge-assignment sum disagrees with the generic order-%d "
             "coefficient" % half, lhs=total, rhs=generic)
@@ -587,6 +603,7 @@ def centered_moment_expansion(model: FKModel, n: int, q: int,
     top = (n + 1) * (q - 1)
     orders: Dict[int, Scalar] = {k: model.zero for k in range(lowest, top + 1)}
     qfact = math.factorial(q)
+    targets: Targets = {}
     for p in compositions(q, n + 1):
         prof = normalize_path_profile(p)
         pmax = sum(b - 1 for b in _blacks(prof))
@@ -597,7 +614,7 @@ def centered_moment_expansion(model: FKModel, n: int, q: int,
             pfact *= math.factorial(pj)
         coeff = Fraction(qfact, pfact)
         integrand = _block_product(model, prof, gb)
-        coeffs = _moment_polynomial(model, prof, pmax, caps)
+        coeffs = _moment_polynomial(model, prof, pmax, caps, targets)
         for k in range(lowest, pmax + 1):
             val = coeffs[k].pair(integrand)
             orders[k] = orders[k] + coeff * val
@@ -638,72 +655,81 @@ def _center_image(model: FKModel, sigma: SignedMeasure, np1: int, q: int,
         model.one / gmass ** q)
 
 
-def derivative_P(model: FKModel, n_plus_1: int, q: int, k: int,
-                 caps: Caps = DEFAULT_CAPS) -> SignedMeasure:
-    """Order-k coefficient of the q-particle block law at time n_plus_1.
+def _block_law_orders(model: FKModel, n_plus_1: int, q: int, top: int,
+                      caps: Caps) -> List[SignedMeasure]:
+    """Coefficients 0..top of the q-particle block law at time n_plus_1.
 
-    Order zero is the limiting product law itself.  Higher orders sum, over
-    every multi-index p of total size below 2k, the order-k per-time
+    Order zero is the limiting product law itself.  Order k >= 1 sums, over
+    every multi-index p of total size l < 2k, the order-k per-time
     coefficient of the profile (p, last block widened by q), contracted
     with potential-fluctuation observables on the p coordinates, moved one
-    step forward on the rest, and centered.
+    step forward on the rest, and centered.  One walk over the p serves
+    every order: each profile runs one moment polynomial up to the highest
+    order it feeds, and all of them share one dict of partition tables.
+    The terms of each order are added in (l, p) order, each sum starting
+    from its first term, so an order's float value does not depend on top.
     """
     np1 = n_plus_1
+    if top < 0:
+        raise InvalidParameter("truncation order top=%d is negative" % top)
     if np1 < 1:
         raise InvalidParameter("needs a target time >= 1")
     if np1 > model.horizon:
         raise InvalidParameter("model horizon %d too short" % model.horizon)
-    if q < 1 or k < 0:
+    if q < 1:
         raise InvalidParameter("need q >= 1 and k >= 0")
     fl = flow(model)
-    if k == 0:
-        return eta_tensor(model, np1, q, fl)
     n = np1 - 1
     gb = [gbar_vector(model, j, fl) for j in range(n + 1)]
     qrows = exact_q_rows(model, np1)
-    total: Optional[SignedMeasure] = None
-    for l in range(2 * k):
+    targets: Targets = {}
+    sums: List[Optional[SignedMeasure]] = [None] * (top + 1)
+    for l in range(2 * top):
         for p in compositions(l, n + 1):
             prof = p[:-1] + (p[-1] + q,)
-            if k > sum(b - 1 for b in _blacks(prof)):
+            ks = range(l // 2 + 1, min(top, path_max_order(prof)) + 1)
+            if not ks:
                 continue
-            nu = path_derivative_Q(model, prof, k, caps)
-            vecs = [gb[j] for j, pj in enumerate(p) for _ in range(pj)]
-            sigma = _contract_and_move(nu, dict(enumerate(vecs)), qrows, np1)
-            pfact = 1
-            for pj in p:
-                pfact *= math.factorial(pj)
+            coeffs = _moment_polynomial(model, prof, ks[-1], caps, targets)
+            vecs = dict(enumerate(
+                gb[j] for j, pj in enumerate(p) for _ in range(pj)))
+            pfact = math.prod(math.factorial(pj) for pj in p)
             coeff = Fraction(math.factorial(q - 1 + l),
                              math.factorial(q - 1) * pfact)
-            term = sigma.scale(coeff)
-            total = term if total is None else total + term
-    if total is None:
-        return _zero_measure(model, (np1,) * q)
-    return _center_image(model, total, np1, q, fl)
+            for k in ks:
+                term = _contract_and_move(coeffs[k], vecs, qrows,
+                                          np1).scale(coeff)
+                sums[k] = term if sums[k] is None else sums[k] + term
+    return [eta_tensor(model, np1, q, fl)] + [
+        _zero_measure(model, (np1,) * q) if total is None
+        else _center_image(model, total, np1, q, fl) for total in sums[1:]]
+
+
+def derivative_P(model: FKModel, n_plus_1: int, q: int, k: int,
+                 caps: Caps = DEFAULT_CAPS) -> SignedMeasure:
+    """Order-k coefficient of the q-particle block law at time n_plus_1:
+    the last entry of the block-law pass up to k."""
+    return _block_law_orders(model, n_plus_1, q, k, caps)[k]
 
 
 def first_order_P(model: FKModel, n_plus_1: int, q: int,
                   caps: Caps = DEFAULT_CAPS) -> SignedMeasure:
     """First-order coefficient of the block law, computed three ways.
 
-    Route one is the generic derivative_P.  Route two rebuilds the two
-    closed-form pieces from named genealogy classes: the same-time
-    pair-merge shapes moved one step forward, and the per-time classes
-    tying one potential-fluctuation coordinate to the block.  Route three
-    builds the same two pieces directly as integrals, without touching the
-    class enumeration at all.  Any disagreement raises IdentityMismatch.
+    Route one is the generic derivative_P, which also checks the
+    arguments.  Route two rebuilds the two closed-form pieces from named
+    genealogy classes: the same-time pair-merge shapes moved one step
+    forward, and the per-time classes tying one potential-fluctuation
+    coordinate to the block.  Route three builds the same two pieces
+    directly as integrals, without touching the class enumeration at all.
+    Any disagreement raises IdentityMismatch.
 
     The pair-merge display carries no counterweight term; that is only
     sound because the centered image of the limiting product flow
     vanishes, which is checked here explicitly instead of assumed.
     """
+    generic = derivative_P(model, n_plus_1, q, 1, caps)
     np1 = n_plus_1
-    if np1 < 1:
-        raise InvalidParameter("needs a target time >= 1")
-    if np1 > model.horizon:
-        raise InvalidParameter("model horizon %d too short" % model.horizon)
-    if q < 1:
-        raise InvalidParameter("needs q >= 1")
     n = np1 - 1
     fl = flow(model)
     gb = [gbar_vector(model, j, fl) for j in range(n + 1)]
@@ -711,11 +737,9 @@ def first_order_P(model: FKModel, n_plus_1: int, q: int,
     zero = _zero_measure(model, (np1,) * q)
     qrows = exact_q_rows(model, np1)
 
-    generic = derivative_P(model, np1, q, 1, caps)
-
     counter = _center_image(model, gamma_tensor(model, np1, q, fl),
                             np1, q, fl)
-    if not _measures_agree(model, counter, zero):
+    if not _agree(model.field, counter, zero):
         raise IdentityMismatch(
             "centered image of the limiting product flow is not zero",
             lhs=counter, rhs=zero)
@@ -773,13 +797,13 @@ def first_order_P(model: FKModel, n_plus_1: int, q: int,
     integrals = _center_image(model, ipiece1 + ipiece2, np1, q,
                               fl).symmetrize_blocks()
 
-    if not _measures_agree(model, shapes, generic):
+    if not _agree(model.field, shapes, generic):
         raise IdentityMismatch(
             "named-class route disagrees with the generic first-order "
             "coefficient (tv gap %s)"
             % format_scalar((shapes - generic).tv_norm()),
             lhs=shapes, rhs=generic)
-    if not _measures_agree(model, integrals, generic):
+    if not _agree(model.field, integrals, generic):
         raise IdentityMismatch(
             "integral route disagrees with the generic first-order "
             "coefficient (tv gap %s)"
@@ -856,13 +880,9 @@ class ExpansionReport:
         """Exactness of every recorded evaluation against the full sum."""
         for N, got in self.evaluations.items():
             want = self.partial_sum(N)
-            if isinstance(want, SignedMeasure):
-                ok = _measures_agree(want.model, want, got)
-            else:
-                field = self.params.get("field", "rational")
-                ok = (want == got) if field == "rational" \
-                    else abs(want - got) <= 1e-9 * (1 + abs(want) + abs(got))
-            if not ok:
+            field = (want.model.field if isinstance(want, SignedMeasure)
+                     else self.params.get("field", "rational"))
+            if not _agree(field, want, got):
                 raise IdentityMismatch(
                     "%s report: evaluation at N=%d does not match the "
                     "coefficient sum" % (self.kind, N),
@@ -888,7 +908,7 @@ def _moment_report(model: FKModel, prof: Tuple[int, ...], kind: str,
                    F: Optional[TensorFunction],
                    caps: Caps) -> ExpansionReport:
     coeffs: List[object] = list(
-        _moment_polynomial(model, prof, path_max_order(prof), caps))
+        _moment_polynomial(model, prof, path_max_order(prof), caps, {}))
     if F is not None:
         coeffs = [c.pair(F) for c in coeffs]
     base, orders = coeffs[0], dict(enumerate(coeffs[1:], start=1))
@@ -941,13 +961,10 @@ def expansion_report_P(model: FKModel, n_plus_1: int, q: int,
     np1 = n_plus_1
     if top is None:
         top = 2
-    if top < 0:
-        raise InvalidParameter("truncation order top=%d is negative" % top)
+    law = _block_law_orders(model, np1, q, top, caps)
     Fs = F.symmetrize_blocks()
-    base = derivative_P(model, np1, q, 0, caps).pair(Fs)
-    orders: Dict[int, object] = {
-        k: derivative_P(model, np1, q, k, caps).pair(Fs)
-        for k in range(1, top + 1)}
+    base, *rest = [c.pair(Fs) for c in law]
+    orders: Dict[int, object] = dict(enumerate(rest, start=1))
     report = ExpansionReport(
         kind="block-law",
         params={"n_plus_1": np1, "q": q, "top": top, "field": model.field},

@@ -320,19 +320,20 @@ def _partition_targets(b: int,
 
 
 def select_partitions(tables: Sequence[Sequence[int]], prefix: int, b: int,
-                      s: int, weights: Sequence[Dict[Tuple[int, int], int]]
+                      s: int, weights: Sequence[Dict[Tuple[int, int], int]],
+                      targets: Dict[int, List[List[Tuple[int, int]]]]
                       ) -> List[List[int]]:
     """Selection on the live block of integer tables of one stage.
 
     Every table is laid out as prefix frozen points times s**b live points.
     Piece (d, p) of input table d sums, over the set partitions of the b
     live positions into p blocks, the pushforward under the partition's
-    canonical map; output e is sum of weights[e][d, p] * piece (d, p).  The
-    partition targets are built once for all tables, and each output folds
-    its weights into the marginals before one scatter per p.  The stage
-    denominator is unchanged.
+    canonical map; output e is sum of weights[e][d, p] * piece (d, p).
+    `targets` is `_partition_targets(b, s)`, which the caller builds once
+    for as many stages as share (b, s); each output folds its weights into
+    the marginals before one scatter per p.  The stage denominator is
+    unchanged.
     """
-    targets = _partition_targets(b, s)
     margs = []
     for t in tables:
         # m[p]: the table on the frozen prefix and its first p live points
@@ -727,9 +728,10 @@ def partition_sums(mu: SignedMeasure, frozen: int,
         raise CapExceeded("selection would enumerate too many set partitions",
                           predicted=bell, cap=caps.forests)
     nums, den = _over_lcm(mu.data)
-    tables = select_partitions([nums], math.prod(mu.sizes[:frozen]), b,
-                               mu.model.size(live[0]),
-                               [{(0, p): 1} for p in range(1, b + 1)])
+    s = mu.model.size(live[0])
+    tables = select_partitions([nums], math.prod(mu.sizes[:frozen]), b, s,
+                               [{(0, p): 1} for p in range(1, b + 1)],
+                               _partition_targets(b, s))
     return {p: SignedMeasure(mu.model, levels,
                              from_numerators(mu.model, t, den), caps=caps)
             for p, t in enumerate(tables, start=1)}
@@ -821,8 +823,9 @@ def center_function(model: FKModel, f: TensorFunction,
 
 def is_centered(model: FKModel, f: TensorFunction,
                 fl: Optional[Flow] = None) -> bool:
-    # float mode allows rounding: marginals within 1e-9 of zero
-    tol = 0 if model.field == "rational" else 1e-9
+    # float mode allows rounding: marginals within 1e-9 of zero, relative
+    # to the size of f as in is_symmetric
+    tol = 0 if model.field == "rational" else 1e-9 * (1 + f.sup_norm())
     fl = fl or flow(model)
     return f.is_symmetric() and all(
         abs(v) <= tol for pos, k in enumerate(f.levels)

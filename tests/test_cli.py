@@ -267,6 +267,19 @@ def test_float_mode_mirrored_entries_are_equal(tmp_path):
         assert values[(0, 1)] == values[(1, 0)]
 
 
+def test_float_mode_centers_a_function_with_large_values(tmp_path):
+    """The centering check in float mode is relative to the size of the
+    function, so values near 1e10 center without tripping it."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"levels": [1, 1],
+                                "values": [1e10, 2.5e10, -3e10, 7e9]}))
+    res = result(tmp_path, "expand", "--model", "drift2", "--n", "1",
+                 "--q", "2", "--field", "float", "--center", "--evaluate",
+                 "3", "--function", str(path))
+    assert res["kind"] == "block-moment"
+    assert sorted(res["evaluations"]) == ["3"]
+
+
 # ---------------------------------------------------------------------------
 # the argv layer
 

@@ -1,5 +1,5 @@
-"""Expansion engines: caps, the report's exactness check and the Wick
-leading order.
+"""Expansion engines: caps, the report's exactness check, the Wick
+leading order, and the block-law pass against its per-order reference.
 
 A plain q-block moment is the block profile flat_blocks(n, q) =
 (0,..,0,q) of the per-time-profile engines, which
@@ -8,14 +8,23 @@ other cross-checks of the engines on the bundled models (oracle, closed
 forms, block law) are the `verify` checks, which tests/test_cli.py runs.
 """
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from fkforest import (Caps, CapExceeded, IdentityMismatch, bell_number,
-                      bundled_model, center_function,
-                      enumerate_colored_orbits, exact_QN, expansion_report_Q,
-                      flat_blocks, function_from_vector, gamma_tensor,
-                      gaussian_product_moment, path_derivative_Q,
-                      path_exact_QN, path_max_order, path_wick_Q)
+                      bundled_model, center_function, derivative_P,
+                      enumerate_colored_orbits, exact_QN, expansion_report_P,
+                      expansion_report_Q, flat_blocks, function_from_vector,
+                      gamma_tensor, gaussian_product_moment, gbar_vector,
+                      path_derivative_Q, path_exact_QN, path_max_order,
+                      path_wick_Q, random_rational_model)
+from fkforest import expansion
+from fkforest.combinatorics import compositions
+from fkforest.expansion import (_block_law_orders, _center_image,
+                                _contract_and_move, _zero_measure)
+from fkforest.fk_core import eta_tensor, exact_q_rows, flow
 
 SMALL = Caps(forests=10)
 
@@ -92,3 +101,84 @@ def test_wick_leading_order_is_the_gaussian_moment(drift2):
     vanish, half = path_wick_Q(drift2, flat_blocks(1, q), F)
     assert vanish == {0: 0, 1: 0}
     assert half == gaussian_product_moment(drift2, [(1, tuple(f.data))] * q)
+
+
+def reference_derivative_P(model, np1, q, k):
+    """Order k of the block law alone: the per-order walk the block-law
+    pass replaced, one path_derivative_Q per profile and order."""
+    fl = flow(model)
+    if k == 0:
+        return eta_tensor(model, np1, q, fl)
+    n = np1 - 1
+    gb = [gbar_vector(model, j, fl) for j in range(n + 1)]
+    qrows = exact_q_rows(model, np1)
+    total = None
+    for l in range(2 * k):
+        for p in compositions(l, n + 1):
+            prof = p[:-1] + (p[-1] + q,)
+            if k > path_max_order(prof):
+                continue
+            nu = path_derivative_Q(model, prof, k)
+            vecs = [gb[j] for j, pj in enumerate(p) for _ in range(pj)]
+            sigma = _contract_and_move(nu, dict(enumerate(vecs)), qrows, np1)
+            pfact = math.prod(math.factorial(pj) for pj in p)
+            coeff = Fraction(math.factorial(q - 1 + l),
+                             math.factorial(q - 1) * pfact)
+            term = sigma.scale(coeff)
+            total = term if total is None else total + term
+    if total is None:
+        return _zero_measure(model, (np1,) * q)
+    return _center_image(model, total, np1, q, fl)
+
+
+BLOCK_LAW_CASES = [("drift2", np1, q, 2 if np1 * q == 9 else 3)
+                   for np1 in (1, 2, 3) for q in (1, 2, 3)] + [
+    ("cycle3", 2, 2, 3), ("sizes232", 2, 2, 3), ("sizes232", 2, 1, 3),
+    ("drift2-float", 2, 2, 3)]
+
+
+@pytest.mark.parametrize("name,np1,q,top", BLOCK_LAW_CASES)
+def test_block_law_pass_equals_the_per_order_walk(name, np1, q, top):
+    """Every order of the one pass equals the per-order reference; in
+    float mode bit for bit, because both add the same terms in the same
+    order."""
+    if name == "sizes232":
+        m = random_rational_model(7, sizes=(2, 3, 2))
+    elif name.endswith("-float"):
+        m = bundled_model(name[:-len("-float")], field="float")
+    else:
+        m = bundled_model(name)
+    law = _block_law_orders(m, np1, q, top, Caps())
+    assert len(law) == top + 1
+    for k, got in enumerate(law):
+        want = reference_derivative_P(m, np1, q, k)
+        assert got.levels == want.levels
+        assert got.data == want.data
+    assert derivative_P(m, np1, q, top).data == law[top].data
+
+
+def test_block_law_report_builds_each_table_once(drift2, monkeypatch):
+    """One report runs one moment polynomial per profile and builds each
+    (b, s) partition table once for the whole pass."""
+    builds, profiles = [], []
+    build = expansion._partition_targets
+    moments = expansion._moment_polynomial
+
+    def counted_build(b, s):
+        builds.append((b, s))
+        return build(b, s)
+
+    def counted_moments(model, prof, top, caps, targets):
+        profiles.append(prof)
+        return moments(model, prof, top, caps, targets)
+
+    monkeypatch.setattr(expansion, "_partition_targets", counted_build)
+    monkeypatch.setattr(expansion, "_moment_polynomial", counted_moments)
+    F = function_from_vector(drift2, 3, [1, Fraction(-2)])
+    F = F.tensor(F).tensor(function_from_vector(drift2, 3, [3, 1]))
+    expansion_report_P(drift2, 3, 3, F, top=3)
+    assert len(builds) == len(set(builds))
+    assert sorted(set(builds)) == [(b, 2) for b in range(3, 9)]
+    # every composition p of l < 6 into 3 parts feeds some order <= 3
+    assert len(profiles) == len(set(profiles)) == sum(
+        math.comb(l + 2, 2) for l in range(6))

@@ -12,7 +12,8 @@ before the pruned census knapsack and the per-tree automorphism counts,
 the `oracle` ones from before the forward pass moved onto integer
 transition rows, the last four from before the JSON writer replaced
 `json.dumps`, and the two `expand` cases past n=1 and across mixed
-levels from before the coordinate maps moved onto the integer kernel.
+levels from before the coordinate maps moved onto the integer kernel,
+and the deep block law from before it ran all orders in one pass.
 A new digest means a changed output.
 """
 
@@ -80,6 +81,12 @@ CASES = {
          "4"],
         ([0, 1, 1], ["1", "2", "3", "-1", "1/2", "5", "7", "1/3"]),
         "f578631362f56033aecb06f704edaed59aedd15b651828c1fdd91f71296d43fd"),
+    # a deep block law: every order 0..3 on (0, 0, 3)
+    "drift2-block-deep": (
+        ["--model", "drift2", "--n", "3", "--q", "3", "--block",
+         "--top", "3", "--evaluate", "4"],
+        ([3, 3, 3], F3[1][:8]),
+        "088af30916a013c7f52fbd1f9822bfa7342351c1ecb9f78545b1cf7c54f318c5"),
 }
 
 
