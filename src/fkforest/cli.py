@@ -32,7 +32,7 @@ from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .colored_forest import (brute_force_colored_orbit_count,
+from .colored_forest import (_orbit_totals, brute_force_colored_orbit_count,
                              colored_planar_mapseq, enumerate_colored_forests,
                              enumerate_colored_orbits, flat_blocks, flat_pairs,
                              path_profile_bar)
@@ -217,28 +217,27 @@ def _profile(args: SimpleNamespace) -> Tuple[int, ...]:
 # enumerate / count
 
 
-def _selection(args: SimpleNamespace, caps: Caps):
-    """Resolve the flat/colored choice shared by enumerate and count: the
-    kind, the selection as the manifest records it, the block profile and
-    the classes with their orbit sizes."""
-    prof = _profile(args)
+def _class_manifest(args: SimpleNamespace, prof: Sequence[int]
+                    ) -> Tuple[str, Dict[str, object]]:
+    """The kind (flat or colored) of an enumerate or count request and its
+    manifest, which records the selection as given on the command line."""
     if args.q_seq:
         kind, sel = "colored", list(prof)
     else:
         kind, sel = "flat", {"n": args.n, "q": args.q}
-    return kind, sel, prof, enumerate_colored_orbits(prof, args.max_coal,
-                                                     caps)
+    return kind, _manifest(args, {
+        "kind": kind, "selection": sel,
+        "max_coal": args.max_coal, "format": args.fmt})
 
 
 def cmd_enumerate(args: SimpleNamespace) -> int:
     caps = _caps_from_args(args)
-    kind, sel, _, terms = _selection(args, caps)
-    manifest = _manifest(args, {
-        "kind": kind, "selection": sel,
-        "max_coal": args.max_coal, "format": args.fmt})
+    prof = _profile(args)
+    kind, manifest = _class_manifest(args, prof)
     rows = [(f.encoding, " ".join(map(str, f.wprofile)),
              " ".join(map(str, f.bprofile)),
-             " ".join(map(str, f.coal)), cnt) for f, cnt in terms]
+             " ".join(map(str, f.coal)), cnt)
+            for f, cnt in enumerate_colored_orbits(prof, args.max_coal, caps)]
     header = ("encoding", "whites", "blacks", "coal", "count")
     if args.fmt == "csv":
         _emit_csv(args, manifest, header, rows)
@@ -264,22 +263,17 @@ def _identity_total(prof: Sequence[int]) -> int:
 
 def cmd_count(args: SimpleNamespace) -> int:
     caps = _caps_from_args(args)
-    kind, sel, prof, terms = _selection(args, caps)
-    manifest = _manifest(args, {
-        "kind": kind, "selection": sel,
-        "max_coal": args.max_coal, "format": args.fmt})
-    by_coal: Dict[int, List[int]] = {}
-    for f, cnt in terms:
-        slot = by_coal.setdefault(f.coal_degree, [0, 0])
-        slot[0] += 1
-        slot[1] += cnt
-    total = sum(cnt for _, cnt in terms)
+    prof = _profile(args)
+    kind, manifest = _class_manifest(args, prof)
+    by_coal = _orbit_totals(prof, args.max_coal, caps)
+    classes = sum(c for c, _ in by_coal.values())
+    total = sum(j for _, j in by_coal.values())
     identity = _identity_total(prof)
     # the labeled-ancestry identity only covers the full class list
     complete = args.max_coal is None
     result = {
         "kind": kind,
-        "classes": len(terms),
+        "classes": classes,
         "total_jungles": total,
         "identity_total": identity if complete else None,
         "identity_holds": (total == identity) if complete else None,
@@ -288,7 +282,7 @@ def cmd_count(args: SimpleNamespace) -> int:
     }
     if args.fmt == "csv":
         rows = [(d, c, j) for d, (c, j) in sorted(by_coal.items())]
-        rows.append(("all", len(terms), total))
+        rows.append(("all", classes, total))
         _emit_csv(args, manifest, ("coal_degree", "classes", "jungles"),
                   rows)
     else:

@@ -19,7 +19,7 @@ same shape twice returns the same object.
 from __future__ import annotations
 
 import itertools
-from math import factorial
+from math import comb, factorial
 from operator import sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -325,23 +325,33 @@ def count_colored_jungles(f: ColoredForest) -> int:
     """
     if f.n_trees == 0:
         raise InvalidParameter("empty forest has no labelings")
-    num = 1
-    for w, b in zip(f.wprofile, f.bprofile):
-        num *= factorial(w) * factorial(b)
-    den = 1
-    for t, m in f.items:
-        den *= factorial(m) * t.aut ** m
-    if num % den:
+    return _orbit_size(_group_order(f.pair_profile), tuple(f.trees()))
+
+
+def _group_order(pairs: Iterable[Tuple[int, int]]) -> int:
+    group = 1
+    for w, b in pairs:
+        group *= factorial(w) * factorial(b)
+    return group
+
+
+def _orbit_size(group: int, trees: Tuple[ColoredTree, ...]) -> int:
+    """group // prod_(t,m) m! * aut(t)^m for a forest whose equal trees
+    sit side by side in ``trees``: the i-th copy in a run adds i * aut."""
+    den, run = 1, 0
+    for i, t in enumerate(trees):
+        run = run + 1 if i and t is trees[i - 1] else 1
+        den *= run * t.aut
+    if group % den:
         raise AssertionError(
-            "stabilizer size does not divide the group order for %r" % f)
-    return num // den
+            "stabilizer size does not divide the group order for %s"
+            % "".join(t.encoding for t in trees))
+    return group // den
 
 
 def brute_force_colored_orbit_count(a: ColoredMapSeq,
                                     caps: Caps = DEFAULT_CAPS) -> int:
-    group = 1
-    for w, b in zip(a.white_sizes, a.black_sizes):
-        group *= factorial(w) * factorial(b)
+    group = _group_order(zip(a.white_sizes, a.black_sizes))
     if group > caps.group:
         raise CapExceeded("relabeling group too large",
                           predicted=group, cap=caps.group)
@@ -430,11 +440,35 @@ def enumerate_colored_forests(pairs: PairProfile,
                               ) -> List[ColoredForest]:
     """All colored forests with the given per-level color counts.
 
-    A plain profile (see :func:`flat_pairs`) without a merge budget has its
-    size predicted exactly by the census, and the call refuses up front
-    when it would exceed ``caps.forests``.  Otherwise the cap is enforced
-    while generating.
+    A plain profile (see :func:`flat_pairs`) without a merge budget is
+    refused up front when its class count would exceed ``caps.forests``.
+    The exact census runs only when the map-count bound of
+    :func:`_map_count_bound` exceeds the cap; under it the count cannot
+    pass the cap.  Otherwise the cap is enforced while generating.
     """
+    results = [colored_forest(chosen)
+               for chosen in _colored_classes(pairs, max_coal, caps)]
+    results.sort(key=lambda g: g.encoding)
+    return results
+
+
+def _map_count_bound(profile: Sequence[int]) -> int:
+    """prod_(k>=1) C(p_(k-1) + p_k - 1, p_k) for a plain profile p: the
+    level-wise nondecreasing parent maps.  Every class has a labeled form
+    whose levels are sorted by parent label, so the class count
+    (:func:`fkforest.genfunc.count_forests`) is at most this."""
+    bound = 1
+    for up, here in zip(profile, profile[1:]):
+        bound *= comb(up + here - 1, here)
+    return bound
+
+
+def _colored_classes(pairs: PairProfile, max_coal: Optional[int],
+                     caps: Caps) -> List[Tuple[ColoredTree, ...]]:
+    """The classes of a pair profile as tuples of trees, equal trees side
+    by side.  A plain profile without a merge budget whose map-count bound
+    exceeds the cap runs the census first and refuses with the exact
+    count."""
     pp = tuple((int(w), int(b)) for (w, b) in pairs)
     if any(w < 0 or b < 0 or (w + b) == 0 for w, b in pp):
         raise InvalidParameter("levels need nonnegative counts, not empty")
@@ -442,15 +476,14 @@ def enumerate_colored_forests(pairs: PairProfile,
         raise InvalidParameter("levels below the top need black vertices")
     if (max_coal is None and pp and pp[-1][1] == 0
             and not any(w for w, _ in pp[:-1])):
-        predicted = count_forests(tuple(b for _, b in pp[:-1])
-                                  + (pp[-1][0],))
-        if predicted > caps.forests:
-            raise CapExceeded("enumeration would produce too many forests",
-                              predicted=predicted, cap=caps.forests)
-    results = [colored_forest(chosen)
-               for chosen in _enum_colored_rec(pp, max_coal, caps.forests)]
-    results.sort(key=lambda g: g.encoding)
-    return results
+        flat = tuple(b for _, b in pp[:-1]) + (pp[-1][0],)
+        if _map_count_bound(flat) > caps.forests:
+            predicted = count_forests(flat)
+            if predicted > caps.forests:
+                raise CapExceeded(
+                    "enumeration would produce too many forests",
+                    predicted=predicted, cap=caps.forests)
+    return _enum_colored_rec(pp, max_coal, caps.forests)
 
 
 _CTREE_CACHE: Dict[PairProfile, Tuple[ColoredTree, ...]] = {}
@@ -499,7 +532,9 @@ def _colored_candidates(tail: PairProfile) -> List[PairProfile]:
 def _enum_colored_rec(pairs: PairProfile, max_coal: Optional[int],
                       cap: Optional[int]) -> List[Tuple[ColoredTree, ...]]:
     """Forests as multisets of tree shapes, one taken candidate shape per
-    level of recursion; each forest comes back as the tuple of its trees.
+    level of recursion; each forest comes back as the tuple of its trees,
+    equal trees side by side (a branch takes each candidate at most once,
+    its copies in the order of the candidate's tree list).
 
     The remaining vertex counts below the roots travel as one flat tuple
     (w_1, b_1, w_2, b_2, ...); each candidate carries its body in the same
@@ -632,6 +667,21 @@ def enumerate_colored_orbits(q: Sequence[int],
     pairs = path_profile_bar(q)
     return [(f, count_colored_jungles(f))
             for f in enumerate_colored_forests(pairs, max_coal, caps)]
+
+
+def _orbit_totals(q: Sequence[int], max_coal: Optional[int],
+                  caps: Caps) -> Dict[int, List[int]]:
+    """Per merge degree, the number of classes for block sizes q and the
+    sum of their orbit sizes: the sums over :func:`enumerate_colored_orbits`
+    without building a :class:`ColoredForest` per class."""
+    pairs = path_profile_bar(q)
+    group = _group_order(pairs)
+    totals: Dict[int, List[int]] = {}
+    for trees in _colored_classes(pairs, max_coal, caps):
+        slot = totals.setdefault(sum(t.coal_degree for t in trees), [0, 0])
+        slot[0] += 1
+        slot[1] += _orbit_size(group, trees)
+    return totals
 
 
 # ---------------------------------------------------------------------------

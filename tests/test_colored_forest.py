@@ -7,6 +7,7 @@ ever point at black vertices.
 """
 
 import itertools
+import json
 import random
 import types
 from math import factorial
@@ -20,7 +21,9 @@ from fkforest import (Caps, black, black_chain, brute_force_colored_orbit_count,
                       first_order_path_forest, normalize_path_profile,
                       path_profile_bar, white, white_topped_chain,
                       wick_colored_tree)
-from fkforest.colored_forest import ColoredMapSeq, colored_forest
+from fkforest.cli import main
+from fkforest.colored_forest import (ColoredMapSeq, _orbit_totals,
+                                     colored_forest, flat_blocks)
 from fkforest.errors import CapExceeded, InvalidParameter
 
 
@@ -177,6 +180,33 @@ def test_colored_enumeration_counts_past_the_cap():
         assert (err.value.predicted, err.value.cap) == (cap + 1, cap)
     assert len(enumerate_colored_forests(pairs, caps=Caps(forests=22))) \
         == 22
+
+
+TOTAL_PROFILES = [flat_blocks(n, q) for n, q in ((0, 2), (1, 2), (2, 3),
+                                                  (3, 3))] + \
+    [(2, 1, 1), (1, 2, 2), (1, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("max_coal", [None, 0, 1, 2])
+@pytest.mark.parametrize("q", TOTAL_PROFILES)
+def test_orbit_totals_equal_the_class_list(q, max_coal):
+    want = {}
+    for f, cnt in enumerate_colored_orbits(q, max_coal):
+        slot = want.setdefault(f.coal_degree, [0, 0])
+        slot[0] += 1
+        slot[1] += cnt
+    assert _orbit_totals(q, max_coal, Caps()) == want
+
+
+@pytest.mark.parametrize("cap", [1, 5, 21])
+def test_count_refuses_past_the_cap_while_generating(tmp_path, capsys, cap):
+    out = tmp_path / "out.json"
+    assert main(["count", "--q-seq", "2,1,1", "--cap-forests", str(cap),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["predicted"], err["cap"]) == \
+        ("CapExceeded", cap + 1, cap)
 
 
 def test_pairing_tree_shapes():

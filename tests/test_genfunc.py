@@ -7,6 +7,7 @@ the census is built over a monotone envelope internally, and these
 profiles used to be dropped.
 """
 
+import itertools
 import math
 
 import pytest
@@ -16,6 +17,9 @@ from hypothesis import strategies as st
 from fkforest import (Caps, SparseSeries, coalescence_series, count_forests,
                       enumerate_colored_forests, flat_pairs, hilbert_series,
                       marginalize_coalescence)
+from fkforest import colored_forest
+from fkforest.cli import main
+from fkforest.colored_forest import _map_count_bound
 from fkforest.errors import CapExceeded, InvalidParameter
 
 
@@ -148,6 +152,46 @@ def test_census_depth_does_not_grow_with_the_candidates():
     so more candidates than Python's frame limit.  The forests are the
     unordered splits a + b = 1201, 601 of them."""
     assert count_forests((2, 1201)) == 601
+
+
+def test_census_never_exceeds_the_map_count_bound():
+    """Every profile of length 2-4 with entries 1-4 and of length 5 with
+    entries 1-3: the classes number at most the level-wise sorted parent
+    maps, prod C(p_(k-1) + p_k - 1, p_k)."""
+    profiles = [p for length in (2, 3, 4)
+                for p in itertools.product(range(1, 5), repeat=length)]
+    profiles += itertools.product(range(1, 4), repeat=5)
+    assert len(profiles) == 579
+    for p in profiles:
+        assert count_forests(p) <= _map_count_bound(p)
+    assert _map_count_bound((3, 3, 3, 3)) == 10 ** 3
+    assert _map_count_bound((7,)) == 1
+
+
+@pytest.mark.parametrize("profile,classes", [((3, 3, 3), 12),
+                                             ((3, 3, 3, 3), 54)])
+def test_cap_between_the_count_and_the_bound(profile, classes):
+    """A cap at or past the count but under the bound runs the census; the
+    request answers at the count and refuses up front one below it."""
+    assert count_forests(profile) == classes < _map_count_bound(profile)
+    pairs = flat_pairs(profile)
+    assert len(enumerate_colored_forests(pairs, caps=Caps(forests=classes))) \
+        == classes
+    with pytest.raises(CapExceeded) as err:
+        enumerate_colored_forests(pairs, caps=Caps(forests=classes - 1))
+    assert (err.value.predicted, err.value.cap) == (classes, classes - 1)
+    assert err.value.args[0] == "enumeration would produce too many forests"
+
+
+def test_count_under_the_bound_skips_the_census(tmp_path, monkeypatch):
+    """count --n 3 --q 3: the bound 10**4 is under the default cap, so the
+    census cannot refuse and does not run."""
+    def no_census(profile):
+        raise AssertionError("census ran for %r" % (profile,))
+
+    monkeypatch.setattr(colored_forest, "count_forests", no_census)
+    assert main(["count", "--n", "3", "--q", "3",
+                 "--out", str(tmp_path / "out.json")]) == 0
 
 
 def test_count_profile_edges():

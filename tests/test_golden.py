@@ -13,7 +13,9 @@ the `oracle` ones from before the forward pass moved onto integer
 transition rows, the last four from before the JSON writer replaced
 `json.dumps`, and the two `expand` cases past n=1 and across mixed
 levels from before the coordinate maps moved onto the integer kernel,
-and the deep block law from before it ran all orders in one pass.
+the deep block law from before it ran all orders in one pass, and the
+last three `count` outputs and the census refusal line from before
+`count` summed its totals over the raw class tuples.
 A new digest means a changed output.
 """
 
@@ -127,6 +129,15 @@ CLASS_CASES = {
     "enumerate-colored-csv": (
         ["enumerate", "--q-seq", "1,1,1", "--format", "csv"],
         "8ffcbaa871a807dc37c59602acf64a3f7bb73ad8b9305e53fb8b2c0c2f7517d8"),
+    "count-flat-csv": (
+        ["count", "--n", "2", "--q", "3", "--format", "csv"],
+        "4dcca65e330e34a946dce22d89526501dbe67604be9b0822eee32eb5bb5bf4d0"),
+    "count-colored": (
+        ["count", "--q-seq", "1,2,2"],
+        "b23631463de6675ed30aaefd94521d8a24b90c1cb316fb062591fd1fd5f268d7"),
+    "count-flat-max-coal": (
+        ["count", "--n", "3", "--q", "3", "--max-coal", "1"],
+        "29f82e7a12717a4a08456c8f77af88470354691aed3a825df042afc1f6accbd9"),
 }
 
 
@@ -134,6 +145,16 @@ CLASS_CASES = {
 def test_class_output_is_pinned(tmp_path, name):
     argv, digest = CLASS_CASES[name]
     assert _digest(tmp_path, argv) == digest
+
+
+def test_census_refusal_is_pinned(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["count", "--n", "3", "--q", "4", "--cap-forests", "10",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        '{"cap": 10, "error": "CapExceeded", "message": "enumeration would '
+        'produce too many forests", "predicted": 5503}\n')
 
 
 ORACLE_CASES = {
