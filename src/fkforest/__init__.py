@@ -103,7 +103,6 @@ from .expansion import (
     gaussian_covariance,
     gaussian_product_moment,
     gbar_vector,
-    measure_table,
     pair_partitions,
     path_derivative_Q,
     path_exact_QN,
@@ -114,7 +113,6 @@ from .models import (
     DOCUMENTED_FLOW,
     bundled_model,
     bundled_names,
-    check_documented_flow,
     load_model,
     model_sha256,
     random_rational_model,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import sys
 import textwrap
@@ -43,17 +44,17 @@ from .errors import (CapExceeded, IdentityMismatch, InvalidParameter,
 from .expansion import (centered_moment_expansion, closed_form_low_orders,
                         derivative_P, exact_QN, expansion_report_P,
                         expansion_report_Q, expansion_report_path_Q,
-                        first_order_P, gaussian_covariance, measure_table,
-                        path_exact_QN, path_wick_Q)
+                        first_order_P, gaussian_covariance, path_exact_QN,
+                        path_wick_Q)
 from .fk_core import (FKModel, SignedMeasure, TensorFunction,
                       center_function, constant_function, eta_tensor,
                       fiber_count, flow, format_scalar,
-                      function_from_vector, tensor_minus_dot_tv)
+                      function_from_vector, tensor_minus_dot_tv, _over_lcm)
 from .genfunc import (coalescence_series, hilbert_series,
                       marginalize_coalescence)
-from .jsontext import canonical_json
+from .jsontext import _json_float, canonical_json, write_json
 from .models import (DOCUMENTED_FLOW, bundled_model, bundled_names,
-                     check_documented_flow, load_model, model_sha256)
+                     load_model, model_sha256)
 from .particle import (exact_EN_oracle, exact_eta_tensor_oracle,
                        exact_PN_oracle, exact_QN_oracle, estimators,
                        simulate)
@@ -65,35 +66,60 @@ __all__ = ["main", "parse_args"]
 # manifest and output plumbing
 
 
-# values _plain passes through as they are; tested by exact type first, so
-# the common leaves never reach the isinstance checks below
-_PLAIN_LEAVES = frozenset((str, int, float, bool, type(None)))
+def _scalar_text(w: object) -> str:
+    """JSON text of format_scalar(w): "num/den" for a Fraction, else the
+    float."""
+    if isinstance(w, Fraction):
+        return '"%d/%d"' % (w.numerator, w.denominator)
+    return _json_float(float(w))
 
 
-def _plain(v: object) -> object:
-    """Recursively turn scalars and tables into JSON-stable primitives."""
-    if type(v) in _PLAIN_LEAVES:
-        return v
-    if isinstance(v, dict):
-        return {str(k): _plain(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_plain(x) for x in v]
-    if isinstance(v, Fraction):
-        return format_scalar(v)
-    if isinstance(v, SignedMeasure):
-        return measure_table(v)
-    if isinstance(v, TensorFunction):
-        return {"levels": list(v.levels),
-                "values": [_plain(x) for x in v.data]}
-    if type(v).__module__ == "numpy":
-        # a numpy scalar can only come from the Monte Carlo side, which has
-        # numpy loaded already
-        import numpy as np
-        if isinstance(v, np.integer):
-            return int(v)
-        if isinstance(v, np.floating):
-            return float(v)
-    return v
+def _json_text(doc: object) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True) of doc with every leaf made
+    plain: a Fraction as "num/den", a measure as its levels, nonzero
+    {"point", "value"} entries, total mass and TV norm, a function as its
+    levels and values, a numpy scalar as a Python number.  Written in one
+    pass from the raw values; the text of an entry up to its value is built
+    once per call for each (sizes, indentation)."""
+    heads: Dict[Tuple[Tuple[int, ...], str], List[str]] = {}
+
+    def leaf(v: object, pad: str, append: Callable[[str], None]) -> None:
+        if isinstance(v, Fraction):
+            append(_scalar_text(v))
+        elif isinstance(v, SignedMeasure):
+            inner, item, key = pad + "  ", pad + "    ", pad + "      "
+            head = heads.get((v.sizes, pad))
+            if head is None:
+                coord = ",\n" + key + "  "
+                head = heads[v.sizes, pad] = [
+                    '{\n%s"point": %s,\n%s"value": ' % (
+                        key, "[\n%s  %s\n%s]" % (key, coord.join(map(str, p)),
+                                                 key) if p else "[]", key)
+                    for p in itertools.product(*map(range, v.sizes))]
+            close, rows, vals = "\n" + item + "}", [], []
+            for h, w in zip(head, v.data):
+                if w:
+                    vals.append(w)
+                    rows.append(h + _scalar_text(w) + close)
+            append('{\n%s"entries": %s,\n%s"levels": ' % (
+                inner, "[\n%s%s\n%s]" % (item, (",\n" + item).join(rows),
+                                         inner) if rows else "[]", inner))
+            write_json(v.levels, inner, append)
+            # one integer walk of the nonzero entries gives both sums
+            nums, den = _over_lcm(vals)
+            append(',\n%s"total_mass": %s,\n%s"tv_norm": %s\n%s}' % (
+                inner, _scalar_text(v.model.scalar(sum(nums), den)), inner,
+                _scalar_text(v.model.scalar(sum(map(abs, nums)), den)), pad))
+        elif isinstance(v, TensorFunction):
+            write_json({"levels": v.levels, "values": v.data}, pad, append,
+                       leaf)
+        else:
+            # a numpy scalar can only come from the Monte Carlo side; item()
+            # gives the Python number, and anything else is refused below
+            write_json(v.item() if type(v).__module__ == "numpy" else v,
+                       pad, append)
+
+    return canonical_json(doc, leaf)
 
 
 def _caps_from_args(args: SimpleNamespace) -> Caps:
@@ -112,7 +138,7 @@ def _manifest(args: SimpleNamespace, params: Dict[str, object],
     """Reproducibility header embedded in every output file."""
     return {
         "command": args.command,
-        "parameters": _plain(params),
+        "parameters": params,
         "model_hash": model_sha256(model) if model is not None else None,
         "seed": args.seed,
         "version": __version__,
@@ -131,8 +157,8 @@ def _write_text(args: SimpleNamespace, text: str) -> None:
 
 def _emit_json(args: SimpleNamespace, manifest: Dict[str, object],
                result: object) -> None:
-    doc = {"manifest": manifest, "result": _plain(result)}
-    _write_text(args, canonical_json(doc) + "\n")
+    doc = {"manifest": manifest, "result": result}
+    _write_text(args, _json_text(doc) + "\n")
 
 
 def _emit_csv(args: SimpleNamespace, manifest: Dict[str, object],
@@ -144,7 +170,8 @@ def _emit_csv(args: SimpleNamespace, manifest: Dict[str, object],
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_plain(v) for v in row])
+        writer.writerow([format_scalar(v) if isinstance(v, Fraction) else v
+                         for v in row])
     _write_text(args, buf.getvalue())
 
 
@@ -383,12 +410,12 @@ def cmd_expand(args: SimpleNamespace) -> int:
     if args.wick:
         vanish, half = path_wick_Q(model, prof, F, caps)
         result["wick"] = {
-            "vanishing_orders": {str(k): v for k, v in sorted(vanish.items())},
+            "vanishing_orders": vanish,
             "leading_order_value": half,
         }
     if oracle_ns and not args.block:
         result["oracle_deltas"] = {
-            str(N): report.evaluations[N]
+            N: report.evaluations[N]
             - exact_QN_oracle(model, N, prof, F, caps=caps)
             for N in oracle_ns}
 
@@ -510,15 +537,9 @@ def _check_stirling():
 
 
 def _check_model_flow():
-    derived = {}
-    for name in bundled_names():
-        check_documented_flow(name)
-        fl = flow(bundled_model(name))
-        derived[name] = {
-            "gamma_mass": [format_scalar(v) for v in fl.gnorm],
-            "eta": [[format_scalar(v) for v in vec] for vec in fl.eta_vec],
-        }
-    return DOCUMENTED_FLOW, derived
+    flows = {name: flow(bundled_model(name)) for name in bundled_names()}
+    return DOCUMENTED_FLOW, {name: {"gamma_mass": fl.gnorm, "eta": fl.eta_vec}
+                             for name, fl in flows.items()}
 
 
 def _check_orbit_counts():
@@ -617,7 +638,6 @@ def _check_moment_expansion():
 
 
 def _check_tv_formulas():
-    import itertools
     want, got = [], []
     for q, N in [(2, 3), (3, 4)]:
         counted: Dict[int, int] = {}
@@ -677,7 +697,8 @@ def cmd_verify(args: SimpleNamespace) -> int:
     for name, fn in selected:
         try:
             expected, actual = fn()
-            ok = _plain(expected) == _plain(actual)
+            # equal as written
+            ok = _json_text(expected) == _json_text(actual)
             record = {"check": name,
                       "status": "pass" if ok else "fail",
                       "expected": expected, "actual": actual}
@@ -940,20 +961,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
-    except CapExceeded as exc:
-        doc = {"error": "CapExceeded", "message": str(exc),
-               "predicted": exc.predicted, "cap": exc.cap}
-        sys.stderr.write(json.dumps(doc, sort_keys=True) + "\n")
-        return 2
-    except IdentityMismatch as exc:
-        doc = {"error": "IdentityMismatch", "message": str(exc)}
-        sys.stderr.write(json.dumps(doc, sort_keys=True) + "\n")
-        return 1
     except ToolkitError as exc:
         doc = {"error": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, CapExceeded):
+            doc.update(predicted=exc.predicted, cap=exc.cap)
         sys.stderr.write(json.dumps(doc, sort_keys=True) + "\n")
-        return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        # exit 1 is a failed identity, 2 any other refusal
+        return 1 if isinstance(exc, IdentityMismatch) else 2

@@ -137,7 +137,6 @@ __all__ = [
     "expansion_report_Q",
     "expansion_report_path_Q",
     "expansion_report_P",
-    "measure_table",
 ]
 
 Scalar = Union[Fraction, float]
@@ -449,14 +448,16 @@ def _moment_polynomial(model: FKModel, prof: Tuple[int, ...], top: int,
 
 def path_exact_QN(model: FKModel, q: Sequence[int], N: int,
                   F: Optional[TensorFunction] = None,
-                  caps: Caps = DEFAULT_CAPS
+                  caps: Caps = DEFAULT_CAPS,
+                  targets: Optional[Targets] = None
                   ) -> Union[Scalar, SignedMeasure]:
     """Exact joint per-time block moment of the unnormalized ensemble.
 
     The selection at a level with b live coordinates weighs each set
     partition with p blocks by (N)_p / N**b: piece p is multiplied by
     (N)_p and the denominator by N**b.  The coefficient polynomial is never
-    evaluated, so the two stay independent routes.
+    evaluated, so the two stay independent routes; they only share the
+    set-partition tables when a caller passes one `targets` dict.
     """
     prof = _check_profile(model, q)
     if N < sum(prof):
@@ -468,7 +469,8 @@ def path_exact_QN(model: FKModel, q: Sequence[int], N: int,
         return [{(0, p): falling_factorial(N, p)
                  for p in range(1, b + 1)}], N ** b
 
-    (total,) = _select_and_transport(model, prof, select, caps, {})
+    (total,) = _select_and_transport(model, prof, select, caps,
+                                     {} if targets is None else targets)
     return total if F is None else total.pair(F)
 
 
@@ -816,22 +818,6 @@ def first_order_P(model: FKModel, n_plus_1: int, q: int,
 # reports
 
 
-def measure_table(m: SignedMeasure) -> Dict[str, object]:
-    """Plain-data rendering of a measure: levels, nonzero entries, mass."""
-    entries = []
-    for point, w in zip(itertools.product(*[range(s) for s in m.sizes]),
-                        m.data):
-        if w:
-            entries.append({"point": list(point),
-                            "value": format_scalar(w)})
-    return {
-        "levels": list(m.levels),
-        "entries": entries,
-        "total_mass": format_scalar(m.total_mass()),
-        "tv_norm": format_scalar(m.tv_norm()),
-    }
-
-
 class ExpansionReport:
     """One expansion in a box: order-0 term, higher coefficients, exact
     evaluations at requested ensemble sizes, and whatever residual
@@ -890,15 +876,15 @@ class ExpansionReport:
         return True
 
     def to_jsonable(self) -> Dict[str, object]:
-        """The report as one dict with string keys; the values stay raw
-        (scalars, measures), for the CLI writer to render."""
+        """The report as one dict whose members stay raw (int keys,
+        Fractions, measures): the CLI writer renders them straight to text
+        in one pass, through the leaf hook of `jsontext.write_json`."""
         return {
             "kind": self.kind,
             "params": self.params,
             "base": self.base,
-            "orders": {str(k): v for k, v in sorted(self.orders.items())},
-            "evaluations": {str(N): v
-                            for N, v in sorted(self.evaluations.items())},
+            "orders": self.orders,
+            "evaluations": self.evaluations,
             "diagnostics": self.diagnostics,
         }
 
@@ -907,8 +893,10 @@ def _moment_report(model: FKModel, prof: Tuple[int, ...], kind: str,
                    params: Dict[str, object], Ns: Sequence[int],
                    F: Optional[TensorFunction],
                    caps: Caps) -> ExpansionReport:
+    # the polynomial and every evaluation share one set of partition tables
+    targets: Targets = {}
     coeffs: List[object] = list(
-        _moment_polynomial(model, prof, path_max_order(prof), caps, {}))
+        _moment_polynomial(model, prof, path_max_order(prof), caps, targets))
     if F is not None:
         coeffs = [c.pair(F) for c in coeffs]
     base, orders = coeffs[0], dict(enumerate(coeffs[1:], start=1))
@@ -917,7 +905,8 @@ def _moment_report(model: FKModel, prof: Tuple[int, ...], kind: str,
         params=params,
         base=base,
         orders=orders,
-        evaluations={N: path_exact_QN(model, prof, N, F, caps) for N in Ns},
+        evaluations={N: path_exact_QN(model, prof, N, F, caps, targets)
+                     for N in Ns},
     )
     report.check()
     return report

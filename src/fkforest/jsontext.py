@@ -3,16 +3,26 @@
 `canonical_json(doc)` returns exactly what ``json.dumps(doc, indent=2,
 sort_keys=True)`` returns, without the standard library's pure-Python
 indenting encoder.  Result files and model hashes are both built on it.
+
+A caller whose documents hold values that are not JSON (exact rationals,
+tables) passes one hook, `leaf(v, pad, append)`, which appends the text of
+such a value at indentation `pad`, calling `write_json` again for any JSON
+it holds.  Values are then written raw, with no plain copy of the document
+built first; dict keys that are not strings sort and render as their
+`str`.
 """
 
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
-__all__ = ["canonical_json"]
+__all__ = ["canonical_json", "write_json"]
 
 _INF = float("inf")
+
+Append = Callable[[str], None]
+Leaf = Callable[[object, str, Append], None]
 
 
 def _json_float(v: float) -> str:
@@ -25,7 +35,7 @@ def _json_float(v: float) -> str:
     return float.__repr__(v)
 
 
-# exact scalar type -> its JSON text; subclasses go through _write_json
+# exact scalar type -> its JSON text; subclasses go through write_json
 _JSON_SCALARS: Dict[type, Callable[[object], str]] = {
     str: encode_basestring_ascii,
     int: int.__repr__,
@@ -35,58 +45,54 @@ _JSON_SCALARS: Dict[type, Callable[[object], str]] = {
 }
 
 
-def _write_json(v: object, pad: str, append: Callable[[str], None]) -> None:
+def write_json(v: object, pad: str, append: Append,
+               leaf: Optional[Leaf] = None) -> None:
     """Append the text of v as json.dumps(v, indent=2, sort_keys=True)
-    renders it at indentation pad.  Dict keys must be strings; scalar
-    members are written without a recursive call."""
+    renders it at indentation pad.  Scalar members are written without a
+    recursive call; a value that is not JSON goes to leaf."""
     if isinstance(v, dict):
-        if not v:
-            append("{}")
-            return
-        inner = pad + "  "
-        sep = "{\n" + inner
-        for k in sorted(v):
-            x = v[k]
-            append(sep)
-            append(encode_basestring_ascii(k))
-            append(": ")
-            scalar = _JSON_SCALARS.get(type(x))
-            if scalar is None:
-                _write_json(x, inner, append)
-            else:
-                append(scalar(x))
-            sep = ",\n" + inner
-        append("\n" + pad + "}")
+        keys = sorted(v, key=str)
+        members, ends = [v[k] for k in keys], "{}"
     elif isinstance(v, (list, tuple)):
-        if not v:
-            append("[]")
-            return
-        inner = pad + "  "
-        sep = "[\n" + inner
-        for x in v:
-            append(sep)
-            scalar = _JSON_SCALARS.get(type(x))
-            if scalar is None:
-                _write_json(x, inner, append)
-            else:
-                append(scalar(x))
-            sep = ",\n" + inner
-        append("\n" + pad + "]")
-    elif type(v) in _JSON_SCALARS:
-        append(_JSON_SCALARS[type(v)](v))
-    elif isinstance(v, str):
-        append(encode_basestring_ascii(v))
-    elif isinstance(v, int):
-        append(int.__repr__(v))
-    elif isinstance(v, float):
-        append(_json_float(v))
+        keys, members, ends = None, v, "[]"
     else:
-        raise TypeError("Object of type %s is not JSON serializable"
-                        % type(v).__name__)
+        scalar = _JSON_SCALARS.get(type(v))
+        if scalar is not None:
+            append(scalar(v))
+        elif isinstance(v, str):
+            append(encode_basestring_ascii(v))
+        elif isinstance(v, int):
+            append(int.__repr__(v))
+        elif isinstance(v, float):
+            append(_json_float(v))
+        elif leaf is not None:
+            leaf(v, pad, append)
+        else:
+            raise TypeError("Object of type %s is not JSON serializable"
+                            % type(v).__name__)
+        return
+    if not members:
+        append(ends)
+        return
+    inner = pad + "  "
+    sep = ends[0] + "\n" + inner
+    for i, x in enumerate(members):
+        append(sep)
+        if keys is not None:
+            k = keys[i]
+            append(encode_basestring_ascii(k if type(k) is str else str(k))
+                   + ": ")
+        scalar = _JSON_SCALARS.get(type(x))
+        if scalar is None:
+            write_json(x, inner, append, leaf)
+        else:
+            append(scalar(x))
+        sep = ",\n" + inner
+    append("\n" + pad + ends[1])
 
 
-def canonical_json(doc: object) -> str:
+def canonical_json(doc: object, leaf: Optional[Leaf] = None) -> str:
     """json.dumps(doc, indent=2, sort_keys=True), in one pass."""
     chunks: List[str] = []
-    _write_json(doc, "", chunks.append)
+    write_json(doc, "", chunks.append, leaf)
     return "".join(chunks)

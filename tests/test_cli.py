@@ -5,6 +5,7 @@ refusal); a refusal writes one JSON line to stderr and no output file.
 An argv the command table does not accept is such a refusal too.
 """
 
+import itertools
 import json
 import math
 import os
@@ -18,7 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fkforest
-from fkforest import cli, count_forests
+from fkforest import (SignedMeasure, TensorFunction, bundled_model, cli,
+                      count_forests, format_scalar)
 from fkforest.cli import main
 from fkforest.jsontext import canonical_json
 
@@ -393,9 +395,8 @@ def test_simulate_runs_and_numpy_scalars_become_plain(tmp_path):
     res = result(tmp_path, "simulate", "--model", "flat2", "--N", "8",
                  "--replicas", "2")
     assert [row["replica"] for row in res["rows"]] == [0, 1]
-    for v, want in [(np.int64(3), 3), (np.float64(0.5), 0.5)]:
-        got = cli._plain(v)
-        assert got == want and type(got) is type(want)
+    doc = [np.int64(3), np.float64(0.5), np.float32(0.25)]
+    assert cli._json_text(doc) == json.dumps([3, 0.5, 0.25], indent=2)
 
 
 def test_count_past_the_recursion_limit_answers(tmp_path, capsys):
@@ -436,3 +437,93 @@ json_trees = st.recursive(
 @settings(max_examples=300, deadline=None)
 def test_writer_equals_json_dumps(doc):
     assert canonical_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def measure_table(m):
+    """Reference rendering of a measure, one dict per nonzero entry."""
+    entries = []
+    for point, w in zip(itertools.product(*[range(s) for s in m.sizes]),
+                        m.data):
+        if w:
+            entries.append({"point": list(point),
+                            "value": format_scalar(w)})
+    return {
+        "levels": list(m.levels),
+        "entries": entries,
+        "total_mass": format_scalar(m.total_mass()),
+        "tv_norm": format_scalar(m.tv_norm()),
+    }
+
+
+def reference_plain(v):
+    """Reference for the writer's leaf hook: the document with every leaf
+    turned into plain JSON data first."""
+    if isinstance(v, dict):
+        return {str(k): reference_plain(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [reference_plain(x) for x in v]
+    if isinstance(v, Fraction):
+        return format_scalar(v)
+    if isinstance(v, SignedMeasure):
+        return measure_table(v)
+    if isinstance(v, TensorFunction):
+        return {"levels": list(v.levels),
+                "values": [reference_plain(x) for x in v.data]}
+    if type(v).__module__ == "numpy":
+        import numpy as np
+        if isinstance(v, np.integer):
+            return int(v)
+        if isinstance(v, np.floating):
+            return float(v)
+    return v
+
+
+TABLE_MODELS = [bundled_model("drift2"), bundled_model("cycle3", "float"),
+                bundled_model("cycle3")]
+
+
+@st.composite
+def tables(draw, cls):
+    model = draw(st.sampled_from(TABLE_MODELS))
+    levels = draw(st.lists(st.integers(0, model.horizon), max_size=3))
+    size = math.prod(model.size(k) for k in levels)
+    if model.field == "rational":
+        value = st.fractions(-10, 10, max_denominator=40)
+    else:
+        value = st.floats(-1e6, 1e6) | st.floats(-1e-3, 1e-3)
+    data = draw(st.lists(st.just(model.zero) | value,
+                         min_size=size, max_size=size))
+    return cls(model, levels, data)
+
+
+def _numpy_scalars():
+    import numpy as np
+    return (st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+            | st.floats().map(np.float64)
+            | st.floats(width=32).map(np.float32))
+
+
+# str(k) of a key must not collide with another key's
+_keys = st.integers(-20, 20) | st.text(max_size=4)
+raw_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.fractions() | tables(SignedMeasure) | tables(TensorFunction)
+    | st.deferred(_numpy_scalars),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(_keys, kids, max_size=4).filter(
+        lambda d: len({str(k) for k in d}) == len(d)),
+    max_leaves=12)
+
+_cycle3 = TABLE_MODELS[2]
+
+
+@given(raw_trees)
+@example({"point0": SignedMeasure(_cycle3, (), [Fraction(-3, 4)]),
+          "zero": SignedMeasure(TABLE_MODELS[1], (1, 2), [0.0] * 9),
+          10: [Fraction(5), {9: [[]]}], 9: SignedMeasure(
+              _cycle3, (1, 2), [Fraction(k % 4, 3) for k in range(9)])})
+@settings(max_examples=200, deadline=None)
+def test_raw_writer_equals_json_dumps_of_the_plain_doc(doc):
+    assert cli._json_text(doc) == json.dumps(reference_plain(doc), indent=2,
+                                             sort_keys=True)

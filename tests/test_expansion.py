@@ -16,7 +16,8 @@ import pytest
 from fkforest import (Caps, CapExceeded, IdentityMismatch, bell_number,
                       bundled_model, center_function, derivative_P,
                       enumerate_colored_orbits, exact_QN, expansion_report_P,
-                      expansion_report_Q, flat_blocks, function_from_vector,
+                      expansion_report_Q, expansion_report_path_Q,
+                      flat_blocks, function_from_vector,
                       gamma_tensor, gaussian_product_moment, gbar_vector,
                       path_derivative_Q, path_exact_QN, path_max_order,
                       path_wick_Q, random_rational_model)
@@ -155,6 +156,22 @@ def test_block_law_pass_equals_the_per_order_walk(name, np1, q, top):
         assert got.levels == want.levels
         assert got.data == want.data
     assert derivative_P(m, np1, q, top).data == law[top].data
+
+
+@pytest.mark.parametrize("prof", [(2, 1, 1), flat_blocks(2, 3)])
+def test_moment_report_builds_each_table_once(prof, monkeypatch):
+    """The coefficient polynomial and every evaluation of one moment report
+    share one set of partition tables: each (b, s) is built once."""
+    builds = []
+    build = expansion._partition_targets
+
+    def counted_build(b, s):
+        builds.append((b, s))
+        return build(b, s)
+
+    monkeypatch.setattr(expansion, "_partition_targets", counted_build)
+    expansion_report_path_Q(bundled_model("blend3"), prof, Ns=(5, 6, 7))
+    assert sorted(builds) == sorted({(b, 3) for b in expansion._blacks(prof)})
 
 
 def test_block_law_report_builds_each_table_once(drift2, monkeypatch):

@@ -1,7 +1,7 @@
 """Pinned SHA-256 digests of rational `expand` outputs and of the
 class lists and censuses of `count` and `enumerate`, of rational
-`oracle` outputs, and of one output each of float-mode `expand`,
-`simulate`, `hilbert` and `verify`.
+`oracle` outputs, and of a few float-mode `expand` outputs and one
+output each of `simulate`, `hilbert` and `verify`.
 
 Rational results are exact, so a kernel change that keeps them right
 keeps them byte-identical.  Each case runs one request and compares the
@@ -10,12 +10,15 @@ against a recorded digest: the `expand` ones from before the integer
 kernel replaced the Fraction tables, the `count`/`enumerate` ones from
 before the pruned census knapsack and the per-tree automorphism counts,
 the `oracle` ones from before the forward pass moved onto integer
-transition rows, the last four from before the JSON writer replaced
-`json.dumps`, and the two `expand` cases past n=1 and across mixed
-levels from before the coordinate maps moved onto the integer kernel,
+transition rows, the first float `expand` and the `simulate`, `hilbert`
+and `verify` ones from before the JSON writer replaced `json.dumps`, the
+two `expand` cases past n=1 and across mixed levels from before the
+coordinate maps moved onto the integer kernel,
 the deep block law from before it ran all orders in one pass, and the
 last three `count` outputs and the census refusal line from before
-`count` summed its totals over the raw class tuples.
+`count` summed its totals over the raw class tuples, and the float
+`--q-seq` expansion from before the writer rendered measures straight
+from their entries.
 A new digest means a changed output.
 """
 
@@ -190,6 +193,11 @@ OTHER_CASES = {
         ["expand", "--model", "drift2", "--n", "1", "--q", "2", "--field",
          "float", "--evaluate", "3"],
         "5aab2ad29ebab8b38db1fc76f92a758a4efd40ab05a6b08aebc150a4946d2ca9"),
+    # float tables over several level pairs, each order and evaluation
+    "expand-float-q-seq": (
+        ["expand", "--model", "cycle3", "--q-seq", "2,1,1", "--field",
+         "float", "--evaluate", "5"],
+        "be72d64741d9553b839ab503e33b2f7fb64cb70413f4d3208679332380c59052"),
     "simulate": (
         ["simulate", "--model", "flat2", "--N", "16", "--replicas", "2"],
         "e12f347395d5ec641ac6ee5c1c571e865f5ee8a59c6d54959033fd0e35c63bc6"),
