@@ -113,6 +113,7 @@ from .models import (
     DOCUMENTED_FLOW,
     bundled_model,
     bundled_names,
+    check_documented_flow,
     load_model,
     model_sha256,
     random_rational_model,

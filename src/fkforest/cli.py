@@ -49,12 +49,12 @@ from .expansion import (centered_moment_expansion, closed_form_low_orders,
 from .fk_core import (FKModel, SignedMeasure, TensorFunction,
                       center_function, constant_function, eta_tensor,
                       fiber_count, flow, format_scalar,
-                      function_from_vector, tensor_minus_dot_tv, _over_lcm)
+                      function_from_vector, tensor_minus_dot_tv)
 from .genfunc import (coalescence_series, hilbert_series,
                       marginalize_coalescence)
-from .jsontext import _json_float, canonical_json, write_json
+from .jsontext import canonical_json, json_float, write_json
 from .models import (DOCUMENTED_FLOW, bundled_model, bundled_names,
-                     load_model, model_sha256)
+                     check_documented_flow, load_model, model_sha256)
 from .particle import (exact_EN_oracle, exact_eta_tensor_oracle,
                        exact_PN_oracle, exact_QN_oracle, estimators,
                        simulate)
@@ -71,7 +71,7 @@ def _scalar_text(w: object) -> str:
     float."""
     if isinstance(w, Fraction):
         return '"%d/%d"' % (w.numerator, w.denominator)
-    return _json_float(float(w))
+    return json_float(float(w))
 
 
 def _json_text(doc: object) -> str:
@@ -96,20 +96,16 @@ def _json_text(doc: object) -> str:
                         key, "[\n%s  %s\n%s]" % (key, coord.join(map(str, p)),
                                                  key) if p else "[]", key)
                     for p in itertools.product(*map(range, v.sizes))]
-            close, rows, vals = "\n" + item + "}", [], []
-            for h, w in zip(head, v.data):
-                if w:
-                    vals.append(w)
-                    rows.append(h + _scalar_text(w) + close)
+            close = "\n" + item + "}"
+            rows = [h + _scalar_text(w) + close
+                    for h, w in zip(head, v.data) if w]
             append('{\n%s"entries": %s,\n%s"levels": ' % (
                 inner, "[\n%s%s\n%s]" % (item, (",\n" + item).join(rows),
                                          inner) if rows else "[]", inner))
             write_json(v.levels, inner, append)
-            # one integer walk of the nonzero entries gives both sums
-            nums, den = _over_lcm(vals)
+            mass, tv = v.mass_and_tv_norm()
             append(',\n%s"total_mass": %s,\n%s"tv_norm": %s\n%s}' % (
-                inner, _scalar_text(v.model.scalar(sum(nums), den)), inner,
-                _scalar_text(v.model.scalar(sum(map(abs, nums)), den)), pad))
+                inner, _scalar_text(mass), inner, _scalar_text(tv), pad))
         elif isinstance(v, TensorFunction):
             write_json({"levels": v.levels, "values": v.data}, pad, append,
                        leaf)
@@ -537,9 +533,15 @@ def _check_stirling():
 
 
 def _check_model_flow():
-    flows = {name: flow(bundled_model(name)) for name in bundled_names()}
-    return DOCUMENTED_FLOW, {name: {"gamma_mass": fl.gnorm, "eta": fl.eta_vec}
-                             for name, fl in flows.items()}
+    derived = {}
+    for name in bundled_names():
+        check_documented_flow(name)
+        fl = flow(bundled_model(name))
+        derived[name] = {
+            "gamma_mass": [format_scalar(v) for v in fl.gnorm],
+            "eta": [[format_scalar(v) for v in vec] for vec in fl.eta_vec],
+        }
+    return DOCUMENTED_FLOW, derived
 
 
 def _check_orbit_counts():
@@ -961,10 +963,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
+    except CapExceeded as exc:
+        doc = {"error": "CapExceeded", "message": str(exc),
+               "predicted": exc.predicted, "cap": exc.cap}
+        sys.stderr.write(json.dumps(doc, sort_keys=True) + "\n")
+        return 2
+    except IdentityMismatch as exc:
+        doc = {"error": "IdentityMismatch", "message": str(exc)}
+        sys.stderr.write(json.dumps(doc, sort_keys=True) + "\n")
+        return 1
     except ToolkitError as exc:
         doc = {"error": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, CapExceeded):
-            doc.update(predicted=exc.predicted, cap=exc.cap)
         sys.stderr.write(json.dumps(doc, sort_keys=True) + "\n")
-        # exit 1 is a failed identity, 2 any other refusal
-        return 1 if isinstance(exc, IdentityMismatch) else 2
+        return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

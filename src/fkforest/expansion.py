@@ -448,17 +448,23 @@ def _moment_polynomial(model: FKModel, prof: Tuple[int, ...], top: int,
 
 def path_exact_QN(model: FKModel, q: Sequence[int], N: int,
                   F: Optional[TensorFunction] = None,
-                  caps: Caps = DEFAULT_CAPS,
-                  targets: Optional[Targets] = None
+                  caps: Caps = DEFAULT_CAPS
                   ) -> Union[Scalar, SignedMeasure]:
     """Exact joint per-time block moment of the unnormalized ensemble.
 
     The selection at a level with b live coordinates weighs each set
     partition with p blocks by (N)_p / N**b: piece p is multiplied by
     (N)_p and the denominator by N**b.  The coefficient polynomial is never
-    evaluated, so the two stay independent routes; they only share the
-    set-partition tables when a caller passes one `targets` dict.
+    evaluated, so the two stay independent routes.
     """
+    return _path_exact_QN(model, q, N, F, caps, {})
+
+
+def _path_exact_QN(model: FKModel, q: Sequence[int], N: int,
+                   F: Optional[TensorFunction], caps: Caps,
+                   targets: Targets) -> Union[Scalar, SignedMeasure]:
+    """path_exact_QN, reading and filling the set-partition tables of
+    `targets`."""
     prof = _check_profile(model, q)
     if N < sum(prof):
         raise InvalidParameter(
@@ -469,8 +475,7 @@ def path_exact_QN(model: FKModel, q: Sequence[int], N: int,
         return [{(0, p): falling_factorial(N, p)
                  for p in range(1, b + 1)}], N ** b
 
-    (total,) = _select_and_transport(model, prof, select, caps,
-                                     {} if targets is None else targets)
+    (total,) = _select_and_transport(model, prof, select, caps, targets)
     return total if F is None else total.pair(F)
 
 
@@ -905,7 +910,7 @@ def _moment_report(model: FKModel, prof: Tuple[int, ...], kind: str,
         params=params,
         base=base,
         orders=orders,
-        evaluations={N: path_exact_QN(model, prof, N, F, caps, targets)
+        evaluations={N: _path_exact_QN(model, prof, N, F, caps, targets)
                      for N in Ns},
     )
     report.check()

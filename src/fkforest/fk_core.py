@@ -553,13 +553,17 @@ class SignedMeasure(_Table):
     # both sums run on integer numerators over one denominator, exact in
     # either field and rounded once in float mode
 
-    def tv_norm(self) -> Scalar:
+    def mass_and_tv_norm(self) -> Tuple[Scalar, Scalar]:
+        """(total_mass(), tv_norm()) from one exact walk of the entries."""
         nums, den = _over_lcm(self.data)
-        return self.model.scalar(sum(map(abs, nums)), den)
+        return (self.model.scalar(sum(nums), den),
+                self.model.scalar(sum(map(abs, nums)), den))
+
+    def tv_norm(self) -> Scalar:
+        return self.mass_and_tv_norm()[1]
 
     def total_mass(self) -> Scalar:
-        nums, den = _over_lcm(self.data)
-        return self.model.scalar(sum(nums), den)
+        return self.mass_and_tv_norm()[0]
 
     def pair(self, f: "TensorFunction") -> Scalar:
         self._same_domain(f)

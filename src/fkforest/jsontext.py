@@ -17,7 +17,7 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, List, Optional
 
-__all__ = ["canonical_json", "write_json"]
+__all__ = ["canonical_json", "json_float", "write_json"]
 
 _INF = float("inf")
 
@@ -25,7 +25,8 @@ Append = Callable[[str], None]
 Leaf = Callable[[object, str, Append], None]
 
 
-def _json_float(v: float) -> str:
+def json_float(v: float) -> str:
+    """The text json.dumps gives a float."""
     if v != v:
         return "NaN"
     if v == _INF:
@@ -39,7 +40,7 @@ def _json_float(v: float) -> str:
 _JSON_SCALARS: Dict[type, Callable[[object], str]] = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    float: _json_float,
+    float: json_float,
     bool: lambda v: "true" if v else "false",
     type(None): lambda v: "null",
 }
@@ -64,7 +65,7 @@ def write_json(v: object, pad: str, append: Append,
         elif isinstance(v, int):
             append(int.__repr__(v))
         elif isinstance(v, float):
-            append(_json_float(v))
+            append(json_float(v))
         elif leaf is not None:
             leaf(v, pad, append)
         else:

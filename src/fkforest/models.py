@@ -6,10 +6,10 @@ three states.  ``drift2`` (horizon 3, mild selection) is the workhorse;
 chains; ``cycle3`` cycles mass around its states and ``blend3`` has
 well-mixed rows.  Each carries frozen exact flow values (per-level total
 mass and normalized distribution) that were cross-checked against a
-brute-force path enumeration before being recorded here; the ``model-flow``
-check of ``fkforest verify`` re-derives them.  ``skew2`` (strong selection)
-doubles as the standard witness that the normalized particle estimator is
-biased at finite N.
+brute-force path enumeration before being recorded here;
+``check_documented_flow`` re-verifies them on demand.  ``skew2`` (strong
+selection) doubles as the standard witness that the normalized particle
+estimator is biased at finite N.
 """
 
 from __future__ import annotations
@@ -21,12 +21,13 @@ import string
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .errors import InvalidParameter, ValidationError
-from .fk_core import FKModel, format_scalar
+from .errors import IdentityMismatch, InvalidParameter, ValidationError
+from .fk_core import FKModel, flow, format_scalar
 
 __all__ = [
     "bundled_model",
     "bundled_names",
+    "check_documented_flow",
     "DOCUMENTED_FLOW",
     "load_model",
     "model_sha256",
@@ -137,6 +138,21 @@ def bundled_model(name: str, field: str = "rational") -> FKModel:
             % (name, ", ".join(sorted(_DEFS))))
     d = _DEFS[name]
     return FKModel(d["states"], d["eta0"], d["M"], d["G"], field)
+
+
+def check_documented_flow(name: str) -> None:
+    """Re-derive the frozen flow values; mismatch means corrupted data."""
+    doc = DOCUMENTED_FLOW[name]
+    fl = flow(bundled_model(name))
+    got_mass = tuple(format_scalar(v) for v in fl.gnorm)
+    got_eta = tuple(tuple(format_scalar(v) for v in vec)
+                    for vec in fl.eta_vec)
+    if got_mass != doc["gamma_mass"] or got_eta != doc["eta"]:
+        raise IdentityMismatch(
+            "bundled model %r no longer reproduces its documented flow"
+            % name,
+            lhs={"gamma_mass": got_mass, "eta": got_eta},
+            rhs=doc)
 
 
 def load_model(source: str, field: Optional[str] = None) -> FKModel:

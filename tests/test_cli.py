@@ -204,8 +204,8 @@ def test_a_failed_identity_in_expand_exits_1(tmp_path, capsys, monkeypatch):
     """A finite-size value that disagrees with the coefficient sum stops
     the report check: exit 1, one JSON error line and no output file."""
     from fkforest import expansion
-    exact = expansion.path_exact_QN
-    monkeypatch.setattr(expansion, "path_exact_QN",
+    exact = expansion._path_exact_QN
+    monkeypatch.setattr(expansion, "_path_exact_QN",
                         lambda *a, **k: exact(*a, **k) + Fraction(1, 10 ** 9))
     F = function_file(tmp_path, [1, 1], ["1", "2", "3", "-1/2"])
     rc, data = run(tmp_path, "expand", "--model", "drift2", "--n", "1",
@@ -354,6 +354,19 @@ def _run_code(code, *argv):
                           + [str(a) for a in argv],
                           env=env, capture_output=True, text=True,
                           timeout=120)
+
+
+def test_the_cli_module_runs_as_a_script(tmp_path):
+    """python -m fkforest.cli answers a request, as the console script
+    does."""
+    out = tmp_path / "count.json"
+    src = os.path.dirname(os.path.dirname(fkforest.__file__))
+    done = subprocess.run([sys.executable, "-m", "fkforest.cli", "count",
+                           "--n", "1", "--q", "2", "--out", str(out)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(out.read_text())["manifest"]["command"] == "count"
 
 
 def test_a_request_imports_neither_argparse_nor_locale(tmp_path):

@@ -13,6 +13,7 @@ from fkforest import (
     InvalidParameter,
     bundled_model,
     bundled_names,
+    check_documented_flow,
     exact_eta_tensor_oracle,
     flow,
     format_scalar,
@@ -35,6 +36,7 @@ def test_bundled_names():
 @pytest.mark.parametrize("name", ["drift2", "flat2", "skew2", "cycle3",
                                   "blend3"])
 def test_documented_flow_is_reproduced(name):
+    check_documented_flow(name)
     fl = flow(bundled_model(name))
     doc = DOCUMENTED_FLOW[name]
     assert tuple(format_scalar(v) for v in fl.gnorm) == doc["gamma_mass"]
