@@ -63,7 +63,6 @@ from .fk_core import (
     center_function,
     constant_function,
     delta_colored,
-    eta_measure,
     eta_tensor,
     fiber_count,
     flow,

@@ -464,6 +464,8 @@ def cmd_oracle(args: SimpleNamespace) -> int:
 
 
 def cmd_simulate(args: SimpleNamespace) -> int:
+    if args.replicas < 1:
+        raise InvalidParameter("--replicas must be >= 1")
     caps = _caps_from_args(args)
     model = load_model(args.model, args.field)
     horizon = model.horizon if args.horizon is None else args.horizon

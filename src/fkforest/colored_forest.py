@@ -12,8 +12,12 @@ top level: a plain profile (p_0..p_h) becomes the colored profile
 ((0,p_0)..(0,p_{h-1}),(p_h,0)), see :func:`flat_pairs`, and the orbits and
 orbit sizes are the same on both sides.  In particular the q-block classes
 of height n+1 are the colored classes of the block profile
-``flat_blocks(n, q) == (0,)*n + (q,)``.  Trees are interned: building the
-same shape twice returns the same object.
+``flat_blocks(n, q) == (0,)*n + (q,)``.
+
+Trees are interned: building the same shape twice returns the same object.
+The intern pool ``_CPOOL`` is the only state kept between calls, because
+``is`` must mean "same shape" for ``aut``, :func:`_orbit_size` and dict
+keys.  The tree lists of an enumeration live in a dict that it owns.
 """
 
 from __future__ import annotations
@@ -91,23 +95,20 @@ class ColoredTree:
         return object.__hash__(self)
 
 
+def _intern(is_white: bool, kids: Tuple[ColoredTree, ...]) -> ColoredTree:
+    key = (is_white, kids)
+    tree = _CPOOL.get(key)
+    if tree is None:
+        tree = _CPOOL[key] = ColoredTree(is_white, kids, _token=_CPOOL)
+    return tree
+
+
 def black(children: Iterable[ColoredTree]) -> ColoredTree:
-    kids = tuple(sorted(children, key=lambda t: t.encoding))
-    key = (False, kids)
-    cached = _CPOOL.get(key)
-    if cached is None:
-        cached = ColoredTree(False, kids, _token=_CPOOL)
-        _CPOOL[key] = cached
-    return cached
+    return _intern(False, tuple(sorted(children, key=lambda t: t.encoding)))
 
 
 def white() -> ColoredTree:
-    key = (True, ())
-    cached = _CPOOL.get(key)
-    if cached is None:
-        cached = ColoredTree(True, (), _token=_CPOOL)
-        _CPOOL[key] = cached
-    return cached
+    return _intern(True, ())
 
 
 WHITE = white()
@@ -483,30 +484,23 @@ def _colored_classes(pairs: PairProfile, max_coal: Optional[int],
                 raise CapExceeded(
                     "enumeration would produce too many forests",
                     predicted=predicted, cap=caps.forests)
-    return _enum_colored_rec(pp, max_coal, caps.forests)
+    return _enum_colored_rec(pp, max_coal, caps.forests, {})
 
 
-_CTREE_CACHE: Dict[PairProfile, Tuple[ColoredTree, ...]] = {}
+# tree lists of one enumeration, by the pair profile of the tree
+TreeLists = Dict[PairProfile, Tuple[ColoredTree, ...]]
 
 
-def _enumerate_colored_trees(pairs: PairProfile) -> Tuple[ColoredTree, ...]:
-    cached = _CTREE_CACHE.get(pairs)
-    if cached is not None:
-        return cached
-    (w0, b0) = pairs[0]
-    if (w0, b0) == (1, 0):
-        out = (WHITE,) if len(pairs) == 1 else ()
-    elif (w0, b0) == (0, 1):
-        if len(pairs) == 1:
-            out = (black(()),)
-        else:
-            out = tuple(sorted(
-                (black(chosen)
-                 for chosen in _enum_colored_rec(pairs[1:], None, None)),
-                key=lambda t: t.encoding))
-    else:
-        raise InvalidParameter("a tree has exactly one root")
-    _CTREE_CACHE[pairs] = out
+def _enumerate_colored_trees(pairs: PairProfile,
+                             trees: TreeLists) -> Tuple[ColoredTree, ...]:
+    """The trees of a candidate shape (see :func:`_colored_candidates`): a
+    lone white, or a black over each forest of the levels below it."""
+    out = trees.get(pairs)
+    if out is None:
+        out = trees[pairs] = (WHITE,) if pairs[0] == (1, 0) else tuple(
+            sorted(map(black, _enum_colored_rec(pairs[1:], None, None,
+                                                trees)),
+                   key=lambda t: t.encoding))
     return out
 
 
@@ -530,11 +524,14 @@ def _colored_candidates(tail: PairProfile) -> List[PairProfile]:
 
 
 def _enum_colored_rec(pairs: PairProfile, max_coal: Optional[int],
-                      cap: Optional[int]) -> List[Tuple[ColoredTree, ...]]:
+                      cap: Optional[int], trees: TreeLists
+                      ) -> List[Tuple[ColoredTree, ...]]:
     """Forests as multisets of tree shapes, one taken candidate shape per
     level of recursion; each forest comes back as the tuple of its trees,
     equal trees side by side (a branch takes each candidate at most once,
-    its copies in the order of the candidate's tree list).
+    its copies in the order of the candidate's tree list).  The tree list
+    of a candidate is built on first use and kept in ``trees``, which the
+    calling enumeration owns.
 
     The remaining vertex counts below the roots travel as one flat tuple
     (w_1, b_1, w_2, b_2, ...); each candidate carries its body in the same
@@ -565,7 +562,7 @@ def _enum_colored_rec(pairs: PairProfile, max_coal: Optional[int],
         key = (idx, budget)
         got = filtered.get(key)
         if got is None:
-            got = _enumerate_colored_trees(shapes[idx])
+            got = _enumerate_colored_trees(shapes[idx], trees)
             if budget is not None:
                 got = tuple(t for t in got if t.coal_degree <= budget)
             filtered[key] = got

@@ -17,15 +17,15 @@ from .errors import CapExceeded, InvalidParameter
 STIRLING_CAP = 64
 
 
-def _check_cap(p: int, cap: int) -> None:
-    if p > cap:
+def _check_cap(p: int) -> None:
+    if p > STIRLING_CAP:
         raise CapExceeded(
-            f"Stirling argument {p} exceeds table cap {cap}", predicted=p, cap=cap
-        )
+            f"Stirling argument {p} exceeds table cap {STIRLING_CAP}",
+            predicted=p, cap=STIRLING_CAP)
 
 
 @lru_cache(maxsize=None)
-def stirling_first(p: int, k: int, cap: int = STIRLING_CAP) -> int:
+def stirling_first(p: int, k: int) -> int:
     """Signed Stirling number of the first kind.
 
     Defined by the polynomial identity
@@ -34,25 +34,25 @@ def stirling_first(p: int, k: int, cap: int = STIRLING_CAP) -> int:
     """
     if p < 0 or k < 0:
         raise InvalidParameter("stirling_first needs nonnegative arguments")
-    _check_cap(p, cap)
+    _check_cap(p)
     if p == 0:
         return 1 if k == 0 else 0
     if k == 0 or k > p:
         return 0
-    return stirling_first(p - 1, k - 1, cap) - (p - 1) * stirling_first(p - 1, k, cap)
+    return stirling_first(p - 1, k - 1) - (p - 1) * stirling_first(p - 1, k)
 
 
 @lru_cache(maxsize=None)
-def stirling_second(q: int, p: int, cap: int = STIRLING_CAP) -> int:
+def stirling_second(q: int, p: int) -> int:
     """Stirling number of the second kind: partitions of a q-set into p blocks."""
     if q < 0 or p < 0:
         raise InvalidParameter("stirling_second needs nonnegative arguments")
-    _check_cap(q, cap)
+    _check_cap(q)
     if q == 0:
         return 1 if p == 0 else 0
     if p == 0 or p > q:
         return 0
-    return p * stirling_second(q - 1, p, cap) + stirling_second(q - 1, p - 1, cap)
+    return p * stirling_second(q - 1, p) + stirling_second(q - 1, p - 1)
 
 
 def bell_number(q: int) -> int:

@@ -103,7 +103,6 @@ from .fk_core import (
     SignedMeasure,
     TensorFunction,
     delta_colored,
-    eta_tensor,
     exact_q_rows,
     flow,
     format_scalar,
@@ -117,6 +116,7 @@ from .fk_core import (
     _block_levels,
     _over_lcm,
     _partition_targets,
+    _tensor_power,
 )
 
 __all__ = [
@@ -168,10 +168,6 @@ def _agree(field: str, a, b) -> bool:
     return size(a - b) <= 1e-9 * (1 + size(a) + size(b))
 
 
-def _gamma_mass(fl: Flow, k: int) -> Scalar:
-    return sum(fl.gamma_vec[k])
-
-
 # ---------------------------------------------------------------------------
 # flat q-block ensemble moments
 
@@ -189,18 +185,17 @@ def exact_QN(model: FKModel, n: int, q: int, N: int,
 
 
 def closed_form_low_orders(model: FKModel, n: int, q: int,
-                           caps: Caps = DEFAULT_CAPS,
-                           verify: bool = True
+                           caps: Caps = DEFAULT_CAPS
                            ) -> Tuple[SignedMeasure, SignedMeasure,
                                       SignedMeasure]:
     """First three coefficient measures from the named-shape catalogue.
 
     Only meaningful for q >= 4: below that some catalogued shapes do not
     exist (a two-tree shape needs four distinct lineages) and the display
-    degenerates.  The generic engine remains the ground truth; with
-    verify=True each order is compared against path_derivative_Q and any
-    disagreement raises IdentityMismatch carrying both measures, rather
-    than silently returning a transcribed formula.
+    degenerates.  The generic engine remains the ground truth: each order
+    is compared against the generic coefficient and any disagreement
+    raises IdentityMismatch carrying both measures, rather than silently
+    returning a transcribed formula.
     """
     if q < 4:
         raise InvalidParameter(
@@ -247,16 +242,15 @@ def closed_form_low_orders(model: FKModel, n: int, q: int,
     d2 = (same.scale(lead) + cross_a.scale(half * half)
           + cross_b.scale(half)).symmetrize_blocks()
 
-    if verify:
-        generic = _moment_polynomial(model, prof, 2, caps, {})
-        for k, cand in ((0, d0), (1, d1), (2, d2)):
-            gen = generic[k]
-            if not _agree(model.field, cand, gen):
-                raise IdentityMismatch(
-                    "closed-form order %d differs from the generic "
-                    "coefficient (tv gap %s); the generic engine is the "
-                    "ground truth" % (k, format_scalar((cand - gen).tv_norm())),
-                    lhs=cand, rhs=gen)
+    generic = _moment_polynomial(model, prof, 2, caps, {})
+    for k, cand in ((0, d0), (1, d1), (2, d2)):
+        gen = generic[k]
+        if not _agree(model.field, cand, gen):
+            raise IdentityMismatch(
+                "closed-form order %d differs from the generic coefficient "
+                "(tv gap %s); the generic engine is the ground truth"
+                % (k, format_scalar((cand - gen).tv_norm())),
+                lhs=cand, rhs=gen)
     return d0, d1, d2
 
 
@@ -281,17 +275,20 @@ def pair_partitions(items: Sequence) -> Iterable[List[Tuple]]:
 
 
 def gaussian_covariance(model: FKModel, m1: int, phi1: Sequence[Scalar],
-                        m2: int, phi2: Sequence[Scalar],
-                        fl: Optional[Flow] = None) -> Scalar:
+                        m2: int, phi2: Sequence[Scalar]) -> Scalar:
     """Covariance of the limiting centered field between an observable at
     time m1 and one at time m2: shared noise enters at every common step."""
-    fl = fl or flow(model)
+    return _covariance(model, flow(model), m1, phi1, m2, phi2)
+
+
+def _covariance(model: FKModel, fl: Flow, m1: int, phi1: Sequence[Scalar],
+                m2: int, phi2: Sequence[Scalar]) -> Scalar:
     total = model.zero
     for k in range(min(m1, m2) + 1):
         a = _apply_semigroup(model, k, m1, phi1)
         b = _apply_semigroup(model, k, m2, phi2)
         gk = fl.gamma_vec[k]
-        total = total + _gamma_mass(fl, k) * sum(
+        total = total + fl.gnorm[k] * sum(
             gk[x] * a[x] * b[x] for x in range(len(gk)))
     return total
 
@@ -304,15 +301,15 @@ def _apply_semigroup(model: FKModel, k: int, m: int,
 
 
 def gaussian_product_moment(model: FKModel,
-                            factors: Sequence[Tuple[int, Sequence[Scalar]]],
-                            fl: Optional[Flow] = None) -> Scalar:
+                            factors: Sequence[Tuple[int, Sequence[Scalar]]]
+                            ) -> Scalar:
     """Joint moment of the limiting field over per-coordinate observables,
     summed over pair partitions of pairwise covariances.
 
     Each factor is (time, value table) and must integrate to zero against
     the unnormalized flow at its time.
     """
-    fl = fl or flow(model)
+    fl = flow(model)
     facs = [(int(m), tuple(v)) for m, v in factors]
     for m, v in facs:
         mean = sum(fl.gamma_vec[m][x] * v[x] for x in range(len(v)))
@@ -326,8 +323,8 @@ def gaussian_product_moment(model: FKModel,
     for pairing in pair_partitions(range(len(facs))):
         prod = model.one
         for i, j in pairing:
-            prod = prod * gaussian_covariance(
-                model, facs[i][0], facs[i][1], facs[j][0], facs[j][1], fl)
+            prod = prod * _covariance(
+                model, fl, facs[i][0], facs[i][1], facs[j][0], facs[j][1])
         total = total + prod
     return total
 
@@ -562,12 +559,14 @@ def path_wick_Q(model: FKModel, q: Sequence[int], F: TensorFunction,
 # centered potential moments
 
 
-def gbar_vector(model: FKModel, k: int,
-                fl: Optional[Flow] = None) -> Tuple[Scalar, ...]:
+def gbar_vector(model: FKModel, k: int) -> Tuple[Scalar, ...]:
     """Potential fluctuation observable at time k, normalized so the
     telescoped mass defect is the running sum of its block integrals;
     integrates to zero against the unnormalized flow."""
-    fl = fl or flow(model)
+    return _gbar(model, flow(model), k)
+
+
+def _gbar(model: FKModel, fl: Flow, k: int) -> Tuple[Scalar, ...]:
     g = model.G[k]
     eta = fl.eta_vec[k]
     mean = sum(eta[x] * g[x] for x in range(len(g)))
@@ -605,7 +604,7 @@ def centered_moment_expansion(model: FKModel, n: int, q: int,
     if n < 0 or n > model.horizon:
         raise InvalidParameter("n outside 0..%d" % model.horizon)
     fl = flow(model)
-    gb = [gbar_vector(model, j, fl) for j in range(n + 1)]
+    gb = [_gbar(model, fl, j) for j in range(n + 1)]
     lowest = (q + 1) // 2
     top = (n + 1) * (q - 1)
     orders: Dict[int, Scalar] = {k: model.zero for k in range(lowest, top + 1)}
@@ -656,8 +655,8 @@ def _center_image(model: FKModel, sigma: SignedMeasure, np1: int, q: int,
     """Materialize pairing-against-centered-argument: subtract total mass
     times the limiting product law, divide by the q-th power of the
     unnormalized mass at the target time."""
-    eta = eta_tensor(model, np1, q, fl)
-    gmass = _gamma_mass(fl, np1)
+    eta = _tensor_power(model, np1, fl.eta_vec[np1], q)
+    gmass = fl.gnorm[np1]
     return (sigma - eta.scale(sigma.total_mass())).scale(
         model.one / gmass ** q)
 
@@ -687,7 +686,7 @@ def _block_law_orders(model: FKModel, n_plus_1: int, q: int, top: int,
         raise InvalidParameter("need q >= 1 and k >= 0")
     fl = flow(model)
     n = np1 - 1
-    gb = [gbar_vector(model, j, fl) for j in range(n + 1)]
+    gb = [_gbar(model, fl, j) for j in range(n + 1)]
     qrows = exact_q_rows(model, np1)
     targets: Targets = {}
     sums: List[Optional[SignedMeasure]] = [None] * (top + 1)
@@ -707,7 +706,7 @@ def _block_law_orders(model: FKModel, n_plus_1: int, q: int, top: int,
                 term = _contract_and_move(coeffs[k], vecs, qrows,
                                           np1).scale(coeff)
                 sums[k] = term if sums[k] is None else sums[k] + term
-    return [eta_tensor(model, np1, q, fl)] + [
+    return [_tensor_power(model, np1, fl.eta_vec[np1], q)] + [
         _zero_measure(model, (np1,) * q) if total is None
         else _center_image(model, total, np1, q, fl) for total in sums[1:]]
 
@@ -739,13 +738,13 @@ def first_order_P(model: FKModel, n_plus_1: int, q: int,
     np1 = n_plus_1
     n = np1 - 1
     fl = flow(model)
-    gb = [gbar_vector(model, j, fl) for j in range(n + 1)]
+    gb = [_gbar(model, fl, j) for j in range(n + 1)]
     half = Fraction(q * (q - 1), 2)
     zero = _zero_measure(model, (np1,) * q)
     qrows = exact_q_rows(model, np1)
 
-    counter = _center_image(model, gamma_tensor(model, np1, q, fl),
-                            np1, q, fl)
+    counter = _center_image(
+        model, _tensor_power(model, np1, fl.gamma_vec[np1], q), np1, q, fl)
     if not _agree(model.field, counter, zero):
         raise IdentityMismatch(
             "centered image of the limiting product flow is not zero",
@@ -787,8 +786,8 @@ def first_order_P(model: FKModel, n_plus_1: int, q: int,
     if q >= 2:
         dup = [0] + list(range(q - 1))
         for kk in range(n + 1):
-            cur = gamma_tensor(model, kk, q - 1, fl).pushforward(dup).scale(
-                _gamma_mass(fl, kk))
+            gk = _tensor_power(model, kk, fl.gamma_vec[kk], q - 1)
+            cur = gk.pushforward(dup).scale(fl.gnorm[kk])
             ipiece1 = ipiece1 + _contract_and_move(
                 cur, {}, semigroup(model, kk, np1), np1)
         ipiece1 = ipiece1.scale(half)
@@ -796,8 +795,8 @@ def first_order_P(model: FKModel, n_plus_1: int, q: int,
     for m in range(n + 1):
         for kk in range(m + 1):
             vec = _apply_semigroup(model, kk, m, gb[m])
-            cur = gamma_tensor(model, kk, q, fl).weight_coord(0, vec).scale(
-                _gamma_mass(fl, kk))
+            gk = _tensor_power(model, kk, fl.gamma_vec[kk], q)
+            cur = gk.weight_coord(0, vec).scale(fl.gnorm[kk])
             ipiece2 = ipiece2 + _contract_and_move(
                 cur, {}, semigroup(model, kk, np1), np1)
     ipiece2 = ipiece2.scale(q * q)
@@ -834,23 +833,20 @@ class ExpansionReport:
     """
 
     def __init__(self, kind: str, params: Dict[str, object], base: object,
-                 orders: Dict[int, object],
-                 evaluations: Optional[Dict[int, object]] = None,
-                 diagnostics: Optional[Dict[str, object]] = None):
+                 orders: Dict[int, object], evaluations: Dict[int, object]):
         self.kind = kind
         self.params = params
         self.base = base
         self.orders = orders
-        self.evaluations = {} if evaluations is None else evaluations
-        self.diagnostics = {} if diagnostics is None else diagnostics
+        self.evaluations = evaluations
+        self.diagnostics: Dict[str, object] = {}
 
-    def partial_sum(self, N: int, top: Optional[int] = None) -> object:
+    def partial_sum(self, N: int) -> object:
         """Coefficient sum at N on integer numerators: each term over the
         lcm of its entries, all of them over the lcm of the den_k N^k;
         exact in either field and rounded once in float mode."""
         terms = [(0, self.base)] + [
-            (k, c) for k, c in sorted(self.orders.items())
-            if k != 0 and (top is None or k <= top)]
+            (k, c) for k, c in sorted(self.orders.items()) if k != 0]
         over = []
         for k, c in terms:
             nums, d = _over_lcm(c.data if isinstance(c, SignedMeasure)

@@ -670,33 +670,26 @@ def measure_from_vector(model: FKModel, k: int,
     return SignedMeasure(model, (k,), list(vec))
 
 
-def gamma_measure(model: FKModel, k: int,
-                  fl: Optional[Flow] = None) -> SignedMeasure:
-    fl = fl or flow(model)
-    return measure_from_vector(model, k, fl.gamma_vec[k])
+def gamma_measure(model: FKModel, k: int) -> SignedMeasure:
+    return measure_from_vector(model, k, flow(model).gamma_vec[k])
 
 
-def eta_measure(model: FKModel, k: int,
-                fl: Optional[Flow] = None) -> SignedMeasure:
-    fl = fl or flow(model)
-    return measure_from_vector(model, k, fl.eta_vec[k])
-
-
-def _tensor_power(mu: SignedMeasure, q: int) -> SignedMeasure:
-    out = SignedMeasure(mu.model, (), [mu.model.one])
+def _tensor_power(model: FKModel, k: int, vec: Sequence[Scalar],
+                  q: int) -> SignedMeasure:
+    """q-fold tensor power of the measure vec at level k."""
+    mu = measure_from_vector(model, k, vec)
+    out = SignedMeasure(model, (), [model.one])
     for _ in range(q):
         out = out.tensor(mu)
     return out
 
 
-def gamma_tensor(model: FKModel, n: int, q: int,
-                 fl: Optional[Flow] = None) -> SignedMeasure:
-    return _tensor_power(gamma_measure(model, n, fl), q)
+def gamma_tensor(model: FKModel, n: int, q: int) -> SignedMeasure:
+    return _tensor_power(model, n, flow(model).gamma_vec[n], q)
 
 
-def eta_tensor(model: FKModel, n: int, q: int,
-               fl: Optional[Flow] = None) -> SignedMeasure:
-    return _tensor_power(eta_measure(model, n, fl), q)
+def eta_tensor(model: FKModel, n: int, q: int) -> SignedMeasure:
+    return _tensor_power(model, n, flow(model).eta_vec[n], q)
 
 
 # ---------------------------------------------------------------------------
@@ -807,30 +800,32 @@ def delta_colored(model: FKModel,
 # centering
 
 
-def center_function(model: FKModel, f: TensorFunction,
-                    fl: Optional[Flow] = None) -> TensorFunction:
+def center_function(model: FKModel, f: TensorFunction) -> TensorFunction:
     """Symmetrize within same-level blocks, then remove every per-coordinate
     conditional mean against the normalized flow: one projection move per
     coordinate, rows delta_xy - eta_k(x), all in one map_coords call.  The
     result integrates to zero in each coordinate separately; commuting
     projections make one pass enough, and the claim is re-checked before
     returning."""
-    fl = fl or flow(model)
+    etas = flow(model).eta_vec
     proj = [[[(x == y) - e for y in range(len(eta))] for x, e in enumerate(eta)]
-            for eta in fl.eta_vec]
+            for eta in etas]
     out = f.symmetrize_blocks().map_coords(
         (pos, proj[k], k) for pos, k in enumerate(f.levels))
-    if not is_centered(model, out, fl):
+    if not _is_centered(model, out, etas):
         raise AssertionError("centering left a nonzero mean")
     return out
 
 
-def is_centered(model: FKModel, f: TensorFunction,
-                fl: Optional[Flow] = None) -> bool:
+def is_centered(model: FKModel, f: TensorFunction) -> bool:
+    return _is_centered(model, f, flow(model).eta_vec)
+
+
+def _is_centered(model: FKModel, f: TensorFunction,
+                 etas: Sequence[Sequence[Scalar]]) -> bool:
     # float mode allows rounding: marginals within 1e-9 of zero, relative
     # to the size of f as in is_symmetric
     tol = 0 if model.field == "rational" else 1e-9 * (1 + f.sup_norm())
-    fl = fl or flow(model)
     return f.is_symmetric() and all(
         abs(v) <= tol for pos, k in enumerate(f.levels)
-        for v in f.integrate_coord(pos, fl.eta_vec[k]).data)
+        for v in f.integrate_coord(pos, etas[k]).data)

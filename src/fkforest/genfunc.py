@@ -16,7 +16,6 @@ All coefficients are exact Python integers.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from math import comb
 from operator import sub
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -151,15 +150,15 @@ class SparseSeries:
         return SparseSeries(len(keep), bounds, out)
 
 
-@lru_cache(maxsize=None)
-def count_forests(profile: Tuple[int, ...]) -> int:
+def count_forests(profile: Sequence[int]) -> int:
     """Number of distinct forests with the given per-level vertex counts.
 
     Recursive multiset knapsack: pick, for every candidate tree shape, how
     many copies appear, matching the root count and every deeper level
     exactly.  A tree is a root over a forest of a shorter profile, so the
-    number of trees of one shape is a census read back through this
-    function; repetitions of one shape contribute a multichoose factor.
+    number of trees of one shape is a census of that profile, memoized in
+    a dict local to this call; repetitions of one shape contribute a
+    multichoose factor.
 
     Stepping past a candidate is a loop, not a call: the recursion goes one
     level deeper only to place what is left after taking at least one copy
@@ -172,9 +171,15 @@ def count_forests(profile: Tuple[int, ...]) -> int:
     gets room further down a branch, so each call hands the calls below it
     only the list of candidates with room.
     """
-    p = _check_profile(profile)
+    return _count_forests(_check_profile(profile), {})
+
+
+def _count_forests(p: Tuple[int, ...], census: Dict[tuple, int]) -> int:
+    # count_forests of a checked profile; census is the per-call memo
     if len(p) <= 1:
         return 1
+    if p in census:
+        return census[p]
     tail = p[1:]
     # candidate children profiles, longest first: any length h..0, entry i
     # limited by tail[i]
@@ -185,7 +190,7 @@ def count_forests(profile: Tuple[int, ...]) -> int:
     plan = []
     for j, shape in enumerate(candidates):
         body = shape + (0,) * (len(tail) - len(shape))
-        plan.append((j, len(shape), count_forests(shape), body,
+        plan.append((j, len(shape), _count_forests(shape, census), body,
                      tuple(enumerate(shape))))
     memo: Dict[Tuple[int, int, Tuple[int, ...]], int] = {}
 
@@ -239,7 +244,8 @@ def count_forests(profile: Tuple[int, ...]) -> int:
             memo[key] = total
         return total
 
-    return rec(plan, 0, p[0], tail)
+    census[p] = total = rec(plan, 0, p[0], tail)
+    return total
 
 
 def _as_bounds(truncation, length: int) -> Tuple[int, ...]:

@@ -40,6 +40,7 @@ from operator import getitem, mul
 from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
                     Sequence, Tuple)
 
+from .colored_forest import normalize_path_profile
 from .combinatorics import falling_factorial
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, InvalidParameter
@@ -305,7 +306,8 @@ def exact_QN_oracle(model: FKModel, N: int, q: Sequence[int],
                     F: TensorFunction,
                     caps: Caps = DEFAULT_CAPS) -> Scalar:
     """Exact expectation of the unnormalized empirical block moment over
-    the block profile q = (q_0..q_n).
+    the block profile q = (q_0..q_n), checked and stripped of trailing
+    zero blocks as in the expansion (`normalize_path_profile`).
 
     The coordinates of F read one level per block in time order, and the
     weight multiplies the per-level masses.  The plain q-fold tensor at
@@ -313,7 +315,7 @@ def exact_QN_oracle(model: FKModel, N: int, q: Sequence[int],
 
     caps.configs bounds the configurations of each level and caps.tensor
     the table over the coordinates frozen before level n."""
-    qvec = tuple(int(v) for v in q)
+    qvec = normalize_path_profile(q)
     n = len(qvec) - 1
     want = _block_levels(qvec)
     if F.levels != want:

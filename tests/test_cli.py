@@ -433,6 +433,59 @@ def test_count_past_the_recursion_limit_answers(tmp_path, capsys):
     assert res["identity_holds"] is True
 
 
+def test_a_request_does_the_same_work_however_many_ran_before(tmp_path,
+                                                             monkeypatch):
+    """No tree list outlives its request: a second identical colored
+    count enumerates as many candidate forests as the first."""
+    from fkforest import colored_forest
+    inner = colored_forest._enum_colored_rec
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return inner(*args)
+
+    monkeypatch.setattr(colored_forest, "_enum_colored_rec", counted)
+    work = []
+    for _ in range(2):
+        calls.clear()
+        assert result(tmp_path, "count", "--q-seq", "1,2,2")["classes"] > 0
+        work.append(len(calls))
+    assert work[0] == work[1] > 1
+
+
+def test_a_census_run_before_a_refusal_leaves_its_line_unchanged(tmp_path,
+                                                                 capsys):
+    argv = ("count", "--n", "4", "--q", "4", "--cap-forests", "10")
+    lines = []
+    for census_first in (False, True):
+        if census_first:
+            assert count_forests((4,) * 6) == 65833
+        rc, data = run(tmp_path, *argv)
+        assert rc == 2 and data is None
+        lines.append(capsys.readouterr().err)
+    assert lines[0] == lines[1]
+    assert json.loads(lines[0])["predicted"] == 65833
+
+
+def test_oracle_refuses_negative_block_sizes(tmp_path, capsys):
+    F = function_file(tmp_path, [0], ["1", "2"])
+    rc, data = run(tmp_path, "oracle", "--model", "drift2", "--N", "3",
+                   "--q-seq", "1,-1", "--function", F)
+    assert rc == 2 and data is None
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "InvalidParameter", "message": "block sizes must be >= 0"}
+
+
+@pytest.mark.parametrize("replicas", ["0", "-1"])
+def test_simulate_refuses_fewer_than_one_replica(tmp_path, capsys, replicas):
+    rc, data = run(tmp_path, "simulate", "--model", "flat2", "--N", "8",
+                   "--replicas", replicas)
+    assert rc == 2 and data is None
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "InvalidParameter", "message": "--replicas must be >= 1"}
+
+
 # ---------------------------------------------------------------------------
 # the JSON writer
 

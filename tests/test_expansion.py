@@ -109,9 +109,9 @@ def reference_derivative_P(model, np1, q, k):
     pass replaced, one path_derivative_Q per profile and order."""
     fl = flow(model)
     if k == 0:
-        return eta_tensor(model, np1, q, fl)
+        return eta_tensor(model, np1, q)
     n = np1 - 1
-    gb = [gbar_vector(model, j, fl) for j in range(n + 1)]
+    gb = [gbar_vector(model, j) for j in range(n + 1)]
     qrows = exact_q_rows(model, np1)
     total = None
     for l in range(2 * k):

@@ -24,7 +24,6 @@ from fkforest import (
     Caps,
     DEFAULT_CAPS,
     FKModel,
-    Flow,
     InvalidParameter,
     SignedMeasure,
     TensorFunction,
@@ -783,7 +782,6 @@ def test_tv_formulas_against_constructed_measures():
 
 
 def path_gamma(model: FKModel, q: Sequence[int], p: int,
-               fl: Optional[Flow] = None,
                caps: Caps = DEFAULT_CAPS) -> SignedMeasure:
     """Intermediate path-space measure: frozen unnormalized blocks for times
     before p, and the still-moving block (all remaining coordinates) at p."""
@@ -793,14 +791,13 @@ def path_gamma(model: FKModel, q: Sequence[int], p: int,
         raise InvalidParameter("model horizon too short")
     if not 0 <= p <= n:
         raise InvalidParameter("p outside 0..%d" % n)
-    fl = fl or flow(model)
     out = SignedMeasure(model, (), [model.one], caps=caps)
     for j in range(p):
-        g = gamma_measure(model, j, fl)
+        g = gamma_measure(model, j)
         for _ in range(qq[j]):
             out = out.tensor(g)
     live = sum(qq[p:])
-    g = gamma_measure(model, p, fl)
+    g = gamma_measure(model, p)
     for _ in range(live):
         out = out.tensor(g)
     return out
@@ -1010,7 +1007,7 @@ def test_constant_function_centers_to_zero(skew2):
 
 def test_measure_and_function_vectors(drift2):
     fl = flow(drift2)
-    g = gamma_measure(drift2, 1, fl)
+    g = gamma_measure(drift2, 1)
     assert g == measure_from_vector(drift2, 1, fl.gamma_vec[1])
     f = function_from_vector(drift2, 1, ["1/2", 2])
     assert f.value((0,)) == Fraction(1, 2)

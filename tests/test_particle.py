@@ -212,6 +212,21 @@ def test_unnormalized_single_estimator_is_unbiased(drift2, cycle3):
                 assert exact_QN_oracle(m, N, flat_blocks(n, 1), f) == truth
 
 
+def test_trailing_zero_blocks_leave_the_oracle_unchanged(drift2, cycle3):
+    """A profile and the same profile with zero blocks appended name the
+    same moment, as they do for the expansion engines."""
+    for m in (drift2, cycle3):
+        F = function_from_vector(m, 0, [Fraction(1, 3), 2, 5][:m.size(0)])
+        G = TensorFunction(m, (0, 1), [Fraction(i + 1, 4) for i in
+                                       range(m.size(0) * m.size(1))])
+        for N in (1, 2, 3):
+            short = exact_QN_oracle(m, N, (1,), F)
+            assert isinstance(short, Fraction)
+            assert exact_QN_oracle(m, N, (1, 0), F) == short
+            assert exact_QN_oracle(m, N, (1, 1, 0), G) \
+                == exact_QN_oracle(m, N, (1, 1), G)
+
+
 def test_normalized_estimator_is_biased_for_skew2(skew2):
     fl = flow(skew2)
     f = function_from_vector(skew2, 1, [1, 0])
