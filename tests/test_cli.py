@@ -442,21 +442,21 @@ def test_count_past_the_recursion_limit_answers(tmp_path, capsys):
 def test_a_request_does_the_same_work_however_many_ran_before(tmp_path,
                                                              monkeypatch):
     """No tree list outlives its request: a second identical colored
-    count enumerates as many candidate forests as the first."""
+    count makes as many `_enum_colored_rec` calls as the first."""
     from fkforest import colored_forest
     inner = colored_forest._enum_colored_rec
-    calls = []
+    calls = [0]
 
     def counted(*args):
-        calls.append(args[0])
+        calls[0] += 1
         return inner(*args)
 
     monkeypatch.setattr(colored_forest, "_enum_colored_rec", counted)
     work = []
     for _ in range(2):
-        calls.clear()
+        calls[0] = 0
         assert result(tmp_path, "count", "--q-seq", "1,2,2")["classes"] > 0
-        work.append(len(calls))
+        work.append(calls[0])
     assert work[0] == work[1] > 1
 
 
