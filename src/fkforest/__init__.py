@@ -68,7 +68,6 @@ from .fk_core import (
     flow,
     format_scalar,
     function_from_vector,
-    gamma_measure,
     gamma_tensor,
     is_centered,
     measure_from_vector,

@@ -481,6 +481,8 @@ def cmd_simulate(args: SimpleNamespace) -> int:
     else:
         if q is None:
             raise InvalidParameter("%s needs --q" % est)
+        if q < 1:
+            raise InvalidParameter("%s needs --q >= 1" % est)
         if args.function:
             F = _load_function(model, args.function, caps)
         else:
@@ -965,19 +967,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
-    except CapExceeded as exc:
-        doc = {"error": "CapExceeded", "message": str(exc),
-               "predicted": exc.predicted, "cap": exc.cap}
-        sys.stderr.write(json.dumps(doc, sort_keys=True) + "\n")
-        return 2
-    except IdentityMismatch as exc:
-        doc = {"error": "IdentityMismatch", "message": str(exc)}
-        sys.stderr.write(json.dumps(doc, sort_keys=True) + "\n")
-        return 1
     except ToolkitError as exc:
         doc = {"error": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, CapExceeded):
+            doc.update(predicted=exc.predicted, cap=exc.cap)
         sys.stderr.write(json.dumps(doc, sort_keys=True) + "\n")
-        return 2
+        return 1 if isinstance(exc, IdentityMismatch) else 2
 
 
 if __name__ == "__main__":

@@ -754,12 +754,6 @@ def _flat_shape(n: int, q: int,
                           + [white_topped_chain(n + 1)] * (q - lines))
 
 
-def trivial_forest(n: int, q: int) -> ColoredForest:
-    """q white-topped chains spanning all levels: the no-interaction class."""
-    flat_blocks(n, q)
-    return _flat_shape(n, q, ())
-
-
 def pair_merge_forest(n: int, q: int, k: int) -> ColoredForest:
     """One binary merge at level k, everything else untouched."""
     _check_merges(n, q, (k,))

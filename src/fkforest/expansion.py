@@ -205,7 +205,7 @@ def closed_form_low_orders(model: FKModel, n: int, q: int,
     prof = _check_profile(model, flat_blocks(n, q))
 
     def dlt(f: ColoredForest) -> SignedMeasure:
-        return delta_colored(model, f, prof, caps)
+        return delta_colored(model, f, prof)
 
     g = gamma_tensor(model, n, q)
     zero = _zero_measure(model, (n,) * q)
@@ -278,11 +278,7 @@ def gaussian_covariance(model: FKModel, m1: int, phi1: Sequence[Scalar],
                         m2: int, phi2: Sequence[Scalar]) -> Scalar:
     """Covariance of the limiting centered field between an observable at
     time m1 and one at time m2: shared noise enters at every common step."""
-    return _covariance(model, flow(model), m1, phi1, m2, phi2)
-
-
-def _covariance(model: FKModel, fl: Flow, m1: int, phi1: Sequence[Scalar],
-                m2: int, phi2: Sequence[Scalar]) -> Scalar:
+    fl = flow(model)
     total = model.zero
     for k in range(min(m1, m2) + 1):
         a = _apply_semigroup(model, k, m1, phi1)
@@ -323,8 +319,8 @@ def gaussian_product_moment(model: FKModel,
     for pairing in pair_partitions(range(len(facs))):
         prod = model.one
         for i, j in pairing:
-            prod = prod * _covariance(
-                model, fl, facs[i][0], facs[i][1], facs[j][0], facs[j][1])
+            prod = prod * gaussian_covariance(
+                model, facs[i][0], facs[i][1], facs[j][0], facs[j][1])
         total = total + prod
     return total
 
@@ -335,16 +331,11 @@ def gaussian_product_moment(model: FKModel,
 
 def path_max_order(q: Sequence[int]) -> int:
     """Largest nonzero order for a block profile: sum of (blacks-1)."""
-    prof = normalize_path_profile(q)
-    if not prof:
-        raise InvalidParameter("empty block profile")
-    return sum(b - 1 for b in _blacks(prof))
+    return sum(b - 1 for b in _blacks(normalize_path_profile(q)))
 
 
 def _check_profile(model: FKModel, q: Sequence[int]) -> Tuple[int, ...]:
     prof = normalize_path_profile(q)
-    if not prof:
-        raise InvalidParameter("empty block profile")
     if len(prof) - 1 > model.horizon:
         raise InvalidParameter(
             "model horizon %d too short for a profile over levels 0..%d"
@@ -546,7 +537,7 @@ def path_wick_Q(model: FKModel, q: Sequence[int], F: TensorFunction,
         coeff = Fraction(qfact, (2 ** diag) * tfact)
         f = build_wick_forest(t)
         assert f.pair_profile == pairs
-        total = total + coeff * delta_colored(model, f, prof, caps).pair(F)
+        total = total + coeff * delta_colored(model, f, prof).pair(F)
     generic = coeffs[half]
     if not _agree(model.field, total, generic):
         raise IdentityMismatch(
@@ -563,10 +554,7 @@ def gbar_vector(model: FKModel, k: int) -> Tuple[Scalar, ...]:
     """Potential fluctuation observable at time k, normalized so the
     telescoped mass defect is the running sum of its block integrals;
     integrates to zero against the unnormalized flow."""
-    return _gbar(model, flow(model), k)
-
-
-def _gbar(model: FKModel, fl: Flow, k: int) -> Tuple[Scalar, ...]:
+    fl = flow(model)
     g = model.G[k]
     eta = fl.eta_vec[k]
     mean = sum(eta[x] * g[x] for x in range(len(g)))
@@ -603,8 +591,7 @@ def centered_moment_expansion(model: FKModel, n: int, q: int,
         raise InvalidParameter("needs q >= 2")
     if n < 0 or n > model.horizon:
         raise InvalidParameter("n outside 0..%d" % model.horizon)
-    fl = flow(model)
-    gb = [_gbar(model, fl, j) for j in range(n + 1)]
+    gb = [gbar_vector(model, j) for j in range(n + 1)]
     lowest = (q + 1) // 2
     top = (n + 1) * (q - 1)
     orders: Dict[int, Scalar] = {k: model.zero for k in range(lowest, top + 1)}
@@ -612,9 +599,8 @@ def centered_moment_expansion(model: FKModel, n: int, q: int,
     targets: Targets = {}
     for p in compositions(q, n + 1):
         prof = normalize_path_profile(p)
-        pmax = sum(b - 1 for b in _blacks(prof))
-        if pmax < lowest:
-            continue
+        # pmax >= q - 1 >= lowest: the first level holds all q blacks
+        pmax = path_max_order(prof)
         pfact = 1
         for pj in p:
             pfact *= math.factorial(pj)
@@ -686,7 +672,7 @@ def _block_law_orders(model: FKModel, n_plus_1: int, q: int, top: int,
         raise InvalidParameter("need q >= 1 and k >= 0")
     fl = flow(model)
     n = np1 - 1
-    gb = [_gbar(model, fl, j) for j in range(n + 1)]
+    gb = [gbar_vector(model, j) for j in range(n + 1)]
     qrows = exact_q_rows(model, np1)
     targets: Targets = {}
     sums: List[Optional[SignedMeasure]] = [None] * (top + 1)
@@ -738,7 +724,7 @@ def first_order_P(model: FKModel, n_plus_1: int, q: int,
     np1 = n_plus_1
     n = np1 - 1
     fl = flow(model)
-    gb = [_gbar(model, fl, j) for j in range(n + 1)]
+    gb = [gbar_vector(model, j) for j in range(n + 1)]
     half = Fraction(q * (q - 1), 2)
     zero = _zero_measure(model, (np1,) * q)
     qrows = exact_q_rows(model, np1)
@@ -754,7 +740,7 @@ def first_order_P(model: FKModel, n_plus_1: int, q: int,
     if q >= 2:
         for kk in range(n + 1):
             d = delta_colored(model, pair_merge_forest(n, q, kk),
-                              flat_blocks(n, q), caps)
+                              flat_blocks(n, q))
             piece1 = piece1 + d.transport_block(0, np1)
         piece1 = piece1.scale(half)
     piece2 = zero
@@ -764,7 +750,7 @@ def first_order_P(model: FKModel, n_plus_1: int, q: int,
         qm[n] += q
         for kk in range(m + 1):
             fbar = first_order_path_forest(n, q, kk, m)
-            nu = delta_colored(model, fbar, qm, caps)
+            nu = delta_colored(model, fbar, qm)
             # the fluctuation observable must hit the merge-tied output
             # slot; summing over every block-m slot finds it without
             # depending on coordinate order, because contractions against
@@ -856,9 +842,9 @@ class ExpansionReport:
         nums = [sum(col) for col in zip(*[[v * (den // d) for v in vs]
                                           for d, vs in over])]
         if isinstance(self.base, SignedMeasure):
-            model = self.base.model
-            return SignedMeasure(model, self.base.levels,
-                                 from_numerators(model, nums, den))
+            # the base passed the size cap; the sum shares its domain
+            return self.base._on_domain(
+                from_numerators(self.base.model, nums, den))
         if self.params.get("field", "rational") == "rational":
             return Fraction(nums[0], den)
         return nums[0] / den

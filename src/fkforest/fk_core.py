@@ -101,9 +101,9 @@ class FKModel:
             raise ValidationError("eta0 length must match level 0")
         if any(v < 0 for v in e0):
             raise ValidationError("eta0 entries must be >= 0")
-        if _sum(e0) != 1 and field == "rational":
-            raise ValidationError("eta0 must sum to 1")
-        if field == "float" and abs(_sum(e0) - 1.0) > _FLOAT_ROW_TOL:
+        # exact in rational mode, within rounding in float mode
+        tol = 0 if field == "rational" else _FLOAT_ROW_TOL
+        if abs(_sum(e0) - 1) > tol:
             raise ValidationError("eta0 must sum to 1")
         for k, mk in enumerate(mm, start=1):
             if len(mk) != len(st[k - 1]):
@@ -115,11 +115,7 @@ class FKModel:
                 if any(v < 0 for v in row):
                     raise ValidationError(
                         "transition %d has negative entries" % k)
-                s = _sum(row)
-                if field == "rational" and s != 1:
-                    raise ValidationError(
-                        "transition %d has a non-stochastic row" % k)
-                if field == "float" and abs(s - 1.0) > _FLOAT_ROW_TOL:
+                if abs(_sum(row) - 1) > tol:
                     raise ValidationError(
                         "transition %d has a non-stochastic row" % k)
         for k, gk in enumerate(gg):
@@ -222,13 +218,11 @@ class Flow:
 
 
 def q_operator(model: FKModel, k: int) -> Tuple[Tuple[Scalar, ...], ...]:
-    """Table of the one-step weighted transition from level k-1 to k."""
-    if not 1 <= k <= model.horizon:
-        raise InvalidParameter("operator index %d outside 1..%d"
-                               % (k, model.horizon))
-    gk = model.G[k - 1]
-    return tuple(tuple(gk[x] * p for p in row)
-                 for x, row in enumerate(model.M[k - 1]))
+    """Table of the one-step weighted transition from level k-1 to k: the
+    entries of FKModel.exact_q in the model's field, each the exact
+    product rounded once in float mode."""
+    rows, den = model.exact_q(k)
+    return tuple(tuple(model.scalar(v, den) for v in row) for row in rows)
 
 
 def semigroup(model: FKModel, k: int, n: int) -> Tuple[Tuple[Scalar, ...], ...]:
@@ -429,6 +423,14 @@ class _Table:
         self.levels = lv
         self.data = dd
 
+    def _on_domain(self, data: Iterable[Scalar]):
+        """A table of this type on this table's domain.  The domain passed
+        its checks when this table was built, so no check, the size cap
+        included, runs again."""
+        out = object.__new__(type(self))
+        out.model, out.levels, out.data = self.model, self.levels, tuple(data)
+        return out
+
     @property
     def sizes(self) -> Tuple[int, ...]:
         return tuple(self.model.size(k) for k in self.levels)
@@ -458,16 +460,14 @@ class _Table:
 
     def __add__(self, other: "_Table"):
         self._same_domain(other)
-        return type(self)(self.model, self.levels,
-                          [a + b for a, b in zip(self.data, other.data)])
+        return self._on_domain(a + b for a, b in zip(self.data, other.data))
 
     def __sub__(self, other: "_Table"):
         self._same_domain(other)
-        return type(self)(self.model, self.levels,
-                          [a - b for a, b in zip(self.data, other.data)])
+        return self._on_domain(a - b for a, b in zip(self.data, other.data))
 
     def scale(self, c: Scalar):
-        return type(self)(self.model, self.levels, [c * v for v in self.data])
+        return self._on_domain(c * v for v in self.data)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
@@ -531,7 +531,18 @@ class _Table:
             sums[key] = sums.get(key, self.model.zero) + w
             sizes[key] = sizes.get(key, 0) + 1
         mean = {key: total / sizes[key] for key, total in sums.items()}
-        return type(self)(self.model, self.levels, [mean[key] for key in keys])
+        return self._on_domain(mean[key] for key in keys)
+
+    def contract(self, positions: Sequence[int],
+                 vectors: Sequence[Sequence[Scalar]]):
+        """Integrate out the given coordinates against per-coordinate value
+        tables; remaining coordinates keep their order."""
+        pos = tuple(positions)
+        if len(set(pos)) != len(pos):
+            raise InvalidParameter("duplicate contraction positions")
+        vecs = dict(zip(pos, vectors))
+        return self.map_coords((p, [[v] for v in vecs[p]], None)
+                               for p in sorted(vecs, reverse=True))
 
 
 def _block_levels(profile: Sequence[int]) -> Tuple[int, ...]:
@@ -605,17 +616,6 @@ class SignedMeasure(_Table):
                 for x, v in enumerate(vec)]
         return self.map_coords([(pos, diag, self.levels[pos])])
 
-    def contract(self, positions: Sequence[int],
-                 vectors: Sequence[Sequence[Scalar]]) -> "SignedMeasure":
-        """Integrate out the given coordinates against per-coordinate value
-        tables; remaining coordinates keep their order."""
-        pos = tuple(positions)
-        if len(set(pos)) != len(pos):
-            raise InvalidParameter("duplicate contraction positions")
-        vecs = dict(zip(pos, vectors))
-        return self.map_coords((p, [[v] for v in vecs[p]], None)
-                               for p in sorted(vecs, reverse=True))
-
 
 class TensorFunction(_Table):
     """Bounded function as a dense value table over a product domain."""
@@ -647,11 +647,6 @@ class TensorFunction(_Table):
         rows = list(zip(*q_operator(self.model, k)))
         return self.map_coords((p, rows, k - 1) for p in pos)
 
-    def integrate_coord(self, pos: int,
-                        vec: Sequence[Scalar]) -> "TensorFunction":
-        """Integral over coordinate pos against a weight vector."""
-        return self.map_coords([(pos, [[v] for v in vec], None)])
-
 
 def constant_function(model: FKModel, levels: Sequence[int],
                       value: Scalar) -> TensorFunction:
@@ -668,10 +663,6 @@ def function_from_vector(model: FKModel, k: int,
 def measure_from_vector(model: FKModel, k: int,
                         vec: Sequence[Scalar]) -> SignedMeasure:
     return SignedMeasure(model, (k,), list(vec))
-
-
-def gamma_measure(model: FKModel, k: int) -> SignedMeasure:
-    return measure_from_vector(model, k, flow(model).gamma_vec[k])
 
 
 def _tensor_power(model: FKModel, k: int, vec: Sequence[Scalar],
@@ -764,8 +755,7 @@ def tensor_minus_dot_tv(q: int, N: int) -> Fraction:
 
 def delta_colored(model: FKModel,
                   f: Union[ColoredForest, ColoredMapSeq],
-                  q: Sequence[int],
-                  caps: Caps = DEFAULT_CAPS) -> SignedMeasure:
+                  q: Sequence[int]) -> SignedMeasure:
     """Path-space measure of a colored genealogy class: white coordinates
     freeze at their level in time order, black ones keep moving."""
     qq = normalize_path_profile(q)
@@ -780,7 +770,7 @@ def delta_colored(model: FKModel,
     if got != pairs:
         raise InvalidParameter("colored profile %r does not match %r"
                                % (got, pairs))
-    mu = SignedMeasure(model, (), [model.one], caps=caps)
+    mu = SignedMeasure(model, (), [model.one])
     e0 = measure_from_vector(model, 0, model.eta0)
     for _ in range(pairs[0][1]):
         mu = mu.tensor(e0)
@@ -807,25 +797,20 @@ def center_function(model: FKModel, f: TensorFunction) -> TensorFunction:
     result integrates to zero in each coordinate separately; commuting
     projections make one pass enough, and the claim is re-checked before
     returning."""
-    etas = flow(model).eta_vec
     proj = [[[(x == y) - e for y in range(len(eta))] for x, e in enumerate(eta)]
-            for eta in etas]
+            for eta in flow(model).eta_vec]
     out = f.symmetrize_blocks().map_coords(
         (pos, proj[k], k) for pos, k in enumerate(f.levels))
-    if not _is_centered(model, out, etas):
+    if not is_centered(model, out):
         raise AssertionError("centering left a nonzero mean")
     return out
 
 
 def is_centered(model: FKModel, f: TensorFunction) -> bool:
-    return _is_centered(model, f, flow(model).eta_vec)
-
-
-def _is_centered(model: FKModel, f: TensorFunction,
-                 etas: Sequence[Sequence[Scalar]]) -> bool:
     # float mode allows rounding: marginals within 1e-9 of zero, relative
     # to the size of f as in is_symmetric
+    etas = flow(model).eta_vec
     tol = 0 if model.field == "rational" else 1e-9 * (1 + f.sup_norm())
     return f.is_symmetric() and all(
         abs(v) <= tol for pos, k in enumerate(f.levels)
-        for v in f.integrate_coord(pos, etas[k]).data)
+        for v in f.contract([pos], [etas[k]]).data)

@@ -103,6 +103,15 @@ def test_identical_runs_write_identical_bytes(tmp_path, argv):
      "--top", "5"],
     ["expand", "--model", "drift2", "--q-seq", "1,1", "--top", "1",
      "--function", "F01"],
+    # block sizes below 1, and an injective block larger than the ensemble
+    ["simulate", "--model", "drift2", "--N", "4", "--estimator", "tensor-q",
+     "--q", "-2"],
+    ["simulate", "--model", "drift2", "--N", "4", "--estimator", "tensor-q",
+     "--q", "0"],
+    ["simulate", "--model", "drift2", "--N", "4", "--estimator", "dot-q",
+     "--q", "-2"],
+    ["simulate", "--model", "drift2", "--N", "2", "--estimator", "dot-q",
+     "--q", "3"],
 ])
 def test_bad_parameters_are_refused(tmp_path, capsys, argv):
     # F01 names a valid function on the levels of the profile (1,1)
@@ -476,6 +485,74 @@ def test_simulate_refuses_fewer_than_one_replica(tmp_path, capsys, replicas):
     assert rc == 2 and data is None
     assert json.loads(capsys.readouterr().err) == {
         "error": "InvalidParameter", "message": "--replicas must be >= 1"}
+
+
+@pytest.mark.parametrize("estimator, key", [("tensor-q", "eta_tensor"),
+                                            ("dot-q", "eta_dot")])
+def test_simulate_block_estimators(tmp_path, estimator, key):
+    """Without --function the block estimators pair the constant 1, whose
+    empirical block mean is 1; with one they match `estimators` on the
+    same seeded trajectory."""
+    argv = ["simulate", "--model", "drift2", "--N", "5", "--n", "1",
+            "--replicas", "2", "--seed", "3", "--estimator", estimator,
+            "--q", "2"]
+    rows = result(tmp_path, *argv)["rows"]
+    assert [r["value"] for r in rows] == ["1/1", "1/1"]
+    values = ["1", "-2", "1/3", "4"]
+    F = function_file(tmp_path, [1, 1], values)
+    rows = result(tmp_path, *argv, "--function", F)["rows"]
+    m = bundled_model("drift2")
+    Fm = TensorFunction(m, (1, 1), [Fraction(v) for v in values])
+    for r, row in enumerate(rows):
+        traj = fkforest.simulate(m, 5, 3, horizon=m.horizon, replica=r)
+        want = fkforest.estimators(m, traj, 1, F=Fm, q=2)
+        assert row["value"] == format_scalar(want[key])
+        assert row["mass"] == format_scalar(want["gamma_norm"])
+
+
+def test_simulate_writes_csv(tmp_path):
+    rc, data = run(tmp_path, "simulate", "--model", "flat2", "--N", "8",
+                   "--replicas", "3", "--format", "csv", name="out.csv")
+    assert rc == 0
+    lines = data.decode().splitlines()
+    manifest = json.loads(lines[0][len("# manifest: "):])
+    assert manifest["parameters"]["format"] == "csv"
+    assert lines[1] == "replica,value,mass"
+    assert [line.split(",")[0] for line in lines[2:]] == ["0", "1", "2"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_hilbert_without_coalescence_is_the_forest_census(tmp_path, fmt):
+    """Every coefficient of the plain series counts the forests of its
+    profile (count_forests), and the empty forest counts once."""
+    rc, data = run(tmp_path, "hilbert", "--n", "2", "--truncation", "2,3,3",
+                   "--format", fmt)
+    assert rc == 0
+    if fmt == "json":
+        terms = [(tuple(t["monomial"]), t["count"])
+                 for t in json.loads(data)["result"]["terms"]]
+    else:
+        lines = data.decode().splitlines()
+        assert lines[1] == "x0,x1,x2,count"
+        terms = [(tuple(map(int, line.split(",")[:-1])),
+                  int(line.split(",")[-1])) for line in lines[2:]]
+    series = dict(terms)
+    assert series[(0, 0, 0)] == 1
+    assert series[(2, 3, 3)] == count_forests((2, 3, 3)) > 1
+    for mono, coeff in terms:
+        prof = tuple(v for v in mono if v)
+        assert mono[:len(prof)] == prof
+        if prof:
+            assert coeff == count_forests(prof)
+
+
+def test_wick_on_an_odd_block_size_has_no_leading_value(tmp_path):
+    F = function_file(tmp_path, [1, 1, 1],
+                      ["1", "2", "3", "-1/2", "5", "1/7", "2", "3"])
+    res = result(tmp_path, "expand", "--model", "drift2", "--n", "1",
+                 "--q", "3", "--function", F, "--center", "--wick")
+    assert res["wick"] == {"vanishing_orders": {"0": "0/1", "1": "0/1"},
+                           "leading_order_value": None}
 
 
 # ---------------------------------------------------------------------------

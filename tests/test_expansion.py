@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from fkforest import (Caps, CapExceeded, IdentityMismatch, bell_number,
+from fkforest import (Caps, CapExceeded, ExpansionReport, FKModel,
+                      IdentityMismatch, SignedMeasure, bell_number,
                       bundled_model, center_function, derivative_P,
                       enumerate_colored_orbits, exact_QN, expansion_report_P,
                       expansion_report_Q, expansion_report_path_Q,
@@ -56,6 +57,26 @@ def test_caps_hold_whatever_the_caches_hold(drift2):
     with pytest.raises(CapExceeded) as err:
         enumerate_colored_orbits(prof, None, SMALL)
     assert err.value.predicted == 54
+
+
+def test_a_raised_tensor_cap_holds_on_the_domains_it_admitted():
+    """A table over the default cap, built under a raised one, is summed
+    by a report without a second cap check: partial_sum, like +, -, scale
+    and symmetrize_blocks, builds its result on a domain that has passed
+    the cap already."""
+    s = 1001
+    model = FKModel([[str(i) for i in range(s)]], ["1/%d" % s] * s, [],
+                    [["1"] * s])
+    thirds = [Fraction(v, 3) for v in range(-2, 3)]
+    data = [thirds[i % 5] for i in range(s * s)]
+    with pytest.raises(CapExceeded):
+        SignedMeasure(model, (0, 0), data)
+    base = SignedMeasure(model, (0, 0), data, caps=Caps(tensor=2_000_000))
+    report = ExpansionReport("block-moment", {"field": "rational"}, base,
+                             {1: base}, {})
+    total = report.partial_sum(3)
+    assert total.levels == (0, 0)
+    assert total.data[:5] == tuple(v * Fraction(4, 3) for v in data[:5])
 
 
 def test_moment_engines_refuse_before_building_tables(drift2):

@@ -40,7 +40,6 @@ from fkforest import (
     colored_forest_of,
     flat_blocks,
     function_from_vector,
-    gamma_measure,
     gamma_tensor,
     is_centered,
     measure_from_vector,
@@ -52,7 +51,7 @@ from fkforest import (
 )
 from fkforest.colored_forest import (ColoredMapSeq, colored_forest,
                                      normalize_path_profile,
-                                     pair_merge_forest, trivial_forest)
+                                     pair_merge_forest)
 from fkforest.combinatorics import (falling_factorial, set_partitions,
                                     stirling_first, stirling_second)
 from fkforest.fk_core import _encode
@@ -338,7 +337,7 @@ def test_integrate_expand_and_tv(drift2):
     rng = random.Random(9)
     f = random_function(drift2, (1, 2), rng)
     eta = flow(drift2).eta_vec[2]
-    reduced = f.integrate_coord(1, eta)
+    reduced = f.contract([1], [eta])
     assert reduced.levels == (1,)
     for x in range(2):
         assert reduced.value((x,)) == sum(f.value((x, y)) * eta[y]
@@ -791,13 +790,14 @@ def path_gamma(model: FKModel, q: Sequence[int], p: int,
         raise InvalidParameter("model horizon too short")
     if not 0 <= p <= n:
         raise InvalidParameter("p outside 0..%d" % n)
+    gamma = flow(model).gamma_vec
     out = SignedMeasure(model, (), [model.one], caps=caps)
     for j in range(p):
-        g = gamma_measure(model, j)
+        g = measure_from_vector(model, j, gamma[j])
         for _ in range(qq[j]):
             out = out.tensor(g)
     live = sum(qq[p:])
-    g = gamma_measure(model, p)
+    g = measure_from_vector(model, p, gamma[p])
     for _ in range(live):
         out = out.tensor(g)
     return out
@@ -856,7 +856,9 @@ def path_semigroup(model: FKModel, q: Sequence[int], p1: int,
 
 def test_trivial_genealogy_is_the_gamma_tensor(drift2, blend3):
     for m, n, q in ((drift2, 2, 3), (blend3, 2, 2), (drift2, 0, 2)):
-        mu = delta_colored(m, trivial_forest(n, q), flat_blocks(n, q))
+        # q white-topped chains over every level: the no-interaction class
+        trivial = colored_forest([white_topped_chain(n + 1)] * q)
+        mu = delta_colored(m, trivial, flat_blocks(n, q))
         assert mu == gamma_tensor(m, n, q)
 
 
@@ -881,13 +883,14 @@ def test_delta_colored_is_class_invariant(drift2):
 
 def test_delta_forest_rejects_mismatched_shape(drift2):
     """A plain class measured under another (n, q) block profile."""
-    f = trivial_forest(1, 2)
+    f = colored_forest([white_topped_chain(2)] * 2)
     with pytest.raises(InvalidParameter):
         delta_colored(drift2, f, flat_blocks(2, 2))
     with pytest.raises(InvalidParameter):
         delta_colored(drift2, f, flat_blocks(1, 3))
     with pytest.raises(InvalidParameter):
-        delta_colored(drift2, trivial_forest(4, 1), flat_blocks(4, 1))
+        delta_colored(drift2, colored_forest([white_topped_chain(5)]),
+                      flat_blocks(4, 1))
 
 
 def test_path_gamma_layout_and_mass(drift2):
@@ -962,7 +965,7 @@ def test_center_function_kills_every_marginal(drift2):
     assert is_centered(drift2, c)
     assert center_function(drift2, c) == c
     for pos in range(3):
-        resid = c.integrate_coord(pos, fl.eta_vec[c.levels[pos]])
+        resid = c.contract([pos], [fl.eta_vec[c.levels[pos]]])
         assert all(v == 0 for v in resid.data)
     assert not is_centered(drift2, f) or f == c
 
@@ -977,7 +980,7 @@ def test_is_centered_requires_symmetry(cycle3):
     f = a.tensor(b) - b.tensor(a)
     assert f.sup_norm() > 0
     for pos in range(2):
-        resid = f.integrate_coord(pos, e)
+        resid = f.contract([pos], [e])
         assert all(v == 0 for v in resid.data)
     assert not f.is_symmetric()
     assert not is_centered(cycle3, f)
@@ -1007,8 +1010,9 @@ def test_constant_function_centers_to_zero(skew2):
 
 def test_measure_and_function_vectors(drift2):
     fl = flow(drift2)
-    g = gamma_measure(drift2, 1)
-    assert g == measure_from_vector(drift2, 1, fl.gamma_vec[1])
+    g = measure_from_vector(drift2, 1, fl.gamma_vec[1])
+    assert g.levels == (1,) and g.data == fl.gamma_vec[1]
+    assert g.total_mass() == fl.gnorm[1]
     f = function_from_vector(drift2, 1, ["1/2", 2])
     assert f.value((0,)) == Fraction(1, 2)
     assert eta_tensor(drift2, 1, 2).total_mass() == 1

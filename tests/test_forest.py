@@ -28,7 +28,7 @@ from fkforest.colored_forest import (ColoredMapSeq, colored_forest,
                                      cut_branch_forest,
                                      double_pair_forest, nested_merge_forest,
                                      pair_merge_forest, staggered_merge_forest,
-                                     triple_merge_forest, trivial_forest,
+                                     triple_merge_forest,
                                      two_tree_merge_forest)
 from fkforest.errors import CapExceeded, InvalidParameter
 
@@ -239,6 +239,11 @@ def test_enumeration_refuses_early_with_predicted_size():
         enumerate_colored_forests(flat_pairs(profile), caps=small)
     assert err.value.predicted == count_forests(profile)
     assert err.value.cap == 10
+
+
+def trivial_forest(n: int, q: int):
+    """q white-topped chains spanning all levels: the no-interaction class."""
+    return colored_forest([white_topped_chain(n + 1)] * q)
 
 
 NAMED_SHAPES = [

@@ -35,7 +35,7 @@ from fkforest import (
     flat_blocks,
     flow,
     function_from_vector,
-    gamma_measure,
+    measure_from_vector,
     mc_gamma_mean,
     simulate,
 )
@@ -207,7 +207,8 @@ def test_unnormalized_single_estimator_is_unbiased(drift2, cycle3):
     for m in (drift2, cycle3):
         for n in range(3):
             f = function_from_vector(m, n, list(range(1, m.size(n) + 1)))
-            truth = gamma_measure(m, n).pair(f)
+            gamma = measure_from_vector(m, n, flow(m).gamma_vec[n])
+            truth = gamma.pair(f)
             for N in (1, 2, 3):
                 assert exact_QN_oracle(m, N, flat_blocks(n, 1), f) == truth
 
