@@ -46,9 +46,9 @@ from .expansion import (centered_moment_expansion, closed_form_low_orders,
                         expansion_report_Q, expansion_report_path_Q,
                         first_order_P, gaussian_covariance, path_exact_QN,
                         path_wick_Q)
-from .fk_core import (FKModel, SignedMeasure, TensorFunction,
-                      center_function, constant_function, eta_tensor,
-                      fiber_count, flow, format_scalar,
+from .fk_core import (FKModel, SignedMeasure, TensorFunction, _converter,
+                      _domain_size, center_function, constant_function,
+                      eta_tensor, fiber_count, flow, format_scalar,
                       function_from_vector, tensor_minus_dot_tv)
 from .genfunc import (coalescence_series, hilbert_series,
                       marginalize_coalescence)
@@ -206,21 +206,12 @@ def _load_function(model: FKModel, path: str,
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameter("bad function file %s: %s" % (path, exc))
     try:
-        if model.field == "rational":
-            vals = [Fraction(v) if not isinstance(v, float) else _reject(v)
-                    for v in raw]
-        else:
-            vals = [float(Fraction(v)) if isinstance(v, str) else float(v)
-                    for v in raw]
+        vals = list(map(_converter(model.field), raw))
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError("bad value in function file %s: %s"
                               % (path, exc))
-    return TensorFunction(model, levels, vals, caps)
-
-
-def _reject(v: float):
-    raise InvalidParameter(
-        "rational mode rejects float literals; use 'num/den' strings")
+    caps.check_tensor(_domain_size(model, levels))
+    return TensorFunction(model, levels, vals)
 
 
 def _profile(args: SimpleNamespace) -> Tuple[int, ...]:
@@ -486,6 +477,7 @@ def cmd_simulate(args: SimpleNamespace) -> int:
         if args.function:
             F = _load_function(model, args.function, caps)
         else:
+            caps.check_tensor(model.size(level) ** q)
             F = constant_function(model, (level,) * q, model.one)
     key = {"gamma": "gamma", "eta": "eta",
            "tensor-q": "eta_tensor", "dot-q": "eta_dot"}[est]

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .errors import CapExceeded
+
 
 class Caps(NamedTuple):
     """Hard limits for the combinatorial and tensor layers.
@@ -20,9 +22,11 @@ class Caps(NamedTuple):
               forest/orbit classes, and the Bell(b) set partitions of a
               live block of b coordinates that the moment engines sum over.
     group:    largest permutation-group size accepted by brute-force orbit walks.
-    tensor:   largest dense tensor table (number of entries); in the
-              configuration oracle, the table over the coordinates frozen
-              before the last level, carried per configuration.
+    tensor:   largest dense tensor table (number of entries), checked by
+              each route before it builds one: the moment product plan, the
+              block-law output domain, the oracle's table over the
+              coordinates frozen before the last level, function files and
+              simulate's constant F.  A table does not check it.
     configs:  largest particle-configuration state space per level; the
               oracle's forward pass holds one level's configurations at a
               time, so its work is sum_k |C_k||C_{k+1}| transitions.
@@ -34,6 +38,12 @@ class Caps(NamedTuple):
     tensor: int = 1_000_000
     configs: int = 100_000
     series: int = 1_000_000
+
+    def check_tensor(self, size: int) -> None:
+        """Refuse a dense table of `size` entries over the tensor cap."""
+        if size > self.tensor:
+            raise CapExceeded("dense table too large",
+                              predicted=size, cap=self.tensor)
 
 
 DEFAULT_CAPS = Caps()

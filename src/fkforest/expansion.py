@@ -114,6 +114,7 @@ from .fk_core import (
     select_partitions,
     transport_numerators,
     _block_levels,
+    _domain_size,
     _over_lcm,
     _partition_targets,
     _tensor_power,
@@ -153,9 +154,8 @@ def _blacks(profile: Sequence[int]) -> Tuple[int, ...]:
 
 
 def _zero_measure(model: FKModel, levels: Sequence[int]) -> SignedMeasure:
-    lv = tuple(levels)
-    size = math.prod(model.size(k) for k in lv)
-    return SignedMeasure(model, lv, [model.zero] * size)
+    return SignedMeasure(model, levels,
+                         [model.zero] * _domain_size(model, levels))
 
 
 def _agree(field: str, a, b) -> bool:
@@ -203,6 +203,8 @@ def closed_form_low_orders(model: FKModel, n: int, q: int,
             "degenerate, use path_derivative_Q whose generic sum handles "
             "small q automatically" % q)
     prof = _check_profile(model, flat_blocks(n, q))
+    # the generic product refuses oversized profiles before the class sum
+    generic = _moment_polynomial(model, prof, 2, caps, {})
 
     def dlt(f: ColoredForest) -> SignedMeasure:
         return delta_colored(model, f, prof)
@@ -242,7 +244,6 @@ def closed_form_low_orders(model: FKModel, n: int, q: int,
     d2 = (same.scale(lead) + cross_a.scale(half * half)
           + cross_b.scale(half)).symmetrize_blocks()
 
-    generic = _moment_polynomial(model, prof, 2, caps, {})
     for k, cand in ((0, d0), (1, d1), (2, d2)):
         gen = generic[k]
         if not _agree(model.field, cand, gen):
@@ -355,10 +356,7 @@ def _check_product_caps(model: FKModel, prof: Tuple[int, ...],
                           predicted=bell, cap=caps.forests)
     prefix = 1
     for k, b in enumerate(blacks):
-        size = prefix * model.size(k) ** b
-        if size > caps.tensor:
-            raise CapExceeded("dense table too large",
-                              predicted=size, cap=caps.tensor)
+        caps.check_tensor(prefix * model.size(k) ** b)
         prefix *= model.size(k) ** prof[k]
 
 
@@ -409,8 +407,8 @@ def _select_and_transport(model: FKModel, prof: Tuple[int, ...],
                           for t in tables]
             den *= qden ** moved
     levels = _block_levels(prof)
-    return [SignedMeasure(model, levels, from_numerators(model, t, den),
-                          caps=caps) for t in tables]
+    return [SignedMeasure(model, levels, from_numerators(model, t, den))
+            for t in tables]
 
 
 def _moment_polynomial(model: FKModel, prof: Tuple[int, ...], top: int,
@@ -605,8 +603,8 @@ def centered_moment_expansion(model: FKModel, n: int, q: int,
         for pj in p:
             pfact *= math.factorial(pj)
         coeff = Fraction(qfact, pfact)
-        integrand = _block_product(model, prof, gb)
         coeffs = _moment_polynomial(model, prof, pmax, caps, targets)
+        integrand = _block_product(model, prof, gb)
         for k in range(lowest, pmax + 1):
             val = coeffs[k].pair(integrand)
             orders[k] = orders[k] + coeff * val
@@ -660,6 +658,7 @@ def _block_law_orders(model: FKModel, n_plus_1: int, q: int, top: int,
     order it feeds, and all of them share one dict of partition tables.
     The terms of each order are added in (l, p) order, each sum starting
     from its first term, so an order's float value does not depend on top.
+    Every cap is checked on the planned profiles before the first product.
     """
     np1 = n_plus_1
     if top < 0:
@@ -670,28 +669,32 @@ def _block_law_orders(model: FKModel, n_plus_1: int, q: int, top: int,
         raise InvalidParameter("model horizon %d too short" % model.horizon)
     if q < 1:
         raise InvalidParameter("need q >= 1 and k >= 0")
-    fl = flow(model)
+    caps.check_tensor(model.size(np1) ** q)
     n = np1 - 1
-    gb = [gbar_vector(model, j) for j in range(n + 1)]
-    qrows = exact_q_rows(model, np1)
-    targets: Targets = {}
-    sums: List[Optional[SignedMeasure]] = [None] * (top + 1)
+    plan = []
     for l in range(2 * top):
         for p in compositions(l, n + 1):
             prof = p[:-1] + (p[-1] + q,)
             ks = range(l // 2 + 1, min(top, path_max_order(prof)) + 1)
-            if not ks:
-                continue
-            coeffs = _moment_polynomial(model, prof, ks[-1], caps, targets)
-            vecs = dict(enumerate(
-                gb[j] for j, pj in enumerate(p) for _ in range(pj)))
-            pfact = math.prod(math.factorial(pj) for pj in p)
-            coeff = Fraction(math.factorial(q - 1 + l),
-                             math.factorial(q - 1) * pfact)
-            for k in ks:
-                term = _contract_and_move(coeffs[k], vecs, qrows,
-                                          np1).scale(coeff)
-                sums[k] = term if sums[k] is None else sums[k] + term
+            if ks:
+                _check_product_caps(model, prof, caps)
+                plan.append((l, p, prof, ks))
+    fl = flow(model)
+    gb = [gbar_vector(model, j) for j in range(n + 1)]
+    qrows = exact_q_rows(model, np1)
+    targets: Targets = {}
+    sums: List[Optional[SignedMeasure]] = [None] * (top + 1)
+    for l, p, prof, ks in plan:
+        coeffs = _moment_polynomial(model, prof, ks[-1], caps, targets)
+        vecs = dict(enumerate(
+            gb[j] for j, pj in enumerate(p) for _ in range(pj)))
+        pfact = math.prod(math.factorial(pj) for pj in p)
+        coeff = Fraction(math.factorial(q - 1 + l),
+                         math.factorial(q - 1) * pfact)
+        for k in ks:
+            term = _contract_and_move(coeffs[k], vecs, qrows,
+                                      np1).scale(coeff)
+            sums[k] = term if sums[k] is None else sums[k] + term
     return [_tensor_power(model, np1, fl.eta_vec[np1], q)] + [
         _zero_measure(model, (np1,) * q) if total is None
         else _center_image(model, total, np1, q, fl) for total in sums[1:]]
@@ -842,9 +845,8 @@ class ExpansionReport:
         nums = [sum(col) for col in zip(*[[v * (den // d) for v in vs]
                                           for d, vs in over])]
         if isinstance(self.base, SignedMeasure):
-            # the base passed the size cap; the sum shares its domain
-            return self.base._on_domain(
-                from_numerators(self.base.model, nums, den))
+            return SignedMeasure(self.base.model, self.base.levels,
+                                 from_numerators(self.base.model, nums, den))
         if self.params.get("field", "rational") == "rational":
             return Fraction(nums[0], den)
         return nums[0] / den

@@ -19,7 +19,8 @@ and symmetrize_blocks (orbit sums) walk the points of a table.
 
 Domains are tuples of level indices.  A q-fold tensor at level n has
 domain (n,)*q; a path-space block structure lists each level once per
-coordinate, in time order.
+coordinate, in time order.  A table checks its levels and length only;
+each route checks the size caps on its domains before it builds a table.
 """
 
 from __future__ import annotations
@@ -404,17 +405,9 @@ class _Table:
     __slots__ = ("model", "levels", "data")
 
     def __init__(self, model: FKModel, levels: Sequence[int],
-                 data: Sequence[Scalar], caps: Caps = DEFAULT_CAPS):
+                 data: Sequence[Scalar]):
         lv = tuple(int(k) for k in levels)
-        for k in lv:
-            if not 0 <= k <= model.horizon:
-                raise InvalidParameter("domain level %d out of range" % k)
-        size = 1
-        for k in lv:
-            size *= model.size(k)
-        if size > caps.tensor:
-            raise CapExceeded("dense table too large",
-                              predicted=size, cap=caps.tensor)
+        size = _domain_size(model, lv)
         dd = tuple(data)
         if len(dd) != size:
             raise InvalidParameter("table length %d, domain wants %d"
@@ -422,14 +415,6 @@ class _Table:
         self.model = model
         self.levels = lv
         self.data = dd
-
-    def _on_domain(self, data: Iterable[Scalar]):
-        """A table of this type on this table's domain.  The domain passed
-        its checks when this table was built, so no check, the size cap
-        included, runs again."""
-        out = object.__new__(type(self))
-        out.model, out.levels, out.data = self.model, self.levels, tuple(data)
-        return out
 
     @property
     def sizes(self) -> Tuple[int, ...]:
@@ -460,14 +445,16 @@ class _Table:
 
     def __add__(self, other: "_Table"):
         self._same_domain(other)
-        return self._on_domain(a + b for a, b in zip(self.data, other.data))
+        return type(self)(self.model, self.levels,
+                          [a + b for a, b in zip(self.data, other.data)])
 
     def __sub__(self, other: "_Table"):
         self._same_domain(other)
-        return self._on_domain(a - b for a, b in zip(self.data, other.data))
+        return type(self)(self.model, self.levels,
+                          [a - b for a, b in zip(self.data, other.data)])
 
     def scale(self, c: Scalar):
-        return self._on_domain(c * v for v in self.data)
+        return type(self)(self.model, self.levels, [c * v for v in self.data])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
@@ -531,7 +518,7 @@ class _Table:
             sums[key] = sums.get(key, self.model.zero) + w
             sizes[key] = sizes.get(key, 0) + 1
         mean = {key: total / sizes[key] for key, total in sums.items()}
-        return self._on_domain(mean[key] for key in keys)
+        return type(self)(self.model, self.levels, [mean[key] for key in keys])
 
     def contract(self, positions: Sequence[int],
                  vectors: Sequence[Sequence[Scalar]]):
@@ -543,6 +530,16 @@ class _Table:
         vecs = dict(zip(pos, vectors))
         return self.map_coords((p, [[v] for v in vecs[p]], None)
                                for p in sorted(vecs, reverse=True))
+
+
+def _domain_size(model: FKModel, levels: Iterable[int]) -> int:
+    """Number of points of the product of the given levels of the model."""
+    size = 1
+    for k in levels:
+        if not 0 <= k <= model.horizon:
+            raise InvalidParameter("domain level %d out of range" % k)
+        size *= model.size(k)
+    return size
 
 
 def _block_levels(profile: Sequence[int]) -> Tuple[int, ...]:
@@ -721,7 +718,7 @@ def partition_sums(mu: SignedMeasure, frozen: int,
                                [{(0, p): 1} for p in range(1, b + 1)],
                                _partition_targets(b, s))
     return {p: SignedMeasure(mu.model, levels,
-                             from_numerators(mu.model, t, den), caps=caps)
+                             from_numerators(mu.model, t, den))
             for p, t in enumerate(tables, start=1)}
 
 
@@ -770,10 +767,7 @@ def delta_colored(model: FKModel,
     if got != pairs:
         raise InvalidParameter("colored profile %r does not match %r"
                                % (got, pairs))
-    mu = SignedMeasure(model, (), [model.one])
-    e0 = measure_from_vector(model, 0, model.eta0)
-    for _ in range(pairs[0][1]):
-        mu = mu.tensor(e0)
+    mu = _tensor_power(model, 0, model.eta0, pairs[0][1])
     frozen = 0
     for k in range(n + 1):
         wmap, bmap = a.maps[k]

@@ -488,6 +488,8 @@ def estimators(model: FKModel, traj: Sequence[np.ndarray], n: int,
     Occupation counts are integers, so every estimator value is exact in
     rational mode even though the trajectory itself was sampled in floats.
     """
+    if not 0 <= n < len(traj):
+        raise InvalidParameter("level %d outside the trajectory" % n)
     N = len(traj[0])
     path = tuple(trajectory_config(traj, model, k) for k in range(n + 1))
     norms = _gamma_norms(model, path, N)

@@ -112,6 +112,9 @@ def test_identical_runs_write_identical_bytes(tmp_path, argv):
      "--q", "-2"],
     ["simulate", "--model", "drift2", "--N", "2", "--estimator", "dot-q",
      "--q", "3"],
+    # an estimator level past the simulated horizon
+    ["simulate", "--model", "drift2", "--N", "4", "--horizon", "1",
+     "--n", "3"],
 ])
 def test_bad_parameters_are_refused(tmp_path, capsys, argv):
     # F01 names a valid function on the levels of the profile (1,1)
@@ -137,6 +140,71 @@ def function_file(tmp_path, levels, values):
     path = tmp_path / "function.json"
     path.write_text(json.dumps({"levels": levels, "values": values}))
     return str(path)
+
+
+@pytest.mark.parametrize("argv, predicted, cap", [
+    # simulate's constant F on (level,) * q
+    (["simulate", "--model", "drift2", "--N", "4", "--estimator",
+      "tensor-q", "--q", "7", "--cap-tensor", "100"], 128, 100),
+    # a function file, refused before the oracle checks its configurations
+    (["oracle", "--model", "drift2", "--N", "3", "--n", "1", "--q", "2",
+      "--function", "F11", "--cap-tensor", "3"], 4, 3),
+    # the moment product plan, before its first table
+    (["expand", "--model", "drift2", "--n", "2", "--q", "3",
+      "--cap-tensor", "7"], 8, 7),
+])
+def test_a_lowered_tensor_cap_refuses_before_any_table(tmp_path, capsys,
+                                                       argv, predicted, cap):
+    F = function_file(tmp_path, [1, 1], ["1", "2", "3", "-1/2"])
+    rc, data = run(tmp_path, *[F if a == "F11" else a for a in argv])
+    assert (rc, data) == (2, None)
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "CapExceeded", "message": "dense table too large",
+        "predicted": predicted, "cap": cap}
+
+
+def test_the_block_law_refuses_before_its_first_product(tmp_path, capsys,
+                                                        monkeypatch):
+    """The top-4 pass on cycle3 needs Bell(10) set partitions for its
+    largest profile; the plan refuses it before any moment polynomial."""
+    from fkforest import expansion
+    calls = []
+    polynomial = expansion._moment_polynomial
+    monkeypatch.setattr(expansion, "_moment_polynomial",
+                        lambda *a: calls.append(a) or polynomial(*a))
+    F = function_file(tmp_path, [2, 2, 2], [str(v - 13) for v in range(27)])
+    rc, data = run(tmp_path, "expand", "--model", "cycle3", "--n", "2",
+                   "--q", "3", "--block", "--top", "4", "--evaluate", "5",
+                   "--function", F)
+    assert (rc, data) == (2, None)
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["predicted"], err["cap"]) == \
+        ("CapExceeded", 115975, 100000)
+    assert calls == []
+
+
+def test_a_float_literal_is_refused_alike_in_model_and_function_files(
+        tmp_path, capsys):
+    """Function files convert their values as model files do: a float
+    literal in rational mode is one ValidationError line for both, and the
+    same function file answers in float mode."""
+    doc = json.loads(bundled_model("drift2").to_json())
+    doc["G"][0][0] = 1.5
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    F = function_file(tmp_path, [1, 1], [0.5, "2", "3", "-1/2"])
+    lines = []
+    for argv in (["--model", str(model)], ["--model", "drift2",
+                                           "--function", F]):
+        rc, data = run(tmp_path, "expand", "--n", "1", "--q", "2", *argv)
+        assert (rc, data) == (2, None)
+        lines.append(json.loads(capsys.readouterr().err))
+    assert lines[0] == lines[1] == {
+        "error": "ValidationError",
+        "message": "rational mode rejects floats; pass 'num/den' strings"}
+    rc, _ = run(tmp_path, "expand", "--model", "drift2", "--n", "1", "--q",
+                "2", "--function", F, "--field", "float")
+    assert rc == 0
 
 
 def test_oracle_sizes_outside_evaluate_are_evaluated(tmp_path):

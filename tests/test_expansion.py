@@ -60,23 +60,27 @@ def test_caps_hold_whatever_the_caches_hold(drift2):
 
 
 def test_a_raised_tensor_cap_holds_on_the_domains_it_admitted():
-    """A table over the default cap, built under a raised one, is summed
-    by a report without a second cap check: partial_sum, like +, -, scale
-    and symmetrize_blocks, builds its result on a domain that has passed
-    the cap already."""
+    """A table is a plain value: the routes check the tensor cap before
+    they build, so a table over the default cap, as a raised cap admits
+    it, is built without caps and answers +, scale, partial_sum and a
+    one-coordinate map_coords."""
     s = 1001
     model = FKModel([[str(i) for i in range(s)]], ["1/%d" % s] * s, [],
                     [["1"] * s])
     thirds = [Fraction(v, 3) for v in range(-2, 3)]
     data = [thirds[i % 5] for i in range(s * s)]
-    with pytest.raises(CapExceeded):
-        SignedMeasure(model, (0, 0), data)
-    base = SignedMeasure(model, (0, 0), data, caps=Caps(tensor=2_000_000))
+    base = SignedMeasure(model, (0, 0), data)
+    assert len(base.data) == 1_002_001 > Caps().tensor
+    assert (base + base).data[:5] == base.scale(2).data[:5] \
+        == tuple(2 * v for v in data[:5])
     report = ExpansionReport("block-moment", {"field": "rational"}, base,
                              {1: base}, {})
     total = report.partial_sum(3)
     assert total.levels == (0, 0)
     assert total.data[:5] == tuple(v * Fraction(4, 3) for v in data[:5])
+    rows = base.map_coords([(1, [[1]] * s, None)])
+    assert rows.levels == (0,)
+    assert rows.data[:2] == (sum(data[:s]), sum(data[s:2 * s]))
 
 
 def test_moment_engines_refuse_before_building_tables(drift2):

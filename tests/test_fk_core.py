@@ -22,7 +22,6 @@ import pytest
 from fkforest import (
     CapExceeded,
     Caps,
-    DEFAULT_CAPS,
     FKModel,
     InvalidParameter,
     SignedMeasure,
@@ -780,8 +779,7 @@ def test_tv_formulas_against_constructed_measures():
 # genealogy measures
 
 
-def path_gamma(model: FKModel, q: Sequence[int], p: int,
-               caps: Caps = DEFAULT_CAPS) -> SignedMeasure:
+def path_gamma(model: FKModel, q: Sequence[int], p: int) -> SignedMeasure:
     """Intermediate path-space measure: frozen unnormalized blocks for times
     before p, and the still-moving block (all remaining coordinates) at p."""
     qq = normalize_path_profile(q)
@@ -791,7 +789,7 @@ def path_gamma(model: FKModel, q: Sequence[int], p: int,
     if not 0 <= p <= n:
         raise InvalidParameter("p outside 0..%d" % n)
     gamma = flow(model).gamma_vec
-    out = SignedMeasure(model, (), [model.one], caps=caps)
+    out = SignedMeasure(model, (), [model.one])
     for j in range(p):
         g = measure_from_vector(model, j, gamma[j])
         for _ in range(qq[j]):
