@@ -310,8 +310,6 @@ def cmd_count(args: SimpleNamespace) -> int:
 
 def cmd_hilbert(args: SimpleNamespace) -> int:
     caps = _caps_from_args(args)
-    if args.n is None:
-        raise InvalidParameter("need --n")
     trunc_list = _parse_ints(args.truncation)
     if not trunc_list:
         raise InvalidParameter("--truncation needs at least one bound")

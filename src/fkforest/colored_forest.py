@@ -14,10 +14,10 @@ orbit sizes are the same on both sides.  In particular the q-block classes
 of height n+1 are the colored classes of the block profile
 ``flat_blocks(n, q) == (0,)*n + (q,)``.
 
-Trees are interned: building the same shape twice returns the same object.
-The intern pool ``_CPOOL`` is the only state kept between calls, because
-``is`` must mean "same shape" for ``aut``, :func:`_orbit_size` and dict
-keys.  The tree lists of an enumeration live in a dict that it owns.
+Trees and forests are values: a tree sorts its children by encoding, so
+two trees of one shape built apart have the same encoding, and they
+compare and hash by it.  Nothing is kept between calls; the tree lists of
+an enumeration live in a dict that it owns.
 """
 
 from __future__ import annotations
@@ -31,13 +31,11 @@ from .config import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, InvalidParameter
 from .genfunc import count_forests
 
-_CPOOL: Dict[Tuple[bool, Tuple["ColoredTree", ...]], "ColoredTree"] = {}
-
 PairProfile = Tuple[Tuple[int, int], ...]
 
 
 class ColoredTree:
-    """Immutable colored tree; build through :func:`black` / :func:`white`.
+    """Immutable colored tree; its children are kept sorted by encoding.
 
     ``aut`` is the number of automorphisms (relabelings of each level that
     fix the tree): with children grouped into distinct shapes c of
@@ -47,10 +45,8 @@ class ColoredTree:
     __slots__ = ("children", "is_white", "encoding", "wprofile", "bprofile",
                  "internal", "coal", "coal_degree", "aut")
 
-    def __init__(self, is_white: bool, children: Tuple["ColoredTree", ...],
-                 _token=None):
-        if _token is not _CPOOL:
-            raise InvalidParameter("use black()/white() to build")
+    def __init__(self, is_white: bool, children: Iterable["ColoredTree"]):
+        children = tuple(sorted(children, key=lambda t: t.encoding))
         if is_white and children:
             raise InvalidParameter("white vertices are always leaves")
         self.is_white = is_white
@@ -77,10 +73,10 @@ class ColoredTree:
         self.coal = tuple(wp[k + 1] + bp[k + 1] - inter[k]
                           for k in range(depth - 1))
         self.coal_degree = sum(self.coal)
-        # sorted children put equal (interned) shapes side by side
+        # sorted children put equal shapes side by side
         aut, run = 1, 0
         for i, c in enumerate(children):
-            run = run + 1 if i and c is children[i - 1] else 1
+            run = run + 1 if i and c == children[i - 1] else 1
             aut *= run * c.aut
         self.aut = aut
 
@@ -91,24 +87,21 @@ class ColoredTree:
     def __repr__(self) -> str:
         return "ColoredTree(%s)" % self.encoding
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ColoredTree):
+            return NotImplemented
+        return self.encoding == other.encoding
+
     def __hash__(self):
-        return object.__hash__(self)
-
-
-def _intern(is_white: bool, kids: Tuple[ColoredTree, ...]) -> ColoredTree:
-    key = (is_white, kids)
-    tree = _CPOOL.get(key)
-    if tree is None:
-        tree = _CPOOL[key] = ColoredTree(is_white, kids, _token=_CPOOL)
-    return tree
+        return hash(self.encoding)
 
 
 def black(children: Iterable[ColoredTree]) -> ColoredTree:
-    return _intern(False, tuple(sorted(children, key=lambda t: t.encoding)))
+    return ColoredTree(False, children)
 
 
 def white() -> ColoredTree:
-    return _intern(True, ())
+    return ColoredTree(True, ())
 
 
 WHITE = white()
@@ -341,7 +334,7 @@ def _orbit_size(group: int, trees: Tuple[ColoredTree, ...]) -> int:
     sit side by side in ``trees``: the i-th copy in a run adds i * aut."""
     den, run = 1, 0
     for i, t in enumerate(trees):
-        run = run + 1 if i and t is trees[i - 1] else 1
+        run = run + 1 if i and t == trees[i - 1] else 1
         den *= run * t.aut
     if group % den:
         raise AssertionError(
@@ -470,6 +463,8 @@ def _colored_classes(pairs: PairProfile, max_coal: Optional[int],
     by side.  A plain profile without a merge budget whose map-count bound
     exceeds the cap runs the census first and refuses with the exact
     count."""
+    if max_coal is not None and max_coal < 0:
+        raise InvalidParameter("max_coal must be >= 0")
     pp = tuple((int(w), int(b)) for (w, b) in pairs)
     if any(w < 0 or b < 0 or (w + b) == 0 for w, b in pp):
         raise InvalidParameter("levels need nonnegative counts, not empty")

@@ -2,29 +2,39 @@
 
 Stirling numbers of both kinds, Bell numbers, set partitions, falling
 factorials and compositions.  Everything here is arbitrary-precision
-integer arithmetic; nothing may round or overflow.
+integer arithmetic; nothing may round or overflow.  Stirling numbers are
+read from triangle rows built afresh by each call: no table is kept.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, List, Sequence
 
 from .errors import CapExceeded, InvalidParameter
 
-# Largest first argument accepted by the memoized Stirling recurrences.  Every
-# use in this package is tiny; the cap bounds the shared memo tables.
+# Largest first argument of a Stirling or Bell number.  Every use in this
+# package is tiny.  The cap is what refuses a huge block at once:
+# `expand --n 0 --q 100000` asks for bell_number(100000) before any table,
+# and without the cap that would build a 100,000-row triangle.
 STIRLING_CAP = 64
 
 
-def _check_cap(p: int) -> None:
+def _stirling_rows(p: int, first: bool) -> List[List[int]]:
+    """Rows 0..p of a Stirling triangle, each padded with zeros to length
+    p + 1: the signed first kind, s(m, k) = s(m-1, k-1) - (m-1) s(m-1, k),
+    or the second kind, S(m, k) = S(m-1, k-1) + k S(m-1, k)."""
     if p > STIRLING_CAP:
         raise CapExceeded(
             f"Stirling argument {p} exceeds table cap {STIRLING_CAP}",
             predicted=p, cap=STIRLING_CAP)
+    rows = [[1] + [0] * p]
+    for m in range(1, p + 1):
+        prev = rows[-1]
+        rows.append([0] + [prev[k - 1] + (1 - m if first else k) * prev[k]
+                           for k in range(1, p + 1)])
+    return rows
 
 
-@lru_cache(maxsize=None)
 def stirling_first(p: int, k: int) -> int:
     """Signed Stirling number of the first kind.
 
@@ -34,30 +44,21 @@ def stirling_first(p: int, k: int) -> int:
     """
     if p < 0 or k < 0:
         raise InvalidParameter("stirling_first needs nonnegative arguments")
-    _check_cap(p)
-    if p == 0:
-        return 1 if k == 0 else 0
-    if k == 0 or k > p:
-        return 0
-    return stirling_first(p - 1, k - 1) - (p - 1) * stirling_first(p - 1, k)
+    row = _stirling_rows(p, True)[p]
+    return row[k] if k <= p else 0
 
 
-@lru_cache(maxsize=None)
 def stirling_second(q: int, p: int) -> int:
     """Stirling number of the second kind: partitions of a q-set into p blocks."""
     if q < 0 or p < 0:
         raise InvalidParameter("stirling_second needs nonnegative arguments")
-    _check_cap(q)
-    if q == 0:
-        return 1 if p == 0 else 0
-    if p == 0 or p > q:
-        return 0
-    return p * stirling_second(q - 1, p) + stirling_second(q - 1, p - 1)
+    row = _stirling_rows(q, False)[q]
+    return row[p] if p <= q else 0
 
 
 def bell_number(q: int) -> int:
-    """Number of set partitions of a q-set."""
-    return sum(stirling_second(q, p) for p in range(q + 1))
+    """Number of set partitions of a q-set (0 for q < 0)."""
+    return sum(_stirling_rows(q, False)[q]) if q >= 0 else 0
 
 
 def set_partitions(q: int) -> Iterable[tuple]:

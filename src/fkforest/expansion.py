@@ -93,13 +93,12 @@ from .colored_forest import (
     triple_merge_forest,
     two_tree_merge_forest,
 )
-from .combinatorics import (bell_number, compositions, falling_factorial,
-                            stirling_first)
+from .combinatorics import (_stirling_rows, bell_number, compositions,
+                            falling_factorial)
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, IdentityMismatch, InvalidParameter
 from .fk_core import (
     FKModel,
-    Flow,
     SignedMeasure,
     TensorFunction,
     delta_colored,
@@ -421,10 +420,11 @@ def _moment_polynomial(model: FKModel, prof: Tuple[int, ...], top: int,
     integers, so the denominator never changes in the selection.
     """
     def select(b: int, count: int):
+        first = _stirling_rows(b, True)
         weights = []
         for e in range(min(count + b - 1, top + 1)):
             weights.append({
-                (d, p): stirling_first(p, b - (e - d))
+                (d, p): first[p][b - (e - d)]
                 for d in range(max(0, e - b + 1), min(e, count - 1) + 1)
                 for p in range(1, b + 1)})
         return weights, 1
@@ -634,15 +634,13 @@ def _contract_and_move(mu: SignedMeasure, vecs: Dict[int, Sequence[Scalar]],
     return mu.map_coords(moves)
 
 
-def _center_image(model: FKModel, sigma: SignedMeasure, np1: int, q: int,
-                  fl: Flow) -> SignedMeasure:
+def _center_image(sigma: SignedMeasure, eta: SignedMeasure,
+                  mass: Scalar) -> SignedMeasure:
     """Materialize pairing-against-centered-argument: subtract total mass
-    times the limiting product law, divide by the q-th power of the
-    unnormalized mass at the target time."""
-    eta = _tensor_power(model, np1, fl.eta_vec[np1], q)
-    gmass = fl.gnorm[np1]
+    times the limiting product law eta, divide by mass, the q-th power of
+    the unnormalized mass at the target time."""
     return (sigma - eta.scale(sigma.total_mass())).scale(
-        model.one / gmass ** q)
+        sigma.model.one / mass)
 
 
 def _block_law_orders(model: FKModel, n_plus_1: int, q: int, top: int,
@@ -695,9 +693,11 @@ def _block_law_orders(model: FKModel, n_plus_1: int, q: int, top: int,
             term = _contract_and_move(coeffs[k], vecs, qrows,
                                       np1).scale(coeff)
             sums[k] = term if sums[k] is None else sums[k] + term
-    return [_tensor_power(model, np1, fl.eta_vec[np1], q)] + [
+    eta = _tensor_power(model, np1, fl.eta_vec[np1], q)
+    mass = fl.gnorm[np1] ** q
+    return [eta] + [
         _zero_measure(model, (np1,) * q) if total is None
-        else _center_image(model, total, np1, q, fl) for total in sums[1:]]
+        else _center_image(total, eta, mass) for total in sums[1:]]
 
 
 def derivative_P(model: FKModel, n_plus_1: int, q: int, k: int,
@@ -711,29 +711,32 @@ def first_order_P(model: FKModel, n_plus_1: int, q: int,
                   caps: Caps = DEFAULT_CAPS) -> SignedMeasure:
     """First-order coefficient of the block law, computed three ways.
 
-    Route one is the generic derivative_P, which also checks the
-    arguments.  Route two rebuilds the two closed-form pieces from named
-    genealogy classes: the same-time pair-merge shapes moved one step
-    forward, and the per-time classes tying one potential-fluctuation
-    coordinate to the block.  Route three builds the same two pieces
-    directly as integrals, without touching the class enumeration at all.
-    Any disagreement raises IdentityMismatch.
+    Route one is the generic coefficient from the block-law pass up to
+    order one, which also checks the arguments; the pass's order zero is
+    the limiting product law that every route centers against.  Route two
+    rebuilds the two closed-form pieces from named genealogy classes: the
+    same-time pair-merge shapes moved one step forward, and the per-time
+    classes tying one potential-fluctuation coordinate to the block.  Route
+    three builds the same two pieces directly as integrals, without
+    touching the class enumeration at all.  Any disagreement raises
+    IdentityMismatch.
 
     The pair-merge display carries no counterweight term; that is only
     sound because the centered image of the limiting product flow
     vanishes, which is checked here explicitly instead of assumed.
     """
-    generic = derivative_P(model, n_plus_1, q, 1, caps)
+    eta, generic = _block_law_orders(model, n_plus_1, q, 1, caps)
     np1 = n_plus_1
     n = np1 - 1
     fl = flow(model)
+    mass = fl.gnorm[np1] ** q
     gb = [gbar_vector(model, j) for j in range(n + 1)]
     half = Fraction(q * (q - 1), 2)
     zero = _zero_measure(model, (np1,) * q)
     qrows = exact_q_rows(model, np1)
 
     counter = _center_image(
-        model, _tensor_power(model, np1, fl.gamma_vec[np1], q), np1, q, fl)
+        _tensor_power(model, np1, fl.gamma_vec[np1], q), eta, mass)
     if not _agree(model.field, counter, zero):
         raise IdentityMismatch(
             "centered image of the limiting product flow is not zero",
@@ -768,8 +771,7 @@ def first_order_P(model: FKModel, n_plus_1: int, q: int,
                 rho = rho.scale(Fraction(1, 2))
             piece2 = piece2 + rho
     piece2 = piece2.scale(q * q)
-    shapes = _center_image(model, piece1 + piece2, np1, q,
-                           fl).symmetrize_blocks()
+    shapes = _center_image(piece1 + piece2, eta, mass).symmetrize_blocks()
 
     ipiece1 = zero
     if q >= 2:
@@ -789,8 +791,8 @@ def first_order_P(model: FKModel, n_plus_1: int, q: int,
             ipiece2 = ipiece2 + _contract_and_move(
                 cur, {}, semigroup(model, kk, np1), np1)
     ipiece2 = ipiece2.scale(q * q)
-    integrals = _center_image(model, ipiece1 + ipiece2, np1, q,
-                              fl).symmetrize_blocks()
+    integrals = _center_image(ipiece1 + ipiece2, eta,
+                              mass).symmetrize_blocks()
 
     if not _agree(model.field, shapes, generic):
         raise IdentityMismatch(

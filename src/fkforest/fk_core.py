@@ -462,9 +462,6 @@ class _Table:
         return (self.levels == other.levels and self.model == other.model
                 and list(self.data) == list(other.data))
 
-    def __hash__(self):
-        return object.__hash__(self)
-
     def map_coords(self, moves: Iterable[Tuple[int, Sequence[Sequence[object]],
                                                 Optional[int]]]):
         """Apply matrices to single coordinates, one move after another.

@@ -90,9 +90,6 @@ class SparseSeries:
         return (self.nvars == other.nvars and self.bounds == other.bounds
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        raise TypeError("SparseSeries is mutable-ish; not hashable")
-
     def __repr__(self) -> str:
         head = ", ".join("x%d^%r:%d" % (0, m, c)
                          for m, c in list(self.items())[:4])
@@ -303,10 +300,10 @@ def hilbert_series(n: int, truncation, caps: Caps = DEFAULT_CAPS
     work = _envelope(bounds)
     series = SparseSeries.unit(n + 1, work)
     for h in range(n + 1):
-        # profiles of height h-1 live on positions 0..h-1
+        # every factor so far is a tree of height below h, so every term is
+        # 0 past position h-1; those of height h-1 are positive up to it
         step = [(m, c) for m, c in series.items()
-                if all(m[i] >= 1 for i in range(h))
-                and all(m[i] == 0 for i in range(h, n + 1))]
+                if all(m[i] >= 1 for i in range(h))]
         for mono, coeff in step:
             factor = (1,) + mono[:h] + (0,) * (n - h)
             series = series.multiply_geometric(factor, coeff, caps)
@@ -335,16 +332,11 @@ def coalescence_series(n: int, truncation, caps: Caps = DEFAULT_CAPS
     nx = n + 1
     series = SparseSeries.unit(nx + n, bounds)
     for h in range(n + 1):
-        step = []
-        for mono, coeff in series.items():
-            x, y = mono[:nx], mono[nx:]
-            if not all(x[i] >= 1 for i in range(h)):
-                continue
-            if any(x[i] != 0 for i in range(h, nx)):
-                continue
-            if any(v != 0 for v in y[max(h - 1, 0):]):
-                continue
-            step.append((x[:h], y[:max(h - 1, 0)], coeff))
+        # as in hilbert_series, every term is 0 past x_(h-1), and past
+        # y_(h-2) too, so the profiles of height h-1 are positive up to x_(h-1)
+        step = [(m[:h], m[nx:nx + max(h - 1, 0)], coeff)
+                for m, coeff in series.items()
+                if all(m[i] >= 1 for i in range(h))]
         for p, c, coeff in step:
             xpart = (1,) + p + (0,) * (nx - 1 - h)
             if h == 0:

@@ -115,6 +115,24 @@ def test_identical_runs_write_identical_bytes(tmp_path, argv):
     # an estimator level past the simulated horizon
     ["simulate", "--model", "drift2", "--N", "4", "--horizon", "1",
      "--n", "3"],
+    # a negative merge budget
+    ["count", "--n", "2", "--q", "2", "--max-coal", "-1"],
+    ["enumerate", "--n", "2", "--q", "2", "--max-coal", "-5"],
+    # a missing function or size, a profile past the horizon, an ensemble
+    # smaller than the block
+    ["expand", "--model", "drift2", "--n", "1", "--q", "2", "--block"],
+    ["expand", "--model", "drift2", "--q", "2", "--block", "--function",
+     "F01"],
+    ["expand", "--model", "drift2", "--n", "5", "--q", "2"],
+    ["expand", "--model", "drift2", "--n", "1", "--q", "2", "--evaluate",
+     "1"],
+    ["oracle", "--model", "drift2", "--N", "3", "--n", "1", "--q", "2"],
+    ["oracle", "--model", "drift2", "--N", "3", "--kind", "eta",
+     "--function", "F01"],
+    ["simulate", "--model", "drift2", "--N", "3", "--estimator", "tensor-q"],
+    # a check name that matches nothing, and a required flag left out
+    ["verify", "--only", "nothing"],
+    ["hilbert", "--truncation", "2"],
 ])
 def test_bad_parameters_are_refused(tmp_path, capsys, argv):
     # F01 names a valid function on the levels of the profile (1,1)

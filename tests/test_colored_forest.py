@@ -120,6 +120,22 @@ def test_colored_builders_and_bookkeeping():
         colored_forest([t, "oops"])
 
 
+def test_trees_and_forests_built_apart_compare_and_hash_by_shape():
+    """Two builds of one shape are two objects, yet equal: a tree sorts its
+    children, so the order they come in does not matter."""
+    a = black((white(), black_chain(1), white()))
+    b = black((black((black(()),)), white(), white()))
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a.aut == b.aut == 2
+    assert a != black((white(), black_chain(1)))
+    f = colored_forest([a, white_topped_chain(1), a])
+    g = colored_forest([white_topped_chain(1), b, b])
+    assert f == g and hash(f) == hash(g)
+    assert count_colored_jungles(f) == count_colored_jungles(g)
+    assert len({a, b}) == 1 and len({f, g}) == 1
+
+
 def test_colored_roundtrip_and_relabel_invariance():
     rng = random.Random(11)
     for pairs in PAIR_PROFILES:

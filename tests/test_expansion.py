@@ -154,7 +154,8 @@ def reference_derivative_P(model, np1, q, k):
             total = term if total is None else total + term
     if total is None:
         return _zero_measure(model, (np1,) * q)
-    return _center_image(model, total, np1, q, fl)
+    return _center_image(total, eta_tensor(model, np1, q),
+                         fl.gnorm[np1] ** q)
 
 
 BLOCK_LAW_CASES = [("drift2", np1, q, 2 if np1 * q == 9 else 3)

@@ -101,6 +101,16 @@ def test_model_json_roundtrip_and_equality():
     assert a != b
 
 
+def test_equal_tables_are_equal_and_unhashable(drift2):
+    """Tables compare by value, so an identity hash would give two equal
+    tables two hashes; they have none."""
+    mu = measure_from_vector(drift2, 1, [Fraction(1, 3), Fraction(2, 3)])
+    assert mu == measure_from_vector(drift2, 1, [Fraction(1, 3),
+                                                 Fraction(2, 3)])
+    with pytest.raises(TypeError):
+        hash(mu)
+
+
 def test_model_accessors(drift2):
     assert drift2.horizon == 3
     assert drift2.size(0) == 2

@@ -1,16 +1,19 @@
-"""What the package keeps between calls.
+"""What the package keeps between calls: nothing.
 
 A request owns its state: a cache lives in the call that fills it, so a
-request does the same work however many ran before it.  Two kinds of
-module state stay on purpose.  The Stirling tables (`lru_cache` on
-`combinatorics.stirling_first` and `stirling_second`) are bounded by
-`STIRLING_CAP`.  The tree intern pool `colored_forest._CPOOL` makes `is`
-mean "same shape", which the automorphism counts and every dict keyed on
-a tree rely on.  These tests read the source with `ast`, so a new cache
-fails them whether or not a test happens to call it.
+request does the same work however many ran before it, and leaves nothing
+behind.  Trees compare by shape, so no intern pool is needed, and the
+Stirling numbers are read from rows each call builds.  The source tests
+read the modules with `ast`, so a new cache fails them whether or not a
+test happens to call it; the last test counts the trees a run leaves
+alive.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fkforest"
@@ -39,11 +42,10 @@ def functools_caches(tree):
                 and node.value.id == "functools")]
 
 
-def test_only_the_stirling_tables_are_functools_caches():
+def test_the_package_has_no_functools_cache():
     found = sorted((name, owner) for name, tree in modules()
                    for owner, _ in functools_caches(tree))
-    assert found == [("combinatorics.py", "stirling_first"),
-                     ("combinatorics.py", "stirling_second")]
+    assert found == []
 
 
 def is_empty_store(value):
@@ -57,9 +59,8 @@ def is_empty_store(value):
             and not value.args and not value.keywords)
 
 
-def test_the_intern_pool_is_the_only_empty_module_store():
-    """A module-level name bound to an empty store outlives every call;
-    only the intern pool may be one."""
+def test_the_package_has_no_empty_module_store():
+    """A module-level name bound to an empty store outlives every call."""
     found = []
     for name, tree in modules():
         for node in tree.body:
@@ -72,4 +73,28 @@ def test_the_intern_pool_is_the_only_empty_module_store():
             if is_empty_store(value):
                 found += [(name, t.id) for t in targets
                           if isinstance(t, ast.Name)]
-    assert found == [("colored_forest.py", "_CPOOL")]
+    assert found == []
+
+
+LIVE_TREES = """
+import gc, io, json
+from contextlib import redirect_stdout
+from fkforest.cli import main
+from fkforest.colored_forest import WHITE, ColoredTree
+for argv in (["count", "--q-seq", "1,2,2"],
+             ["enumerate", "--n", "2", "--q", "3"]):
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+gc.collect()
+live = [o for o in gc.get_objects() if isinstance(o, ColoredTree)]
+print(json.dumps([len(live), all(o is WHITE for o in live)]))
+"""
+
+
+def test_requests_leave_no_tree_alive_but_the_white_leaf():
+    """Two enumerating requests in one fresh process: afterwards the only
+    live tree is the module constant WHITE."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", LIVE_TREES], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == [1, True]
