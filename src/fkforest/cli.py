@@ -33,8 +33,9 @@ from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .colored_forest import (_orbit_totals, brute_force_colored_orbit_count,
-                             colored_planar_mapseq, enumerate_colored_forests,
+from .colored_forest import (brute_force_colored_orbit_count,
+                             check_class_count, colored_planar_mapseq,
+                             enumerate_colored_forests,
                              enumerate_colored_orbits, flat_blocks, flat_pairs,
                              path_profile_bar)
 from .combinatorics import stirling_first, stirling_second
@@ -50,8 +51,8 @@ from .fk_core import (FKModel, SignedMeasure, TensorFunction, _converter,
                       _domain_size, center_function, constant_function,
                       eta_tensor, fiber_count, flow, format_scalar,
                       function_from_vector, tensor_minus_dot_tv)
-from .genfunc import (coalescence_series, hilbert_series,
-                      marginalize_coalescence)
+from .genfunc import (coalescence_series, count_forests, hilbert_series,
+                      jungle_census, jungle_total, marginalize_coalescence)
 from .jsontext import canonical_json, json_float, write_json
 from .models import (DOCUMENTED_FLOW, bundled_model, bundled_names,
                      check_documented_flow, load_model, model_sha256)
@@ -265,25 +266,32 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
     return 0
 
 
-def _identity_total(prof: Sequence[int]) -> int:
-    """Number of labeled ancestries: each vertex below the top level picks
-    one of the blacks above it."""
-    pairs = path_profile_bar(prof)
-    total = 1
-    for k in range(1, len(pairs)):
-        total *= pairs[k - 1][1] ** (pairs[k][0] + pairs[k][1])
-    return total
+def _degree_census(pairs: Sequence[Tuple[int, int]],
+                   max_coal: Optional[int], caps: Caps
+                   ) -> Dict[int, Tuple[int, int]]:
+    """{merge degree: (classes, jungles)} up to max_coal, from the
+    censuses; no class is enumerated.  The class count within the budget
+    is refused past ``caps.forests``, the plain total first, since it is
+    cheaper than the census by degree."""
+    top = max_coal
+    if top is None:
+        check_class_count(pairs, None, caps)
+        top = sum(w + b for w, b in pairs[1:])
+    return {d: (c, j) for d, (c, j) in enumerate(zip(
+        check_class_count(pairs, top, caps), jungle_census(pairs, top))) if c}
 
 
 def cmd_count(args: SimpleNamespace) -> int:
     caps = _caps_from_args(args)
     prof = _profile(args)
     kind, manifest = _class_manifest(args, prof)
-    by_coal = _orbit_totals(prof, args.max_coal, caps)
+    pairs = path_profile_bar(prof)
+    by_coal = _degree_census(pairs, args.max_coal, caps)
     classes = sum(c for c, _ in by_coal.values())
     total = sum(j for _, j in by_coal.values())
-    identity = _identity_total(prof)
-    # the labeled-ancestry identity only covers the full class list
+    identity = jungle_total(pairs)
+    # the jungle census summed against prod_k b_(k-1)^(w_k + b_k); the
+    # identity only covers the full class list
     complete = args.max_coal is None
     result = {
         "kind": kind,
@@ -557,7 +565,7 @@ def _check_partition_sums():
             want.append(q ** (q * (n + 1)))
     for prof in [(1, 1), (2, 1), (1, 1, 1)]:
         got.append(sum(c for _, c in enumerate_colored_orbits(prof)))
-        want.append(_identity_total(prof))
+        want.append(jungle_total(path_profile_bar(prof)))
     return want, got
 
 
@@ -569,11 +577,26 @@ def _check_series_census():
         if not any(mono):
             continue
         prof = mono[:max(i + 1 for i, v in enumerate(mono) if v)]
-        got.append(coeff)
-        want.append(len(enumerate_colored_forests(flat_pairs(prof))))
+        listed = len(enumerate_colored_forests(flat_pairs(prof)))
+        want.append([listed, listed])
+        got.append([coeff, count_forests(prof)])
     marg = marginalize_coalescence(coalescence_series(n, bounds), n)
     want.append(sorted(series.terms.items()))
     got.append(sorted(marg.terms.items()))
+    return want, got
+
+
+def _check_census():
+    want, got = [], []
+    for q in (flat_blocks(2, 3), flat_blocks(3, 3), (2, 1, 1), (1, 2, 2)):
+        for max_coal in (None, 1):
+            listed: Dict[int, Tuple[int, int]] = {}
+            for f, cnt in enumerate_colored_orbits(q, max_coal):
+                c, j = listed.get(f.coal_degree, (0, 0))
+                listed[f.coal_degree] = (c + 1, j + cnt)
+            want.append(sorted(listed.items()))
+            got.append(sorted(_degree_census(path_profile_bar(q), max_coal,
+                                             DEFAULT_CAPS).items()))
     return want, got
 
 
@@ -669,6 +692,7 @@ _CHECKS: List[Tuple[str, Callable]] = [
     ("orbit-count", _check_orbit_counts),
     ("partition-sum", _check_partition_sums),
     ("series-census", _check_series_census),
+    ("census", _check_census),
     ("master-polynomial", _check_master_polynomial),
     ("ensemble-oracle", _check_ensemble_oracle),
     ("closed-forms", _check_closed_forms),
@@ -737,12 +761,15 @@ _COMMON_FLAGS = (
     ("--field", "field", ("rational", "float"), "rational", False,
      "arithmetic mode"),
     ("--cap-forests", "cap_forests", int, None, False,
-     "override the enumeration size cap: genealogy classes listed, and set "
-     "partitions of one live block in the moment expansions"),
+     "override the enumeration size cap: genealogy classes listed or "
+     "counted, and set partitions of one live block in the moment "
+     "expansions"),
     ("--cap-tensor", "cap_tensor", int, None, False,
      "override the dense table size cap; the same value also caps the "
-     "configurations of one oracle level and the retained terms of a "
-     "truncated series"),
+     "configurations of one oracle level, the retained terms of a "
+     "truncated series and the census terms of a class count, "
+     "sum_k p(b_(k-1)) (p(b_k) + w_k) for p(n) the cycle types of "
+     "n blacks"),
     ("--seed", "seed", int, 0, False, ""),
     ("--out", "out", str, None, False, "output file (default stdout)"),
     ("--format", "fmt", ("json", "csv"), "json", False, ""),

@@ -23,15 +23,13 @@ an enumeration live in a dict that it owns.
 from __future__ import annotations
 
 import itertools
-from math import comb, factorial
+from math import factorial
 from operator import sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, InvalidParameter
-from .genfunc import count_forests
-
-PairProfile = Tuple[Tuple[int, int], ...]
+from .genfunc import PairProfile, _check_pairs, class_census
 
 
 class ColoredTree:
@@ -432,54 +430,30 @@ def enumerate_colored_forests(pairs: PairProfile,
                               max_coal: Optional[int] = None,
                               caps: Caps = DEFAULT_CAPS
                               ) -> List[ColoredForest]:
-    """All colored forests with the given per-level color counts.
+    """All colored forests with the given per-level color counts, and
+    with max_coal given only those with at most max_coal merges.
 
-    A plain profile (see :func:`flat_pairs`) without a merge budget is
-    refused up front when its class count would exceed ``caps.forests``.
-    The exact census runs only when the map-count bound of
-    :func:`_map_count_bound` exceeds the cap; under it the count cannot
-    pass the cap.  Otherwise the cap is enforced while generating.
+    Before any tree is built, :func:`fkforest.genfunc.class_census`
+    counts the classes asked for, and a count over ``caps.forests`` is
+    refused with the exact number.
     """
+    pp = _check_pairs(pairs)
+    check_class_count(pp, max_coal, caps)
     results = [colored_forest(chosen)
-               for chosen in _colored_classes(pairs, max_coal, caps)]
+               for chosen in _enum_colored_rec(pp, max_coal, {})]
     results.sort(key=lambda g: g.encoding)
     return results
 
 
-def _map_count_bound(profile: Sequence[int]) -> int:
-    """prod_(k>=1) C(p_(k-1) + p_k - 1, p_k) for a plain profile p: the
-    level-wise nondecreasing parent maps.  Every class has a labeled form
-    whose levels are sorted by parent label, so the class count
-    (:func:`fkforest.genfunc.count_forests`) is at most this."""
-    bound = 1
-    for up, here in zip(profile, profile[1:]):
-        bound *= comb(up + here - 1, here)
-    return bound
-
-
-def _colored_classes(pairs: PairProfile, max_coal: Optional[int],
-                     caps: Caps) -> List[Tuple[ColoredTree, ...]]:
-    """The classes of a pair profile as tuples of trees, equal trees side
-    by side.  A plain profile without a merge budget whose map-count bound
-    exceeds the cap runs the census first and refuses with the exact
-    count."""
-    if max_coal is not None and max_coal < 0:
-        raise InvalidParameter("max_coal must be >= 0")
-    pp = tuple((int(w), int(b)) for (w, b) in pairs)
-    if any(w < 0 or b < 0 or (w + b) == 0 for w, b in pp):
-        raise InvalidParameter("levels need nonnegative counts, not empty")
-    if any(b == 0 for _, b in pp[:-1]) and len(pp) > 1:
-        raise InvalidParameter("levels below the top need black vertices")
-    if (max_coal is None and pp and pp[-1][1] == 0
-            and not any(w for w, _ in pp[:-1])):
-        flat = tuple(b for _, b in pp[:-1]) + (pp[-1][0],)
-        if _map_count_bound(flat) > caps.forests:
-            predicted = count_forests(flat)
-            if predicted > caps.forests:
-                raise CapExceeded(
-                    "enumeration would produce too many forests",
-                    predicted=predicted, cap=caps.forests)
-    return _enum_colored_rec(pp, max_coal, caps.forests, {})
+def check_class_count(pairs: PairProfile, max_coal: Optional[int],
+                      caps: Caps) -> List[int]:
+    """The census of :func:`fkforest.genfunc.class_census`, refused when
+    the classes it counts number more than ``caps.forests``."""
+    classes = class_census(pairs, max_coal, caps)
+    if sum(classes) > caps.forests:
+        raise CapExceeded("enumeration would produce too many forests",
+                          predicted=sum(classes), cap=caps.forests)
+    return classes
 
 
 # tree lists of one enumeration, by the pair profile of the tree
@@ -493,8 +467,7 @@ def _enumerate_colored_trees(pairs: PairProfile,
     out = trees.get(pairs)
     if out is None:
         out = trees[pairs] = (WHITE,) if pairs[0] == (1, 0) else tuple(
-            sorted(map(black, _enum_colored_rec(pairs[1:], None, None,
-                                                trees)),
+            sorted(map(black, _enum_colored_rec(pairs[1:], None, trees)),
                    key=lambda t: t.encoding))
     return out
 
@@ -519,8 +492,7 @@ def _colored_candidates(tail: PairProfile) -> List[PairProfile]:
 
 
 def _enum_colored_rec(pairs: PairProfile, max_coal: Optional[int],
-                      cap: Optional[int], trees: TreeLists
-                      ) -> List[Tuple[ColoredTree, ...]]:
+                      trees: TreeLists) -> List[Tuple[ColoredTree, ...]]:
     """Forests as multisets of tree shapes, one taken candidate shape per
     level of recursion; each forest comes back as the tuple of its trees,
     equal trees side by side (a branch takes each candidate at most once,
@@ -602,10 +574,6 @@ def _enum_colored_rec(pairs: PairProfile, max_coal: Optional[int],
         if wroots == 0 and broots == 0:
             if not any(rem):
                 results.append(chosen)
-                if cap is not None and len(results) > cap:
-                    raise CapExceeded(
-                        "colored enumeration exceeded the forest cap",
-                        predicted=len(results), cap=cap)
             return
         top = width
         while top and not rem[top - 1]:
@@ -659,21 +627,6 @@ def enumerate_colored_orbits(q: Sequence[int],
     pairs = path_profile_bar(q)
     return [(f, count_colored_jungles(f))
             for f in enumerate_colored_forests(pairs, max_coal, caps)]
-
-
-def _orbit_totals(q: Sequence[int], max_coal: Optional[int],
-                  caps: Caps) -> Dict[int, List[int]]:
-    """Per merge degree, the number of classes for block sizes q and the
-    sum of their orbit sizes: the sums over :func:`enumerate_colored_orbits`
-    without building a :class:`ColoredForest` per class."""
-    pairs = path_profile_bar(q)
-    group = _group_order(pairs)
-    totals: Dict[int, List[int]] = {}
-    for trees in _colored_classes(pairs, max_coal, caps):
-        slot = totals.setdefault(sum(t.coal_degree for t in trees), [0, 0])
-        slot[0] += 1
-        slot[1] += _orbit_size(group, trees)
-    return totals
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,11 @@ class Caps(NamedTuple):
     configs:  largest particle-configuration state space per level; the
               oracle's forward pass holds one level's configurations at a
               time, so its work is sum_k |C_k||C_{k+1}| transitions.
-    series:   largest number of retained terms in a truncated power series.
+    series:   largest number of retained terms in a truncated power series,
+              and largest work of a class census, checked before it
+              starts: sum_k p(b_(k-1)) (p(b_k) + w_k), each black cycle
+              type of a level against those of the next level and the
+              terms of its white series, p counting partitions.
     """
 
     forests: int = 100_000

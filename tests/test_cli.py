@@ -40,7 +40,7 @@ def result(tmp_path, *argv):
 def test_verify_passes_every_check(tmp_path):
     res = result(tmp_path, "verify")
     assert res["failed"] == 0
-    assert res["passed"] == len(res["checks"]) == 13
+    assert res["passed"] == len(res["checks"]) == 14
 
 
 def test_count_of_a_flat_selection(tmp_path):
@@ -517,7 +517,6 @@ def test_count_past_the_recursion_limit_answers(tmp_path, capsys):
     for census_first in (False, True):
         if census_first:
             predicted = count_forests((4,) * 6)
-            assert predicted == 65833
         rc, data = run(tmp_path, "count", "--n", "4", "--q", "4",
                        "--cap-forests", "10")
         assert rc == 2 and data is None
@@ -528,16 +527,42 @@ def test_count_past_the_recursion_limit_answers(tmp_path, capsys):
         ("CapExceeded", predicted, 10)
     rc, data = run(tmp_path, "count", "--n", "4", "--q", "4")
     assert rc == 0
-    # the enumeration is a second route to the census value
+    # the second route is the enumeration, too slow for this suite: it
+    # lists 65,833 classes for this profile
     res = json.loads(data)["result"]
-    assert res["classes"] == predicted
+    assert res["classes"] == predicted == 65833
+    assert res["total_jungles"] == 4 ** 20
+    assert res["identity_holds"] is True
+
+
+@pytest.mark.parametrize("argv, predicted, cap", [
+    # 2**51 classes, counted without listing one
+    (["--n", "50", "--q", "2"], 2 ** 51, 100_000),
+    # the census would meet p(24) = 1,575 cycle types with 1,575 + 25
+    # terms each, see test_the_census_refuses_its_work_past_the_series_cap
+    (["--n", "1", "--q", "24"], 2_520_000, 1_000_000),
+])
+def test_count_refuses_a_huge_request_at_once(tmp_path, capsys, argv,
+                                              predicted, cap):
+    rc, data = run(tmp_path, "count", *argv)
+    assert (rc, data) == (2, None)
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["predicted"], err["cap"]) == \
+        ("CapExceeded", predicted, cap)
+
+
+def test_count_of_one_line_of_400_levels(tmp_path):
+    """One sample point 400 levels deep: a single class, and no recursion
+    as deep as the levels."""
+    res = result(tmp_path, "count", "--n", "400", "--q", "1")
+    assert (res["classes"], res["total_jungles"]) == (1, 1)
     assert res["identity_holds"] is True
 
 
 def test_a_request_does_the_same_work_however_many_ran_before(tmp_path,
                                                              monkeypatch):
     """No tree list outlives its request: a second identical colored
-    count makes as many `_enum_colored_rec` calls as the first."""
+    enumeration makes as many `_enum_colored_rec` calls as the first."""
     from fkforest import colored_forest
     inner = colored_forest._enum_colored_rec
     calls = [0]
@@ -550,7 +575,8 @@ def test_a_request_does_the_same_work_however_many_ran_before(tmp_path,
     work = []
     for _ in range(2):
         calls[0] = 0
-        assert result(tmp_path, "count", "--q-seq", "1,2,2")["classes"] > 0
+        assert result(tmp_path, "enumerate", "--q-seq",
+                      "1,2,2")["classes"] > 0
         work.append(calls[0])
     assert work[0] == work[1] > 1
 

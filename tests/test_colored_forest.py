@@ -22,9 +22,11 @@ from fkforest import (Caps, black, black_chain, brute_force_colored_orbit_count,
                       path_profile_bar, white, white_topped_chain,
                       wick_colored_tree)
 from fkforest.cli import main
-from fkforest.colored_forest import (ColoredMapSeq, _orbit_totals,
+from fkforest.colored_forest import (ColoredMapSeq, _enum_colored_rec,
+                                     _group_order, _orbit_size,
                                      colored_forest, flat_blocks)
 from fkforest.errors import CapExceeded, InvalidParameter
+from fkforest.genfunc import class_census, jungle_census
 
 
 def all_colored_mapseqs(pairs):
@@ -186,16 +188,30 @@ def test_merge_budget_filters_colored_enumeration():
 
 
 def test_colored_enumeration_counts_past_the_cap():
-    # no census predicts a colored profile, so the cap trips while
-    # generating, at the first class past it
+    # the census counts a colored profile too, so a cap under the count is
+    # refused up front with the exact count
     pairs = path_profile_bar((2, 1, 1))
     assert len(enumerate_colored_forests(pairs)) == 22
     for cap in (1, 5, 21):
         with pytest.raises(CapExceeded) as err:
             enumerate_colored_forests(pairs, caps=Caps(forests=cap))
-        assert (err.value.predicted, err.value.cap) == (cap + 1, cap)
+        assert (err.value.predicted, err.value.cap) == (22, cap)
     assert len(enumerate_colored_forests(pairs, caps=Caps(forests=22))) \
         == 22
+
+
+def orbit_totals(pairs, max_coal):
+    """Per merge degree, the number of classes of a pair profile and the
+    sum of their orbit sizes, by enumeration: the reference the censuses
+    are checked against.  It sums over the classes as tuples of trees,
+    without building a ColoredForest per class."""
+    group = _group_order(pairs)
+    totals = {}
+    for trees in _enum_colored_rec(pairs, max_coal, {}):
+        slot = totals.setdefault(sum(t.coal_degree for t in trees), [0, 0])
+        slot[0] += 1
+        slot[1] += _orbit_size(group, trees)
+    return totals
 
 
 TOTAL_PROFILES = [flat_blocks(n, q) for n, q in ((0, 2), (1, 2), (2, 3),
@@ -211,18 +227,50 @@ def test_orbit_totals_equal_the_class_list(q, max_coal):
         slot = want.setdefault(f.coal_degree, [0, 0])
         slot[0] += 1
         slot[1] += cnt
-    assert _orbit_totals(q, max_coal, Caps()) == want
+    assert orbit_totals(path_profile_bar(q), max_coal) == want
+
+
+@pytest.mark.parametrize("max_coal", [None, 0, 1, 2])
+@pytest.mark.parametrize("q", TOTAL_PROFILES + [(2, 2, 2), (3, 1, 2),
+                                                (0, 3, 3), (0, 0, 0, 4)])
+def test_census_equals_the_enumeration_per_degree(q, max_coal):
+    """Classes and jungles per merge degree: the censuses against the
+    enumeration, and the plain census against their total."""
+    check_census(path_profile_bar(q), max_coal)
+
+
+# whites on the root level and blacks on the top one, which no block
+# profile has
+@pytest.mark.parametrize("max_coal", [None, 1])
+@pytest.mark.parametrize("pairs", [((1, 2), (2, 1)), ((2, 1), (1, 2), (1, 1)),
+                                   ((0, 2), (1, 2), (2, 2)), ((3, 0),)])
+def test_census_counts_any_pair_profile(pairs, max_coal):
+    check_census(pairs, max_coal)
+
+
+def check_census(pairs, max_coal):
+    top = sum(w + b for w, b in pairs[1:]) if max_coal is None else max_coal
+    classes = class_census(pairs, top)
+    jungles = jungle_census(pairs, top)
+    assert len(classes) == len(jungles) <= top + 1
+    got = {d: [c, j] for d, (c, j) in enumerate(zip(classes, jungles)) if c}
+    assert got == orbit_totals(pairs, max_coal)
+    assert all(j == 0 for c, j in zip(classes, jungles) if not c)
+    if max_coal is None:
+        assert class_census(pairs) == [sum(classes)]
 
 
 @pytest.mark.parametrize("cap", [1, 5, 21])
 def test_count_refuses_past_the_cap_while_generating(tmp_path, capsys, cap):
+    """No class is generated: the census counts the colored profile, and
+    a cap under its 22 classes refuses with that exact count."""
     out = tmp_path / "out.json"
     assert main(["count", "--q-seq", "2,1,1", "--cap-forests", str(cap),
                  "--out", str(out)]) == 2
     assert not out.exists()
     err = json.loads(capsys.readouterr().err)
     assert (err["error"], err["predicted"], err["cap"]) == \
-        ("CapExceeded", cap + 1, cap)
+        ("CapExceeded", 22, cap)
 
 
 def test_pairing_tree_shapes():

@@ -51,9 +51,11 @@ def test_caps_hold_whatever_the_caches_hold(drift2):
             call(Caps(forests=4))
         assert (err.value.predicted, err.value.cap) == (5, 4)
         call(Caps(forests=5))
+    # the classes with at most 3 merges, counted by the census up front
     with pytest.raises(CapExceeded) as err:
         enumerate_colored_orbits(prof, 3, SMALL)
-    assert err.value.predicted == 11
+    assert err.value.predicted == len(enumerate_colored_orbits(prof, 3)) \
+        == 34
     with pytest.raises(CapExceeded) as err:
         enumerate_colored_orbits(prof, None, SMALL)
     assert err.value.predicted == 54

@@ -1,10 +1,13 @@
-"""Series censuses against exhaustive forest enumeration.
+"""Series censuses and the Burnside class census against exhaustive
+forest enumeration and against each other.
 
-Every coefficient asserted here is recomputed by listing the forests it
-claims to count, with the colored enumerator on the white-topped
-embedding of each plain profile.  Boxes that dip and then rise again get their own cases:
-the census is built over a monotone envelope internally, and these
-profiles used to be dropped.
+The series coefficients asserted here are recomputed by listing the
+forests they claim to count, with the colored enumerator on the
+white-topped embedding of each plain profile.  Boxes that dip and then
+rise again get their own cases: the series is built over a monotone
+envelope internally, and these profiles used to be dropped.  The class
+census (`count_forests`, `class_census`) meets both sides, and its work
+guard is checked before it lists a cycle type.
 """
 
 import itertools
@@ -19,8 +22,8 @@ from fkforest import (Caps, SparseSeries, coalescence_series, count_forests,
                       marginalize_coalescence)
 from fkforest import colored_forest
 from fkforest.cli import main
-from fkforest.colored_forest import _map_count_bound
 from fkforest.errors import CapExceeded, InvalidParameter
+from fkforest.genfunc import census_terms, class_census
 
 
 def enumerate_forests(profile):
@@ -132,8 +135,7 @@ def test_forgetting_merge_grading_recovers_plain_census(n, bounds):
     assert marginalize_coalescence(refined, n) == hilbert_series(n, bounds)
 
 
-# the deep and lopsided ones at the end are where the census knapsack
-# prunes most
+# deep, wide and lopsided profiles, each listed by the enumeration
 PROFILES = [(1,), (4,), (1, 1), (2, 2), (1, 3), (3, 1), (2, 4), (4, 2),
             (2, 1, 2), (1, 2, 4), (3, 3, 2), (2, 2, 2, 2), (1, 1, 1, 5),
             (3, 3, 3, 3, 3), (1, 2, 3, 4), (4, 1, 4), (2, 3, 1, 2),
@@ -149,31 +151,31 @@ def test_closed_count_equals_enumeration_length(profile):
 
 def test_census_depth_does_not_grow_with_the_candidates():
     """Two roots over 1,201 children: one candidate shape per child count,
-    so more candidates than Python's frame limit.  The forests are the
-    unordered splits a + b = 1201, 601 of them."""
+    so more candidates than Python's frame limit, and 1,201 white leaves
+    for the cycle index to sum.  The forests are the unordered splits
+    a + b = 1201, 601 of them."""
     assert count_forests((2, 1201)) == 601
 
 
-def test_census_never_exceeds_the_map_count_bound():
+def test_census_equals_the_series_on_579_profiles():
     """Every profile of length 2-4 with entries 1-4 and of length 5 with
-    entries 1-3: the classes number at most the level-wise sorted parent
-    maps, prod C(p_(k-1) + p_k - 1, p_k)."""
+    entries 1-3: the plain census equals the series coefficient."""
     profiles = [p for length in (2, 3, 4)
                 for p in itertools.product(range(1, 5), repeat=length)]
     profiles += itertools.product(range(1, 4), repeat=5)
     assert len(profiles) == 579
+    series = {length: hilbert_series(length - 1, 4 if length < 5 else 3)
+              for length in (2, 3, 4, 5)}
     for p in profiles:
-        assert count_forests(p) <= _map_count_bound(p)
-    assert _map_count_bound((3, 3, 3, 3)) == 10 ** 3
-    assert _map_count_bound((7,)) == 1
+        assert count_forests(p) == series[len(p)].coefficient(p)
 
 
 @pytest.mark.parametrize("profile,classes", [((3, 3, 3), 12),
                                              ((3, 3, 3, 3), 54)])
-def test_cap_between_the_count_and_the_bound(profile, classes):
-    """A cap at or past the count but under the bound runs the census; the
-    request answers at the count and refuses up front one below it."""
-    assert count_forests(profile) == classes < _map_count_bound(profile)
+def test_a_cap_at_the_count_answers_and_one_under_refuses(profile, classes):
+    """The census counts before any tree is built: the request answers at
+    a cap equal to the count and refuses one under it, with the count."""
+    assert count_forests(profile) == classes
     pairs = flat_pairs(profile)
     assert len(enumerate_colored_forests(pairs, caps=Caps(forests=classes))) \
         == classes
@@ -183,15 +185,30 @@ def test_cap_between_the_count_and_the_bound(profile, classes):
     assert err.value.args[0] == "enumeration would produce too many forests"
 
 
-def test_count_under_the_bound_skips_the_census(tmp_path, monkeypatch):
-    """count --n 3 --q 3: the bound 10**4 is under the default cap, so the
-    census cannot refuse and does not run."""
-    def no_census(profile):
-        raise AssertionError("census ran for %r" % (profile,))
+def test_count_enumerates_no_class(tmp_path, monkeypatch):
+    """count --n 3 --q 3 answers from the censuses alone."""
+    def no_enumeration(*args):
+        raise AssertionError("enumerated %r" % (args[0],))
 
-    monkeypatch.setattr(colored_forest, "count_forests", no_census)
+    monkeypatch.setattr(colored_forest, "_enum_colored_rec", no_enumeration)
     assert main(["count", "--n", "3", "--q", "3",
                  "--out", str(tmp_path / "out.json")]) == 0
+
+
+def test_the_census_refuses_its_work_past_the_series_cap():
+    """(24, 24, 24) meets each of the p(24) = 1,575 cycle types of its
+    roots with the 1,575 of the middle level, and each of those with the
+    24 terms of the white series and the one empty type on top; the
+    census refuses before it lists one.  (20, 20, 20) is under the
+    default cap."""
+    pairs = flat_pairs((24, 24, 24))
+    assert census_terms(pairs) == 1575 ** 2 + 1575 * 25 == 2_520_000
+    with pytest.raises(CapExceeded) as err:
+        class_census(pairs)
+    assert (err.value.predicted, err.value.cap) == (2_520_000, Caps().series)
+    assert census_terms(flat_pairs((20, 20, 20))) == 627 ** 2 + 627 * 21
+    with pytest.raises(CapExceeded):
+        class_census(flat_pairs((20, 20, 20)), caps=Caps(series=627 ** 2))
 
 
 def test_count_profile_edges():
@@ -200,6 +217,9 @@ def test_count_profile_edges():
     # the empty profile names the empty forest, matching the census's
     # constant term
     assert count_forests(()) == 1
+    # one level is one class, however many vertices it holds: p(100),
+    # about 1.9e8 cycle types, is never listed
+    assert class_census(((3, 100),)) == class_census(((3, 100),), 2) == [1]
 
 
 def test_sparse_series_basics():

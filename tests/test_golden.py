@@ -18,7 +18,9 @@ the deep block law from before it ran all orders in one pass, and the
 last three `count` outputs and the census refusal line from before
 `count` summed its totals over the raw class tuples, and the float
 `--q-seq` expansion from before the writer rendered measures straight
-from their entries.
+from their entries.  The `count` digests and the census refusal line
+also hold for `count` answering from the Burnside census, which lists no
+class.
 A new digest means a changed output.
 """
 
