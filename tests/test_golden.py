@@ -20,7 +20,9 @@ last three `count` outputs and the census refusal line from before
 `--q-seq` expansion from before the writer rendered measures straight
 from their entries.  The `count` digests and the census refusal line
 also hold for `count` answering from the Burnside census, which lists no
-class.
+class.  The float `expand` outputs paired with a function (the block
+law, centering and plain pairings) were recorded before the tables moved
+onto integer numerators: float mode rounds at the same points.
 A new digest means a changed output.
 """
 
@@ -210,6 +212,37 @@ OTHER_CASES = {
         ["verify", "--only", "stirling"],
         "3c6205aab57eff0b5b1d270b27cb209fd28382f7db2a7266a206f260571f135d"),
 }
+
+
+# float expansions paired with a function: float pair, scale, sums,
+# centering and symmetrization
+FLOAT_CASES = {
+    "drift2-pair": (
+        ["--model", "drift2", "--n", "1", "--q", "2", "--evaluate", "3"],
+        F2,
+        "f3c3ce361902197e9d4e31a9b35dd55987814268e220801ab2c12f5aa0fbb58a"),
+    "cycle3-q-seq-pair": (
+        ["--model", "cycle3", "--q-seq", "1,1", "--evaluate", "4"],
+        ([0, 1], F3[1]),
+        "4970ebd33bc6e2c4613947e986f657894647bdbc0a3050fdf25dad874930b267"),
+    "cycle3-block": (
+        ["--model", "cycle3", "--n", "1", "--q", "2", "--block", "--top",
+         "1", "--evaluate", "4"],
+        F3,
+        "a43dd4ad56cabb41c6a273edee31612ae7d3a91f37ebeeb5b26b4f04fb6e51b3"),
+    "cycle3-center": (
+        ["--model", "cycle3", "--n", "1", "--q", "2", "--center",
+         "--evaluate", "4"],
+        F3,
+        "f47613fe59150a8f9223c429013b46cefb2328d8ad5c2660665c59d823e80bc1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_CASES))
+def test_float_expand_output_is_pinned(tmp_path, name):
+    argv, function, digest = FLOAT_CASES[name]
+    assert output_digest(tmp_path, argv + ["--field", "float"],
+                         function) == digest
 
 
 @pytest.mark.parametrize("name", sorted(OTHER_CASES))
