@@ -29,6 +29,7 @@ import json
 import sys
 import textwrap
 from fractions import Fraction
+from math import gcd
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -80,8 +81,9 @@ def _json_text(doc: object) -> str:
     plain: a Fraction as "num/den", a measure as its levels, nonzero
     {"point", "value"} entries, total mass and TV norm, a function as its
     levels and values, a numpy scalar as a Python number.  Written in one
-    pass from the raw values; the text of an entry up to its value is built
-    once per call for each (sizes, indentation)."""
+    pass from the raw values, a measure's entries straight from its
+    numerators; the text of an entry up to its value is built once per
+    call for each (sizes, indentation)."""
     heads: Dict[Tuple[Tuple[int, ...], str], List[str]] = {}
 
     def leaf(v: object, pad: str, append: Callable[[str], None]) -> None:
@@ -98,15 +100,18 @@ def _json_text(doc: object) -> str:
                                                  key) if p else "[]", key)
                     for p in itertools.product(*map(range, v.sizes))]
             close = "\n" + item + "}"
-            rows = [h + _scalar_text(w) + close
-                    for h, w in zip(head, v.data) if w]
+            den, exact = v.den, v.model.field == "rational"
+            rows = [h + ('"%d/%d"' % (n // g, den // g) if exact
+                         else json_float(n / den)) + close
+                    for h, n in zip(head, v.nums) if n
+                    for g in [gcd(n, den)]]
             append('{\n%s"entries": %s,\n%s"levels": ' % (
                 inner, "[\n%s%s\n%s]" % (item, (",\n" + item).join(rows),
                                          inner) if rows else "[]", inner))
             write_json(v.levels, inner, append)
-            mass, tv = v.mass_and_tv_norm()
             append(',\n%s"total_mass": %s,\n%s"tv_norm": %s\n%s}' % (
-                inner, _scalar_text(mass), inner, _scalar_text(tv), pad))
+                inner, _scalar_text(v.total_mass()), inner,
+                _scalar_text(v.tv_norm()), pad))
         elif isinstance(v, TensorFunction):
             write_json({"levels": v.levels, "values": v.data}, pad, append,
                        leaf)
@@ -272,13 +277,14 @@ def _degree_census(pairs: Sequence[Tuple[int, int]],
     """{merge degree: (classes, jungles)} up to max_coal, from the
     censuses; no class is enumerated.  The class count within the budget
     is refused past ``caps.forests``, the plain total first, since it is
-    cheaper than the census by degree."""
-    top = max_coal
+    cheaper than the census by degree, which then reuses it."""
+    top, total = max_coal, None
     if top is None:
-        check_class_count(pairs, None, caps)
+        (total,) = check_class_count(pairs, None, caps)
         top = sum(w + b for w, b in pairs[1:])
     return {d: (c, j) for d, (c, j) in enumerate(zip(
-        check_class_count(pairs, top, caps), jungle_census(pairs, top))) if c}
+        check_class_count(pairs, top, caps, total),
+        jungle_census(pairs, top))) if c}
 
 
 def cmd_count(args: SimpleNamespace) -> int:

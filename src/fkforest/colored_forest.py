@@ -446,10 +446,10 @@ def enumerate_colored_forests(pairs: PairProfile,
 
 
 def check_class_count(pairs: PairProfile, max_coal: Optional[int],
-                      caps: Caps) -> List[int]:
+                      caps: Caps, total: Optional[int] = None) -> List[int]:
     """The census of :func:`fkforest.genfunc.class_census`, refused when
     the classes it counts number more than ``caps.forests``."""
-    classes = class_census(pairs, max_coal, caps)
+    classes = class_census(pairs, max_coal, caps, total)
     if sum(classes) > caps.forests:
         raise CapExceeded("enumeration would produce too many forests",
                           predicted=sum(classes), cap=caps.forests)

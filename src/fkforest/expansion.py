@@ -27,14 +27,9 @@ applies the first weights, the coefficients carry the product as a
 polynomial in x, and the two stay independent routes.
 
 The product runs on integer stages (`fk_core.select_partitions`,
-`fk_core.transport_numerators`): the tables of a stage are Python-int
-numerators over one shared denominator.  The model gives eta0 and every
-one-step operator as integers over the lcm of their entries; the Stirling
-weights are integers; the exact value multiplies piece p by (N)_p and the
-denominator by N**b; each moved coordinate multiplies the denominator by
-that of the operator rows.  Only the final tables become measures, with
-one Fraction per entry, or in float mode one correctly rounded division
-of the exact value.
+`fk_core.transport_numerators`), Python-int numerators over one shared
+denominator, and its final tables become measures as they are (see
+`_select_and_transport`).
 
 The block law up to order top is one pass (`_block_law_orders`).  It walks
 every multi-index p of total size l < 2*top once, runs one moment
@@ -102,10 +97,8 @@ from .fk_core import (
     SignedMeasure,
     TensorFunction,
     delta_colored,
-    exact_q_rows,
     flow,
     format_scalar,
-    from_numerators,
     function_from_vector,
     gamma_tensor,
     is_centered,
@@ -153,8 +146,7 @@ def _blacks(profile: Sequence[int]) -> Tuple[int, ...]:
 
 
 def _zero_measure(model: FKModel, levels: Sequence[int]) -> SignedMeasure:
-    return SignedMeasure(model, levels,
-                         [model.zero] * _domain_size(model, levels))
+    return SignedMeasure(model, levels, [0] * _domain_size(model, levels), 1)
 
 
 def _agree(field: str, a, b) -> bool:
@@ -372,7 +364,8 @@ def _select_and_transport(model: FKModel, prof: Tuple[int, ...],
     `fk_core.select_partitions`) and the factor of the denominator.  Then
     the first q_k live coordinates freeze and the rest move one step, each
     moved coordinate multiplying the denominator by that of the operator
-    rows.  Each final table becomes one measure, one entry at a time.
+    rows.  Each final table becomes one measure on its numerators, with
+    no entry read.
 
     `targets` maps (b, s) to its set-partition table
     (`fk_core._partition_targets`) and is filled as stages need them: a
@@ -406,8 +399,7 @@ def _select_and_transport(model: FKModel, prof: Tuple[int, ...],
                           for t in tables]
             den *= qden ** moved
     levels = _block_levels(prof)
-    return [SignedMeasure(model, levels, from_numerators(model, t, den))
-            for t in tables]
+    return [SignedMeasure(model, levels, t, den) for t in tables]
 
 
 def _moment_polynomial(model: FKModel, prof: Tuple[int, ...], top: int,
@@ -624,13 +616,13 @@ def centered_moment_expansion(model: FKModel, n: int, q: int,
 
 
 def _contract_and_move(mu: SignedMeasure, vecs: Dict[int, Sequence[Scalar]],
-                       rows: Sequence[Sequence[Scalar]],
-                       level: int) -> SignedMeasure:
+                       step: tuple) -> SignedMeasure:
     """One map_coords call: integrate out the coordinates vecs names against
-    their vectors, then move every other one through rows to level."""
+    their vectors, then move every other one by step, the (rows, level)
+    or (rows, level, den) tail of a move."""
     moves = [(pos, [[v] for v in vecs[pos]], None)
              for pos in sorted(vecs, reverse=True)]
-    moves += [(pos, rows, level) for pos in range(mu.arity - len(vecs))]
+    moves += [(pos,) + step for pos in range(mu.arity - len(vecs))]
     return mu.map_coords(moves)
 
 
@@ -679,7 +671,8 @@ def _block_law_orders(model: FKModel, n_plus_1: int, q: int, top: int,
                 plan.append((l, p, prof, ks))
     fl = flow(model)
     gb = [gbar_vector(model, j) for j in range(n + 1)]
-    qrows = exact_q_rows(model, np1)
+    rows, den = model.exact_q(np1)
+    qstep = (rows, np1, den)
     targets: Targets = {}
     sums: List[Optional[SignedMeasure]] = [None] * (top + 1)
     for l, p, prof, ks in plan:
@@ -690,8 +683,7 @@ def _block_law_orders(model: FKModel, n_plus_1: int, q: int, top: int,
         coeff = Fraction(math.factorial(q - 1 + l),
                          math.factorial(q - 1) * pfact)
         for k in ks:
-            term = _contract_and_move(coeffs[k], vecs, qrows,
-                                      np1).scale(coeff)
+            term = _contract_and_move(coeffs[k], vecs, qstep).scale(coeff)
             sums[k] = term if sums[k] is None else sums[k] + term
     eta = _tensor_power(model, np1, fl.eta_vec[np1], q)
     mass = fl.gnorm[np1] ** q
@@ -733,7 +725,8 @@ def first_order_P(model: FKModel, n_plus_1: int, q: int,
     gb = [gbar_vector(model, j) for j in range(n + 1)]
     half = Fraction(q * (q - 1), 2)
     zero = _zero_measure(model, (np1,) * q)
-    qrows = exact_q_rows(model, np1)
+    rows, den = model.exact_q(np1)
+    qstep = (rows, np1, den)
 
     counter = _center_image(
         _tensor_power(model, np1, fl.gamma_vec[np1], q), eta, mass)
@@ -764,7 +757,7 @@ def first_order_P(model: FKModel, n_plus_1: int, q: int,
             # against the flow) and at m = n the two merge slots agree
             rho: Optional[SignedMeasure] = None
             for pos in range(qm[m]):
-                term = _contract_and_move(nu, {pos: gb[m]}, qrows, np1)
+                term = _contract_and_move(nu, {pos: gb[m]}, qstep)
                 rho = term if rho is None else rho + term
             assert rho is not None
             if m == n:
@@ -780,7 +773,7 @@ def first_order_P(model: FKModel, n_plus_1: int, q: int,
             gk = _tensor_power(model, kk, fl.gamma_vec[kk], q - 1)
             cur = gk.pushforward(dup).scale(fl.gnorm[kk])
             ipiece1 = ipiece1 + _contract_and_move(
-                cur, {}, semigroup(model, kk, np1), np1)
+                cur, {}, (semigroup(model, kk, np1), np1))
         ipiece1 = ipiece1.scale(half)
     ipiece2 = zero
     for m in range(n + 1):
@@ -789,7 +782,7 @@ def first_order_P(model: FKModel, n_plus_1: int, q: int,
             gk = _tensor_power(model, kk, fl.gamma_vec[kk], q)
             cur = gk.weight_coord(0, vec).scale(fl.gnorm[kk])
             ipiece2 = ipiece2 + _contract_and_move(
-                cur, {}, semigroup(model, kk, np1), np1)
+                cur, {}, (semigroup(model, kk, np1), np1))
     ipiece2 = ipiece2.scale(q * q)
     integrals = _center_image(ipiece1 + ipiece2, eta,
                               mass).symmetrize_blocks()
@@ -833,22 +826,23 @@ class ExpansionReport:
         self.diagnostics: Dict[str, object] = {}
 
     def partial_sum(self, N: int) -> object:
-        """Coefficient sum at N on integer numerators: each term over the
-        lcm of its entries, all of them over the lcm of the den_k N^k;
-        exact in either field and rounded once in float mode."""
+        """Coefficient sum at N on integer numerators: term k, a measure's
+        numerators or one exact scalar over den_k, goes over the lcm of
+        the den_k N^k; exact in either field and rounded once in float
+        mode."""
         terms = [(0, self.base)] + [
             (k, c) for k, c in sorted(self.orders.items()) if k != 0]
         over = []
         for k, c in terms:
-            nums, d = _over_lcm(c.data if isinstance(c, SignedMeasure)
-                                else [c])
+            nums, d = ((c.nums, c.den) if isinstance(c, SignedMeasure)
+                       else _over_lcm([c]))
             over.append((d * N ** k, nums))
         den = math.lcm(*[d for d, _ in over])
         nums = [sum(col) for col in zip(*[[v * (den // d) for v in vs]
                                           for d, vs in over])]
         if isinstance(self.base, SignedMeasure):
-            return SignedMeasure(self.base.model, self.base.levels,
-                                 from_numerators(self.base.model, nums, den))
+            return SignedMeasure(self.base.model, self.base.levels, nums,
+                                 den)
         if self.params.get("field", "rational") == "rational":
             return Fraction(nums[0], den)
         return nums[0] / den

@@ -4,18 +4,19 @@ A model is a finite state list per level, an initial distribution, row
 stochastic transitions and strictly positive potentials.  Measures and
 functions on products of level spaces are dense tables, flat and row-major
 over coordinates left to right, so serialized values are reproducible byte
-for byte.  Table entries are Fractions in rational mode and floats in
-float mode, which exists for Monte Carlo work.
+for byte.  A table holds Python-int numerators over one denominator and
+makes a Fraction, or in float mode a float, only for an entry a caller
+reads.  Float mode, which exists for Monte Carlo work, rounds where float
+arithmetic rounds: each new entry once, and pairings, pushforwards and
+block symmetrization after each term they add.
 
 The partition selection and every linear map of single coordinates run
-on one integer kernel: a table is a list of Python-int numerators over
-one shared denominator, each matrix enters as integer rows over the lcm
+on one integer kernel: each matrix enters as integer rows over the lcm
 of its entries, and a step multiplies the denominator once instead of
 paying a gcd per entry.  `_Table.map_coords` carries every coordinate map
-(transport, weights, contractions, integrals, pulls, centering).  Float
-inputs enter exactly, through Fraction(float), and each call rounds its
-result once by int/int true division.  Only pushforward (an index map)
-and symmetrize_blocks (orbit sums) walk the points of a table.
+(transport, weights, contractions, integrals, pulls, centering).  Only
+pushforward (an index map) and symmetrize_blocks (orbit sums) walk the
+points of a table.
 
 Domains are tuples of level indices.  A q-fold tensor at level n has
 domain (n,)*q; a path-space block structure lists each level once per
@@ -154,16 +155,16 @@ class FKModel:
         return num / den
 
     def exact_q(self, k: int) -> Tuple[List[List[int]], int]:
-        """Q_k = G_{k-1} M_{k-1} as integer rows over the lcm of its
-        entries, from the exact products of the entries in either field."""
+        """Q_k = G_{k-1} M_{k-1} as integer rows over one denominator, from
+        the exact entries in either field."""
         if not 1 <= k <= self.horizon:
             raise InvalidParameter("operator index %d outside 1..%d"
                                    % (k, self.horizon))
-        flat, den = _over_lcm(Fraction(g) * Fraction(p)
-                              for g, row in zip(self.G[k - 1], self.M[k - 1])
-                              for p in row)
-        s = self.size(k)
-        return [flat[i:i + s] for i in range(0, len(flat), s)], den
+        g, gden = _over_lcm(self.G[k - 1])
+        rows = [_over_lcm(row) for row in self.M[k - 1]]
+        den = math.lcm(*[d for _, d in rows])
+        return [[gx * v * (den // d) for v in row]
+                for gx, (row, d) in zip(g, rows)], gden * den
 
     def to_json(self) -> str:
         doc = {
@@ -262,27 +263,11 @@ def flow(model: FKModel) -> Flow:
 
 
 def _over_lcm(vals: Iterable[object]) -> Tuple[List[int], int]:
-    """Exact integer numerators over the lcm of the denominators; floats
-    enter exactly through Fraction(float)."""
-    fr = [v if isinstance(v, Fraction) else Fraction(v) for v in vals]
-    den = math.lcm(*[v.denominator for v in fr])
-    return [v.numerator * (den // v.denominator) for v in fr], den
-
-
-def exact_q_rows(model: FKModel, k: int) -> List[List[Fraction]]:
-    """Q_k as exact Fractions in either field, for map_coords moves."""
-    rows, den = model.exact_q(k)
-    return [[Fraction(v, den) for v in row] for row in rows]
-
-
-def from_numerators(model: FKModel, nums: Sequence[int],
-                    den: int) -> List[Scalar]:
-    """Table entries num/den: one Fraction per entry in rational mode, one
-    correctly rounded int/int true division per entry in float mode."""
-    if model.field == "rational":
-        zero = model.zero
-        return [Fraction(v, den) if v else zero for v in nums]
-    return [v / den for v in nums]
+    """Exact integer numerators over the lcm of the denominators of ints,
+    Fractions or floats; a float enters exactly."""
+    ratios = [v.as_integer_ratio() for v in vals]
+    den = math.lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
 
 
 def _partition_targets(b: int,
@@ -402,19 +387,46 @@ def transport_numerators(nums: Sequence[int], inner: int,
 
 
 class _Table:
-    __slots__ = ("model", "levels", "data")
+    """Integer numerators `nums` over one positive denominator `den`, with
+    gcd(den, *nums) == 1, built from the entries data or, with den given,
+    from the numerators data over den.  Float mode rounds each entry once
+    and holds the float exactly."""
+
+    __slots__ = ("model", "levels", "nums", "den")
 
     def __init__(self, model: FKModel, levels: Sequence[int],
-                 data: Sequence[Scalar]):
+                 data: Sequence[object], den: Optional[int] = None):
+        nums, den = _over_lcm(data) if den is None else (data, den)
         lv = tuple(int(k) for k in levels)
         size = _domain_size(model, lv)
-        dd = tuple(data)
-        if len(dd) != size:
+        if len(nums) != size:
             raise InvalidParameter("table length %d, domain wants %d"
-                                   % (len(dd), size))
+                                   % (len(nums), size))
+        if model.field == "float":
+            nums, den = _over_lcm([v / den for v in nums])
+        else:
+            g = math.gcd(den, *nums)
+            if g > 1:
+                nums, den = [v // g for v in nums], den // g
         self.model = model
         self.levels = lv
-        self.data = dd
+        self.nums = tuple(nums)
+        self.den = den
+
+    def _like(self, nums: Sequence[int], den: int):
+        return type(self)(self.model, self.levels, nums, den)
+
+    @property
+    def data(self) -> Tuple[Scalar, ...]:
+        """Every entry, as a Fraction or, in float mode, a float."""
+        return tuple(self.model.scalar(v, self.den) for v in self.nums)
+
+    def _terms(self) -> Tuple[Sequence[Scalar], int]:
+        # entries to sum over a denominator; float mode sums the rounded
+        # entries, so that the sum rounds after each step
+        if self.model.field == "rational":
+            return self.nums, self.den
+        return self.data, 1
 
     @property
     def sizes(self) -> Tuple[int, ...]:
@@ -424,11 +436,9 @@ class _Table:
     def arity(self) -> int:
         return len(self.levels)
 
-    def _ranges(self):
-        return [range(s) for s in self.sizes]
-
     def value(self, point: Sequence[int]) -> Scalar:
-        return self.data[_encode(point, self.sizes)]
+        return self.model.scalar(self.nums[_encode(point, self.sizes)],
+                                 self.den)
 
     def _same_domain(self, other: "_Table"):
         if self.model is not other.model and self.model != other.model:
@@ -440,42 +450,49 @@ class _Table:
     def tensor(self, other: "_Table"):
         if self.model != other.model:
             raise InvalidParameter("tables built over different models")
-        data = [a * b for a in self.data for b in other.data]
-        return type(self)(self.model, self.levels + other.levels, data)
+        return type(self)(self.model, self.levels + other.levels,
+                          [a * b for a in self.nums for b in other.nums],
+                          self.den * other.den)
 
     def __add__(self, other: "_Table"):
+        # float a + b is the exact sum rounded once, as is its image here
         self._same_domain(other)
-        return type(self)(self.model, self.levels,
-                          [a + b for a, b in zip(self.data, other.data)])
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        return self._like([a * fa + b * fb
+                           for a, b in zip(self.nums, other.nums)], den)
 
     def __sub__(self, other: "_Table"):
-        self._same_domain(other)
-        return type(self)(self.model, self.levels,
-                          [a - b for a, b in zip(self.data, other.data)])
+        return self + other.scale(-1)
 
     def scale(self, c: Scalar):
-        return type(self)(self.model, self.levels, [c * v for v in self.data])
+        # float mode multiplies by float(c), as float * Fraction does
+        (num,), den = _over_lcm([float(c) if self.model.field == "float"
+                                 else c])
+        return self._like([num * v for v in self.nums], self.den * den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
         return (self.levels == other.levels and self.model == other.model
-                and list(self.data) == list(other.data))
+                and self.den == other.den and self.nums == other.nums)
 
-    def map_coords(self, moves: Iterable[Tuple[int, Sequence[Sequence[object]],
-                                                Optional[int]]]):
+    def map_coords(self, moves: Iterable[tuple]):
         """Apply matrices to single coordinates, one move after another.
 
         A move (pos, rows, level) replaces the table t by the table
         sum_x t(.., x, ..) * rows[x][y] at (.., y, ..): the coordinate at
         position pos of the current table moves to `level`, or is
         integrated out when `level` is None (rows of one column each).
-        All moves run on one integer numerator table, rounded once.
+        Rows of exact values go over the lcm of their entries; a move
+        (pos, rows, level, den) carries integer rows over den, as
+        FKModel.exact_q gives them.  All moves run on the table's
+        numerators, rounded once.
         """
-        nums, den = _over_lcm(self.data)
+        nums, den = self.nums, self.den
         levels = list(self.levels)
         sizes = list(self.sizes)
-        for pos, rows, level in moves:
+        for pos, rows, level, *rest in moves:
             if not 0 <= pos < len(levels):
                 raise InvalidParameter("coordinate %d out of range" % pos)
             width = 1 if level is None else self.model.size(level)
@@ -483,17 +500,19 @@ class _Table:
                 raise InvalidParameter(
                     "coordinate %d needs %d rows of %d entries"
                     % (pos, sizes[pos], width))
-            flat, rden = _over_lcm(v for row in rows for v in row)
-            nums = transport_numerators(
-                nums, math.prod(sizes[pos + 1:]),
-                [flat[i:i + width] for i in range(0, len(flat), width)])
+            if rest:
+                (rden,) = rest
+            else:
+                flat, rden = _over_lcm(v for row in rows for v in row)
+                rows = [flat[i:i + width] for i in range(0, len(flat), width)]
+            nums = transport_numerators(nums, math.prod(sizes[pos + 1:]),
+                                        rows)
             den *= rden
             if level is None:
                 del levels[pos], sizes[pos]
             else:
                 levels[pos], sizes[pos] = level, width
-        return type(self)(self.model, levels,
-                          from_numerators(self.model, nums, den))
+        return type(self)(self.model, levels, nums, den)
 
     def symmetrize_blocks(self):
         """Average over coordinate permutations within same-level groups.
@@ -508,14 +527,18 @@ class _Table:
             groups.setdefault(k, []).append(pos)
         keys = [tuple(tuple(sorted(point[i] for i in g))
                       for g in groups.values())
-                for point in itertools.product(*self._ranges())]
+                for point in itertools.product(*map(range, self.sizes))]
+        terms, den = self._terms()
         sums: Dict[tuple, Scalar] = {}
         sizes: Dict[tuple, int] = {}
-        for key, w in zip(keys, self.data):
-            sums[key] = sums.get(key, self.model.zero) + w
+        for key, w in zip(keys, terms):
+            sums[key] = sums.get(key, 0) + w
             sizes[key] = sizes.get(key, 0) + 1
-        mean = {key: total / sizes[key] for key, total in sums.items()}
-        return type(self)(self.model, self.levels, [mean[key] for key in keys])
+        if self.model.field == "float":
+            return self._like([sums[key] / sizes[key] for key in keys], 1)
+        lcm = math.lcm(*sizes.values())
+        return self._like([sums[key] * (lcm // sizes[key]) for key in keys],
+                          den * lcm)
 
     def contract(self, positions: Sequence[int],
                  vectors: Sequence[Sequence[Scalar]]):
@@ -555,24 +578,20 @@ def _encode(point: Sequence[int], sizes: Sequence[int]) -> int:
 class SignedMeasure(_Table):
     """Signed measure as a dense weight table over a product domain."""
 
-    # both sums run on integer numerators over one denominator, exact in
-    # either field and rounded once in float mode
-
-    def mass_and_tv_norm(self) -> Tuple[Scalar, Scalar]:
-        """(total_mass(), tv_norm()) from one exact walk of the entries."""
-        nums, den = _over_lcm(self.data)
-        return (self.model.scalar(sum(nums), den),
-                self.model.scalar(sum(map(abs, nums)), den))
-
-    def tv_norm(self) -> Scalar:
-        return self.mass_and_tv_norm()[1]
+    # both sums are exact in either field and rounded once in float mode
 
     def total_mass(self) -> Scalar:
-        return self.mass_and_tv_norm()[0]
+        return self.model.scalar(sum(self.nums), self.den)
+
+    def tv_norm(self) -> Scalar:
+        return self.model.scalar(sum(map(abs, self.nums)), self.den)
 
     def pair(self, f: "TensorFunction") -> Scalar:
+        """The sum of the entrywise products: one integer sum in rational
+        mode, the rounded products added one after another in float mode."""
         self._same_domain(f)
-        return _sum(w * v for w, v in zip(self.data, f.data))
+        (a, da), (b, db) = self._terms(), f._terms()
+        return self.model.scalar(_sum(x * y for x, y in zip(a, b)), da * db)
 
     def pushforward(self, index_map: Sequence[int]) -> "SignedMeasure":
         """Image under point -> (point[i] for i in index_map); duplicate
@@ -583,11 +602,13 @@ class SignedMeasure(_Table):
                 raise InvalidParameter("coordinate %d out of range" % i)
         new_levels = tuple(self.levels[i] for i in im)
         new_sizes = tuple(self.model.size(k) for k in new_levels)
-        out = [self.model.zero] * math.prod(new_sizes)
-        for point, w in zip(itertools.product(*self._ranges()), self.data):
+        terms, den = self._terms()
+        out = [0] * math.prod(new_sizes)
+        for point, w in zip(itertools.product(*map(range, self.sizes)),
+                            terms):
             if w:
                 out[_encode([point[i] for i in im], new_sizes)] += w
-        return SignedMeasure(self.model, new_levels, out)
+        return SignedMeasure(self.model, new_levels, out, den)
 
     def transport_block(self, start: int, k: int) -> "SignedMeasure":
         """Move coordinates start.. from level k-1 to level k through the
@@ -597,8 +618,8 @@ class SignedMeasure(_Table):
                 raise InvalidParameter(
                     "coordinate %d sits at level %d, expected %d"
                     % (pos, self.levels[pos], k - 1))
-        rows = exact_q_rows(self.model, k)
-        return self.map_coords((pos, rows, k)
+        rows, den = self.model.exact_q(k)
+        return self.map_coords((pos, rows, k, den)
                                for pos in range(start, self.arity))
 
     def weight_coord(self, pos: int,
@@ -638,8 +659,8 @@ class TensorFunction(_Table):
                 raise InvalidParameter(
                     "coordinate %d sits at level %d, expected %d"
                     % (p, self.levels[p], k))
-        rows = list(zip(*q_operator(self.model, k)))
-        return self.map_coords((p, rows, k - 1) for p in pos)
+        rows, den = self.model.exact_q(k)
+        return self.map_coords((p, list(zip(*rows)), k - 1, den) for p in pos)
 
 
 def constant_function(model: FKModel, levels: Sequence[int],
@@ -695,10 +716,9 @@ def partition_sums(mu: SignedMeasure, frozen: int,
     the plain empirical q-block at ensemble size N weighs piece p by
     (N)_p / N**b, and its coefficient of x**j, x = 1/N, by s(p, b - j).
 
-    This is a thin wrapper over `select_partitions`: the entries go onto
-    one denominator, the integer kernel builds every piece, and each comes
-    back as a table.  The Bell(b) partitions are refused up front beyond
-    caps.forests.
+    This is a thin wrapper over `select_partitions`: the integer kernel
+    builds every piece from the numerators of mu, over its denominator.
+    The Bell(b) partitions are refused up front beyond caps.forests.
     """
     levels = mu.levels
     live = levels[frozen:]
@@ -709,13 +729,11 @@ def partition_sums(mu: SignedMeasure, frozen: int,
     if bell > caps.forests:
         raise CapExceeded("selection would enumerate too many set partitions",
                           predicted=bell, cap=caps.forests)
-    nums, den = _over_lcm(mu.data)
     s = mu.model.size(live[0])
-    tables = select_partitions([nums], math.prod(mu.sizes[:frozen]), b, s,
-                               [{(0, p): 1} for p in range(1, b + 1)],
+    tables = select_partitions([mu.nums], math.prod(mu.sizes[:frozen]), b,
+                               s, [{(0, p): 1} for p in range(1, b + 1)],
                                _partition_targets(b, s))
-    return {p: SignedMeasure(mu.model, levels,
-                             from_numerators(mu.model, t, den))
+    return {p: SignedMeasure(mu.model, levels, t, mu.den)
             for p, t in enumerate(tables, start=1)}
 
 

@@ -287,7 +287,8 @@ def _by_degree(packed: int, z: int, points: int,
 
 def class_census(pairs: Sequence[Tuple[int, int]],
                  max_coal: Optional[int] = None,
-                 caps: Caps = DEFAULT_CAPS) -> List[int]:
+                 caps: Caps = DEFAULT_CAPS,
+                 total: Optional[int] = None) -> List[int]:
     """Classes of a pair profile ((w_0, b_0)..(w_h, b_h)) per merge degree
     0..max_coal, or with max_coal None their total as a one-entry list.
 
@@ -302,7 +303,8 @@ def class_census(pairs: Sequence[Tuple[int, int]],
     The merge degree of a level is its vertex count less its image, the
     union of the target cycles hit.  Graded, an image of r vertices
     weighs z^r for a z past the class total, and the counts are read back
-    as base-z digits; otherwise nothing is tracked.  The work,
+    as base-z digits; otherwise nothing is tracked.  The graded pass needs
+    the total, which a caller that has it passes as `total`.  The work,
     :func:`census_terms`, is refused past ``caps.series`` first.
     """
     if max_coal is not None and max_coal < 0:
@@ -314,7 +316,8 @@ def class_census(pairs: Sequence[Tuple[int, int]],
                           predicted=terms, cap=caps.series)
     if len(pp) < 2:
         return [1]
-    total = _burnside(pp, 1)
+    if total is None:
+        total = _burnside(pp, 1)
     if max_coal is None:
         return [total]
     z = 1 << total.bit_length()

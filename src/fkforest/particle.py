@@ -79,15 +79,6 @@ def _check_configs(model: FKModel, N: int, horizon: int, caps: Caps) -> None:
                               predicted=cnt, cap=caps.configs)
 
 
-def _numerators(model: FKModel,
-                vals: Sequence[Scalar]) -> Tuple[List[Scalar], int]:
-    """Entries as numerators over one denominator: ints over the lcm in
-    rational mode, the floats themselves over 1 in float mode."""
-    if model.field == "float":
-        return list(vals), 1
-    return _over_lcm(vals)
-
-
 def _potential(model: FKModel, k: int, N: int) -> Tuple[List[Scalar], int]:
     """G_k over one denominator that includes N, so that the empirical
     mean eta^N_k(G_k) of cfg is sum_x cfg[x] g[x] / den."""
@@ -165,8 +156,9 @@ def _spread(model: FKModel, N: int, n_states: int,
 
 def _start(model: FKModel, N: int, vec: List[Scalar]) -> Tuple[Law, int]:
     """Level-0 law: iid draws from eta0, each carrying vec."""
-    return _spread(model, N, model.size(0),
-                   [(_numerators(model, model.eta0)[0], vec)])
+    row = (model.eta0 if model.field == "float"
+           else _over_lcm(model.eta0)[0])
+    return _spread(model, N, model.size(0), [(row, vec)])
 
 
 def _transport(model: FKModel, k: int, N: int, law: Law) -> Tuple[Law, int]:
@@ -335,11 +327,11 @@ def exact_QN_oracle(model: FKModel, N: int, q: Sequence[int],
     # the last step completes the expected weighted count tensor, which is
     # paired with F once
     step, scale = weigh(n)
-    moment: List[Scalar] = [0] * len(F.data)
+    moment: List[Scalar] = [0] * len(F.nums)
     for cfg, vec in law.items():
         for i, t in enumerate(step(cfg, vec)):
             moment[i] += t
-    fnum, fden = _numerators(model, F.data)
+    fnum, fden = F._terms()
     return model.scalar(_pair(fnum, moment),
                         fden * den * scale * N ** F.arity)
 
@@ -349,7 +341,7 @@ def _pair_law(model: FKModel, law: Law, den: int, F: TensorFunction,
               norm: int) -> Scalar:
     """Sum over a law of the carried weight times the empirical moment
     pairing F with the per-point counts of each configuration over norm."""
-    fnum, fden = _numerators(model, F.data)
+    fnum, fden = F._terms()
     total = sum(vec[0] * _pair(fnum, counts(cfg, F.arity))
                 for cfg, vec in law.items())
     return model.scalar(total, den * fden * norm)

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 import fkforest
 from fkforest import (SignedMeasure, TensorFunction, bundled_model, cli,
-                      count_forests, format_scalar)
+                      count_forests, expansion_report_path_Q, format_scalar,
+                      genfunc)
 from fkforest.cli import main
 from fkforest.jsontext import canonical_json
 
@@ -49,6 +50,20 @@ def test_count_of_a_flat_selection(tmp_path):
     assert res["classes"] == 252
     assert res["total_jungles"] == 531441 == 3 ** 12
     assert res["identity_holds"] is True
+
+
+def test_count_runs_the_plain_census_once(tmp_path, monkeypatch):
+    """The census by merge degree reuses the plain total that the refusal
+    check counted first."""
+    real, bases = genfunc._burnside, []
+
+    def counted(pp, z):
+        bases.append(z)
+        return real(pp, z)
+
+    monkeypatch.setattr(genfunc, "_burnside", counted)
+    assert result(tmp_path, "count", "--n", "3", "--q", "3")["classes"] == 252
+    assert len(bases) == 2 and bases.count(1) == 1
 
 
 def test_enumerate_lists_flat_classes_in_colored_columns(tmp_path):
@@ -774,3 +789,57 @@ _cycle3 = TABLE_MODELS[2]
 def test_raw_writer_equals_json_dumps_of_the_plain_doc(doc):
     assert cli._json_text(doc) == json.dumps(reference_plain(doc), indent=2,
                                              sort_keys=True)
+
+
+@st.composite
+def numerator_tables(draw):
+    model = draw(st.sampled_from(TABLE_MODELS))
+    levels = draw(st.lists(st.integers(0, model.horizon), max_size=2))
+    size = math.prod(model.size(k) for k in levels)
+    nums = draw(st.lists(st.integers(-50, 50), min_size=size,
+                         max_size=size))
+    return model, levels, nums, draw(st.integers(1, 36))
+
+
+@given(numerator_tables())
+@example((_cycle3, (1,), [-4, 0, 6], 2))
+# zero total mass over denominator 1
+@example((_cycle3, (1, 2), [3, -3, 0, 0, 5, -5, 0, 0, 0], 1))
+@example((TABLE_MODELS[1], (1,), [-1, 0, 3], 4))
+@settings(max_examples=200, deadline=None)
+def test_writer_renders_a_measure_from_its_numerators(table):
+    """A measure held as numerators over a denominator writes the text of
+    the same entries given one by one as Fractions, or as floats."""
+    model, levels, nums, den = table
+    measure = SignedMeasure(model, levels, nums, den)
+    entries = [model.scalar(v, den) for v in nums]
+    want = measure_table(SignedMeasure(model, levels, entries))
+    for point, w in zip(itertools.product(*[range(model.size(k))
+                                            for k in levels]), entries):
+        assert measure.value(point) == w
+    assert cli._json_text(measure) == json.dumps(want, indent=2,
+                                                 sort_keys=True)
+
+
+def test_a_moment_report_builds_fewer_fractions_than_it_holds_entries(
+        monkeypatch):
+    """The coefficient tables, the exactness check and the writer stay on
+    integer numerators: a report and its text build fewer Fractions than
+    the entries of its tables."""
+    model = bundled_model("cycle3")
+    built = []
+    real = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(1)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    report = expansion_report_path_Q(model, (2, 1, 1), Ns=(5,))
+    text = cli._json_text(report.to_jsonable())
+    monkeypatch.undo()
+    tables = [report.base, *report.orders.values(),
+              *report.evaluations.values()]
+    entries = sum(len(t.nums) for t in tables)
+    assert entries == 6 * 81 and text.count('"point"') > 0
+    assert len(built) < entries

@@ -533,7 +533,8 @@ def reference_transport_block(mu, start, k):
         new_levels = cur.levels[:pos] + (k,) + cur.levels[pos + 1:]
         new_sizes = tuple(cur.model.size(j) for j in new_levels)
         out = [cur.model.zero] * math.prod(new_sizes)
-        for point, w in zip(itertools.product(*cur._ranges()), cur.data):
+        for point, w in zip(itertools.product(*map(range, cur.sizes)),
+                            cur.data):
             if not w:
                 continue
             pre = list(point)
