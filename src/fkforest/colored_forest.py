@@ -16,8 +16,9 @@ of height n+1 are the colored classes of the block profile
 
 Trees and forests are values: a tree sorts its children by encoding, so
 two trees of one shape built apart have the same encoding, and they
-compare and hash by it.  Nothing is kept between calls; the tree lists of
-an enumeration live in a dict that it owns.
+compare and hash by it.  An enumeration builds its classes level by
+level, from the top level down to the roots, and each tree once; nothing
+is kept between calls.
 """
 
 from __future__ import annotations
@@ -431,16 +432,20 @@ def enumerate_colored_forests(pairs: PairProfile,
                               caps: Caps = DEFAULT_CAPS
                               ) -> List[ColoredForest]:
     """All colored forests with the given per-level color counts, and
-    with max_coal given only those with at most max_coal merges.
+    with max_coal given only those with at most max_coal merges, sorted by
+    encoding.
 
     Before any tree is built, :func:`fkforest.genfunc.class_census`
     counts the classes asked for, and a count over ``caps.forests`` is
-    refused with the exact number.
+    refused with the exact number.  The classes are then built level by
+    level (:func:`_colored_classes`); no level holds more forests than
+    that count, and no tree has more merges than max_coal, so the work
+    follows the classes returned, not the profile's full class list.
     """
     pp = _check_pairs(pairs)
     check_class_count(pp, max_coal, caps)
-    results = [colored_forest(chosen)
-               for chosen in _enum_colored_rec(pp, max_coal, {})]
+    results = [colored_forest(trees)
+               for trees in _colored_classes(pp, max_coal)]
     results.sort(key=lambda g: g.encoding)
     return results
 
@@ -456,167 +461,101 @@ def check_class_count(pairs: PairProfile, max_coal: Optional[int],
     return classes
 
 
-# tree lists of one enumeration, by the pair profile of the tree
-TreeLists = Dict[PairProfile, Tuple[ColoredTree, ...]]
+def _colored_classes(pairs: PairProfile, max_coal: Optional[int]
+                     ) -> List[Tuple[ColoredTree, ...]]:
+    """The classes of a checked pair profile with at most max_coal merges,
+    each as the tuple of its trees sorted by encoding.
 
+    One loop walks from the top level h down to the roots.  It keeps the
+    forests of levels k+1..h with the merges each has made, and hangs the
+    roots of each from the b_k blacks of level k: a multiset partition of
+    the roots into at most b_k nonempty parts (:func:`_splits`), each part
+    the children of one black; the blacks left over are leaves, and the
+    w_k whites join.  Distinct forests or partitions give distinct
+    forests, so no class comes twice.
 
-def _enumerate_colored_trees(pairs: PairProfile,
-                             trees: TreeLists) -> Tuple[ColoredTree, ...]:
-    """The trees of a candidate shape (see :func:`_colored_candidates`): a
-    lone white, or a black over each forest of the levels below it."""
-    out = trees.get(pairs)
-    if out is None:
-        out = trees[pairs] = (WHITE,) if pairs[0] == (1, 0) else tuple(
-            sorted(map(black, _enum_colored_rec(pairs[1:], None, trees)),
-                   key=lambda t: t.encoding))
-    return out
-
-
-def _colored_candidates(tail: PairProfile) -> List[PairProfile]:
-    cands: List[PairProfile] = [((1, 0),), ((0, 1),)]
-    for length in range(1, len(tail) + 1):
-        bodies: List[PairProfile] = [()]
-        for i in range(length):
-            wmax, bmax = tail[i]
-            grown = []
-            for body in bodies:
-                need_black = i < length - 1
-                for w in range(wmax + 1):
-                    for b in range((1 if need_black else 0), bmax + 1):
-                        if w + b >= 1:
-                            grown.append(body + ((w, b),))
-            bodies = grown
-        cands.extend(((0, 1),) + b for b in bodies)
-    cands.sort(key=lambda r: (-len(r), r))
-    return cands
-
-
-def _enum_colored_rec(pairs: PairProfile, max_coal: Optional[int],
-                      trees: TreeLists) -> List[Tuple[ColoredTree, ...]]:
-    """Forests as multisets of tree shapes, one taken candidate shape per
-    level of recursion; each forest comes back as the tuple of its trees,
-    equal trees side by side (a branch takes each candidate at most once,
-    its copies in the order of the candidate's tree list).  The tree list
-    of a candidate is built on first use and kept in ``trees``, which the
-    calling enumeration owns.
-
-    The remaining vertex counts below the roots travel as one flat tuple
-    (w_1, b_1, w_2, b_2, ...); each candidate carries its body in the same
-    layout.  Candidates come longest first, so once the search moves past
-    the last candidate reaching a level, that level must already be used
-    up, which prunes most dead branches without recursing into them.
+    A step merges its roots less its parts.  The steps below level k make
+    at least need[k] = sum_(j<=k) max(0, w_j + b_j - b_(j-1)) merges, and
+    a forest whose merges pass max_coal - need[k] is never built.  Every
+    forest kept thus extends to a class, so no level holds more forests
+    than the census counted.  Per level, the split patterns are shared by
+    root multiplicities and spare merges, and the black trees by part.
     """
-    if not pairs:
-        return [()]
-    tail = pairs[1:]
-    width = 2 * len(tail)
-    shapes = _colored_candidates(tail)
-    plan = []
-    for j, shape in enumerate(shapes):
-        body = [0] * width
-        for i, (w, b) in enumerate(shape[1:]):
-            body[2 * i] = w
-            body[2 * i + 1] = b
-        need = tuple((i, v) for i, v in enumerate(body) if v)
-        # the body covers the flat positions below span
-        span = 2 * (len(shape) - 1)
-        plan.append((j, span, shape[0] == (1, 0), tuple(body), need))
-    filtered: Dict[Tuple[int, Optional[int]], Tuple[ColoredTree, ...]] = {}
-    results: List[Tuple[ColoredTree, ...]] = []
+    # no forest merges more often than it has vertices below the roots
+    budget = sum(w + b for w, b in pairs[1:]) if max_coal is None \
+        else max_coal
+    need = [0]
+    for (_, up), (w, b) in zip(pairs, pairs[1:]):
+        need.append(need[-1] + max(0, w + b - up))
+    if budget < need[-1]:
+        return []
+    leaf = black(())
+    w, b = pairs[-1]
+    forests = [((leaf,) * b + (WHITE,) * w, 0)]
+    for k in range(len(pairs) - 2, -1, -1):
+        w, b = pairs[k]
+        patterns: Dict[tuple, List[tuple]] = {}
+        blacks: Dict[Tuple[ColoredTree, ...], ColoredTree] = {}
+        grown = []
+        for trees, merges in forests:
+            kinds, counts = zip(*((t, len(tuple(run)))
+                                  for t, run in itertools.groupby(trees)))
+            spare = min(budget - merges - need[k], len(trees) - 1)
+            got = patterns.get((counts, spare))
+            if got is None:
+                got = patterns[counts, spare] = _splits(counts, b, spare)
+            for parts in got:
+                tops = [WHITE] * w + [leaf] * (b - len(parts))
+                for part in parts:
+                    kids = tuple(t for t, m in zip(kinds, part)
+                                 for _ in range(m))
+                    tree = blacks.get(kids)
+                    if tree is None:
+                        tree = blacks[kids] = black(kids)
+                    tops.append(tree)
+                grown.append((tuple(sorted(tops, key=lambda t: t.encoding)),
+                              merges + len(trees) - len(parts)))
+        forests = grown
+    return [trees for trees, _ in forests]
 
-    def shapes_within(idx: int, budget: Optional[int]
-                      ) -> Tuple[ColoredTree, ...]:
-        key = (idx, budget)
-        got = filtered.get(key)
-        if got is None:
-            got = _enumerate_colored_trees(shapes[idx], trees)
-            if budget is not None:
-                got = tuple(t for t in got if t.coal_degree <= budget)
-            filtered[key] = got
-        return got
 
-    def lower_bound(roots: int, rem: Tuple[int, ...]) -> Optional[int]:
-        # merges no placement can avoid: a level cannot host more parents
-        # than it has blacks; None when a level holds vertices but no black
-        # is left above it to hang them from
-        total = 0
-        prev = roots
-        for i in range(0, width, 2):
-            here = rem[i] + rem[i + 1]
-            if here > prev:
-                if not prev:
-                    return None
-                total += here - prev
-            prev = rem[i + 1]
-        return total
+def _splits(counts: Tuple[int, ...], blocks: int, spare: int
+            ) -> List[Tuple[Tuple[int, ...], ...]]:
+    """The partitions of a multiset with multiplicities counts into at most
+    blocks nonempty parts, with at most spare merges (a part of s members
+    merges s - 1 times).  A part is a tuple of multiplicities; the parts
+    of a partition come in non-increasing lex order, so each holds the
+    first kind that the earlier ones left."""
+    out: List[Tuple[Tuple[int, ...], ...]] = []
 
-    def room(cands: Sequence[tuple], start: int, wroots: int, broots: int,
-             rem: Tuple[int, ...]) -> Tuple[List[tuple], List[int]]:
-        # the candidates from start on with room for a copy, and how many
-        # copies fit; rem and the roots only shrink further down, so the
-        # others never get room again and the next scan reads this list only
-        live = []
-        limits = []
-        for entry in itertools.islice(cands, start, None):
-            _, _, is_white, _, need = entry
-            limit = wroots if is_white else broots
-            for i, v in need:
-                if rem[i] // v < limit:
-                    limit = rem[i] // v
-            if limit:
-                live.append(entry)
-                limits.append(limit)
-        return live, limits
-
-    def rec(live: List[tuple], limits: List[int], wroots: int, broots: int,
-            rem: Tuple[int, ...], budget: Optional[int],
-            chosen: Tuple[ColoredTree, ...]):
-        if wroots == 0 and broots == 0:
-            if not any(rem):
-                results.append(chosen)
+    def rec(rest, bound, blocks, spare, chosen):
+        left = sum(rest)
+        if not left:
+            out.append(chosen)
             return
-        top = width
-        while top and not rem[top - 1]:
-            top -= 1
-        # the next candidate taken, in a loop: the recursion goes one level
-        # deeper only after taking a copy, so its depth is at most the root
-        # count, not the number of candidates
-        for pos, (j, span, is_white, body, _) in enumerate(live, 1):
-            if span < top:
-                # neither this candidate nor any later one reaches the
-                # deepest level that still holds vertices
-                return
-            shapes = shapes_within(j, budget)
-            if not shapes:
-                continue
-            nxt = rem
-            for k in range(1, limits[pos - 1] + 1):
-                nxt = tuple(map(sub, nxt, body))
-                if is_white:
-                    nw, nb = wroots - k, broots
-                else:
-                    nw, nb = wroots, broots - k
-                bound = lower_bound(nb, nxt)
-                if bound is None:
-                    continue
-                # every pick of k trees leaves the same state to fill
-                sub_live, sub_limits = room(live, pos, nw, nb, nxt) \
-                    if nw or nb else ([], [])
-                for picks in itertools.combinations_with_replacement(shapes,
-                                                                     k):
-                    if budget is None:
-                        rec(sub_live, sub_limits, nw, nb, nxt, None,
-                            chosen + picks)
-                        continue
-                    cost = sum(t.coal_degree for t in picks)
-                    if cost + bound <= budget:
-                        rec(sub_live, sub_limits, nw, nb, nxt, budget - cost,
-                            chosen + picks)
+        if not blocks or left - blocks > spare:
+            return
+        first = next(i for i, v in enumerate(rest) if v)
+        found = []
 
-    (w0, b0) = pairs[0]
-    rem0 = tuple(v for pair in tail for v in pair)
-    rec(*room(plan, 0, w0, b0, rem0), w0, b0, rem0, max_coal, ())
-    return results
+        def parts(head, room, tight):
+            # the parts of rest of at most room members that start with
+            # head, in descending lex order and, while tight, up to bound
+            i = len(head)
+            if i == len(rest) or not room:
+                found.append(head + (0,) * (len(rest) - i))
+                return
+            hi = min(rest[i], room, bound[i] if tight else room)
+            for v in range(hi, 0 if i == first else -1, -1):
+                parts(head + (v,), room - v, tight and v == bound[i])
+
+        parts((), spare + 1, True)
+        for part in found:
+            rec(tuple(map(sub, rest, part)), part, blocks - 1,
+                spare - sum(part) + 1, chosen + (part,))
+
+    rec(counts, counts, blocks, spare, ())
+    return out
 
 
 def enumerate_colored_orbits(q: Sequence[int],

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -566,27 +567,29 @@ def test_count_refuses_a_huge_request_at_once(tmp_path, capsys, argv,
         ("CapExceeded", predicted, cap)
 
 
-def test_count_of_one_line_of_400_levels(tmp_path):
+@pytest.mark.parametrize("command", ["count", "enumerate"])
+def test_count_of_one_line_of_400_levels(tmp_path, command):
     """One sample point 400 levels deep: a single class, and no recursion
     as deep as the levels."""
-    res = result(tmp_path, "count", "--n", "400", "--q", "1")
+    res = result(tmp_path, command, "--n", "400", "--q", "1")
     assert (res["classes"], res["total_jungles"]) == (1, 1)
-    assert res["identity_holds"] is True
+    if command == "count":
+        assert res["identity_holds"] is True
 
 
 def test_a_request_does_the_same_work_however_many_ran_before(tmp_path,
                                                              monkeypatch):
-    """No tree list outlives its request: a second identical colored
-    enumeration makes as many `_enum_colored_rec` calls as the first."""
+    """No tree outlives its request: a second identical colored
+    enumeration builds as many black trees as the first."""
     from fkforest import colored_forest
-    inner = colored_forest._enum_colored_rec
+    inner = colored_forest.black
     calls = [0]
 
     def counted(*args):
         calls[0] += 1
         return inner(*args)
 
-    monkeypatch.setattr(colored_forest, "_enum_colored_rec", counted)
+    monkeypatch.setattr(colored_forest, "black", counted)
     work = []
     for _ in range(2):
         calls[0] = 0
@@ -594,6 +597,40 @@ def test_a_request_does_the_same_work_however_many_ran_before(tmp_path,
                       "1,2,2")["classes"] > 0
         work.append(calls[0])
     assert work[0] == work[1] > 1
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    # deep: one line of 400 levels
+    "enumerate --n 400 --q 1",
+    "count --n 400 --q 1",
+    # budgeted enumerations of profiles whose full class lists (743,482
+    # to 4e20 classes) are refused
+    "enumerate --n 5 --q 4 --max-coal 2",
+    "enumerate --n 30 --q 3 --max-coal 2",
+    "enumerate --q-seq 1,1,1,1,1,1 --max-coal 0",
+    "enumerate --q-seq 0,0,9 --max-coal 1",
+    # wide, colored and too many classes: refused by the census
+    "enumerate --n 1 --q 70",
+    "enumerate --q-seq 3,3,3",
+    "count --n 0 --q 60",
+    "count --n 50 --q 2",
+])
+def test_a_hostile_request_answers_or_refuses_within_a_ceiling(argv):
+    """In 1 GB of address space and 20 s, a request exits 0 with its
+    result or 2 with a refusal, and either way prints one JSON document:
+    no MemoryError, RecursionError or kill."""
+    src = os.path.dirname(os.path.dirname(fkforest.__file__))
+    done = subprocess.run([sys.executable, "-m", "fkforest.cli"]
+                          + argv.split(),
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=20,
+                          preexec_fn=_limit_address_space)
+    assert done.returncode in (0, 2), done.stderr[-2000:]
+    json.loads(done.stdout if done.returncode == 0 else done.stderr)
 
 
 def test_oracle_refuses_negative_block_sizes(tmp_path, capsys):

@@ -22,7 +22,7 @@ from fkforest import (Caps, black, black_chain, brute_force_colored_orbit_count,
                       path_profile_bar, white, white_topped_chain,
                       wick_colored_tree)
 from fkforest.cli import main
-from fkforest.colored_forest import (ColoredMapSeq, _enum_colored_rec,
+from fkforest.colored_forest import (ColoredMapSeq, _colored_classes,
                                      _group_order, _orbit_size,
                                      colored_forest, flat_blocks)
 from fkforest.errors import CapExceeded, InvalidParameter
@@ -187,6 +187,24 @@ def test_merge_budget_filters_colored_enumeration():
             sorted(f.encoding for f in want)
 
 
+def test_a_budgeted_enumeration_builds_no_tree_over_its_budget(monkeypatch):
+    from fkforest import colored_forest as module
+    inner = module.black
+    degrees = []
+
+    def recorded(children):
+        tree = inner(children)
+        degrees.append(tree.coal_degree)
+        return tree
+
+    monkeypatch.setattr(module, "black", recorded)
+    got = enumerate_colored_forests(path_profile_bar(flat_blocks(3, 3)),
+                                    max_coal=1)
+    assert len(got) == sum(class_census(
+        path_profile_bar(flat_blocks(3, 3)), 1))
+    assert degrees and max(degrees) == 1
+
+
 def test_colored_enumeration_counts_past_the_cap():
     # the census counts a colored profile too, so a cap under the count is
     # refused up front with the exact count
@@ -207,7 +225,7 @@ def orbit_totals(pairs, max_coal):
     without building a ColoredForest per class."""
     group = _group_order(pairs)
     totals = {}
-    for trees in _enum_colored_rec(pairs, max_coal, {}):
+    for trees in _colored_classes(pairs, max_coal):
         slot = totals.setdefault(sum(t.coal_degree for t in trees), [0, 0])
         slot[0] += 1
         slot[1] += _orbit_size(group, trees)

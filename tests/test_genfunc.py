@@ -190,7 +190,7 @@ def test_count_enumerates_no_class(tmp_path, monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("enumerated %r" % (args[0],))
 
-    monkeypatch.setattr(colored_forest, "_enum_colored_rec", no_enumeration)
+    monkeypatch.setattr(colored_forest, "_colored_classes", no_enumeration)
     assert main(["count", "--n", "3", "--q", "3",
                  "--out", str(tmp_path / "out.json")]) == 0
 
