@@ -48,10 +48,10 @@ from .expansion import (centered_moment_expansion, closed_form_low_orders,
                         expansion_report_Q, expansion_report_path_Q,
                         first_order_P, gaussian_covariance, path_exact_QN,
                         path_wick_Q)
-from .fk_core import (FKModel, SignedMeasure, TensorFunction, _converter,
-                      _domain_size, center_function, constant_function,
-                      eta_tensor, fiber_count, flow, format_scalar,
-                      function_from_vector, tensor_minus_dot_tv)
+from .fk_core import (FKModel, SignedMeasure, TensorFunction, _domain_size,
+                      center_function, constant_function, eta_tensor,
+                      fiber_count, flow, format_scalar, function_from_vector,
+                      parse_values, tensor_minus_dot_tv)
 from .genfunc import (coalescence_series, count_forests, hilbert_series,
                       jungle_census, jungle_total, marginalize_coalescence)
 from .jsontext import canonical_json, json_float, write_json
@@ -151,8 +151,8 @@ def _manifest(args: SimpleNamespace, params: Dict[str, object],
 
 def _write_text(args: SimpleNamespace, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(args.out, "wb") as fh:
+            fh.write(text.encode("utf-8"))
     else:
         sys.stdout.write(text)
 
@@ -196,10 +196,12 @@ def _parse_ints(text: Optional[str]) -> Tuple[int, ...]:
 def _load_function(model: FKModel, path: str,
                    caps: Caps) -> TensorFunction:
     """Tensor function file: {"levels": [...], "values": [...]} with the
-    values flat and row-major over coordinates left to right."""
+    values flat and row-major over coordinates left to right.  The table
+    is built straight from the values' integer numerators over their
+    lcm."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            doc = json.loads(fh.read().decode("utf-8"))
     except OSError as exc:
         raise InvalidParameter("cannot read function file %s: %s"
                                % (path, exc))
@@ -212,12 +214,12 @@ def _load_function(model: FKModel, path: str,
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameter("bad function file %s: %s" % (path, exc))
     try:
-        vals = list(map(_converter(model.field), raw))
+        nums, den = parse_values(raw, model.field)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError("bad value in function file %s: %s"
                               % (path, exc))
     caps.check_tensor(_domain_size(model, levels))
-    return TensorFunction(model, levels, vals)
+    return TensorFunction(model, levels, nums, den)
 
 
 def _profile(args: SimpleNamespace) -> Tuple[int, ...]:
@@ -493,6 +495,10 @@ def cmd_simulate(args: SimpleNamespace) -> int:
             F = constant_function(model, (level,) * q, model.one)
     key = {"gamma": "gamma", "eta": "eta",
            "tensor-q": "eta_tensor", "dot-q": "eta_dot"}[est]
+    draws = args.N * (horizon + 1) * args.replicas
+    if draws > caps.tensor:
+        raise CapExceeded("simulation too large", predicted=draws,
+                          cap=caps.tensor)
     rows = []
     for r in range(args.replicas):
         traj = simulate(model, args.N, args.seed, horizon=horizon,
@@ -773,9 +779,11 @@ _COMMON_FLAGS = (
     ("--cap-tensor", "cap_tensor", int, None, False,
      "override the dense table size cap; the same value also caps the "
      "configurations of one oracle level, the retained terms of a "
-     "truncated series and the census terms of a class count, "
+     "truncated series, the census terms of a class count, "
      "sum_k p(b_(k-1)) (p(b_k) + w_k) for p(n) the cycle types of "
-     "n blacks"),
+     "n blacks, the work of an oracle pass, N sum_k |C_(k-1)||C_k| v_k "
+     "over its transitions and the lengths v_k of the vectors they "
+     "carry, and the draws of a simulation, N (horizon + 1) replicas"),
     ("--seed", "seed", int, 0, False, ""),
     ("--out", "out", str, None, False, "output file (default stdout)"),
     ("--format", "fmt", ("json", "csv"), "json", False, ""),

@@ -26,15 +26,22 @@ class Caps(NamedTuple):
               each route before it builds one: the moment product plan, the
               block-law output domain, the oracle's table over the
               coordinates frozen before the last level, function files and
-              simulate's constant F.  A table does not check it.
+              simulate's constant F.  A table does not check it.  It also
+              bounds simulate's draws, N (horizon + 1) replicas, before
+              the first one.
     configs:  largest particle-configuration state space per level; the
               oracle's forward pass holds one level's configurations at a
-              time, so its work is sum_k |C_k||C_{k+1}| transitions.
+              time.
     series:   largest number of retained terms in a truncated power series,
               and largest work of a class census, checked before it
               starts: sum_k p(b_(k-1)) (p(b_k) + w_k), each black cycle
               type of a level against those of the next level and the
-              terms of its white series, p counting partitions.
+              terms of its white series, p counting partitions.  It bounds
+              the work of an oracle pass too, checked before the pass:
+              N sum_k |C_(k-1)||C_k| v_k, the transitions into each level
+              k (|C_(-1)| = 1) times the length v_k of the vectors they
+              carry, times N, which stands for the size of the
+              numerators: they grow with N.
     """
 
     forests: int = 100_000

@@ -374,7 +374,7 @@ def _select_and_transport(model: FKModel, prof: Tuple[int, ...],
     """
     blacks = _blacks(prof)
     _check_product_caps(model, prof, caps)
-    e0, den = _over_lcm(model.eta0)
+    e0, den = model.eta0_row
     nums = [1]
     for _ in range(blacks[0]):
         nums = [a * x for a in nums for x in e0]

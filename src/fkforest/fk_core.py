@@ -1,7 +1,12 @@
 """Exact engine for finite-state Feynman-Kac models.
 
 A model is a finite state list per level, an initial distribution, row
-stochastic transitions and strictly positive potentials.  Measures and
+stochastic transitions and strictly positive potentials.  It holds each
+row of eta0, M and G as integer numerators over one denominator, as a
+table does, read once from its inputs: a plain "n/d" or "n" string, an
+int or a Fraction by str and int operations, anything else through
+Fraction.  Rational rows are validated on the integers; the eta0, M and
+G attributes are read-only views in the model's field.  Measures and
 functions on products of level spaces are dense tables, flat and row-major
 over coordinates left to right, so serialized values are reproducible byte
 for byte.  A table holds Python-int numerators over one denominator and
@@ -53,21 +58,73 @@ def format_scalar(v: Scalar) -> Union[str, float]:
     return float(v)
 
 
-def _converter(field: str) -> Callable[[object], Scalar]:
+def _ratio(v: object) -> Tuple[int, int]:
+    """Numerator and positive denominator, not reduced, of the value
+    Fraction(v) reads.  A plain "n/d" or "n" string of ASCII digits, with
+    an optional sign on n, an int or a Fraction is read by str and int
+    operations; every other form, a zero denominator included, goes to
+    Fraction(v), which gives the same value or raises the same error."""
+    kind = type(v)
+    if kind is int:
+        return v, 1  # type: ignore[return-value]
+    if kind is Fraction:
+        return v.numerator, v.denominator  # type: ignore[union-attr]
+    if kind is str:
+        num, slash, den = v.partition("/")  # type: ignore[union-attr]
+        body = num[1:] if num[:1] in ("+", "-") else num
+        if body.isascii() and body.isdigit() and (
+                not slash or den.isascii() and den.isdigit()):
+            n = int(body)
+            d = int(den) if slash else 1
+            if d:
+                return (-n if num[0] == "-" else n), d
+    f = Fraction(v)  # type: ignore[arg-type]
+    return f.numerator, f.denominator
+
+
+def _entry(field: str) -> Callable[[object], object]:
+    """The parser of one input entry: a (numerator, denominator) pair in
+    rational mode, which refuses floats, and a finite float in float mode,
+    where a string is read exactly and rounded once."""
     if field == "rational":
-        def conv(v: object) -> Scalar:
+        def parse(v: object) -> object:
             if isinstance(v, float):
                 raise ValidationError(
                     "rational mode rejects floats; pass 'num/den' strings")
-            return Fraction(v)  # type: ignore[arg-type]
-        return conv
+            return _ratio(v)
+        return parse
     if field == "float":
-        def conv(v: object) -> Scalar:
+        def parse(v: object) -> object:
             if isinstance(v, str):
-                return float(Fraction(v))
-            return float(v)  # type: ignore[arg-type]
-        return conv
+                n, d = _ratio(v)
+                x = n / d
+            else:
+                x = float(v)  # type: ignore[arg-type]
+            if not math.isfinite(x):
+                raise ValidationError("float mode needs finite entries")
+            return x
+        return parse
     raise ValidationError("field must be 'rational' or 'float'")
+
+
+def _row(entries: Sequence[object], field: str) -> Tuple[List[int], int]:
+    """Parsed entries as integer numerators over one denominator: the lcm
+    of the rational denominators, not reduced, or the exact values of the
+    floats over the lcm of theirs."""
+    if field == "float":
+        return _over_lcm(entries)
+    den = math.lcm(*[d for _, d in entries])  # type: ignore[misc]
+    return [n * (den // d) for n, d in entries], den  # type: ignore[misc]
+
+
+def parse_values(values: Iterable[object],
+                 field: str) -> Tuple[List[int], int]:
+    """Integer numerators over one denominator of input values given as
+    "num/den" strings, ints or Fractions, or in float mode also floats."""
+    return _row(list(map(_entry(field), values)), field)
+
+
+Row = Tuple[Tuple[int, ...], int]
 
 
 class FKModel:
@@ -75,61 +132,102 @@ class FKModel:
 
     M[k-1] maps level k-1 to level k (1 <= k <= horizon); G[k] lives on
     level k and must be strictly positive.
+
+    Each row of eta0, M and G is held as integer numerators over one
+    denominator, gcd(den, *nums) == 1, in `eta0_row`, `M_rows[k]` (one row
+    per state of level k) and `G_rows[k]`; a float model holds the exact
+    values of its floats.  Rational rows are validated on the integers.
+    `eta0`, `M` and `G` are read-only views in the model's field, built
+    each time they are read.
     """
 
-    __slots__ = ("states", "eta0", "M", "G", "field")
+    __slots__ = ("states", "eta0_row", "M_rows", "G_rows", "field")
 
     def __init__(self, states: Sequence[Sequence[str]],
                  eta0: Sequence[object],
                  M: Sequence[Sequence[Sequence[object]]],
                  G: Sequence[Sequence[object]],
                  field: str = "rational"):
-        conv = _converter(field)
+        parse = _entry(field)
         st = tuple(tuple(str(s) for s in lvl) for lvl in states)
         if not st or any(not lvl for lvl in st):
             raise ValidationError("every level needs at least one state")
         for lvl in st:
             if len(set(lvl)) != len(lvl):
                 raise ValidationError("duplicate state labels on one level")
-        e0 = tuple(conv(v) for v in eta0)
-        mm = tuple(tuple(tuple(conv(v) for v in row) for row in mk)
-                   for mk in M)
-        gg = tuple(tuple(conv(v) for v in gk) for gk in G)
+        e0 = [parse(v) for v in eta0]
+        mm = [[[parse(v) for v in row] for row in mk] for mk in M]
+        gg = [[parse(v) for v in gk] for gk in G]
         if len(mm) != len(st) - 1:
             raise ValidationError("need one transition table per step")
         if len(gg) != len(st):
             raise ValidationError("need one potential table per level")
         if len(e0) != len(st[0]):
             raise ValidationError("eta0 length must match level 0")
-        if any(v < 0 for v in e0):
+
+        def row(entries: List[object]) -> Row:
+            nums, den = _row(entries, field)
+            g = math.gcd(den, *nums)
+            return tuple(v // g for v in nums), den // g
+
+        def stochastic(entries: List[object], r: Row) -> bool:
+            # exact in rational mode, within rounding in float mode
+            if field == "rational":
+                return sum(r[0]) == r[1]
+            return abs(_sum(entries) - 1) <= _FLOAT_ROW_TOL
+
+        e0_row = row(e0)
+        if any(v < 0 for v in e0_row[0]):
             raise ValidationError("eta0 entries must be >= 0")
-        # exact in rational mode, within rounding in float mode
-        tol = 0 if field == "rational" else _FLOAT_ROW_TOL
-        if abs(_sum(e0) - 1) > tol:
+        if not stochastic(e0, e0_row):
             raise ValidationError("eta0 must sum to 1")
+        m_rows = []
         for k, mk in enumerate(mm, start=1):
             if len(mk) != len(st[k - 1]):
                 raise ValidationError("transition %d row count mismatch" % k)
-            for row in mk:
-                if len(row) != len(st[k]):
+            rows = []
+            for entries in mk:
+                if len(entries) != len(st[k]):
                     raise ValidationError(
                         "transition %d column count mismatch" % k)
-                if any(v < 0 for v in row):
+                r = row(entries)
+                if any(v < 0 for v in r[0]):
                     raise ValidationError(
                         "transition %d has negative entries" % k)
-                if abs(_sum(row) - 1) > tol:
+                if not stochastic(entries, r):
                     raise ValidationError(
                         "transition %d has a non-stochastic row" % k)
+                rows.append(r)
+            m_rows.append(tuple(rows))
+        g_rows = []
         for k, gk in enumerate(gg):
             if len(gk) != len(st[k]):
                 raise ValidationError("potential %d length mismatch" % k)
-            if any(v <= 0 for v in gk):
+            r = row(gk)
+            if any(v <= 0 for v in r[0]):
                 raise ValidationError("potentials must be > 0")
+            g_rows.append(r)
         self.states = st
-        self.eta0 = e0
-        self.M = mm
-        self.G = gg
+        self.eta0_row = e0_row
+        self.M_rows = tuple(m_rows)
+        self.G_rows = tuple(g_rows)
         self.field = field
+
+    def _view(self, row: Row) -> Tuple[Scalar, ...]:
+        nums, den = row
+        return tuple(self.scalar(v, den) for v in nums)
+
+    @property
+    def eta0(self) -> Tuple[Scalar, ...]:
+        return self._view(self.eta0_row)
+
+    @property
+    def M(self) -> Tuple[Tuple[Tuple[Scalar, ...], ...], ...]:
+        return tuple(tuple(map(self._view, mk)) for mk in self.M_rows)
+
+    @property
+    def G(self) -> Tuple[Tuple[Scalar, ...], ...]:
+        return tuple(map(self._view, self.G_rows))
 
     @property
     def horizon(self) -> int:
@@ -160,19 +258,26 @@ class FKModel:
         if not 1 <= k <= self.horizon:
             raise InvalidParameter("operator index %d outside 1..%d"
                                    % (k, self.horizon))
-        g, gden = _over_lcm(self.G[k - 1])
-        rows = [_over_lcm(row) for row in self.M[k - 1]]
+        g, gden = self.G_rows[k - 1]
+        rows = self.M_rows[k - 1]
         den = math.lcm(*[d for _, d in rows])
         return [[gx * v * (den // d) for v in row]
                 for gx, (row, d) in zip(g, rows)], gden * den
 
+    def _texts(self, row: Row) -> List[Union[str, float]]:
+        # format_scalar of each entry, straight from the integers
+        nums, den = row
+        if self.field == "float":
+            return [v / den for v in nums]
+        return ["%d/%d" % (v // g, den // g)
+                for v in nums for g in [math.gcd(v, den)]]
+
     def to_json(self) -> str:
         doc = {
             "states": [list(lvl) for lvl in self.states],
-            "eta0": [format_scalar(v) for v in self.eta0],
-            "M": [[[format_scalar(v) for v in row] for row in mk]
-                  for mk in self.M],
-            "G": [[format_scalar(v) for v in gk] for gk in self.G],
+            "eta0": self._texts(self.eta0_row),
+            "M": [list(map(self._texts, mk)) for mk in self.M_rows],
+            "G": list(map(self._texts, self.G_rows)),
             "field": self.field,
         }
         return canonical_json(doc)
@@ -186,15 +291,17 @@ class FKModel:
         except KeyError as exc:
             raise ValidationError("model file missing field %s" % exc)
 
+    def _key(self) -> tuple:
+        return (self.states, self.eta0_row, self.M_rows, self.G_rows,
+                self.field)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FKModel):
             return NotImplemented
-        return (self.states == other.states and self.eta0 == other.eta0
-                and self.M == other.M and self.G == other.G
-                and self.field == other.field)
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.states, self.eta0, self.M, self.G, self.field))
+        return hash(self._key())
 
 
 def _sum(vals: Iterable[Scalar]) -> Scalar:
@@ -671,8 +778,8 @@ def constant_function(model: FKModel, levels: Sequence[int],
 
 def function_from_vector(model: FKModel, k: int,
                          vec: Sequence[object]) -> TensorFunction:
-    conv = _converter(model.field)
-    return TensorFunction(model, (k,), [conv(v) for v in vec])
+    nums, den = parse_values(vec, model.field)
+    return TensorFunction(model, (k,), nums, den)
 
 
 def measure_from_vector(model: FKModel, k: int,

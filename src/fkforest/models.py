@@ -161,8 +161,8 @@ def load_model(source: str, field: Optional[str] = None) -> FKModel:
         return bundled_model(source, field or "rational")
     if os.path.exists(source):
         try:
-            with open(source, "r", encoding="utf-8") as fh:
-                model = FKModel.from_json(fh.read())
+            with open(source, "rb") as fh:
+                model = FKModel.from_json(fh.read().decode("utf-8"))
         except OSError as exc:
             raise InvalidParameter("cannot read model file %s: %s"
                                    % (source, exc))

@@ -17,10 +17,12 @@ cancels) and D = sum_y a_y, so a transition row is the integer
 multinomial(c) prod_y a_y^{c_y} over D^N.  A law holds integer numerators
 over one denominator per level: a transition rescales each source to the
 lcm of the sources' D^N, and a weigh step folds its constant factors
-(the potential denominators and N) into that denominator.  Each oracle
-builds one Fraction at the end.  Float mode runs the same loops on floats
-with every row divided by its total on the spot, so its denominators
-stay 1.
+(the potential denominators and N) into that denominator.  Each target
+configuration takes the weights of all sources at once, and each of its
+entries is one dot product of those weights with the sources' entries.
+Each oracle builds one Fraction at the end.  Float mode runs the same
+loops on floats with every row divided by its total on the spot, so its
+denominators stay 1, and adds the sources left to right.
 
 The Monte Carlo side samples the same dynamics with a counter-based
 generator; replica r of seed s uses the key (s, r), so replica sets are
@@ -35,8 +37,9 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import reduce
 from math import comb, fsum
-from operator import getitem, mul
+from operator import add, mul
 from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
                     Sequence, Tuple)
 
@@ -45,7 +48,7 @@ from .combinatorics import falling_factorial
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, InvalidParameter
 from .fk_core import (FKModel, Scalar, TensorFunction, _block_levels,
-                      _over_lcm, flow, q_operator)
+                      flow, q_operator)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -67,25 +70,37 @@ def config_count(n_states: int, N: int) -> int:
     return comb(N + n_states - 1, N)
 
 
-def _check_configs(model: FKModel, N: int, horizon: int, caps: Caps) -> None:
+def _check_configs(model: FKModel, N: int, horizon: int, caps: Caps,
+                   widths: Sequence[int]) -> None:
+    """Refuse a pass over levels 0..horizon before it starts: past
+    caps.configs configurations on one level, or past caps.series work.
+    The work is N sum_k T_k w_k, with T_0 = |C_0| and T_k = |C_(k-1)||C_k|
+    the transitions into level k and w_k the length of the vectors they
+    carry; N stands for the size of the numerators, which grows with it."""
     if N < 1:
         raise InvalidParameter("N must be >= 1")
     if not 0 <= horizon <= model.horizon:
         raise InvalidParameter("horizon outside the model range")
+    counts = []
     for k in range(horizon + 1):
         cnt = config_count(model.size(k), N)
         if cnt > caps.configs:
             raise CapExceeded("configuration space too large at level %d" % k,
                               predicted=cnt, cap=caps.configs)
+        counts.append(cnt)
+    work = N * sum(a * b * w for a, b, w in zip([1] + counts, counts, widths))
+    if work > caps.series:
+        raise CapExceeded("configuration pass too large", predicted=work,
+                          cap=caps.series)
 
 
 def _potential(model: FKModel, k: int, N: int) -> Tuple[List[Scalar], int]:
     """G_k over one denominator that includes N, so that the empirical
     mean eta^N_k(G_k) of cfg is sum_x cfg[x] g[x] / den."""
+    nums, den = model.G_rows[k]
     if model.field == "float":
-        return [g / N for g in model.G[k]], 1
-    nums, den = _over_lcm(model.G[k])
-    return nums, den * N
+        return [g / den / N for g in nums], 1
+    return list(nums), den * N
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +130,16 @@ def _spread(model: FKModel, N: int, n_states: int,
     a_y^{c_y} over D^N with D = sum(a).  Each vector is first rescaled by
     (L // D)^N, L the lcm of the row totals, so that all sources share the
     denominator L^N, which is returned.  Float rows are divided by their
-    totals here and the returned denominator is 1."""
-    targets = list(_configs(n_states, N))
+    totals here and the returned denominator is 1.
+
+    Each target takes the weights of all sources at once, and each of its
+    entries is one dot product of those weights with the sources' entries.
+    Float mode adds the sources of nonzero weight left to right, so that
+    it rounds after each term whatever sum() does."""
     exact = model.field == "rational"
     totals = [sum(a) for a, _ in sources]
     L = math.lcm(*totals) if exact else 1
-    acc: List[Optional[List[Scalar]]] = [None] * len(targets)
+    rows, vecs = [], []
     for (row, vec), total in zip(sources, totals):
         if exact:
             scale = (L // total) ** N
@@ -131,33 +150,37 @@ def _spread(model: FKModel, N: int, n_states: int,
             # took the blend3 oracle at N = 12 from 0.066 s to 13.0 s
             # (one 2-vCPU machine, Python 3.11)
             row = [a / total for a in row]
-        pows = [list(itertools.accumulate([a] * N, mul, initial=1))
-                for a in row]
-        for j, cfg in enumerate(targets):
-            w = math.prod(map(getitem, pows, cfg))
-            if not w:
-                continue
-            cur = acc[j]
-            if cur is None:
-                acc[j] = [v * w for v in vec]
-            else:
-                for i, v in enumerate(vec):
-                    cur[i] += v * w
-    # the multinomial coefficient depends on the target only
+        rows.append(row)
+        vecs.append(vec)
+    # pows[y][c]: a_y^c of every source, in source order
+    pows = [list(zip(*[itertools.accumulate([a] * N, mul, initial=1)
+                       for a in col]))
+            for col in zip(*rows)]
+    cols = list(zip(*vecs))
+    fact = list(itertools.accumulate(range(1, N + 1), mul, initial=1))
     out: Law = {}
-    for cfg, cur in zip(targets, acc):
-        if cur is not None:
-            coeff = math.factorial(N)
-            for c in cfg:
-                coeff //= math.factorial(c)
-            out[cfg] = [v * coeff for v in cur] if coeff != 1 else cur
+    for cfg in _configs(n_states, N):
+        weights = pows[0][cfg[0]]
+        for p, c in zip(pows[1:], cfg[1:]):
+            weights = list(map(mul, weights, p[c]))
+        if not any(weights):
+            continue
+        if exact:
+            cur = [sum(map(mul, weights, col)) for col in cols]
+        else:
+            ws, vs = zip(*[(w, v) for w, v in zip(weights, vecs) if w])
+            cur = [reduce(add, map(mul, ws, col)) for col in zip(*vs)]
+        coeff = fact[N]
+        for c in cfg:
+            coeff //= fact[c]
+        out[cfg] = [v * coeff for v in cur] if coeff != 1 else cur
     return out, L ** N
 
 
 def _start(model: FKModel, N: int, vec: List[Scalar]) -> Tuple[Law, int]:
     """Level-0 law: iid draws from eta0, each carrying vec."""
     row = (model.eta0 if model.field == "float"
-           else _over_lcm(model.eta0)[0])
+           else model.eta0_row[0])
     return _spread(model, N, model.size(0), [(row, vec)])
 
 
@@ -169,16 +192,18 @@ def _transport(model: FKModel, k: int, N: int, law: Law) -> Tuple[Law, int]:
             else q_operator(model, k))
     cols = list(zip(*rows))
     return _spread(model, N, model.size(k), [
-        ([sum(c * q for c, q in zip(cfg, col) if c) for col in cols], vec)
+        ([sum(map(mul, cfg, col)) for col in cols], vec)
         for cfg, vec in law.items()])
 
 
 def _forward(model: FKModel, N: int, n: int, start: List[Scalar],
-             weigh: Weigh, caps: Caps) -> Tuple[Law, int]:
+             weigh: Weigh, caps: Caps,
+             widths: Optional[Sequence[int]] = None) -> Tuple[Law, int]:
     """Level-n law and its denominator; the per-path vector starts at
     `start` and is replaced by the level-k step of weigh on leaving each
-    level k < n."""
-    _check_configs(model, N, n, caps)
+    level k < n.  widths[k] is the length of the vectors that reach level
+    k, len(start) everywhere by default."""
+    _check_configs(model, N, n, caps, widths or [len(start)] * (n + 1))
     law, den = _start(model, N, start)
     for k in range(1, n + 1):
         step, scale = weigh(k - 1)
@@ -197,7 +222,7 @@ def exact_config_distribution(model: FKModel, N: int, horizon: int,
                               caps: Caps = DEFAULT_CAPS
                               ) -> List[ConfigDistribution]:
     """Exact law of the occupation counts at levels 0..horizon."""
-    _check_configs(model, N, horizon, caps)
+    _check_configs(model, N, horizon, caps, [1] * (horizon + 1))
     laws = [_start(model, N, [1])]
     for k in range(1, horizon + 1):
         law, den = _transport(model, k, N, laws[-1][0])
@@ -215,9 +240,10 @@ def _gamma_norms(model: FKModel, path: Sequence[Config],
     """Running unnormalized masses along a configuration path: entry k is
     the product of empirical potential means before level k."""
     out = [model.one]
+    G = model.G
     for k in range(1, len(path)):
         cfg = path[k - 1]
-        gmean = sum(c * g for c, g in zip(cfg, model.G[k - 1]))
+        gmean = sum(c * g for c, g in zip(cfg, G[k - 1]))
         out.append(out[-1] * gmean / (N if model.field == "float"
                                       else Fraction(N)))
     return out
@@ -309,21 +335,24 @@ def exact_QN_oracle(model: FKModel, N: int, q: Sequence[int],
     level n is the profile flat_blocks(n, q).
 
     caps.configs bounds the configurations of each level and caps.tensor
-    the table over the coordinates frozen before level n."""
+    the table over the coordinates frozen before level n; caps.series
+    bounds the work of the pass (`_check_configs`)."""
     qvec = normalize_path_profile(q)
     n = len(qvec) - 1
     want = _block_levels(qvec)
     if F.levels != want:
         raise InvalidParameter("F domain %r does not match blocks %r"
                                % (F.levels, want))
-    frozen = 1
+    # the vector that reaches level k is the table over the coordinates
+    # frozen before it
+    widths = [1]
     for k in range(n):
-        frozen *= model.size(k) ** qvec[k]
-    if frozen > caps.tensor:
+        widths.append(widths[-1] * model.size(k) ** qvec[k])
+    if widths[-1] > caps.tensor:
         raise CapExceeded("frozen-coordinate table too large",
-                          predicted=frozen, cap=caps.tensor)
+                          predicted=widths[-1], cap=caps.tensor)
     weigh = _block_weigh(model, N, qvec)
-    law, den = _forward(model, N, n, [1], weigh, caps)
+    law, den = _forward(model, N, n, [1], weigh, caps, widths)
     # the last step completes the expected weighted count tensor, which is
     # paired with F once
     step, scale = weigh(n)
@@ -450,13 +479,19 @@ def simulate(model: FKModel, N: int, seed: int,
     import numpy as np
     rng = np.random.Generator(np.random.Philox(
         key=np.array([seed % 2 ** 64, replica % 2 ** 64], dtype=np.uint64)))
-    p0 = np.array([float(v) for v in model.eta0], dtype=np.float64)
+
+    def floats(row: Tuple[Sequence[int], int]) -> List[float]:
+        # float(v) of each entry, straight from the integer row
+        nums, den = row
+        return [v / den for v in nums]
+
+    p0 = np.array(floats(model.eta0_row), dtype=np.float64)
     p0 = p0 / p0.sum()
     levels = [rng.choice(model.size(0), size=N, p=p0)]
     for k in range(1, hz + 1):
         counts = np.bincount(levels[-1], minlength=model.size(k - 1))
-        g = np.array([float(v) for v in model.G[k - 1]])
-        mk = np.array([[float(v) for v in row] for row in model.M[k - 1]])
+        g = np.array(floats(model.G_rows[k - 1]))
+        mk = np.array([floats(row) for row in model.M_rows[k - 1]])
         weights = counts * g
         mix = weights @ mk
         mix = mix / mix.sum()

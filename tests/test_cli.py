@@ -331,7 +331,8 @@ def test_a_failed_identity_in_expand_exits_1(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("case", ["function-not-json", "model-not-json",
                                   "function-missing", "function-value",
                                   "model-value", "model-directory",
-                                  "model-not-utf8", "function-not-utf8"])
+                                  "model-not-utf8", "function-not-utf8",
+                                  "model-utf8-bom", "function-utf8-bom"])
 def test_malformed_input_files_are_refused(tmp_path, capsys, case):
     """A file that cannot be read as the documented JSON is a refusal (exit
     2, one JSON error line), never a traceback with the exit code of a
@@ -355,6 +356,15 @@ def test_malformed_input_files_are_refused(tmp_path, capsys, case):
         (tmp_path / "model.json").write_bytes(b"\xff\xfe{")
     elif case == "function-not-utf8":
         (tmp_path / "function.json").write_bytes(b"\xff\xfe{")
+    elif case == "model-utf8-bom":
+        # UTF-8 is read as UTF-8, not sniffed: the mark is not JSON
+        model = str(tmp_path / "model.json")
+        (tmp_path / "model.json").write_bytes(
+            b"\xef\xbb\xbf" + fkforest.bundled_model("drift2").to_json()
+            .encode())
+    elif case == "function-utf8-bom":
+        (tmp_path / "function.json").write_bytes(
+            b"\xef\xbb\xbf" + (tmp_path / "function.json").read_bytes())
     else:
         from fkforest import bundled_model
         doc = json.loads(bundled_model("drift2").to_json())
@@ -618,14 +628,22 @@ def _limit_address_space():
     "enumerate --q-seq 3,3,3",
     "count --n 0 --q 60",
     "count --n 50 --q 2",
+    # large --N: the draws of a simulation, and an oracle pass with few
+    # configurations per level but large numerators
+    "simulate --model drift2 --N 1000000000",
+    "simulate --model drift2 --N 3 --replicas 100000000",
+    "oracle --model drift2 --N 2000 --n 1 --q 1 --function F",
 ])
-def test_a_hostile_request_answers_or_refuses_within_a_ceiling(argv):
+def test_a_hostile_request_answers_or_refuses_within_a_ceiling(tmp_path,
+                                                               argv):
     """In 1 GB of address space and 20 s, a request exits 0 with its
     result or 2 with a refusal, and either way prints one JSON document:
-    no MemoryError, RecursionError or kill."""
+    no MemoryError, RecursionError or kill.  F names a function file on
+    level 1 of drift2."""
     src = os.path.dirname(os.path.dirname(fkforest.__file__))
+    F = function_file(tmp_path, [1], ["1", "2"])
     done = subprocess.run([sys.executable, "-m", "fkforest.cli"]
-                          + argv.split(),
+                          + [F if a == "F" else a for a in argv.split()],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=20,
                           preexec_fn=_limit_address_space)
@@ -640,6 +658,70 @@ def test_oracle_refuses_negative_block_sizes(tmp_path, capsys):
     assert rc == 2 and data is None
     assert json.loads(capsys.readouterr().err) == {
         "error": "InvalidParameter", "message": "block sizes must be >= 0"}
+
+
+@pytest.mark.parametrize("argv, predicted", [
+    (["--N", "1000000000"], 4_000_000_000),
+    (["--N", "3", "--replicas", "100000000"], 1_200_000_000),
+    (["--N", "1000", "--horizon", "1", "--replicas", "501"], 1_002_000),
+])
+def test_simulate_refuses_its_draws_before_the_first(tmp_path, capsys,
+                                                     monkeypatch, argv,
+                                                     predicted):
+    """N (horizon + 1) replicas is held to caps.tensor before any draw."""
+    monkeypatch.setattr(cli, "simulate", lambda *a, **k: pytest.fail(
+        "drew before the check"))
+    rc, data = run(tmp_path, "simulate", "--model", "drift2", *argv)
+    assert (rc, data) == (2, None)
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "CapExceeded", "message": "simulation too large",
+        "predicted": predicted, "cap": 1_000_000}
+
+
+def test_simulate_runs_at_the_draw_cap(tmp_path):
+    rows = result(tmp_path, "simulate", "--model", "drift2", "--N", "500",
+                  "--horizon", "1", "--replicas", "2", "--cap-tensor",
+                  "2000")["rows"]
+    assert len(rows) == 2
+
+
+def test_the_oracle_refuses_a_pass_past_its_work_cap(tmp_path, capsys):
+    """At N = 100 drift2 has 101 configurations per level, far below
+    caps.configs, but N (101 + 101**2) = 1,030,200 is past caps.series;
+    N = 99 is not."""
+    F = function_file(tmp_path, [1], ["1", "2"])
+    argv = ["oracle", "--model", "drift2", "--n", "1", "--q", "1",
+            "--function", F]
+    rc, data = run(tmp_path, *argv, "--N", "100")
+    assert (rc, data) == (2, None)
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "CapExceeded", "message": "configuration pass too large",
+        "predicted": 100 * (101 + 101 ** 2), "cap": 1_000_000}
+    assert result(tmp_path, *argv, "--N", "99")["value"]
+
+
+def test_an_oracle_request_parses_its_files_without_fractions(
+        tmp_path, monkeypatch):
+    """The model file (30 entries) and the function file (27) load straight
+    onto integers: the request builds fewer Fractions than either file has
+    entries, where a parse of each entry through Fraction would build one
+    per entry."""
+    model = tmp_path / "model.json"
+    model.write_text(bundled_model("cycle3").to_json())
+    F = function_file(tmp_path, [2, 2, 2],
+                      ["%d/%d" % (v - 13, v % 4 + 1) for v in range(27)])
+    built = [0]
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    assert result(tmp_path, "oracle", "--model", str(model), "--N", "3",
+                  "--n", "2", "--q", "3", "--function", F)["value"]
+    monkeypatch.undo()
+    assert 0 < built[0] < 27
 
 
 @pytest.mark.parametrize("replicas", ["0", "-1"])

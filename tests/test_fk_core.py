@@ -580,11 +580,9 @@ def exact_twin(m):
     """The rational model with the exact values of a float model's entries;
     its rows need not sum to 1 exactly, so it bypasses the validation."""
     twin = object.__new__(FKModel)
+    # a float model's rows already hold the exact values of its floats
     twin.states = m.states
-    twin.eta0 = tuple(Fraction(v) for v in m.eta0)
-    twin.M = tuple(tuple(tuple(Fraction(v) for v in row) for row in mk)
-                   for mk in m.M)
-    twin.G = tuple(tuple(Fraction(v) for v in gk) for gk in m.G)
+    twin.eta0_row, twin.M_rows, twin.G_rows = m.eta0_row, m.M_rows, m.G_rows
     twin.field = "rational"
     return twin
 

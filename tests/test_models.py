@@ -11,6 +11,7 @@ from fkforest import (
     DOCUMENTED_FLOW,
     FKModel,
     InvalidParameter,
+    ValidationError,
     bundled_model,
     bundled_names,
     check_documented_flow,
@@ -22,6 +23,7 @@ from fkforest import (
     model_sha256,
     random_rational_model,
 )
+from fkforest.fk_core import parse_values
 
 
 def test_bundled_names():
@@ -189,3 +191,107 @@ def test_json_preserves_field_and_shape(drift2):
     assert m.field == "rational"
     assert m.states == drift2.states
     assert m.M == drift2.M and m.G == drift2.G
+
+
+# ---------------------------------------------------------------------------
+# the entry parser against the routes it replaced
+
+
+def fraction_route(v):
+    """How a rational entry was read before the integer rows: Fraction(v),
+    floats refused."""
+    if isinstance(v, float):
+        raise ValidationError(
+            "rational mode rejects floats; pass 'num/den' strings")
+    return Fraction(v)
+
+
+def float_route(v):
+    """How a float entry was read before: strings exactly, then rounded."""
+    if isinstance(v, str):
+        return float(Fraction(v))
+    return float(v)
+
+
+PARSER_INPUTS = ["3", "-3/4", "6/8", "+3", " 3/4", "3/", "/3", "3 /4", "1.5",
+                 "1e3", "3_0/7", "-3/-4", "1/0", "١/٢", 3,
+                 Fraction(3, 4), 0.5]
+
+
+def outcome(read, v):
+    try:
+        value = read(v)
+    except Exception as exc:  # the error itself is what is compared
+        return type(exc), str(exc)
+    return type(value), value
+
+
+@pytest.mark.parametrize("v", PARSER_INPUTS, ids=ascii)
+@pytest.mark.parametrize("field, route", [("rational", fraction_route),
+                                          ("float", float_route)])
+def test_the_entry_parser_reads_what_fraction_read(field, route, v):
+    """The same value, or the same exception type and message."""
+    model = bundled_model("drift2", field)
+
+    def new(x):
+        (num,), den = parse_values([x], field)
+        return model.scalar(num, den)
+
+    assert outcome(new, v) == outcome(route, v)
+
+
+def model_file(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_unreduced_entries_load_the_same_model(tmp_path):
+    reduced = {"states": [["a", "b"]] * 2, "eta0": ["1/3", "2/3"],
+               "M": [[["1/2", "1/2"], ["1/4", "3/4"]]],
+               "G": [["2", "1/2"], ["1", "3"]]}
+    unreduced = {"states": [["a", "b"]] * 2, "eta0": ["2/6", "4/6"],
+                 "M": [[["2/4", "3/6"], ["1/4", "6/8"]]],
+                 "G": [["4/2", "1/2"], ["3/3", "3"]]}
+    a = load_model(model_file(tmp_path, "a.json", reduced))
+    b = load_model(model_file(tmp_path, "b.json", unreduced))
+    assert model_sha256(a) == model_sha256(b)
+    assert a == b and hash(a) == hash(b)
+    assert a.eta0_row == b.eta0_row == ((1, 2), 3)
+    assert a.M == b.M and a.G == b.G
+    assert load_model(model_file(tmp_path, "c.json", reduced), "float") \
+        == load_model(model_file(tmp_path, "d.json", unreduced), "float")
+
+
+def test_a_model_file_is_read_as_utf8_whatever_its_line_ends(tmp_path):
+    doc = {"states": [["α", "β"]] * 2, "eta0": ["1/3", "2/3"],
+           "M": [[["1/2", "1/2"], ["1/4", "3/4"]]],
+           "G": [["2", "1/2"], ["1", "3"]]}
+    path = tmp_path / "m.json"
+    path.write_bytes(json.dumps(doc, indent=1, ensure_ascii=False)
+                     .replace("\n", "\r\n").encode("utf-8"))
+    m = load_model(str(path))
+    assert m.states == (("α", "β"),) * 2
+    assert m == FKModel(doc["states"], doc["eta0"], doc["M"], doc["G"])
+
+
+def test_float_views_return_the_floats_as_read(tmp_path):
+    doc = {"states": [["a", "b", "c"]] * 2, "eta0": [0.1, 0.7, "1/5"],
+           "M": [[["1/3", "1/3", "1/3"], [0.25, 0.5, 0.25],
+                  [0.6, 0.3, 0.1]]],
+           "G": [[1, "2/3", 0.1], [3.5, "1/7", 2]], "field": "float"}
+    m = load_model(model_file(tmp_path, "m.json", doc))
+    assert m.field == "float"
+    assert m.eta0 == tuple(map(float_route, doc["eta0"]))
+    assert m.M == tuple(tuple(tuple(map(float_route, row)) for row in mk)
+                        for mk in doc["M"])
+    assert m.G == tuple(tuple(map(float_route, gk)) for gk in doc["G"])
+    assert {type(v) for v in m.eta0 + m.M[0][1] + m.G[1]} == {float}
+    again = FKModel.from_json(m.to_json())
+    assert again == m and hash(again) == hash(m)
+
+
+def test_float_mode_refuses_entries_that_are_not_finite():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            FKModel([["a"]], [1.0], [], [[bad]], "float")

@@ -12,6 +12,7 @@ the forward pass against the coefficients of the expansion engines.
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -443,6 +444,91 @@ def test_float_pass_tracks_the_rational_pass_on_the_same_floats(seed):
                 float(exact_EN_oracle(m, N, 2, q)), rel=1e-12)
 
 
+def reference_spread(model, N, n_states, sources):
+    """The spread step as one loop step per (source, target) pair: each
+    source adds its rescaled vector times its weight into every reachable
+    target, and the multinomial coefficient comes last.  `_spread` forms
+    each target entry as one dot product over the sources instead."""
+    targets = list(_configs(n_states, N))
+    exact = model.field == "rational"
+    totals = [sum(a) for a, _ in sources]
+    L = math.lcm(*totals) if exact else 1
+    acc = [None] * len(targets)
+    for (row, vec), total in zip(sources, totals):
+        if exact:
+            vec = [v * (L // total) ** N for v in vec]
+        else:
+            row = [a / total for a in row]
+        pows = [list(itertools.accumulate([a] * N, operator.mul, initial=1))
+                for a in row]
+        for j, cfg in enumerate(targets):
+            w = math.prod(map(operator.getitem, pows, cfg))
+            if not w:
+                continue
+            if acc[j] is None:
+                acc[j] = [v * w for v in vec]
+            else:
+                for i, v in enumerate(vec):
+                    acc[j][i] += v * w
+    out = {}
+    for cfg, cur in zip(targets, acc):
+        if cur is not None:
+            coeff = math.factorial(N)
+            for c in cfg:
+                coeff //= math.factorial(c)
+            out[cfg] = [v * coeff for v in cur] if coeff != 1 else cur
+    return out, L ** N
+
+
+def zero_entry_model(field):
+    """eta0 and one transition row put no mass on state c, so some weights
+    are 0 and every configuration with a particle on c is unreachable."""
+    return FKModel([["a", "b", "c"]] * 3, ["1/2", "1/2", "0"],
+                   [[["1/2", "1/2", "0"], ["0", "1", "0"],
+                     ["1/3", "1/3", "1/3"]],
+                    [["1/4", "0", "3/4"], ["1/2", "1/4", "1/4"],
+                     ["0", "0", "1"]]],
+                   [["1", "2", "1/2"], ["3", "1", "1"], ["1", "1", "2"]],
+                   field)
+
+
+@pytest.mark.parametrize("field", ["rational", "float"])
+@pytest.mark.parametrize("name", ["drift2", "cycle3", "zero-entry"])
+def test_spread_matches_the_per_pair_loop(monkeypatch, name, field):
+    """Every spread of a plain law, a block moment and a mass-defect pass
+    (signed vectors) gives the law and denominator of the per-pair loop:
+    equal ints in rational mode, the same float bits in float mode."""
+    from fkforest import particle
+    model = (zero_entry_model(field) if name == "zero-entry"
+             else bundled_model(name, field))
+    spread = particle._spread
+    calls = []
+
+    def bits(vec):
+        return [(type(v), v.hex() if isinstance(v, float) else v)
+                for v in vec]
+
+    def checked(*args):
+        got, want = spread(*args), reference_spread(*args)
+        assert got[1] == want[1]
+        assert {c: bits(v) for c, v in got[0].items()} == \
+            {c: bits(v) for c, v in want[0].items()}
+        calls.append(len(got[0]) < config_count(args[2], args[1]))
+        return got
+
+    monkeypatch.setattr(particle, "_spread", checked)
+    n = model.horizon
+    F = TensorFunction(model, profile_levels((1,) + (0,) * (n - 1) + (1,)),
+                       [(-1) ** i * (i + 1) for i in range(
+                           model.size(0) * model.size(n))])
+    for N in range(1, 7):
+        exact_config_distribution(model, N, n)
+        exact_QN_oracle(model, N, (1,) + (0,) * (n - 1) + (1,), F)
+        exact_EN_oracle(model, N, n, 3)
+    # the zero-entry model leaves targets unreachable, the others do not
+    assert any(calls) == (name == "zero-entry")
+
+
 # ---------------------------------------------------------------------------
 # interpolation in 1/N
 
@@ -556,6 +642,27 @@ def test_oracle_caps_report_predicted_sizes(blend3):
     assert (err.value.predicted, err.value.cap) == (9, 8)
     assert exact_QN_oracle(blend3, 2, (1, 1, 1), Fp, caps=Caps(tensor=9)) \
         == walk_QN(blend3, 2, (1, 1, 1), Fp)
+
+
+def test_oracle_work_counts_the_vectors_each_transition_carries(blend3,
+                                                                drift2):
+    """caps.series bounds N sum_k |C_(k-1)||C_k| v_k before the pass: on
+    blend3 at N = 2 (6 configurations a level) the block profile (1, 1, 1)
+    carries vectors of 1, 3 and 9 entries into levels 0, 1 and 2, and
+    the mass-defect pass of order q carries q + 1 entries everywhere."""
+    Fp = sample_function(blend3, (0, 1, 2))
+    work = 2 * (6 * 1 + 36 * 3 + 36 * 9)
+    with pytest.raises(CapExceeded) as err:
+        exact_QN_oracle(blend3, 2, (1, 1, 1), Fp, caps=Caps(series=work - 1))
+    assert (err.value.predicted, err.value.cap) == (work, work - 1)
+    assert exact_QN_oracle(blend3, 2, (1, 1, 1), Fp, caps=Caps(series=work)) \
+        == walk_QN(blend3, 2, (1, 1, 1), Fp)
+    work = 3 * 4 * (4 + 2 * 16)
+    with pytest.raises(CapExceeded) as err:
+        exact_EN_oracle(drift2, 3, 2, 3, Caps(series=work - 1))
+    assert err.value.predicted == work
+    assert exact_EN_oracle(drift2, 3, 2, 3, Caps(series=work)) \
+        == walk_EN(drift2, 3, 2, 3)
 
 
 def test_oracle_argument_validation(drift2):
