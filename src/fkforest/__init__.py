@@ -73,7 +73,6 @@ from .fk_core import (
     measure_from_vector,
     partition_sums,
     q_operator,
-    semigroup,
     tensor_minus_dot_tv,
 )
 from .particle import (

@@ -40,6 +40,12 @@ potential-fluctuation vectors and moves the rest to the target time in one
 `_Table.map_coords` call, rounded once.  All products of the pass share
 one dict of set-partition tables, so each (b, s) table is built once.
 
+Every other move through Q_{k,n} chains one-step moves on the same
+kernel: the Gaussian covariance and the integral route of the first-order
+block law pull observables down (`pull_coord`) and move measures forward
+(`transport_block`) one level at a time, and a centered potential moment
+contracts each coefficient against gbar in one `map_coords` call.
+
 The genealogy class sum is the same product expanded over map sequences
 and grouped by orbit.  A class with per-level image sizes (m_0..m_n)
 under per-level source sizes (b_0..b_n) receives, at order k,
@@ -99,16 +105,15 @@ from .fk_core import (
     delta_colored,
     flow,
     format_scalar,
-    function_from_vector,
     gamma_tensor,
     is_centered,
-    semigroup,
     select_partitions,
     transport_numerators,
     _block_levels,
     _domain_size,
     _over_lcm,
     _partition_targets,
+    _sum,
     _tensor_power,
 )
 
@@ -269,23 +274,22 @@ def pair_partitions(items: Sequence) -> Iterable[List[Tuple]]:
 def gaussian_covariance(model: FKModel, m1: int, phi1: Sequence[Scalar],
                         m2: int, phi2: Sequence[Scalar]) -> Scalar:
     """Covariance of the limiting centered field between an observable at
-    time m1 and one at time m2: shared noise enters at every common step."""
+    time m1 and one at time m2: shared noise enters at every common step,
+    the terms added in ascending step k."""
     fl = flow(model)
-    total = model.zero
-    for k in range(min(m1, m2) + 1):
-        a = _apply_semigroup(model, k, m1, phi1)
-        b = _apply_semigroup(model, k, m2, phi2)
-        gk = fl.gamma_vec[k]
-        total = total + fl.gnorm[k] * sum(
-            gk[x] * a[x] * b[x] for x in range(len(gk)))
-    return total
+    a, b = _pull_chain(model, m1, phi1), _pull_chain(model, m2, phi2)
+    return _sum(fl.gnorm[k] * _sum(
+        g * x * y for g, x, y in zip(fl.gamma_vec[k], a[k], b[k]))
+        for k in range(min(m1, m2) + 1))
 
 
-def _apply_semigroup(model: FKModel, k: int, m: int,
-                     phi: Sequence[Scalar]) -> Tuple[Scalar, ...]:
-    rows = semigroup(model, k, m)
-    return tuple(sum(row[y] * phi[y] for y in range(len(row)))
-                 for row in rows)
+def _pull_chain(model: FKModel, m: int,
+                phi: Sequence[Scalar]) -> List[Tuple[Scalar, ...]]:
+    """Q_{k,m} phi for k = 0..m: phi pulled down one level at a time."""
+    chain = [TensorFunction(model, (m,), list(phi))]
+    for j in range(m, 0, -1):
+        chain.insert(0, chain[0].pull_coord(0, j))
+    return [f.data for f in chain]
 
 
 def gaussian_product_moment(model: FKModel,
@@ -300,7 +304,7 @@ def gaussian_product_moment(model: FKModel,
     fl = flow(model)
     facs = [(int(m), tuple(v)) for m, v in factors]
     for m, v in facs:
-        mean = sum(fl.gamma_vec[m][x] * v[x] for x in range(len(v)))
+        mean = _sum(fl.gamma_vec[m][x] * v[x] for x in range(len(v)))
         if not _agree(model.field, mean, model.zero):
             raise InvalidParameter(
                 "factor at time %d does not integrate to zero against "
@@ -547,22 +551,9 @@ def gbar_vector(model: FKModel, k: int) -> Tuple[Scalar, ...]:
     fl = flow(model)
     g = model.G[k]
     eta = fl.eta_vec[k]
-    mean = sum(eta[x] * g[x] for x in range(len(g)))
-    gmass = sum(fl.gamma_vec[k][x] * g[x] for x in range(len(g)))
+    mean = _sum(eta[x] * g[x] for x in range(len(g)))
+    gmass = _sum(fl.gamma_vec[k][x] * g[x] for x in range(len(g)))
     return tuple((mean - g[x]) / gmass for x in range(len(g)))
-
-
-def _block_product(model: FKModel, prof: Sequence[int],
-                   vecs: Sequence[Sequence[Scalar]]) -> TensorFunction:
-    out: Optional[TensorFunction] = None
-    for k, cnt in enumerate(prof):
-        if not cnt:
-            continue
-        f1 = function_from_vector(model, k, vecs[k])
-        for _ in range(cnt):
-            out = f1 if out is None else out.tensor(f1)
-    assert out is not None
-    return out
 
 
 def centered_moment_expansion(model: FKModel, n: int, q: int,
@@ -581,7 +572,9 @@ def centered_moment_expansion(model: FKModel, n: int, q: int,
         raise InvalidParameter("needs q >= 2")
     if n < 0 or n > model.horizon:
         raise InvalidParameter("n outside 0..%d" % model.horizon)
-    gb = [gbar_vector(model, j) for j in range(n + 1)]
+    # per level j, the move tail that integrates against gbar_j on integers
+    tails = [([[v] for v in nums], None, den) for nums, den in
+             (_over_lcm(gbar_vector(model, j)) for j in range(n + 1))]
     lowest = (q + 1) // 2
     top = (n + 1) * (q - 1)
     orders: Dict[int, Scalar] = {k: model.zero for k in range(lowest, top + 1)}
@@ -591,14 +584,12 @@ def centered_moment_expansion(model: FKModel, n: int, q: int,
         prof = normalize_path_profile(p)
         # pmax >= q - 1 >= lowest: the first level holds all q blacks
         pmax = path_max_order(prof)
-        pfact = 1
-        for pj in p:
-            pfact *= math.factorial(pj)
-        coeff = Fraction(qfact, pfact)
+        coeff = Fraction(qfact, math.prod(map(math.factorial, p)))
         coeffs = _moment_polynomial(model, prof, pmax, caps, targets)
-        integrand = _block_product(model, prof, gb)
+        moves = [(pos,) + tails[j] for pos, j in
+                 reversed(list(enumerate(_block_levels(prof))))]
         for k in range(lowest, pmax + 1):
-            val = coeffs[k].pair(integrand)
+            val = coeffs[k].map_coords(moves).value(())
             orders[k] = orders[k] + coeff * val
     report = ExpansionReport(
         kind="mass-defect-moment",
@@ -766,26 +757,26 @@ def first_order_P(model: FKModel, n_plus_1: int, q: int,
     piece2 = piece2.scale(q * q)
     shapes = _center_image(piece1 + piece2, eta, mass).symmetrize_blocks()
 
-    ipiece1 = zero
+    def moved(mu: SignedMeasure, kk: int, c: Scalar) -> SignedMeasure:
+        # c * gnorm_kk * mu, every coordinate moved from level kk to np1
+        mu = mu.scale(c * fl.gnorm[kk])
+        for j in range(kk + 1, np1 + 1):
+            mu = mu.transport_block(0, j)
+        return mu
+
+    ipieces = zero
     if q >= 2:
         dup = [0] + list(range(q - 1))
         for kk in range(n + 1):
             gk = _tensor_power(model, kk, fl.gamma_vec[kk], q - 1)
-            cur = gk.pushforward(dup).scale(fl.gnorm[kk])
-            ipiece1 = ipiece1 + _contract_and_move(
-                cur, {}, (semigroup(model, kk, np1), np1))
-        ipiece1 = ipiece1.scale(half)
-    ipiece2 = zero
+            ipieces = ipieces + moved(gk.pushforward(dup), kk, half)
     for m in range(n + 1):
+        pulled = _pull_chain(model, m, gb[m])
         for kk in range(m + 1):
-            vec = _apply_semigroup(model, kk, m, gb[m])
             gk = _tensor_power(model, kk, fl.gamma_vec[kk], q)
-            cur = gk.weight_coord(0, vec).scale(fl.gnorm[kk])
-            ipiece2 = ipiece2 + _contract_and_move(
-                cur, {}, (semigroup(model, kk, np1), np1))
-    ipiece2 = ipiece2.scale(q * q)
-    integrals = _center_image(ipiece1 + ipiece2, eta,
-                              mass).symmetrize_blocks()
+            ipieces = ipieces + moved(gk.weight_coord(0, pulled[kk]), kk,
+                                      q * q)
+    integrals = _center_image(ipieces, eta, mass).symmetrize_blocks()
 
     if not _agree(model.field, shapes, generic):
         raise IdentityMismatch(

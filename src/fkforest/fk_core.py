@@ -19,9 +19,13 @@ The partition selection and every linear map of single coordinates run
 on one integer kernel: each matrix enters as integer rows over the lcm
 of its entries, and a step multiplies the denominator once instead of
 paying a gcd per entry.  `_Table.map_coords` carries every coordinate map
-(transport, weights, contractions, integrals, pulls, centering).  Only
-pushforward (an index map) and symmetrize_blocks (orbit sums) walk the
-points of a table.
+(transport, weights, contractions, integrals, pulls, centering); a
+composite operator Q_{k,n} is a chain of one-step moves on it
+(`transport_block` forward, `pull_coord` back), never a product of
+matrices.  Only pushforward (an index map) and symmetrize_blocks (orbit
+sums) walk the points of a table.  `flow` and `q_operator` stay on field
+scalars, flow adding the rounded products in float mode: the pinned float
+outputs of `expand --center` and `--block` read that rounding.
 
 Domains are tuples of level indices.  A q-fold tensor at level n has
 domain (n,)*q; a path-space block structure lists each level once per
@@ -305,6 +309,8 @@ class FKModel:
 
 
 def _sum(vals: Iterable[Scalar]) -> Scalar:
+    # left to right on every Python: builtin sum compensates float sums
+    # from 3.12 on, which would make float results depend on the version
     total = None
     for v in vals:
         total = v if total is None else total + v
@@ -332,23 +338,6 @@ def q_operator(model: FKModel, k: int) -> Tuple[Tuple[Scalar, ...], ...]:
     product rounded once in float mode."""
     rows, den = model.exact_q(k)
     return tuple(tuple(model.scalar(v, den) for v in row) for row in rows)
-
-
-def semigroup(model: FKModel, k: int, n: int) -> Tuple[Tuple[Scalar, ...], ...]:
-    """Composite operator table from level k to level n; identity at k = n."""
-    if not 0 <= k <= n <= model.horizon:
-        raise InvalidParameter("need 0 <= k <= n <= horizon")
-    rows: Tuple[Tuple[Scalar, ...], ...] = tuple(
-        tuple(model.one if i == j else model.zero
-              for j in range(model.size(k)))
-        for i in range(model.size(k)))
-    for p in range(k + 1, n + 1):
-        step = q_operator(model, p)
-        rows = tuple(
-            tuple(_sum(row[x] * step[x][y] for x in range(len(step)))
-                  for y in range(model.size(p)))
-            for row in rows)
-    return rows
 
 
 def flow(model: FKModel) -> Flow:
@@ -753,21 +742,14 @@ class TensorFunction(_Table):
 
     def pull_coord(self, pos: int, k: int) -> "TensorFunction":
         """Compose coordinate pos (level k) with the one-step operator; the
-        coordinate moves down to level k-1."""
-        return self._pull(k, [pos])
-
-    def pull_all(self, k: int) -> "TensorFunction":
-        return self._pull(k, range(self.arity))
-
-    def _pull(self, k: int, pos: Sequence[int]) -> "TensorFunction":
-        # one map_coords call through the transposed one-step operator
-        for p in pos:
-            if self.levels[p] != k:
-                raise InvalidParameter(
-                    "coordinate %d sits at level %d, expected %d"
-                    % (p, self.levels[p], k))
+        coordinate moves down to level k-1, through the transposed integer
+        rows of FKModel.exact_q."""
+        if self.levels[pos] != k:
+            raise InvalidParameter(
+                "coordinate %d sits at level %d, expected %d"
+                % (pos, self.levels[pos], k))
         rows, den = self.model.exact_q(k)
-        return self.map_coords((p, list(zip(*rows)), k - 1, den) for p in pos)
+        return self.map_coords([(pos, list(zip(*rows)), k - 1, den)])
 
 
 def constant_function(model: FKModel, levels: Sequence[int],

@@ -387,32 +387,49 @@ def _restrict(series: SparseSeries,
     return SparseSeries(series.nvars, bounds, kept)
 
 
+def _forest_series(n: int, truncation, merges: bool,
+                   caps: Caps) -> SparseSeries:
+    """The forest census over x_0..x_n, then, with merges, y_0..y_{n-1}.
+
+    Built iteratively: at step h every already-counted profile of height
+    h-1 names a tree shape of height h, contributing one geometric factor
+    whose exponent is the count read from the series built so far.
+    Height-0 trees seed the recursion.  A tree of height h with children
+    profile p and children-forest merge vector c carries y-monomial
+    (p_0 - 1,) + c: its root absorbs p_0 children, the rest lower down.
+    """
+    if n < 0:
+        raise InvalidParameter("n must be >= 0")
+    nx, ny = n + 1, n if merges else 0
+    xb = _as_bounds(truncation, nx)
+    yb = tuple(max(xb[k + 1] - 1, 0) for k in range(ny))
+    wx = _envelope(xb)
+    wy = tuple(max(wx[k + 1] - 1, 0) for k in range(ny))
+    series = SparseSeries.unit(nx + ny, wx + wy)
+    for h in range(nx):
+        # every factor so far is a tree of height below h, so every term is
+        # 0 past x_(h-1), and past y_(h-2) too; those of height h-1 are
+        # positive up to x_(h-1)
+        step = [(m[:h], m[nx:nx + max(h - 1, 0)], coeff)
+                for m, coeff in series.items()
+                if all(m[i] >= 1 for i in range(h))]
+        for p, c, coeff in step:
+            factor = (1,) + p + (0,) * (n - h)
+            if merges:
+                factor += ((p[0] - 1,) + c + (0,) * (n - h) if h
+                           else (0,) * n)
+            series = series.multiply_geometric(factor, coeff, caps)
+    return _restrict(series, xb + yb)
+
+
 def hilbert_series(n: int, truncation, caps: Caps = DEFAULT_CAPS
                    ) -> SparseSeries:
-    """Census of forests by profile, all tree heights <= n.
-
-    Variables x_0..x_n mark vertices per level.  Built iteratively: at step
-    h every already-counted profile of height h-1 names a tree shape of
-    height h, contributing one geometric factor whose exponent is the count
-    read from the series built so far.  Height-0 trees seed the recursion.
-    """
+    """Census of forests by profile, all tree heights <= n: variables
+    x_0..x_n mark vertices per level."""
     # Not the marginal of coalescence_series, which gives the same terms:
     # that was 10-60x slower, n=5 at truncation 3 92 s against 1.46 s (one
     # 2-vCPU machine, Python 3.11).
-    if n < 0:
-        raise InvalidParameter("n must be >= 0")
-    bounds = _as_bounds(truncation, n + 1)
-    work = _envelope(bounds)
-    series = SparseSeries.unit(n + 1, work)
-    for h in range(n + 1):
-        # every factor so far is a tree of height below h, so every term is
-        # 0 past position h-1; those of height h-1 are positive up to it
-        step = [(m, c) for m, c in series.items()
-                if all(m[i] >= 1 for i in range(h))]
-        for mono, coeff in step:
-            factor = (1,) + mono[:h] + (0,) * (n - h)
-            series = series.multiply_geometric(factor, coeff, caps)
-    return _restrict(series, bounds)
+    return _forest_series(n, truncation, False, caps)
 
 
 def coalescence_series(n: int, truncation, caps: Caps = DEFAULT_CAPS
@@ -421,37 +438,10 @@ def coalescence_series(n: int, truncation, caps: Caps = DEFAULT_CAPS
 
     Variables x_0..x_n as in :func:`hilbert_series`, then y_0..y_{n-1}
     marking merges between levels k and k+1 (excess of level-(k+1) vertices
-    over level-k parents).  A tree of height h with children profile p and
-    children-forest merge vector c carries y-monomial (p_0 - 1,) + c: its
-    root absorbs p_0 children, the rest happens lower down.  Exponents are
-    again read from the series built so far, which refines the plain census
-    and marginalizes back onto it.
+    over level-k parents).  Exponents are again read from the series built
+    so far, which refines the plain census and marginalizes back onto it.
     """
-    if n < 0:
-        raise InvalidParameter("n must be >= 0")
-    xb = _as_bounds(truncation, n + 1)
-    yb = tuple(max(xb[k + 1] - 1, 0) for k in range(n))
-    wx = _envelope(xb)
-    wy = tuple(max(wx[k + 1] - 1, 0) for k in range(n))
-    bounds = wx + wy
-    nx = n + 1
-    series = SparseSeries.unit(nx + n, bounds)
-    for h in range(n + 1):
-        # as in hilbert_series, every term is 0 past x_(h-1), and past
-        # y_(h-2) too, so the profiles of height h-1 are positive up to x_(h-1)
-        step = [(m[:h], m[nx:nx + max(h - 1, 0)], coeff)
-                for m, coeff in series.items()
-                if all(m[i] >= 1 for i in range(h))]
-        for p, c, coeff in step:
-            xpart = (1,) + p + (0,) * (nx - 1 - h)
-            if h == 0:
-                ypart = (0,) * n
-            else:
-                ypart = (p[0] - 1,) + c + (0,) * (n - h)
-            if any(e > b for e, b in zip(xpart + ypart, bounds)):
-                continue
-            series = series.multiply_geometric(xpart + ypart, coeff, caps)
-    return _restrict(series, xb + yb)
+    return _forest_series(n, truncation, True, caps)
 
 
 def marginalize_coalescence(series: SparseSeries, n: int) -> SparseSeries:

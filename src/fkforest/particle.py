@@ -40,14 +40,14 @@ from fractions import Fraction
 from functools import reduce
 from math import comb, fsum
 from operator import add, mul
-from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 from .colored_forest import normalize_path_profile
 from .combinatorics import falling_factorial
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, InvalidParameter
-from .fk_core import (FKModel, Scalar, TensorFunction, _block_levels,
+from .fk_core import (FKModel, Scalar, TensorFunction, _block_levels, _sum,
                       flow, q_operator)
 
 if TYPE_CHECKING:
@@ -94,6 +94,11 @@ def _check_configs(model: FKModel, N: int, horizon: int, caps: Caps,
                           cap=caps.series)
 
 
+def _adder(model: FKModel) -> Callable[[Iterable[Scalar]], Scalar]:
+    # builtin sum on the ints of rational mode, fk_core._sum on floats
+    return sum if model.field == "rational" else _sum
+
+
 def _potential(model: FKModel, k: int, N: int) -> Tuple[List[Scalar], int]:
     """G_k over one denominator that includes N, so that the empirical
     mean eta^N_k(G_k) of cfg is sum_x cfg[x] g[x] / den."""
@@ -137,7 +142,7 @@ def _spread(model: FKModel, N: int, n_states: int,
     Float mode adds the sources of nonzero weight left to right, so that
     it rounds after each term whatever sum() does."""
     exact = model.field == "rational"
-    totals = [sum(a) for a, _ in sources]
+    totals = [sum(a) if exact else _sum(a) for a, _ in sources]
     L = math.lcm(*totals) if exact else 1
     rows, vecs = [], []
     for (row, vec), total in zip(sources, totals):
@@ -191,8 +196,9 @@ def _transport(model: FKModel, k: int, N: int, law: Law) -> Tuple[Law, int]:
     rows = (model.exact_q(k)[0] if model.field == "rational"
             else q_operator(model, k))
     cols = list(zip(*rows))
+    add_up = _adder(model)
     return _spread(model, N, model.size(k), [
-        ([sum(map(mul, cfg, col)) for col in cols], vec)
+        ([add_up(map(mul, cfg, col)) for col in cols], vec)
         for cfg, vec in law.items()])
 
 
@@ -243,7 +249,7 @@ def _gamma_norms(model: FKModel, path: Sequence[Config],
     G = model.G
     for k in range(1, len(path)):
         cfg = path[k - 1]
-        gmean = sum(c * g for c, g in zip(cfg, G[k - 1]))
+        gmean = _sum(c * g for c, g in zip(cfg, G[k - 1]))
         out.append(out[-1] * gmean / (N if model.field == "float"
                                       else Fraction(N)))
     return out
@@ -274,14 +280,15 @@ def _dot_counts(cfg: Config, q: int) -> List[int]:
     return out
 
 
-def _pair(values: Sequence[Scalar], counts: Sequence[Scalar]) -> Scalar:
-    return sum(f * w for f, w in zip(values, counts) if w)
+def _pair(model: FKModel, values: Sequence[Scalar],
+          counts: Sequence[Scalar]) -> Scalar:
+    return _adder(model)(f * w for f, w in zip(values, counts) if w)
 
 
 def tensor_moment(cfg: Config, F: TensorFunction, N: int) -> Scalar:
     """Plain q-fold empirical tensor of one configuration against F."""
-    return F.model.scalar(_pair(F.data, _count_products(cfg, F.arity)),
-                          N ** F.arity)
+    return F.model.scalar(
+        _pair(F.model, F.data, _count_products(cfg, F.arity)), N ** F.arity)
 
 
 def dot_moment(cfg: Config, F: TensorFunction, N: int) -> Scalar:
@@ -289,7 +296,7 @@ def dot_moment(cfg: Config, F: TensorFunction, N: int) -> Scalar:
     q = F.arity
     if q > N:
         raise InvalidParameter("injective tensor needs q <= N")
-    return F.model.scalar(_pair(F.data, _dot_counts(cfg, q)),
+    return F.model.scalar(_pair(F.model, F.data, _dot_counts(cfg, q)),
                           falling_factorial(N, q))
 
 
@@ -308,13 +315,14 @@ def _block_weigh(model: FKModel, N: int, qvec: Sequence[int]) -> Weigh:
     eta^N_k(G_k)^{r_k} and extends it by the q_k-fold count products of
     the level-k configuration."""
     rest = [sum(qvec[k + 1:]) for k in range(len(qvec))]
+    add_up = _adder(model)
 
     def weigh(k: int) -> Tuple[Step, int]:
         g, gden = _potential(model, k, N)
         r, q = rest[k], qvec[k]
 
         def step(cfg: Config, vec: List[Scalar]) -> List[Scalar]:
-            m = sum(c * x for c, x in zip(cfg, g)) ** r
+            m = add_up(c * x for c, x in zip(cfg, g)) ** r
             mc = [m * c for c in _count_products(cfg, q)]
             return [v * w for v in vec for w in mc]
 
@@ -361,7 +369,7 @@ def exact_QN_oracle(model: FKModel, N: int, q: Sequence[int],
         for i, t in enumerate(step(cfg, vec)):
             moment[i] += t
     fnum, fden = F._terms()
-    return model.scalar(_pair(fnum, moment),
+    return model.scalar(_pair(model, fnum, moment),
                         fden * den * scale * N ** F.arity)
 
 
@@ -371,8 +379,8 @@ def _pair_law(model: FKModel, law: Law, den: int, F: TensorFunction,
     """Sum over a law of the carried weight times the empirical moment
     pairing F with the per-point counts of each configuration over norm."""
     fnum, fden = F._terms()
-    total = sum(vec[0] * _pair(fnum, counts(cfg, F.arity))
-                for cfg, vec in law.items())
+    total = _adder(model)(vec[0] * _pair(model, fnum, counts(cfg, F.arity))
+                          for cfg, vec in law.items())
     return model.scalar(total, den * fden * norm)
 
 
@@ -431,10 +439,11 @@ def exact_EN_oracle(model: FKModel, N: int, n: int, q: int,
     if q < 0:
         raise InvalidParameter("q must be >= 0")
     fl = flow(model)
-    means = [sum(e * g for e, g in zip(fl.eta_vec[k], model.G[k]))
+    means = [_sum(e * g for e, g in zip(fl.eta_vec[k], model.G[k]))
              for k in range(n + 1)]
     binom = [[comb(j, i) for i in range(j + 1)] for j in range(q + 1)]
     exact = model.field == "rational"
+    add_up = _adder(model)
 
     def weigh(k: int) -> Tuple[Step, int]:
         g, gden = _potential(model, k, N)
@@ -443,11 +452,11 @@ def exact_EN_oracle(model: FKModel, N: int, n: int, q: int,
         lift = [B ** (q - j) for j in range(q + 1)]
 
         def step(cfg: Config, vec: List[Scalar]) -> List[Scalar]:
-            S = sum(c * x for c, x in zip(cfg, g))
+            S = add_up(c * x for c, x in zip(cfg, g))
             u = S * mean.denominator if exact else S / mean
             up = list(itertools.accumulate([u] * q, mul, initial=1))
             wp = list(itertools.accumulate([B - u] * q, mul, initial=1))
-            return [sum(b[i] * up[i] * wp[j - i] * vec[i]
+            return [add_up(b[i] * up[i] * wp[j - i] * vec[i]
                         for i in range(j + 1)) * lift[j]
                     for j, b in enumerate(binom)]
 
@@ -455,7 +464,7 @@ def exact_EN_oracle(model: FKModel, N: int, n: int, q: int,
 
     law, den = _forward(model, N, n, [1] + [0] * q, weigh, caps)
     step, scale = weigh(n)
-    return model.scalar(sum(step(cfg, vec)[q] for cfg, vec in law.items()),
+    return model.scalar(add_up(step(cfg, vec)[q] for cfg, vec in law.items()),
                         den * scale)
 
 

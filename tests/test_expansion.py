@@ -15,10 +15,11 @@ import pytest
 
 from fkforest import (Caps, CapExceeded, ExpansionReport, FKModel,
                       IdentityMismatch, SignedMeasure, bell_number,
-                      bundled_model, center_function, derivative_P,
+                      bundled_model, center_function,
+                      centered_moment_expansion, derivative_P,
                       enumerate_colored_orbits, exact_QN, expansion_report_P,
                       expansion_report_Q, expansion_report_path_Q,
-                      flat_blocks, function_from_vector,
+                      first_order_P, flat_blocks, function_from_vector,
                       gamma_tensor, gaussian_product_moment, gbar_vector,
                       path_derivative_Q, path_exact_QN, path_max_order,
                       path_wick_Q, random_rational_model)
@@ -134,6 +135,22 @@ def test_wick_leading_order_is_the_gaussian_moment(drift2):
     vanish, half = path_wick_Q(drift2, flat_blocks(1, q), F)
     assert vanish == {0: 0, 1: 0}
     assert half == gaussian_product_moment(drift2, [(1, tuple(f.data))] * q)
+
+
+@pytest.mark.parametrize("field", ["rational", "float"])
+def test_integral_and_contraction_routes_check_themselves(field):
+    """first_order_P compares its integral route, which moves measures
+    forward by transport_block and pulls the fluctuation observable by
+    pull_coord, with the generic coefficient; centered_moment_expansion
+    contracts each coefficient against gbar in one map_coords call and
+    compares the sum with the ensemble oracle.  Each raises on a gap."""
+    drift2 = bundled_model("drift2", field)
+    cycle3 = bundled_model("cycle3", field)
+    assert first_order_P(cycle3, 2, 3).levels == (2,) * 3
+    assert first_order_P(drift2, 3, 4).levels == (3,) * 4
+    for m, n in ((drift2, 2), (cycle3, 1)):
+        report = centered_moment_expansion(m, n, 4, Ns=(3, 5))
+        assert sorted(report.evaluations) == [3, 5]
 
 
 def reference_derivative_P(model, np1, q, k):

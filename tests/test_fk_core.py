@@ -1,8 +1,10 @@
 """Exact linear algebra over finite weighted models.
 
 Everything here is checked against small hand-rolled computations: path
-sums for the flow, explicit matrix products for the semigroups, and
-direct enumeration for the coordinate-selection operators.  The
+sums for the flow, the composite operators Q_{k,n} as explicit products
+of one-step tables (`reference_semigroup`, which the one-step coordinate
+moves replaced), and direct enumeration for the coordinate-selection
+operators.  The
 intermediate path-space measures and their composite transport
 (`path_gamma`, `PathOperator`) are kept here as references.  The b**b map
 combinations (`DMap`, `lq_operator`, `lq_derivative`) and the Fraction
@@ -12,6 +14,7 @@ here as references for the integer kernel, and the closed-form TV mass
 """
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -40,11 +43,11 @@ from fkforest import (
     flat_blocks,
     function_from_vector,
     gamma_tensor,
+    gaussian_covariance,
     is_centered,
     measure_from_vector,
     partition_sums,
     q_operator,
-    semigroup,
     tensor_minus_dot_tv,
     white_topped_chain,
 )
@@ -53,7 +56,7 @@ from fkforest.colored_forest import (ColoredMapSeq, colored_forest,
                                      pair_merge_forest)
 from fkforest.combinatorics import (falling_factorial, set_partitions,
                                     stirling_first, stirling_second)
-from fkforest.fk_core import _encode
+from fkforest.fk_core import _encode, _sum
 from fkforest.models import random_rational_model
 
 
@@ -152,25 +155,81 @@ def test_flow_matches_path_sum(name):
         assert sum(fl.eta_vec[n]) == 1
 
 
-def test_semigroup_is_the_matrix_product(drift2, cycle3):
-    for m in (drift2, cycle3):
+def reference_semigroup(model: FKModel, k: int,
+                        n: int) -> Tuple[Tuple[object, ...], ...]:
+    """Q_{k,n} as a product of one-step tables in the model's field,
+    identity at k = n: the composite operator that one-step coordinate
+    moves replaced."""
+    if not 0 <= k <= n <= model.horizon:
+        raise InvalidParameter("need 0 <= k <= n <= horizon")
+    rows = tuple(
+        tuple(model.one if i == j else model.zero
+              for j in range(model.size(k)))
+        for i in range(model.size(k)))
+    for p in range(k + 1, n + 1):
+        step = q_operator(model, p)
+        rows = tuple(
+            tuple(_sum(row[x] * step[x][y] for x in range(len(step)))
+                  for y in range(model.size(p)))
+            for row in rows)
+    return rows
+
+
+def route_models(field):
+    models = [bundled_model("drift2"), bundled_model("cycle3"),
+              random_rational_model(7, sizes=(2, 3, 2))]
+    if field == "float":
+        models = [FKModel.from_json(dict(json.loads(m.to_json()),
+                                         field="float")) for m in models]
+    return models
+
+
+def apply_rows(rows, phi):
+    return [_sum(r * v for r, v in zip(row, phi)) for row in rows]
+
+
+@pytest.mark.parametrize("field", ["rational", "float"])
+def test_pulls_and_covariance_follow_the_matrix_product(field):
+    """A chain of pull_coord calls is Q_{k,n}, and gaussian_covariance is
+    its formula over the reference products: exactly in rational mode,
+    within 1e-12 relative in float mode.  The observables are positive, so
+    no sum cancels."""
+    def close(got, want):
+        if field == "rational":
+            return got == want
+        return abs(got - want) <= 1e-12 * abs(want)
+
+    rng = random.Random(11)
+    for m in route_models(field):
         for k in range(m.horizon + 1):
-            rows = semigroup(m, k, k)
-            for i, row in enumerate(rows):
-                assert row[i] == 1 and sum(row) == 1
-            for n in range(k + 1, m.horizon + 1):
-                prod = semigroup(m, k, n - 1)
-                step = q_operator(m, n)
-                want = tuple(
-                    tuple(sum(prod[i][x] * step[x][y]
-                              for x in range(len(step)))
-                          for y in range(m.size(n)))
-                    for i in range(m.size(k)))
-                assert semigroup(m, k, n) == want
+            rows = reference_semigroup(m, k, k)
+            assert all(row[i] == 1 and sum(row) == 1
+                       for i, row in enumerate(rows))
+        for n in range(m.horizon + 1):
+            for y in range(m.size(n)):
+                f = function_from_vector(
+                    m, n, [int(x == y) for x in range(m.size(n))])
+                for k in range(n, -1, -1):
+                    want = [row[y] for row in reference_semigroup(m, k, n)]
+                    assert f.levels == (k,)
+                    assert all(map(close, f.data, want))
+                    if k:
+                        f = f.pull_coord(0, k)
+        fl = flow(m)
+        for m1, m2 in itertools.product(range(m.horizon + 1), repeat=2):
+            phi1, phi2 = ([m.scalar(rng.randint(1, 9), rng.randint(1, 9))
+                           for _ in range(m.size(t))] for t in (m1, m2))
+            want = m.zero
+            for k in range(min(m1, m2) + 1):
+                a = apply_rows(reference_semigroup(m, k, m1), phi1)
+                b = apply_rows(reference_semigroup(m, k, m2), phi2)
+                want = want + fl.gnorm[k] * _sum(
+                    g * x * y for g, x, y in zip(fl.gamma_vec[k], a, b))
+            assert close(gaussian_covariance(m, m1, phi1, m2, phi2), want)
     with pytest.raises(InvalidParameter):
-        semigroup(drift2, 2, 1)
+        reference_semigroup(m, 2, 1)
     with pytest.raises(InvalidParameter):
-        q_operator(drift2, 0)
+        q_operator(m, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +314,8 @@ def test_transport_and_pull_are_adjoint(cycle3):
         rhs = mu.pair(f.pull_coord(1, 1))
         assert lhs == rhs
         g = random_function(m, (1, 1), rng)
-        assert mu.transport_block(0, 1).pair(g) == mu.pair(g.pull_all(1))
+        assert mu.transport_block(0, 1).pair(g) == \
+            mu.pair(g.pull_coord(0, 1).pull_coord(1, 1))
         with pytest.raises(InvalidParameter):
             f.pull_coord(0, 1)
 

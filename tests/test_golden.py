@@ -23,15 +23,23 @@ also hold for `count` answering from the Burnside census, which lists no
 class.  The float `expand` outputs paired with a function (the block
 law, centering and plain pairings) were recorded before the tables moved
 onto integer numerators: float mode rounds at the same points.
-A new digest means a changed output.
+A new digest means a changed output.  The float requests also run with
+builtin sum() refusing float terms, since it compensates them from
+Python 3.12 on and the pins would then depend on the interpreter.
 """
 
+import builtins
 import hashlib
+import importlib
 import json
+import pkgutil
 import re
 
 import pytest
 
+import fkforest
+from fkforest import (bundled_model, centered_moment_expansion,
+                      exact_EN_oracle, gaussian_product_moment, gbar_vector)
 from fkforest.cli import main
 
 _VERSION_FIELD = re.compile(rb'\n *"version": "[^"\n]*",?')
@@ -249,3 +257,33 @@ def test_float_expand_output_is_pinned(tmp_path, name):
 def test_other_output_is_pinned(tmp_path, name):
     argv, digest = OTHER_CASES[name]
     assert _digest(tmp_path, argv) == digest
+
+
+def _int_sum(terms, start=0):
+    items = list(terms)
+    if any(isinstance(v, float) for v in [start] + items):
+        raise AssertionError("a float term reached builtin sum()")
+    return builtins.sum(items, start)
+
+
+def test_float_results_never_reach_builtin_sum(tmp_path, monkeypatch):
+    # builtin sum() compensates float sums from Python 3.12 on, which
+    # changed the cycle3-block float pin there; every field-scalar sum
+    # goes through fk_core._sum, which adds left to right on any Python
+    for info in pkgutil.iter_modules(fkforest.__path__):
+        module = importlib.import_module("fkforest." + info.name)
+        monkeypatch.setattr(module, "sum", _int_sum, raising=False)
+    for argv, function, digest in FLOAT_CASES.values():
+        assert output_digest(tmp_path, argv + ["--field", "float"],
+                             function) == digest
+    for name in ("expand-float", "expand-float-q-seq"):
+        argv, digest = OTHER_CASES[name]
+        assert _digest(tmp_path, argv) == digest
+    for argv, function, _ in ORACLE_CASES.values():
+        output_digest(tmp_path, argv + ["--field", "float"], function,
+                      "oracle")
+    m = bundled_model("cycle3", "float")
+    centered_moment_expansion(m, 1, 3, Ns=(3,))
+    exact_EN_oracle(m, 4, 2, 2)
+    gaussian_product_moment(m, [(1, gbar_vector(m, 1)),
+                                (2, gbar_vector(m, 2))])
