@@ -771,7 +771,9 @@ _DESCRIPTION = ("Exact genealogy combinatorics and finite ensemble-size\n"
 # the tuple of the values a choice flag accepts.
 _COMMON_FLAGS = (
     ("--field", "field", ("rational", "float"), "rational", False,
-     "arithmetic mode"),
+     "arithmetic mode: float runs the exact engine on the exact values "
+     "of the floats read and rounds each value once, where it is read; "
+     "the oracle and simulate compute in floats"),
     ("--cap-forests", "cap_forests", int, None, False,
      "override the enumeration size cap: genealogy classes listed or "
      "counted, and set partitions of one live block in the moment "

@@ -37,14 +37,18 @@ polynomial for the profile (p, last block widened by q) up to the highest
 order that profile feeds, and adds its coefficient k, for every k > l/2,
 to order k.  Each term contracts its leading coordinates against the
 potential-fluctuation vectors and moves the rest to the target time in one
-`_Table.map_coords` call, rounded once.  All products of the pass share
-one dict of set-partition tables, so each (b, s) table is built once.
+`_Table.map_coords` call.  All products of the pass share one dict of
+set-partition tables, so each (b, s) table is built once.
 
 Every other move through Q_{k,n} chains one-step moves on the same
 kernel: the Gaussian covariance and the integral route of the first-order
 block law pull observables down (`pull_coord`) and move measures forward
 (`transport_block`) one level at a time, and a centered potential moment
 contracts each coefficient against gbar in one `map_coords` call.
+
+Every route is exact in either field: a float model runs on the exact
+values of its floats and rounds each value once, where it is read, so
+the self-checks compare exactly in both fields.
 
 The genealogy class sum is the same product expanded over map sequences
 and grouped by orbit.  A class with per-level image sizes (m_0..m_n)
@@ -76,6 +80,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -100,6 +105,7 @@ from .config import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, IdentityMismatch, InvalidParameter
 from .fk_core import (
     FKModel,
+    Flow,
     SignedMeasure,
     TensorFunction,
     delta_colored,
@@ -113,7 +119,6 @@ from .fk_core import (
     _domain_size,
     _over_lcm,
     _partition_targets,
-    _sum,
     _tensor_power,
 )
 
@@ -154,14 +159,9 @@ def _zero_measure(model: FKModel, levels: Sequence[int]) -> SignedMeasure:
     return SignedMeasure(model, levels, [0] * _domain_size(model, levels), 1)
 
 
-def _agree(field: str, a, b) -> bool:
-    """Two scalars or two measures agree: exactly in rational mode, within
-    1e-9 relative to their size (absolute value, or tv norm) in float
-    mode."""
-    if field == "rational":
-        return a == b
-    size = (lambda v: v.tv_norm()) if isinstance(a, SignedMeasure) else abs
-    return size(a - b) <= 1e-9 * (1 + size(a) + size(b))
+def _read(model: FKModel, v: Union[int, Fraction]) -> Scalar:
+    # an exact value in the model's field, rounded once in float mode
+    return model.scalar(v.numerator, v.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +242,7 @@ def closed_form_low_orders(model: FKModel, n: int, q: int,
 
     for k, cand in ((0, d0), (1, d1), (2, d2)):
         gen = generic[k]
-        if not _agree(model.field, cand, gen):
+        if cand != gen:
             raise IdentityMismatch(
                 "closed-form order %d differs from the generic coefficient "
                 "(tv gap %s); the generic engine is the ground truth"
@@ -274,22 +274,30 @@ def pair_partitions(items: Sequence) -> Iterable[List[Tuple]]:
 def gaussian_covariance(model: FKModel, m1: int, phi1: Sequence[Scalar],
                         m2: int, phi2: Sequence[Scalar]) -> Scalar:
     """Covariance of the limiting centered field between an observable at
-    time m1 and one at time m2: shared noise enters at every common step,
-    the terms added in ascending step k."""
-    fl = flow(model)
-    a, b = _pull_chain(model, m1, phi1), _pull_chain(model, m2, phi2)
-    return _sum(fl.gnorm[k] * _sum(
-        g * x * y for g, x, y in zip(fl.gamma_vec[k], a[k], b[k]))
-        for k in range(min(m1, m2) + 1))
+    time m1 and one at time m2: shared noise enters at every common step.
+    Exact on the observables' exact values, rounded once in float mode."""
+    return _read(model, _covariance(
+        flow(model), _pull_chain(model, m1, phi1),
+        _pull_chain(model, m2, phi2)))
+
+
+def _covariance(fl: Flow, a: List[Tuple[Fraction, ...]],
+                b: List[Tuple[Fraction, ...]]) -> Fraction:
+    # sum over the common steps k of gamma_k(1) gamma_k(Q_{k,m1} phi1
+    # Q_{k,m2} phi2), from the two pull chains
+    return sum(fl.gnorm[k] * sum(g * x * y for g, x, y in
+                                 zip(fl.gamma_vec[k], a[k], b[k]))
+               for k in range(min(len(a), len(b))))
 
 
 def _pull_chain(model: FKModel, m: int,
-                phi: Sequence[Scalar]) -> List[Tuple[Scalar, ...]]:
-    """Q_{k,m} phi for k = 0..m: phi pulled down one level at a time."""
+                phi: Sequence[Scalar]) -> List[Tuple[Fraction, ...]]:
+    """Q_{k,m} phi for k = 0..m, exactly: phi pulled down one level at a
+    time."""
     chain = [TensorFunction(model, (m,), list(phi))]
     for j in range(m, 0, -1):
         chain.insert(0, chain[0].pull_coord(0, j))
-    return [f.data for f in chain]
+    return [tuple(Fraction(v, f.den) for v in f.nums) for f in chain]
 
 
 def gaussian_product_moment(model: FKModel,
@@ -298,27 +306,27 @@ def gaussian_product_moment(model: FKModel,
     """Joint moment of the limiting field over per-coordinate observables,
     summed over pair partitions of pairwise covariances.
 
-    Each factor is (time, value table) and must integrate to zero against
-    the unnormalized flow at its time.
+    Each factor is (time, value table) and must integrate to zero exactly
+    against the unnormalized flow at its time.  Each factor is pulled down
+    once and each pair's covariance computed once; the moment is exact and
+    rounded once in float mode.
     """
     fl = flow(model)
-    facs = [(int(m), tuple(v)) for m, v in factors]
-    for m, v in facs:
-        mean = _sum(fl.gamma_vec[m][x] * v[x] for x in range(len(v)))
-        if not _agree(model.field, mean, model.zero):
+    chains = []
+    for m, v in factors:
+        chain = _pull_chain(model, int(m), v)
+        if sum(map(operator.mul, fl.gamma_vec[int(m)], chain[-1])):
             raise InvalidParameter(
                 "factor at time %d does not integrate to zero against "
                 "the unnormalized flow" % m)
-    if len(facs) % 2:
+        chains.append(chain)
+    if len(chains) % 2:
         return model.zero
-    total = model.zero
-    for pairing in pair_partitions(range(len(facs))):
-        prod = model.one
-        for i, j in pairing:
-            prod = prod * gaussian_covariance(
-                model, facs[i][0], facs[i][1], facs[j][0], facs[j][1])
-        total = total + prod
-    return total
+    slots = range(len(chains))
+    cov = {(i, j): _covariance(fl, chains[i], chains[j])
+           for i, j in itertools.combinations(slots, 2)}
+    return _read(model, sum(math.prod(map(cov.get, pairing))
+                            for pairing in pair_partitions(slots)))
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +530,7 @@ def path_wick_Q(model: FKModel, q: Sequence[int], F: TensorFunction,
     for qj in prof:
         qfact *= math.factorial(qj)
     pairs = path_profile_bar(prof)
-    total = model.zero
+    total = _zero_measure(model, F.levels)
     for t in _wick_assignments(prof, half):
         diag = sum(c for (kk, l, m), c in t.items() if l == m)
         tfact = 1
@@ -531,29 +539,29 @@ def path_wick_Q(model: FKModel, q: Sequence[int], F: TensorFunction,
         coeff = Fraction(qfact, (2 ** diag) * tfact)
         f = build_wick_forest(t)
         assert f.pair_profile == pairs
-        total = total + coeff * delta_colored(model, f, prof).pair(F)
-    generic = coeffs[half]
-    if not _agree(model.field, total, generic):
+        total = total + delta_colored(model, f, prof).scale(coeff)
+    value, generic = total.pair(F), coeffs[half]
+    if value != generic:
         raise IdentityMismatch(
             "merge-assignment sum disagrees with the generic order-%d "
-            "coefficient" % half, lhs=total, rhs=generic)
-    return vanishing, total
+            "coefficient" % half, lhs=value, rhs=generic)
+    return vanishing, value
 
 
 # ---------------------------------------------------------------------------
 # centered potential moments
 
 
-def gbar_vector(model: FKModel, k: int) -> Tuple[Scalar, ...]:
+def gbar_vector(model: FKModel, k: int) -> Tuple[Fraction, ...]:
     """Potential fluctuation observable at time k, normalized so the
     telescoped mass defect is the running sum of its block integrals;
-    integrates to zero against the unnormalized flow."""
+    integrates to zero against the unnormalized flow.  Exact values, as
+    Fractions in either field, from the integer row of G_k."""
     fl = flow(model)
-    g = model.G[k]
-    eta = fl.eta_vec[k]
-    mean = _sum(eta[x] * g[x] for x in range(len(g)))
-    gmass = _sum(fl.gamma_vec[k][x] * g[x] for x in range(len(g)))
-    return tuple((mean - g[x]) / gmass for x in range(len(g)))
+    g, gden = model.G_rows[k]
+    mean = sum(map(operator.mul, fl.eta_vec[k], g)) / gden
+    gmass = mean * fl.gnorm[k]
+    return tuple((mean - Fraction(v, gden)) / gmass for v in g)
 
 
 def centered_moment_expansion(model: FKModel, n: int, q: int,
@@ -577,7 +585,7 @@ def centered_moment_expansion(model: FKModel, n: int, q: int,
              (_over_lcm(gbar_vector(model, j)) for j in range(n + 1))]
     lowest = (q + 1) // 2
     top = (n + 1) * (q - 1)
-    orders: Dict[int, Scalar] = {k: model.zero for k in range(lowest, top + 1)}
+    orders = dict.fromkeys(range(lowest, top + 1), Fraction(0))
     qfact = math.factorial(q)
     targets: Targets = {}
     for p in compositions(q, n + 1):
@@ -589,13 +597,13 @@ def centered_moment_expansion(model: FKModel, n: int, q: int,
         moves = [(pos,) + tails[j] for pos, j in
                  reversed(list(enumerate(_block_levels(prof))))]
         for k in range(lowest, pmax + 1):
-            val = coeffs[k].map_coords(moves).value(())
-            orders[k] = orders[k] + coeff * val
+            val = coeffs[k].map_coords(moves)
+            orders[k] += coeff * Fraction(val.nums[0], val.den)
     report = ExpansionReport(
         kind="mass-defect-moment",
         params={"n": n, "q": q, "field": model.field},
         base=model.zero,
-        orders=orders,
+        orders={k: _read(model, v) for k, v in orders.items()},
         evaluations={N: exact_EN_oracle(model, N, n, q, caps) for N in Ns},
     )
     report.check()
@@ -618,12 +626,12 @@ def _contract_and_move(mu: SignedMeasure, vecs: Dict[int, Sequence[Scalar]],
 
 
 def _center_image(sigma: SignedMeasure, eta: SignedMeasure,
-                  mass: Scalar) -> SignedMeasure:
-    """Materialize pairing-against-centered-argument: subtract total mass
-    times the limiting product law eta, divide by mass, the q-th power of
-    the unnormalized mass at the target time."""
-    return (sigma - eta.scale(sigma.total_mass())).scale(
-        sigma.model.one / mass)
+                  mass: Fraction) -> SignedMeasure:
+    """Materialize pairing-against-centered-argument: subtract the exact
+    total mass times the limiting product law eta, divide by mass, the
+    q-th power of the unnormalized mass at the target time."""
+    total = Fraction(sum(sigma.nums), sigma.den)
+    return (sigma - eta.scale(total)).scale(1 / mass)
 
 
 def _block_law_orders(model: FKModel, n_plus_1: int, q: int, top: int,
@@ -637,8 +645,6 @@ def _block_law_orders(model: FKModel, n_plus_1: int, q: int, top: int,
     step forward on the rest, and centered.  One walk over the p serves
     every order: each profile runs one moment polynomial up to the highest
     order it feeds, and all of them share one dict of partition tables.
-    The terms of each order are added in (l, p) order, each sum starting
-    from its first term, so an order's float value does not depend on top.
     Every cap is checked on the planned profiles before the first product.
     """
     np1 = n_plus_1
@@ -665,7 +671,7 @@ def _block_law_orders(model: FKModel, n_plus_1: int, q: int, top: int,
     rows, den = model.exact_q(np1)
     qstep = (rows, np1, den)
     targets: Targets = {}
-    sums: List[Optional[SignedMeasure]] = [None] * (top + 1)
+    sums = [_zero_measure(model, (np1,) * q)] * (top + 1)
     for l, p, prof, ks in plan:
         coeffs = _moment_polynomial(model, prof, ks[-1], caps, targets)
         vecs = dict(enumerate(
@@ -675,12 +681,10 @@ def _block_law_orders(model: FKModel, n_plus_1: int, q: int, top: int,
                          math.factorial(q - 1) * pfact)
         for k in ks:
             term = _contract_and_move(coeffs[k], vecs, qstep).scale(coeff)
-            sums[k] = term if sums[k] is None else sums[k] + term
+            sums[k] = sums[k] + term
     eta = _tensor_power(model, np1, fl.eta_vec[np1], q)
     mass = fl.gnorm[np1] ** q
-    return [eta] + [
-        _zero_measure(model, (np1,) * q) if total is None
-        else _center_image(total, eta, mass) for total in sums[1:]]
+    return [eta] + [_center_image(total, eta, mass) for total in sums[1:]]
 
 
 def derivative_P(model: FKModel, n_plus_1: int, q: int, k: int,
@@ -721,7 +725,7 @@ def first_order_P(model: FKModel, n_plus_1: int, q: int,
 
     counter = _center_image(
         _tensor_power(model, np1, fl.gamma_vec[np1], q), eta, mass)
-    if not _agree(model.field, counter, zero):
+    if counter != zero:
         raise IdentityMismatch(
             "centered image of the limiting product flow is not zero",
             lhs=counter, rhs=zero)
@@ -778,13 +782,13 @@ def first_order_P(model: FKModel, n_plus_1: int, q: int,
                                       q * q)
     integrals = _center_image(ipieces, eta, mass).symmetrize_blocks()
 
-    if not _agree(model.field, shapes, generic):
+    if shapes != generic:
         raise IdentityMismatch(
             "named-class route disagrees with the generic first-order "
             "coefficient (tv gap %s)"
             % format_scalar((shapes - generic).tv_norm()),
             lhs=shapes, rhs=generic)
-    if not _agree(model.field, integrals, generic):
+    if integrals != generic:
         raise IdentityMismatch(
             "integral route disagrees with the generic first-order "
             "coefficient (tv gap %s)"
@@ -839,12 +843,15 @@ class ExpansionReport:
         return nums[0] / den
 
     def check(self) -> bool:
-        """Exactness of every recorded evaluation against the full sum."""
+        """Exactness of every recorded evaluation against the full sum.  A
+        measure agrees exactly in either field; a float scalar, rounded
+        once or taken from the float oracle, within 1e-9 relative to its
+        size."""
+        tol = 1e-9 if self.params.get("field") == "float" else 0
         for N, got in self.evaluations.items():
             want = self.partial_sum(N)
-            field = (want.model.field if isinstance(want, SignedMeasure)
-                     else self.params.get("field", "rational"))
-            if not _agree(field, want, got):
+            if (want != got if isinstance(want, SignedMeasure) else
+                    abs(want - got) > tol * (1 + abs(want) + abs(got))):
                 raise IdentityMismatch(
                     "%s report: evaluation at N=%d does not match the "
                     "coefficient sum" % (self.kind, N),

@@ -11,9 +11,10 @@ functions on products of level spaces are dense tables, flat and row-major
 over coordinates left to right, so serialized values are reproducible byte
 for byte.  A table holds Python-int numerators over one denominator and
 makes a Fraction, or in float mode a float, only for an entry a caller
-reads.  Float mode, which exists for Monte Carlo work, rounds where float
-arithmetic rounds: each new entry once, and pairings, pushforwards and
-block symmetrization after each term they add.
+reads.  Float mode, which exists for Monte Carlo work, computes on the
+exact values of its floats, as a rational model with those entries
+would, and rounds each value once, where it is read: an entry (`data`,
+`value`), `total_mass`, `tv_norm`, `pair`, or the writer.
 
 The partition selection and every linear map of single coordinates run
 on one integer kernel: each matrix enters as integer rows over the lcm
@@ -23,9 +24,9 @@ paying a gcd per entry.  `_Table.map_coords` carries every coordinate map
 composite operator Q_{k,n} is a chain of one-step moves on it
 (`transport_block` forward, `pull_coord` back), never a product of
 matrices.  Only pushforward (an index map) and symmetrize_blocks (orbit
-sums) walk the points of a table.  `flow` and `q_operator` stay on field
-scalars, flow adding the rounded products in float mode: the pinned float
-outputs of `expand --center` and `--block` read that rounding.
+sums) walk the points of a table.  `flow` runs on the same integer rows
+and returns Fractions in either field; `q_operator` gives the one-step
+operator in the model's field for the float oracle.
 
 Domains are tuples of level indices.  A q-fold tensor at level n has
 domain (n,)*q; a path-space block structure lists each level once per
@@ -38,6 +39,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -341,17 +343,19 @@ def q_operator(model: FKModel, k: int) -> Tuple[Tuple[Scalar, ...], ...]:
 
 
 def flow(model: FKModel) -> Flow:
-    gam: List[Tuple[Scalar, ...]] = [model.eta0]
+    """gamma_k, eta_k and gamma_k(1) for every level, as Fractions in
+    either field: eta0 moved level by level through the integer rows of
+    FKModel.exact_q."""
+    nums, den = model.eta0_row
+    gam = [(nums, den)]
     for k in range(1, model.horizon + 1):
-        qk = q_operator(model, k)
-        prev = gam[-1]
-        gam.append(tuple(
-            _sum(prev[x] * qk[x][y] for x in range(len(prev)))
-            for y in range(model.size(k))))
-    gnorm = tuple(_sum(v) for v in gam)
-    eta = tuple(tuple(w / gnorm[k] for w in vec)
-                for k, vec in enumerate(gam))
-    return Flow(tuple(gam), eta, gnorm)
+        rows, qden = model.exact_q(k)
+        nums = transport_numerators(nums, 1, rows)
+        den *= qden
+        gam.append((nums, den))
+    return Flow(tuple(tuple(Fraction(v, d) for v in n) for n, d in gam),
+                tuple(tuple(Fraction(v, sum(n)) for v in n) for n, _ in gam),
+                tuple(Fraction(sum(n), d) for n, d in gam))
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +489,9 @@ def transport_numerators(nums: Sequence[int], inner: int,
 class _Table:
     """Integer numerators `nums` over one positive denominator `den`, with
     gcd(den, *nums) == 1, built from the entries data or, with den given,
-    from the numerators data over den.  Float mode rounds each entry once
-    and holds the float exactly."""
+    from the numerators data over den.  Float entries enter exactly, and
+    every operation is exact in either field; float mode rounds an entry
+    only where it is read."""
 
     __slots__ = ("model", "levels", "nums", "den")
 
@@ -498,12 +503,9 @@ class _Table:
         if len(nums) != size:
             raise InvalidParameter("table length %d, domain wants %d"
                                    % (len(nums), size))
-        if model.field == "float":
-            nums, den = _over_lcm([v / den for v in nums])
-        else:
-            g = math.gcd(den, *nums)
-            if g > 1:
-                nums, den = [v // g for v in nums], den // g
+        g = math.gcd(den, *nums)
+        if g > 1:
+            nums, den = [v // g for v in nums], den // g
         self.model = model
         self.levels = lv
         self.nums = tuple(nums)
@@ -514,15 +516,9 @@ class _Table:
 
     @property
     def data(self) -> Tuple[Scalar, ...]:
-        """Every entry, as a Fraction or, in float mode, a float."""
+        """Every entry, as a Fraction or, in float mode, the float nearest
+        the exact entry."""
         return tuple(self.model.scalar(v, self.den) for v in self.nums)
-
-    def _terms(self) -> Tuple[Sequence[Scalar], int]:
-        # entries to sum over a denominator; float mode sums the rounded
-        # entries, so that the sum rounds after each step
-        if self.model.field == "rational":
-            return self.nums, self.den
-        return self.data, 1
 
     @property
     def sizes(self) -> Tuple[int, ...]:
@@ -551,7 +547,6 @@ class _Table:
                           self.den * other.den)
 
     def __add__(self, other: "_Table"):
-        # float a + b is the exact sum rounded once, as is its image here
         self._same_domain(other)
         den = math.lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
@@ -562,9 +557,7 @@ class _Table:
         return self + other.scale(-1)
 
     def scale(self, c: Scalar):
-        # float mode multiplies by float(c), as float * Fraction does
-        (num,), den = _over_lcm([float(c) if self.model.field == "float"
-                                 else c])
+        (num,), den = _over_lcm([c])
         return self._like([num * v for v in self.nums], self.den * den)
 
     def __eq__(self, other: object) -> bool:
@@ -583,7 +576,7 @@ class _Table:
         Rows of exact values go over the lcm of their entries; a move
         (pos, rows, level, den) carries integer rows over den, as
         FKModel.exact_q gives them.  All moves run on the table's
-        numerators, rounded once.
+        numerators.
         """
         nums, den = self.nums, self.den
         levels = list(self.levels)
@@ -624,17 +617,14 @@ class _Table:
         keys = [tuple(tuple(sorted(point[i] for i in g))
                       for g in groups.values())
                 for point in itertools.product(*map(range, self.sizes))]
-        terms, den = self._terms()
-        sums: Dict[tuple, Scalar] = {}
+        sums: Dict[tuple, int] = {}
         sizes: Dict[tuple, int] = {}
-        for key, w in zip(keys, terms):
+        for key, w in zip(keys, self.nums):
             sums[key] = sums.get(key, 0) + w
             sizes[key] = sizes.get(key, 0) + 1
-        if self.model.field == "float":
-            return self._like([sums[key] / sizes[key] for key in keys], 1)
         lcm = math.lcm(*sizes.values())
         return self._like([sums[key] * (lcm // sizes[key]) for key in keys],
-                          den * lcm)
+                          self.den * lcm)
 
     def contract(self, positions: Sequence[int],
                  vectors: Sequence[Sequence[Scalar]]):
@@ -674,8 +664,6 @@ def _encode(point: Sequence[int], sizes: Sequence[int]) -> int:
 class SignedMeasure(_Table):
     """Signed measure as a dense weight table over a product domain."""
 
-    # both sums are exact in either field and rounded once in float mode
-
     def total_mass(self) -> Scalar:
         return self.model.scalar(sum(self.nums), self.den)
 
@@ -683,11 +671,11 @@ class SignedMeasure(_Table):
         return self.model.scalar(sum(map(abs, self.nums)), self.den)
 
     def pair(self, f: "TensorFunction") -> Scalar:
-        """The sum of the entrywise products: one integer sum in rational
-        mode, the rounded products added one after another in float mode."""
+        """The sum of the entrywise products: one integer sum, read once in
+        the model's field."""
         self._same_domain(f)
-        (a, da), (b, db) = self._terms(), f._terms()
-        return self.model.scalar(_sum(x * y for x, y in zip(a, b)), da * db)
+        return self.model.scalar(sum(map(operator.mul, self.nums, f.nums)),
+                                 self.den * f.den)
 
     def pushforward(self, index_map: Sequence[int]) -> "SignedMeasure":
         """Image under point -> (point[i] for i in index_map); duplicate
@@ -698,13 +686,12 @@ class SignedMeasure(_Table):
                 raise InvalidParameter("coordinate %d out of range" % i)
         new_levels = tuple(self.levels[i] for i in im)
         new_sizes = tuple(self.model.size(k) for k in new_levels)
-        terms, den = self._terms()
         out = [0] * math.prod(new_sizes)
         for point, w in zip(itertools.product(*map(range, self.sizes)),
-                            terms):
+                            self.nums):
             if w:
                 out[_encode([point[i] for i in im], new_sizes)] += w
-        return SignedMeasure(self.model, new_levels, out, den)
+        return SignedMeasure(self.model, new_levels, out, self.den)
 
     def transport_block(self, start: int, k: int) -> "SignedMeasure":
         """Move coordinates start.. from level k-1 to level k through the
@@ -735,10 +722,7 @@ class TensorFunction(_Table):
         return max(abs(v) for v in self.data) if self.data else 0
 
     def is_symmetric(self) -> bool:
-        if self.model.field == "rational":
-            return self.symmetrize_blocks() == self
-        diff = self.symmetrize_blocks() - self
-        return diff.sup_norm() <= 1e-9 * (1 + self.sup_norm())
+        return self.symmetrize_blocks() == self
 
     def pull_coord(self, pos: int, k: int) -> "TensorFunction":
         """Compose coordinate pos (level k) with the one-step operator; the
@@ -905,10 +889,7 @@ def center_function(model: FKModel, f: TensorFunction) -> TensorFunction:
 
 
 def is_centered(model: FKModel, f: TensorFunction) -> bool:
-    # float mode allows rounding: marginals within 1e-9 of zero, relative
-    # to the size of f as in is_symmetric
     etas = flow(model).eta_vec
-    tol = 0 if model.field == "rational" else 1e-9 * (1 + f.sup_norm())
-    return f.is_symmetric() and all(
-        abs(v) <= tol for pos, k in enumerate(f.levels)
-        for v in f.contract([pos], [etas[k]]).data)
+    return f.is_symmetric() and not any(
+        any(f.contract([pos], [etas[k]]).nums)
+        for pos, k in enumerate(f.levels))

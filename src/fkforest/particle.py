@@ -99,6 +99,14 @@ def _adder(model: FKModel) -> Callable[[Iterable[Scalar]], Scalar]:
     return sum if model.field == "rational" else _sum
 
 
+def _terms(F: TensorFunction) -> Tuple[Sequence[Scalar], int]:
+    # F's entries over a denominator: its numerators in rational mode, its
+    # rounded entries over 1 in float mode, where the oracle adds floats
+    if F.model.field == "rational":
+        return F.nums, F.den
+    return F.data, 1
+
+
 def _potential(model: FKModel, k: int, N: int) -> Tuple[List[Scalar], int]:
     """G_k over one denominator that includes N, so that the empirical
     mean eta^N_k(G_k) of cfg is sum_x cfg[x] g[x] / den."""
@@ -368,7 +376,7 @@ def exact_QN_oracle(model: FKModel, N: int, q: Sequence[int],
     for cfg, vec in law.items():
         for i, t in enumerate(step(cfg, vec)):
             moment[i] += t
-    fnum, fden = F._terms()
+    fnum, fden = _terms(F)
     return model.scalar(_pair(model, fnum, moment),
                         fden * den * scale * N ** F.arity)
 
@@ -378,7 +386,7 @@ def _pair_law(model: FKModel, law: Law, den: int, F: TensorFunction,
               norm: int) -> Scalar:
     """Sum over a law of the carried weight times the empirical moment
     pairing F with the per-point counts of each configuration over norm."""
-    fnum, fden = F._terms()
+    fnum, fden = _terms(F)
     total = _adder(model)(vec[0] * _pair(model, fnum, counts(cfg, F.arity))
                           for cfg, vec in law.items())
     return model.scalar(total, den * fden * norm)
@@ -438,16 +446,16 @@ def exact_EN_oracle(model: FKModel, N: int, n: int, q: int,
     multiplied by B^{q-j} and the level denominator by B^q."""
     if q < 0:
         raise InvalidParameter("q must be >= 0")
-    fl = flow(model)
-    means = [_sum(e * g for e, g in zip(fl.eta_vec[k], model.G[k]))
-             for k in range(n + 1)]
+    # eta_k(G_k) from the exact flow, read as a float in float mode
+    means = [sum(map(mul, eta, g)) / gden for eta, (g, gden)
+             in zip(flow(model).eta_vec[:n + 1], model.G_rows)]
     binom = [[comb(j, i) for i in range(j + 1)] for j in range(q + 1)]
     exact = model.field == "rational"
     add_up = _adder(model)
 
     def weigh(k: int) -> Tuple[Step, int]:
         g, gden = _potential(model, k, N)
-        mean = means[k]
+        mean = means[k] if exact else float(means[k])
         B = gden * mean.numerator if exact else 1
         lift = [B ** (q - j) for j in range(q + 1)]
 

@@ -391,8 +391,8 @@ def test_float_mode_mirrored_entries_are_equal(tmp_path):
 
 
 def test_float_mode_centers_a_function_with_large_values(tmp_path):
-    """The centering check in float mode is relative to the size of the
-    function, so values near 1e10 center without tripping it."""
+    """Float mode centers the exact values of the function and checks the
+    result exactly, so values near 1e10 center without tripping it."""
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"levels": [1, 1],
                                 "values": [1e10, 2.5e10, -3e10, 7e9]}))
@@ -925,17 +925,28 @@ def numerator_tables(draw):
 # zero total mass over denominator 1
 @example((_cycle3, (1, 2), [3, -3, 0, 0, 5, -5, 0, 0, 0], 1))
 @example((TABLE_MODELS[1], (1,), [-1, 0, 3], 4))
+# the sum of the rounded entries is not the rounded exact total mass
+@example((TABLE_MODELS[1], (1,), [0, 1, -3], 3))
 @settings(max_examples=200, deadline=None)
 def test_writer_renders_a_measure_from_its_numerators(table):
-    """A measure held as numerators over a denominator writes the text of
-    the same entries given one by one as Fractions, or as floats."""
+    """A measure held as numerators over a denominator writes each exact
+    entry, its exact total mass and its exact TV norm, each read once in
+    the model's field: as a Fraction, or as float(Fraction(v, den)) and
+    float() of the exact sums in float mode."""
     model, levels, nums, den = table
     measure = SignedMeasure(model, levels, nums, den)
-    entries = [model.scalar(v, den) for v in nums]
-    want = measure_table(SignedMeasure(model, levels, entries))
-    for point, w in zip(itertools.product(*[range(model.size(k))
-                                            for k in levels]), entries):
-        assert measure.value(point) == w
+    exact = [Fraction(v, den) for v in nums]
+    read = float if model.field == "float" else Fraction
+    points = list(itertools.product(*[range(model.size(k)) for k in levels]))
+    want = {
+        "levels": list(levels),
+        "entries": [{"point": list(point), "value": format_scalar(read(w))}
+                    for point, w in zip(points, exact) if w],
+        "total_mass": format_scalar(read(sum(exact))),
+        "tv_norm": format_scalar(read(sum(map(abs, exact)))),
+    }
+    for point, w in zip(points, exact):
+        assert measure.value(point) == read(w)
     assert cli._json_text(measure) == json.dumps(want, indent=2,
                                                  sort_keys=True)
 

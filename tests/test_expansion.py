@@ -14,13 +14,15 @@ from fractions import Fraction
 import pytest
 
 from fkforest import (Caps, CapExceeded, ExpansionReport, FKModel,
-                      IdentityMismatch, SignedMeasure, bell_number,
+                      IdentityMismatch, SignedMeasure, TensorFunction,
+                      bell_number,
                       bundled_model, center_function,
                       centered_moment_expansion, derivative_P,
                       enumerate_colored_orbits, exact_QN, expansion_report_P,
                       expansion_report_Q, expansion_report_path_Q,
                       first_order_P, flat_blocks, function_from_vector,
-                      gamma_tensor, gaussian_product_moment, gbar_vector,
+                      gamma_tensor, gaussian_covariance,
+                      gaussian_product_moment, gbar_vector, pair_partitions,
                       path_derivative_Q, path_exact_QN, path_max_order,
                       path_wick_Q, random_rational_model)
 from fkforest import expansion
@@ -135,6 +137,29 @@ def test_wick_leading_order_is_the_gaussian_moment(drift2):
     vanish, half = path_wick_Q(drift2, flat_blocks(1, q), F)
     assert vanish == {0: 0, 1: 0}
     assert half == gaussian_product_moment(drift2, [(1, tuple(f.data))] * q)
+
+
+def test_wick_moment_pulls_each_factor_once(drift2, monkeypatch):
+    """gaussian_product_moment pulls each factor down once and computes
+    each pair's covariance once: 8 gbar factors alternating between levels
+    1 and 2 take 4 * 1 + 4 * 2 one-step pulls, where one covariance call
+    per pair of each of the 105 pair partitions took over a thousand.  The
+    moment is still the pair-partition sum of gaussian_covariance."""
+    factors = [(k, gbar_vector(drift2, k)) for k in (1, 2) * 4]
+    want = sum(math.prod(gaussian_covariance(drift2, *factors[i],
+                                             *factors[j])
+                         for i, j in pairing)
+               for pairing in pair_partitions(range(8)))
+    pulls = []
+    pull = TensorFunction.pull_coord
+
+    def counted(self, pos, k):
+        pulls.append(k)
+        return pull(self, pos, k)
+
+    monkeypatch.setattr(TensorFunction, "pull_coord", counted)
+    assert gaussian_product_moment(drift2, factors) == want
+    assert sorted(pulls) == [1] * 8 + [2] * 4
 
 
 @pytest.mark.parametrize("field", ["rational", "float"])

@@ -56,7 +56,12 @@ from fkforest.colored_forest import (ColoredMapSeq, colored_forest,
                                      pair_merge_forest)
 from fkforest.combinatorics import (falling_factorial, set_partitions,
                                     stirling_first, stirling_second)
-from fkforest.fk_core import _encode, _sum
+from fkforest.expansion import (ExpansionReport, _block_law_orders,
+                                expansion_report_P, expansion_report_Q,
+                                expansion_report_path_Q,
+                                gaussian_product_moment, gbar_vector,
+                                path_wick_Q)
+from fkforest.fk_core import _encode, _sum, parse_values
 from fkforest.models import random_rational_model
 
 
@@ -675,6 +680,81 @@ def test_float_kernel_rounds_the_exact_result_once():
         want = op(ref, lambda row: [Fraction(x) for x in row])
         assert got.levels == want.levels
         assert got.data == tuple(float(v) for v in want.data)
+
+
+def assert_rounds_twin(got, want):
+    """got, from a float model, is float() of want, the same quantity on
+    the model's exact twin, entry by entry."""
+    if isinstance(got, ExpansionReport):
+        got, want = ([r.base, r.orders, r.evaluations] for r in (got, want))
+    if isinstance(got, dict):
+        assert sorted(got) == sorted(want)
+        for k in got:
+            assert_rounds_twin(got[k], want[k])
+    elif isinstance(got, (tuple, list)):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_rounds_twin(a, b)
+    elif isinstance(got, (SignedMeasure, TensorFunction)):
+        assert got.levels == want.levels
+        assert got.data == tuple(map(float, want.data))
+        if isinstance(got, SignedMeasure):
+            assert got.total_mass() == float(want.total_mass())
+            assert got.tv_norm() == float(want.tv_norm())
+    else:
+        assert type(got) is float and got == float(want)
+
+
+def twin_requests(case, model, F):
+    """The float requests pinned in test_golden, and a few more routes, as
+    library calls on model and on F, a function over it in the -F
+    cases."""
+    if case == "drift2":
+        return [expansion_report_Q(model, 1, 2, Ns=(3,))]
+    if case == "cycle3":
+        return [expansion_report_path_Q(model, (2, 1, 1), Ns=(5,)),
+                _block_law_orders(model, 2, 2, 2, Caps()),
+                gaussian_product_moment(model, [(1, gbar_vector(model, 1)),
+                                                (2, gbar_vector(model, 2))])]
+    if case == "drift2-F":
+        return [expansion_report_Q(model, 1, 2, Ns=(3,), F=F)]
+    if case == "cycle3-F01":
+        return [expansion_report_path_Q(model, (1, 1), Ns=(4,), F=F)]
+    # the block law's evaluations come from the float oracle
+    law = expansion_report_P(model, 1, 2, F, top=1)
+    Fc = center_function(model, F)
+    return [law.base, law.orders, Fc,
+            expansion_report_Q(model, 1, 2, Ns=(4,), F=Fc),
+            path_wick_Q(model, flat_blocks(1, 2), Fc)]
+
+
+# the functions of the float pins in test_golden
+F3 = ["1", "-2", "1/3", "0", "5/2", "-1", "2", "1/4", "-3"]
+FLOAT_REQUESTS = {"drift2": ("drift2", None), "cycle3": ("cycle3", None),
+                  "drift2-F": ("drift2", ((1, 1), ["1", "2", "3", "-1/2"])),
+                  "cycle3-F01": ("cycle3", ((0, 1), F3)),
+                  "cycle3-F11": ("cycle3", ((1, 1), F3))}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_REQUESTS))
+def test_float_requests_round_their_exact_twin_once(case):
+    """Float mode runs the exact engine on the exact values of its floats
+    and rounds each value once where it is read: every entry of the base,
+    the orders and the operator-route evaluations, and the Wick value,
+    equals float() of the same entry on the exact twin.  The twin's
+    function holds the float function's exact values, so "1/3" enters both
+    as the float nearest 1/3."""
+    name, function = FLOAT_REQUESTS[case]
+    m = bundled_model(name, "float")
+    twin = exact_twin(m)
+    F = Ft = None
+    if function is not None:
+        levels, values = function
+        nums, den = parse_values(values, "float")
+        F = TensorFunction(m, levels, nums, den)
+        Ft = TensorFunction(twin, levels, nums, den)
+    assert_rounds_twin(twin_requests(case, m, F),
+                       twin_requests(case, twin, Ft))
 
 
 def single_level_model(size):

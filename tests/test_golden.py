@@ -10,22 +10,21 @@ against a recorded digest: the `expand` ones from before the integer
 kernel replaced the Fraction tables, the `count`/`enumerate` ones from
 before the pruned census knapsack and the per-tree automorphism counts,
 the `oracle` ones from before the forward pass moved onto integer
-transition rows, the first float `expand` and the `simulate`, `hilbert`
-and `verify` ones from before the JSON writer replaced `json.dumps`, the
-two `expand` cases past n=1 and across mixed levels from before the
-coordinate maps moved onto the integer kernel,
-the deep block law from before it ran all orders in one pass, and the
-last three `count` outputs and the census refusal line from before
-`count` summed its totals over the raw class tuples, and the float
-`--q-seq` expansion from before the writer rendered measures straight
-from their entries.  The `count` digests and the census refusal line
-also hold for `count` answering from the Burnside census, which lists no
-class.  The float `expand` outputs paired with a function (the block
-law, centering and plain pairings) were recorded before the tables moved
-onto integer numerators: float mode rounds at the same points.
-A new digest means a changed output.  The float requests also run with
-builtin sum() refusing float terms, since it compensates them from
-Python 3.12 on and the pins would then depend on the interpreter.
+transition rows, the `simulate`, `hilbert` and `verify` ones from
+before the JSON writer replaced `json.dumps`, the two `expand` cases
+past n=1 and across mixed levels from before the coordinate maps moved
+onto the integer kernel, the deep block law from before it ran all
+orders in one pass, and the last three `count` outputs and the census
+refusal line from before `count` summed its totals over the raw class
+tuples.  The `count` digests and the census refusal line also hold for
+`count` answering from the Burnside census, which lists no class.  The
+six float `expand` digests were recorded when float mode began to run
+the exact engine on the exact values of its floats and to round each
+value once, where it is read; tests/test_fk_core.py checks each of
+those values against its exact twin.  A new digest means a changed
+output.  The float requests also run with builtin sum() refusing float
+terms, since it compensates them from Python 3.12 on and the float
+oracle's outputs would then depend on the interpreter.
 """
 
 import builtins
@@ -204,12 +203,12 @@ OTHER_CASES = {
     "expand-float": (
         ["expand", "--model", "drift2", "--n", "1", "--q", "2", "--field",
          "float", "--evaluate", "3"],
-        "5aab2ad29ebab8b38db1fc76f92a758a4efd40ab05a6b08aebc150a4946d2ca9"),
+        "16d34248cbce38e374455c9c1728c2d8acd7fa3b00360173aaf47038626c21ed"),
     # float tables over several level pairs, each order and evaluation
     "expand-float-q-seq": (
         ["expand", "--model", "cycle3", "--q-seq", "2,1,1", "--field",
          "float", "--evaluate", "5"],
-        "be72d64741d9553b839ab503e33b2f7fb64cb70413f4d3208679332380c59052"),
+        "ee34925d7147f83fd3404b2193a307df214b0fb7a415411f2d8b2943d2292d0f"),
     "simulate": (
         ["simulate", "--model", "flat2", "--N", "16", "--replicas", "2"],
         "e12f347395d5ec641ac6ee5c1c571e865f5ee8a59c6d54959033fd0e35c63bc6"),
@@ -228,21 +227,21 @@ FLOAT_CASES = {
     "drift2-pair": (
         ["--model", "drift2", "--n", "1", "--q", "2", "--evaluate", "3"],
         F2,
-        "f3c3ce361902197e9d4e31a9b35dd55987814268e220801ab2c12f5aa0fbb58a"),
+        "0cfc909f0b54bd9701a6ad9edcf75ebb2ae1e01ae529e722ecab28a0a3d77ba0"),
     "cycle3-q-seq-pair": (
         ["--model", "cycle3", "--q-seq", "1,1", "--evaluate", "4"],
         ([0, 1], F3[1]),
-        "4970ebd33bc6e2c4613947e986f657894647bdbc0a3050fdf25dad874930b267"),
+        "fd8e9f7170b70709579227d5c0b5e06f16be45ceebad3ce89c83650c0baddc3e"),
     "cycle3-block": (
         ["--model", "cycle3", "--n", "1", "--q", "2", "--block", "--top",
          "1", "--evaluate", "4"],
         F3,
-        "a43dd4ad56cabb41c6a273edee31612ae7d3a91f37ebeeb5b26b4f04fb6e51b3"),
+        "299527abce3a8553281770d1aa18b0c44e617e19a1e801e7b76dcffe7585284b"),
     "cycle3-center": (
         ["--model", "cycle3", "--n", "1", "--q", "2", "--center",
          "--evaluate", "4"],
         F3,
-        "f47613fe59150a8f9223c429013b46cefb2328d8ad5c2660665c59d823e80bc1"),
+        "b50999996688983c03694824a83640ed69a2482b5cc238b985a333b9ba030a82"),
 }
 
 
@@ -268,8 +267,9 @@ def _int_sum(terms, start=0):
 
 def test_float_results_never_reach_builtin_sum(tmp_path, monkeypatch):
     # builtin sum() compensates float sums from Python 3.12 on, which
-    # changed the cycle3-block float pin there; every field-scalar sum
-    # goes through fk_core._sum, which adds left to right on any Python
+    # changed the cycle3-block float pin there; the exact engine adds only
+    # integers and Fractions, and the float oracle adds its floats through
+    # fk_core._sum, which adds left to right on any Python
     for info in pkgutil.iter_modules(fkforest.__path__):
         module = importlib.import_module("fkforest." + info.name)
         monkeypatch.setattr(module, "sum", _int_sum, raising=False)
