@@ -18,6 +18,9 @@ orders in one pass, and the last three `count` outputs and the census
 refusal line from before `count` summed its totals over the raw class
 tuples.  The `count` digests and the census refusal line also hold for
 `count` answering from the Burnside census, which lists no class.  The
+two multi-size `expand` cases, one per field, were recorded before the
+coefficient polynomial and every finite-size evaluation moved through
+one stacked pass; they catch evaluations that trade tables.  The other
 six float `expand` digests were recorded when float mode began to run
 the exact engine on the exact values of its floats and to round each
 value once, where it is read; tests/test_fk_core.py checks each of
@@ -103,6 +106,11 @@ CASES = {
          "--top", "3", "--evaluate", "4"],
         ([3, 3, 3], F3[1][:8]),
         "088af30916a013c7f52fbd1f9822bfa7342351c1ecb9f78545b1cf7c54f318c5"),
+    # several finite sizes in one report
+    "cycle3-q-seq-sizes": (
+        ["--model", "cycle3", "--q-seq", "2,1,1", "--evaluate", "5,6,9"],
+        None,
+        "3b9e6b78126c1b212b8c4959b8bc7f2bbedbd893b1a20e4e3ec1a0df3a80abf7"),
 }
 
 
@@ -242,6 +250,12 @@ FLOAT_CASES = {
          "--evaluate", "4"],
         F3,
         "b50999996688983c03694824a83640ed69a2482b5cc238b985a333b9ba030a82"),
+    # several finite sizes in one report, one of them from --oracle
+    "drift2-pair-sizes": (
+        ["--model", "drift2", "--n", "1", "--q", "2", "--evaluate", "3,4",
+         "--oracle", "5"],
+        F2,
+        "b0dbdaedb72b58654b86215a5b2202581de82cad81adaa09d4ed52ae43baaa2e"),
 }
 
 
