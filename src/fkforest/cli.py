@@ -418,7 +418,7 @@ def cmd_expand(args: SimpleNamespace) -> int:
         result["oracle_deltas"] = {
             N: report.evaluations[N]
             - exact_QN_oracle(model, N, prof, F, caps=caps)
-            for N in oracle_ns}
+            for N in dict.fromkeys(oracle_ns)}
 
     manifest = _manifest(args, {
         "model": args.model, "kind": kind, "n": args.n, "q": args.q,

@@ -26,10 +26,14 @@ s(p, b_k - j) in the coefficient of x**j, x = 1/N.  The exact value
 applies the first weights, the coefficients carry the product as a
 polynomial in x, and the two stay independent routes.
 
-The product runs on integer stages (`fk_core.select_partitions`,
-`fk_core.transport_numerators`), Python-int numerators over one shared
-denominator, and its final tables become measures as they are (see
-`_select_and_transport`).
+A moment report runs the coefficient polynomial and one exact route per
+distinct ensemble size in one pass over the levels (see
+`_select_and_transport`).  The product runs on integer stages
+(`fk_core.select_partitions`, `fk_core.transport_numerators`): a stage
+stacks the Python-int numerator tables of every route, each route keeps
+its own denominator, and no output of a selection reads another route's
+table.  One transport call moves a coordinate of the whole stack, and
+the final tables become measures as they are.
 
 The block law up to order top is one pass (`_block_law_orders`).  It walks
 every multi-index p of total size l < 2*top once, runs one moment
@@ -364,20 +368,25 @@ def _check_product_caps(model: FKModel, prof: Tuple[int, ...],
 
 
 def _select_and_transport(model: FKModel, prof: Tuple[int, ...],
-                          select, caps: Caps,
-                          targets: Targets) -> List[SignedMeasure]:
-    """The operator product behind every block moment.
+                          routes: Sequence, caps: Caps,
+                          targets: Targets) -> List[List[SignedMeasure]]:
+    """The operator product behind every block moment, for several
+    selections (routes) in one pass over the levels.
 
-    Runs on integer stages: the numerator tables of one stage share one
-    denominator.  Starts from eta0 on all b_0 coordinates.  At level k the
-    live block of b_k coordinates goes through the selection:
-    `select(b_k, count)` gives, for `count` current tables, the integer
-    weights of every next table on the partition pieces (see
-    `fk_core.select_partitions`) and the factor of the denominator.  Then
-    the first q_k live coordinates freeze and the rest move one step, each
-    moved coordinate multiplying the denominator by that of the operator
-    rows.  Each final table becomes one measure on its numerators, with
-    no entry read.
+    Runs on integer stages: a stage stacks the numerator tables of every
+    route, one after another, and each route keeps its own denominator.
+    Every route starts from the one table of eta0 on all b_0 coordinates.
+    At level k the live block of b_k coordinates goes through the
+    selection: route r's `select(b_k, count)` gives, for its `count`
+    current tables, the integer weights of each of its next tables on the
+    partition pieces of its own tables (see `fk_core.select_partitions`)
+    and the factor of its denominator.  No output reads another route's
+    table, so the routes stay as independent as separate products.  Then
+    the first q_k live coordinates freeze and the rest move one step: one
+    `transport_numerators` call per moved coordinate moves the whole
+    stage, tables as the outer axis, and multiplies every denominator by
+    that of the operator rows.  Returns, per route, its final tables as
+    measures on their numerators, with no entry read.
 
     `targets` maps (b, s) to its set-partition table
     (`fk_core._partition_targets`) and is filled as stages need them: a
@@ -387,36 +396,44 @@ def _select_and_transport(model: FKModel, prof: Tuple[int, ...],
     blacks = _blacks(prof)
     _check_product_caps(model, prof, caps)
     e0, den = model.eta0_row
-    nums = [1]
+    stage = [1]
     for _ in range(blacks[0]):
-        nums = [a * x for a in nums for x in e0]
-    den = den ** blacks[0]
-    tables = [nums]
+        stage = [a * x for a in stage for x in e0]
+    # per route: (index of its first table in the stage, its table count)
+    spans = [(0, 1)] * len(routes)
+    dens = [den ** blacks[0]] * len(routes)
     prefix = 1
     for k, b in enumerate(blacks):
         s = model.size(k)
-        weights, scale = select(b, len(tables))
         table = targets.get((b, s))
         if table is None:
             table = targets[b, s] = _partition_targets(b, s)
-        tables = select_partitions(tables, prefix, b, s, weights, table)
-        den *= scale
+        combos: List[Dict[Tuple[int, int], int]] = []
+        for r, select in enumerate(routes):
+            first, count = spans[r]
+            weights, scale = select(b, count)
+            spans[r] = (len(combos), len(weights))
+            combos += [{(first + d, p): c for (d, p), c in w.items()}
+                       for w in weights]
+            dens[r] *= scale
+        stage = select_partitions(stage, prefix, b, s, combos, table)
         prefix *= s ** prof[k]
         if k + 1 < len(prof):
             rows, qden = model.exact_q(k + 1)
             moved = b - prof[k]
             for j in range(moved):
-                inner = s ** (moved - 1 - j)
-                tables = [transport_numerators(t, inner, rows)
-                          for t in tables]
-            den *= qden ** moved
+                stage = transport_numerators(stage, s ** (moved - 1 - j),
+                                             rows)
+            dens = [d * qden ** moved for d in dens]
     levels = _block_levels(prof)
-    return [SignedMeasure(model, levels, t, den) for t in tables]
+    size = len(stage) // sum(count for _, count in spans)
+    return [[SignedMeasure(model, levels, stage[i * size:(i + 1) * size], d)
+             for i in range(first, first + count)]
+            for (first, count), d in zip(spans, dens)]
 
 
-def _moment_polynomial(model: FKModel, prof: Tuple[int, ...], top: int,
-                       caps: Caps, targets: Targets) -> List[SignedMeasure]:
-    """Coefficients 0..top of the moment in x = 1/N.
+def _polynomial_route(top: int):
+    """Selection of the coefficients 0..top of the moment in x = 1/N.
 
     The selection at a level with b live coordinates is the polynomial
     sum_j x**j sum_p s(p, b - j) piece_p; the product over the levels is
@@ -433,39 +450,50 @@ def _moment_polynomial(model: FKModel, prof: Tuple[int, ...], top: int,
                 for p in range(1, b + 1)})
         return weights, 1
 
-    return _select_and_transport(model, prof, select, caps, targets)
+    return select
+
+
+def _exact_route(N: int):
+    """Selection of the exact moment at ensemble size N.
+
+    The selection at a level with b live coordinates weighs each set
+    partition with p blocks by (N)_p / N**b: piece p is multiplied by
+    (N)_p and the denominator by N**b.
+    """
+    def select(b: int, count: int):
+        return [{(0, p): falling_factorial(N, p)
+                 for p in range(1, b + 1)}], N ** b
+
+    return select
+
+
+def _moment_polynomial(model: FKModel, prof: Tuple[int, ...], top: int,
+                       caps: Caps, targets: Targets) -> List[SignedMeasure]:
+    """Coefficients 0..top of the moment in x = 1/N: the operator product
+    with the one polynomial route."""
+    (coeffs,) = _select_and_transport(model, prof, [_polynomial_route(top)],
+                                      caps, targets)
+    return coeffs
+
+
+def _check_size(prof: Tuple[int, ...], N: int) -> None:
+    if N < sum(prof):
+        raise InvalidParameter(
+            "ensemble size N=%d below the total block size %d"
+            % (N, sum(prof)))
 
 
 def path_exact_QN(model: FKModel, q: Sequence[int], N: int,
                   F: Optional[TensorFunction] = None,
                   caps: Caps = DEFAULT_CAPS
                   ) -> Union[Scalar, SignedMeasure]:
-    """Exact joint per-time block moment of the unnormalized ensemble.
-
-    The selection at a level with b live coordinates weighs each set
-    partition with p blocks by (N)_p / N**b: piece p is multiplied by
-    (N)_p and the denominator by N**b.  The coefficient polynomial is never
-    evaluated, so the two stay independent routes.
-    """
-    return _path_exact_QN(model, q, N, F, caps, {})
-
-
-def _path_exact_QN(model: FKModel, q: Sequence[int], N: int,
-                   F: Optional[TensorFunction], caps: Caps,
-                   targets: Targets) -> Union[Scalar, SignedMeasure]:
-    """path_exact_QN, reading and filling the set-partition tables of
-    `targets`."""
+    """Exact joint per-time block moment of the unnormalized ensemble: the
+    operator product with the one exact route of size N.  The coefficient
+    polynomial is never evaluated, so the two stay independent routes."""
     prof = _check_profile(model, q)
-    if N < sum(prof):
-        raise InvalidParameter(
-            "ensemble size N=%d below the total block size %d"
-            % (N, sum(prof)))
-
-    def select(b: int, count: int):
-        return [{(0, p): falling_factorial(N, p)
-                 for p in range(1, b + 1)}], N ** b
-
-    (total,) = _select_and_transport(model, prof, select, caps, targets)
+    _check_size(prof, N)
+    ((total,),) = _select_and_transport(model, prof, [_exact_route(N)],
+                                        caps, {})
     return total if F is None else total.pair(F)
 
 
@@ -876,20 +904,23 @@ def _moment_report(model: FKModel, prof: Tuple[int, ...], kind: str,
                    params: Dict[str, object], Ns: Sequence[int],
                    F: Optional[TensorFunction],
                    caps: Caps) -> ExpansionReport:
-    # the polynomial and every evaluation share one set of partition tables
-    targets: Targets = {}
-    coeffs: List[object] = list(
-        _moment_polynomial(model, prof, path_max_order(prof), caps, targets))
+    # the polynomial and one exact route per distinct size run in one pass
+    sizes = list(dict.fromkeys(Ns))
+    for N in sizes:
+        _check_size(prof, N)
+    routes = [_polynomial_route(path_max_order(prof))]
+    routes += [_exact_route(N) for N in sizes]
+    outs: List[List] = _select_and_transport(model, prof, routes, caps, {})
     if F is not None:
-        coeffs = [c.pair(F) for c in coeffs]
+        outs = [[t.pair(F) for t in out] for out in outs]
+    coeffs, *values = outs
     base, orders = coeffs[0], dict(enumerate(coeffs[1:], start=1))
     report = ExpansionReport(
         kind=kind,
         params=params,
         base=base,
         orders=orders,
-        evaluations={N: _path_exact_QN(model, prof, N, F, caps, targets)
-                     for N in Ns},
+        evaluations={N: v for N, (v,) in zip(sizes, values)},
     )
     report.check()
     return report

@@ -372,15 +372,19 @@ def _over_lcm(vals: Iterable[object]) -> Tuple[List[int], int]:
 
 def _partition_targets(b: int,
                        s: int) -> Dict[int, List[List[Tuple[int, int]]]]:
-    """For p = 1..b and every point z of s**p (row-major index), the live
+    """For p = 1..b-1 and every point z of s**p (row-major index), the live
     points y that the canonical maps of the set partitions of b positions
-    into p blocks send z to, with multiplicities."""
+    into p blocks send z to, with multiplicities.  The one partition into
+    b blocks maps every point to itself, so it gets no table:
+    `select_partitions` adds its piece as it is."""
     width = s ** b
     places = [s ** (b - 1 - i) for i in range(b)]
     # z and y in one key z * width + y, counted at C speed
-    keys: Dict[int, List[int]] = {p: [] for p in range(1, b + 1)}
+    keys: Dict[int, List[int]] = {p: [] for p in range(1, b)}
     for rgs in set_partitions(b):
         p = max(rgs) + 1
+        if p == b:
+            continue
         weights = [0] * p
         for v, w in zip(rgs, places):
             weights[v] += w
@@ -399,43 +403,45 @@ def _partition_targets(b: int,
     return out
 
 
-def select_partitions(tables: Sequence[Sequence[int]], prefix: int, b: int,
-                      s: int, weights: Sequence[Dict[Tuple[int, int], int]],
+def select_partitions(stage: List[int], prefix: int, b: int, s: int,
+                      weights: Sequence[Dict[Tuple[int, int], int]],
                       targets: Dict[int, List[List[Tuple[int, int]]]]
-                      ) -> List[List[int]]:
-    """Selection on the live block of integer tables of one stage.
+                      ) -> List[int]:
+    """Selection on the live block of a stage of integer tables.
 
-    Every table is laid out as prefix frozen points times s**b live points.
-    Piece (d, p) of input table d sums, over the set partitions of the b
-    live positions into p blocks, the pushforward under the partition's
-    canonical map; output e is sum of weights[e][d, p] * piece (d, p).
-    `targets` is `_partition_targets(b, s)`, which the caller builds once
-    for as many stages as share (b, s); each output folds its weights into
-    the marginals before one scatter per p.  The stage denominator is
+    The stage stacks its tables one after another, each laid out as prefix
+    frozen points times s**b live points.  Piece (d, p) of table d sums,
+    over the set partitions of the b live positions into p blocks, the
+    pushforward under the partition's canonical map; output e is sum of
+    weights[e][d, p] * piece (d, p), and the outputs come back stacked the
+    same way.  Piece (d, b), the identity partition, is table d itself and
+    is added as it is, by a vector sum.  Every other p scatters through
+    `targets`, `_partition_targets(b, s)`, which the caller builds once for
+    as many stages as share (b, s); each output folds its weights into the
+    marginals before one scatter per p.  The stage denominator is
     unchanged.
     """
-    margs = []
-    for t in tables:
-        # m[p]: the table on the frozen prefix and its first p live points
-        m = {b: t}
-        for p in range(b, 1, -1):
-            src = m[p]
-            m[p - 1] = [sum(src[i:i + s]) for i in range(0, len(src), s)]
-        margs.append(m)
+    # margs[p]: every table on its frozen prefix and its first p live
+    # points, stacked like the stage
+    margs = {b: stage}
+    for p in range(b, 1, -1):
+        src = margs[p]
+        margs[p - 1] = list(map(sum, zip(*[src[i::s] for i in range(s)])))
     width = s ** b
-    out = []
+    out: List[int] = []
     for combo in weights:
         by_p: Dict[int, List[int]] = {}
         for (d, p), c in combo.items():
             if not c:
                 continue
-            src = margs[d][p]
+            size = prefix * s ** p
+            src = margs[p][d * size:(d + 1) * size]
             acc = by_p.get(p)
             if acc is None:
                 by_p[p] = src if c == 1 else [c * v for v in src]
             else:
                 by_p[p] = [a + c * v for a, v in zip(acc, src)]
-        data = [0] * (prefix * width)
+        data = by_p.pop(b, None) or [0] * (prefix * width)
         for p, src in by_p.items():
             tp = targets[p]
             step = len(tp)
@@ -445,7 +451,7 @@ def select_partitions(tables: Sequence[Sequence[int]], prefix: int, b: int,
                     if w:
                         for y, c in hit:
                             data[base + y] += c * w
-        out.append(data)
+        out += data
     return out
 
 
@@ -472,11 +478,14 @@ def transport_numerators(nums: Sequence[int], inner: int,
     step = s_out * inner
     out = [0] * (outer * step)
     for y in range(s_out):
-        acc = [0] * (outer * inner)
+        acc = None
         for x, sub in enumerate(subs):
             r = rows[x][y]
             if r:
-                acc = [a + r * v for a, v in zip(acc, sub)]
+                acc = ([r * v for v in sub] if acc is None else
+                       [a + r * v for a, v in zip(acc, sub)])
+        if acc is None:
+            acc = [0] * (outer * inner)
         for i in range(inner):
             out[y * inner + i::step] = acc[i * outer:(i + 1) * outer]
     return out
@@ -803,11 +812,13 @@ def partition_sums(mu: SignedMeasure, frozen: int,
         raise CapExceeded("selection would enumerate too many set partitions",
                           predicted=bell, cap=caps.forests)
     s = mu.model.size(live[0])
-    tables = select_partitions([mu.nums], math.prod(mu.sizes[:frozen]), b,
-                               s, [{(0, p): 1} for p in range(1, b + 1)],
-                               _partition_targets(b, s))
-    return {p: SignedMeasure(mu.model, levels, t, mu.den)
-            for p, t in enumerate(tables, start=1)}
+    stage = select_partitions(list(mu.nums), math.prod(mu.sizes[:frozen]),
+                              b, s, [{(0, p): 1} for p in range(1, b + 1)],
+                              _partition_targets(b, s))
+    size = len(mu.nums)
+    return {p: SignedMeasure(mu.model, levels,
+                             stage[(p - 1) * size:p * size], mu.den)
+            for p in range(1, b + 1)}
 
 
 def fiber_count(q: int, N: int, image_size: int) -> int:

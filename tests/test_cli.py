@@ -313,11 +313,21 @@ def test_a_failed_check_exits_1_with_a_reproducer(tmp_path, monkeypatch):
 
 def test_a_failed_identity_in_expand_exits_1(tmp_path, capsys, monkeypatch):
     """A finite-size value that disagrees with the coefficient sum stops
-    the report check: exit 1, one JSON error line and no output file."""
+    the report check: exit 1, one JSON error line and no output file.  The
+    exact route of the one pass is off by a factor 1 + 1e-9 per level."""
     from fkforest import expansion
-    exact = expansion._path_exact_QN
-    monkeypatch.setattr(expansion, "_path_exact_QN",
-                        lambda *a, **k: exact(*a, **k) + Fraction(1, 10 ** 9))
+    route = expansion._exact_route
+
+    def perturbed(N):
+        select = route(N)
+
+        def bumped(b, count):
+            weights, scale = select(b, count)
+            return ([{dp: c * (10 ** 9 + 1) for dp, c in w.items()}
+                     for w in weights], scale * 10 ** 9)
+        return bumped
+
+    monkeypatch.setattr(expansion, "_exact_route", perturbed)
     F = function_file(tmp_path, [1, 1], ["1", "2", "3", "-1/2"])
     rc, data = run(tmp_path, "expand", "--model", "drift2", "--n", "1",
                    "--q", "2", "--function", F, "--evaluate", "3")
@@ -326,6 +336,48 @@ def test_a_failed_identity_in_expand_exits_1(tmp_path, capsys, monkeypatch):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "IdentityMismatch"
     assert "N=3" in err["message"]
+
+
+def test_duplicate_sizes_run_once_and_stay_in_the_manifest(tmp_path,
+                                                           monkeypatch):
+    """A size given twice, or as both --evaluate and --oracle, runs one
+    exact route and one oracle pass; the manifest keeps the sizes as given
+    and the result is that of the distinct sizes."""
+    from fkforest import expansion
+    routes, oracles = [], []
+    route, oracle = expansion._exact_route, cli.exact_QN_oracle
+    monkeypatch.setattr(expansion, "_exact_route",
+                        lambda N: routes.append(N) or route(N))
+    monkeypatch.setattr(cli, "exact_QN_oracle",
+                        lambda m, N, *a, **k: oracles.append(N)
+                        or oracle(m, N, *a, **k))
+    F = function_file(tmp_path, [1, 1], ["1", "2", "3", "-1/2"])
+    docs = []
+    for evaluate, given in (("3,4,3", "4,4"), ("3,4", "4")):
+        rc, data = run(tmp_path, "expand", "--model", "drift2", "--n", "1",
+                       "--q", "2", "--function", F, "--evaluate", evaluate,
+                       "--oracle", given)
+        assert rc == 0
+        docs.append(json.loads(data))
+    assert routes == [3, 4, 3, 4] and oracles == [4, 4]
+    twice, once = docs
+    assert (twice["manifest"]["parameters"]["evaluate"],
+            twice["manifest"]["parameters"]["oracle"]) == ([3, 4, 3], [4, 4])
+    assert twice["result"] == once["result"]
+
+
+def test_a_size_below_the_block_refuses_before_any_table(tmp_path, capsys,
+                                                          monkeypatch):
+    from fkforest import expansion
+    builds = []
+    monkeypatch.setattr(expansion, "_partition_targets",
+                        lambda *a: builds.append(a))
+    rc, data = run(tmp_path, "expand", "--model", "drift2", "--q-seq", "2,2",
+                   "--evaluate", "5,3")
+    assert (rc, data, builds) == (2, None, [])
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "InvalidParameter",
+        "message": "ensemble size N=3 below the total block size 4"}
 
 
 @pytest.mark.parametrize("case", ["function-not-json", "model-not-json",

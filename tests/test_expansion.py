@@ -14,7 +14,8 @@ from fractions import Fraction
 import pytest
 
 from fkforest import (Caps, CapExceeded, ExpansionReport, FKModel,
-                      IdentityMismatch, SignedMeasure, TensorFunction,
+                      IdentityMismatch, InvalidParameter, SignedMeasure,
+                      TensorFunction,
                       bell_number,
                       bundled_model, center_function,
                       centered_moment_expansion, derivative_P,
@@ -248,6 +249,67 @@ def test_moment_report_builds_each_table_once(prof, monkeypatch):
     monkeypatch.setattr(expansion, "_partition_targets", counted_build)
     expansion_report_path_Q(bundled_model("blend3"), prof, Ns=(5, 6, 7))
     assert sorted(builds) == sorted({(b, 3) for b in expansion._blacks(prof)})
+
+
+@pytest.mark.parametrize("field", ["rational", "float"])
+@pytest.mark.parametrize("name", ["drift2", "cycle3", "blend3"])
+@pytest.mark.parametrize("prof", [(0, 0, 3), (2, 1, 1), (1, 2)])
+@pytest.mark.parametrize("sizes", [(5,), (5, 6, 9)])
+def test_stacked_routes_equal_solo_routes(name, field, prof, sizes):
+    """One report stacks the coefficient polynomial and every exact size
+    in one pass; each route reads only its own tables, so every
+    coefficient and every evaluation equals its route run alone."""
+    m = bundled_model(name, field)
+    rep = expansion_report_path_Q(m, prof, Ns=sizes)
+    solo = expansion._moment_polynomial(m, prof, path_max_order(prof),
+                                        Caps(), {})
+    assert [rep.base] + [rep.orders[k] for k in sorted(rep.orders)] == solo
+    assert list(rep.evaluations) == list(sizes)
+    for N in sizes:
+        assert rep.evaluations[N] == path_exact_QN(m, prof, N)
+
+
+@pytest.mark.parametrize("prof,calls", [((0, 0, 3), 6), ((2, 1, 1), 3),
+                                        ((1, 2), 2)])
+@pytest.mark.parametrize("sizes", [(5,), (5, 6, 9)])
+def test_a_report_moves_each_coordinate_once_per_level(prof, calls, sizes,
+                                                       monkeypatch):
+    """The whole stage moves as one stacked table: one transport call per
+    moved coordinate per level, whatever the number of tables and sizes."""
+    moves = []
+    transport = expansion.transport_numerators
+
+    def counted(*a):
+        moves.append(a)
+        return transport(*a)
+
+    monkeypatch.setattr(expansion, "transport_numerators", counted)
+    expansion_report_path_Q(bundled_model("cycle3"), prof, Ns=sizes)
+    blacks = expansion._blacks(prof)
+    assert len(moves) == calls == sum(b - q for b, q in
+                                      zip(blacks[:-1], prof[:-1]))
+
+
+def test_duplicate_sizes_run_one_exact_route(monkeypatch):
+    routes = []
+    route = expansion._exact_route
+    monkeypatch.setattr(expansion, "_exact_route",
+                        lambda N: routes.append(N) or route(N))
+    m = bundled_model("cycle3")
+    rep = expansion_report_path_Q(m, (2, 1, 1), Ns=(6, 5, 6, 5))
+    assert routes == [6, 5]
+    assert list(rep.evaluations) == [6, 5]
+    assert rep.evaluations[5] == path_exact_QN(m, (2, 1, 1), 5)
+
+
+def test_a_size_below_the_block_refuses_before_any_table(monkeypatch):
+    builds = []
+    monkeypatch.setattr(expansion, "_partition_targets",
+                        lambda *a: builds.append(a))
+    with pytest.raises(InvalidParameter,
+                       match="ensemble size N=3 below the total block size 4"):
+        expansion_report_path_Q(bundled_model("drift2"), (2, 2), Ns=(5, 3))
+    assert builds == []
 
 
 def test_block_law_report_builds_each_table_once(drift2, monkeypatch):
