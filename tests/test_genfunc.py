@@ -264,12 +264,16 @@ def test_marginalize_sums_dropped_variables():
 
 
 def test_series_cap_is_a_structured_refusal():
+    """The series refuses after the first geometric factor that takes it
+    past the cap, and names the terms it holds then."""
     tiny = Caps(forests=10 ** 5, group=10 ** 6, tensor=10 ** 6,
                 configs=10 ** 5, series=5)
     with pytest.raises(CapExceeded) as err:
         hilbert_series(2, (3, 3, 3), caps=tiny)
-    assert err.value.cap == 5
-    assert err.value.predicted > 5
+    assert (err.value.predicted, err.value.cap) == (10, 5)
+    with pytest.raises(CapExceeded) as err:
+        hilbert_series(5, 3, caps=Caps(series=500))
+    assert (err.value.predicted, err.value.cap) == (553, 500)
 
 
 @given(n=st.integers(0, 2),

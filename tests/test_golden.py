@@ -20,7 +20,10 @@ tuples.  The `count` digests and the census refusal line also hold for
 `count` answering from the Burnside census, which lists no class.  The
 two multi-size `expand` cases, one per field, were recorded before the
 coefficient polynomial and every finite-size evaluation moved through
-one stacked pass; they catch evaluations that trade tables.  The other
+one stacked pass; they catch evaluations that trade tables.  The two
+`hilbert` series past the `hilbert-coalescence` one and the graded
+colored `enumerate` were recorded before a forest became the children
+of one black root tree and the series census grew one dict in place.  The other
 six float `expand` digests were recorded when float mode began to run
 the exact engine on the exact values of its floats and to round each
 value once, where it is read; tests/test_fk_core.py checks each of
@@ -160,6 +163,9 @@ CLASS_CASES = {
     "count-flat-max-coal": (
         ["count", "--n", "3", "--q", "3", "--max-coal", "1"],
         "29f82e7a12717a4a08456c8f77af88470354691aed3a825df042afc1f6accbd9"),
+    "enumerate-colored-max-coal": (
+        ["enumerate", "--q-seq", "0,3,1", "--max-coal", "2"],
+        "1749149b1adc49ef7b970e801c7ba100e92c14157d281a9e5785d90127c097f7"),
 }
 
 
@@ -223,6 +229,13 @@ OTHER_CASES = {
     "hilbert-coalescence": (
         ["hilbert", "--n", "2", "--truncation", "3", "--coalescence"],
         "11a0ab79efda364c4b89584c519d7479d6236c219bceb4a353ce5840219a1702"),
+    "hilbert-plain": (
+        ["hilbert", "--n", "3", "--truncation", "3"],
+        "95269708b966290786dde80472c907e5d92ac4d81959d2361e2e6faf9246b93f"),
+    # a box that dips and rises: built over its envelope, then filtered
+    "hilbert-coalescence-dip": (
+        ["hilbert", "--n", "2", "--truncation", "3,1,2", "--coalescence"],
+        "5e740243e7ca172071f3b5f3c088e049756c167de84247b0efe13d790942eec7"),
     "verify-stirling": (
         ["verify", "--only", "stirling"],
         "3c6205aab57eff0b5b1d270b27cb209fd28382f7db2a7266a206f260571f135d"),
