@@ -7,12 +7,16 @@ vertices of the level below, one for the black ones), both into the black
 vertices above.  Products of per-color symmetric groups act by relabeling;
 colored forests are the orbits.
 
+A forest is the children of one black root above level 0: its profiles
+and merges are the root's with the root's level dropped, and its
+stabilizer under the relabelings is the root's automorphism group.
+
 Plain leveled forests are the colored forests whose whites all sit on the
 top level: a plain profile (p_0..p_h) becomes the colored profile
-((0,p_0)..(0,p_{h-1}),(p_h,0)), see :func:`flat_pairs`, and the orbits and
-orbit sizes are the same on both sides.  In particular the q-block classes
-of height n+1 are the colored classes of the block profile
-``flat_blocks(n, q) == (0,)*n + (q,)``.
+((0,p_0)..(0,p_{h-1}),(p_h,0)), see :func:`fkforest.genfunc.flat_pairs`,
+and the orbits and orbit sizes are the same on both sides.  In particular
+the q-block classes of height n+1 are the colored classes of the block
+profile ``flat_blocks(n, q) == (0,)*n + (q,)``.
 
 Trees and forests are values: a tree sorts its children by encoding, so
 two trees of one shape built apart have the same encoding, and they
@@ -30,7 +34,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, InvalidParameter
-from .genfunc import PairProfile, _check_pairs, class_census
+# flat_pairs is re-exported: plain profiles enter the colored stack here
+from .genfunc import PairProfile, _check_pairs, class_census, flat_pairs
 
 
 class ColoredTree:
@@ -127,26 +132,24 @@ def white_topped_chain(height: int) -> ColoredTree:
 
 
 class ColoredForest:
-    __slots__ = ("items", "encoding", "wprofile", "bprofile", "internal",
+    """A forest as the children of one black root above level 0."""
+
+    __slots__ = ("root", "encoding", "wprofile", "bprofile", "internal",
                  "coal")
 
-    def __init__(self, items: Tuple[Tuple[ColoredTree, int], ...]):
-        self.items = items
-        self.encoding = "".join(t.encoding * m for t, m in items)
-        depth = max((len(t.wprofile) for t, _ in items), default=0)
-        wp = [0] * depth
-        bp = [0] * depth
-        inter = [0] * depth
-        for t, m in items:
-            for lvl in range(len(t.wprofile)):
-                wp[lvl] += m * t.wprofile[lvl]
-                bp[lvl] += m * t.bprofile[lvl]
-                inter[lvl] += m * t.internal[lvl]
-        self.wprofile = tuple(wp)
-        self.bprofile = tuple(bp)
-        self.internal = tuple(inter)
-        self.coal = tuple(wp[k + 1] + bp[k + 1] - inter[k]
-                          for k in range(depth - 1))
+    def __init__(self, trees: Iterable[ColoredTree]):
+        root = self.root = ColoredTree(False, trees)
+        self.encoding = root.encoding[2:-1]
+        self.wprofile = root.wprofile[1:]
+        self.bprofile = root.bprofile[1:]
+        self.internal = root.internal[1:]
+        self.coal = root.coal[1:]
+
+    @property
+    def items(self) -> Tuple[Tuple[ColoredTree, int], ...]:
+        """The distinct trees with their multiplicities."""
+        return tuple((t, len(tuple(run)))
+                     for t, run in itertools.groupby(self.root.children))
 
     @property
     def pair_profile(self) -> PairProfile:
@@ -162,33 +165,28 @@ class ColoredForest:
 
     @property
     def n_trees(self) -> int:
-        return sum(m for _, m in self.items)
+        return len(self.root.children)
 
     def trees(self) -> Iterable[ColoredTree]:
-        for t, m in self.items:
-            for _ in range(m):
-                yield t
+        return iter(self.root.children)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ColoredForest):
             return NotImplemented
-        return self.items == other.items
+        return self.root.children == other.root.children
 
     def __hash__(self):
-        return hash(self.items)
+        return hash(self.root.children)
 
     def __repr__(self) -> str:
         return "ColoredForest(%s)" % (self.encoding or "empty")
 
 
 def colored_forest(trees_in: Iterable[ColoredTree]) -> ColoredForest:
-    counts: Dict[ColoredTree, int] = {}
-    for t in trees_in:
-        if not isinstance(t, ColoredTree):
-            raise InvalidParameter("members must be ColoredTree instances")
-        counts[t] = counts.get(t, 0) + 1
-    items = tuple(sorted(counts.items(), key=lambda kv: kv[0].encoding))
-    return ColoredForest(items)
+    trees = tuple(trees_in)
+    if not all(isinstance(t, ColoredTree) for t in trees):
+        raise InvalidParameter("members must be ColoredTree instances")
+    return ColoredForest(trees)
 
 
 class ColoredMapSeq:
@@ -311,14 +309,19 @@ def colored_planar_mapseq(f: ColoredForest) -> ColoredMapSeq:
 def count_colored_jungles(f: ColoredForest) -> int:
     """Orbit size of the colored forest under per-color relabelings.
 
-    The group is the product of w_k! * b_k! over the levels.  The
-    stabilizer of a forest holding m copies of tree t, for each distinct
-    t, is prod_(t,m) m! * aut(t)^m (see :class:`ColoredTree`): the copies
-    of one tree may be permuted, and each copy by its own automorphisms.
+    The group is the product of w_k! * b_k! over the levels, and the
+    stabilizer is the automorphism group of the forest's root: holding m
+    copies of tree t, for each distinct t, it has prod_(t,m) m! * aut(t)^m
+    elements (see :class:`ColoredTree`).
     """
     if f.n_trees == 0:
         raise InvalidParameter("empty forest has no labelings")
-    return _orbit_size(_group_order(f.pair_profile), tuple(f.trees()))
+    group = _group_order(f.pair_profile)
+    if group % f.root.aut:
+        raise AssertionError(
+            "stabilizer size does not divide the group order for %s"
+            % f.encoding)
+    return group // f.root.aut
 
 
 def _group_order(pairs: Iterable[Tuple[int, int]]) -> int:
@@ -326,20 +329,6 @@ def _group_order(pairs: Iterable[Tuple[int, int]]) -> int:
     for w, b in pairs:
         group *= factorial(w) * factorial(b)
     return group
-
-
-def _orbit_size(group: int, trees: Tuple[ColoredTree, ...]) -> int:
-    """group // prod_(t,m) m! * aut(t)^m for a forest whose equal trees
-    sit side by side in ``trees``: the i-th copy in a run adds i * aut."""
-    den, run = 1, 0
-    for i, t in enumerate(trees):
-        run = run + 1 if i and t == trees[i - 1] else 1
-        den *= run * t.aut
-    if group % den:
-        raise AssertionError(
-            "stabilizer size does not divide the group order for %s"
-            % "".join(t.encoding for t in trees))
-    return group // den
 
 
 def brute_force_colored_orbit_count(a: ColoredMapSeq,
@@ -416,15 +405,6 @@ def flat_blocks(n: int, q: int) -> Tuple[int, ...]:
     if n < 0 or q < 1:
         raise InvalidParameter("need n >= 0 and q >= 1")
     return (0,) * n + (q,)
-
-
-def flat_pairs(profile: Sequence[int]) -> PairProfile:
-    """Colored level profile of the plain forests with per-level vertex
-    counts profile: blacks below the top level, whites on it."""
-    p = tuple(int(v) for v in profile)
-    if not p or any(v <= 0 for v in p):
-        raise InvalidParameter("profile entries must be positive")
-    return tuple((0, v) for v in p[:-1]) + ((p[-1], 0),)
 
 
 def enumerate_colored_forests(pairs: PairProfile,

@@ -379,8 +379,9 @@ def _partition_targets(b: int,
     `select_partitions` adds its piece as it is."""
     width = s ** b
     places = [s ** (b - 1 - i) for i in range(b)]
-    # z and y in one key z * width + y, counted at C speed
-    keys: Dict[int, List[int]] = {p: [] for p in range(1, b)}
+    # z and y in one key z * width + y, counted at C speed one partition
+    # at a time, so only one partition's keys are ever listed
+    counts: Dict[int, Counter] = {p: Counter() for p in range(1, b)}
     for rgs in set_partitions(b):
         p = max(rgs) + 1
         if p == b:
@@ -393,11 +394,11 @@ def _partition_targets(b: int,
         for v, w in enumerate(weights):
             w += width * s ** (p - 1 - v)
             ks = [k + x * w for k in ks for x in range(s)]
-        keys[p].extend(ks)
+        counts[p].update(ks)
     out = {}
-    for p, kp in keys.items():
+    for p, cp in counts.items():
         hits: List[List[Tuple[int, int]]] = [[] for _ in range(s ** p)]
-        for key, c in Counter(kp).items():
+        for key, c in cp.items():
             hits[key // width].append((key % width, c))
         out[p] = hits
     return out
@@ -726,9 +727,6 @@ class SignedMeasure(_Table):
 
 class TensorFunction(_Table):
     """Bounded function as a dense value table over a product domain."""
-
-    def sup_norm(self) -> Scalar:
-        return max(abs(v) for v in self.data) if self.data else 0
 
     def is_symmetric(self) -> bool:
         return self.symmetrize_blocks() == self

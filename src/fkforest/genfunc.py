@@ -7,14 +7,17 @@ the per-level, per-color relabelings on the parent maps (see
 merge degree if asked, by Burnside's lemma over cycle types, and
 :func:`jungle_census` counts the labeled parent maps per merge degree.  A
 plain level profile ``p = (p_0, ..., p_h)`` of positive entries is the
-white-topped pair profile; :func:`count_forests` counts its forests.
+white-topped pair profile of :func:`flat_pairs`; :func:`count_forests`
+counts its forests.
 
 The series side is independent of the census: a forest splits into a
 multiset of trees, a tree with children profile ``q`` occupies the profile
 ``(1,) + q``, and the census of all profiles in a box is the fixed point of
 a product of geometric factors, one per tree shape
 (:func:`hilbert_series`, refined by merges in :func:`coalescence_series`).
-The two are tested against each other and against explicit enumeration.
+The series grows in one dict of terms, multiplied in place by one factor
+after another, and becomes a :class:`SparseSeries` once, at the end.  The
+two are tested against each other and against explicit enumeration.
 
 All coefficients are exact Python integers.
 """
@@ -22,6 +25,7 @@ All coefficients are exact Python integers.
 from __future__ import annotations
 
 from math import comb, factorial
+from operator import add
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .config import Caps, DEFAULT_CAPS
@@ -36,10 +40,8 @@ CycleType = Tuple[Tuple[int, int], ...]
 class SparseSeries:
     """Multivariate power series truncated to a box, sparse integer terms.
 
-    ``bounds`` gives, per variable, the largest retained exponent.  Every
-    operation drops terms outside the box, so arithmetic restricted to the
-    box is exact: multiplying by a geometric factor only ever adds monomials
-    at or above the factor's base monomial.
+    ``bounds`` gives, per variable, the largest retained exponent; terms
+    outside the box, and zero terms, are dropped.
     """
 
     __slots__ = ("nvars", "bounds", "terms")
@@ -64,10 +66,6 @@ class SparseSeries:
                 if self._inside(mono):
                     self.terms[tuple(mono)] = int(coeff)
 
-    @classmethod
-    def unit(cls, nvars: int, bounds: Sequence[int]) -> "SparseSeries":
-        return cls(nvars, bounds, {(0,) * nvars: 1})
-
     def _inside(self, mono: Monomial) -> bool:
         return all(0 <= e <= b for e, b in zip(mono, self.bounds))
 
@@ -89,48 +87,6 @@ class SparseSeries:
         return (self.nvars == other.nvars and self.bounds == other.bounds
                 and self.terms == other.terms)
 
-    def __repr__(self) -> str:
-        head = ", ".join("x%d^%r:%d" % (0, m, c)
-                         for m, c in list(self.items())[:4])
-        return "SparseSeries(nvars=%d, %d terms%s)" % (
-            self.nvars, len(self.terms), (", " + head) if head else "")
-
-    def multiply_geometric(self, mono: Sequence[int], exponent: int,
-                           caps: Caps = DEFAULT_CAPS) -> "SparseSeries":
-        """Multiply by (1 - x^mono)^(-exponent) inside the box.
-
-        The expansion coefficient of x^(k*mono) is C(exponent-1+k, k), the
-        number of multisets of size k from ``exponent`` kinds.
-        """
-        mono = tuple(int(e) for e in mono)
-        if len(mono) != self.nvars or any(e < 0 for e in mono):
-            raise InvalidParameter("bad factor monomial %r" % (mono,))
-        if exponent < 0:
-            raise InvalidParameter("factor exponent must be >= 0")
-        if exponent == 0:
-            return self
-        if all(e == 0 for e in mono):
-            raise InvalidParameter("factor monomial must not be constant")
-        if not self._inside(mono):
-            return self
-        out: Dict[Monomial, int] = dict(self.terms)
-        k = 1
-        while True:
-            shift = tuple(k * e for e in mono)
-            if not self._inside(shift):
-                break
-            weight = comb(exponent - 1 + k, k)
-            for m, c in self.terms.items():
-                key = tuple(a + b for a, b in zip(m, shift))
-                if self._inside(key):
-                    out[key] = out.get(key, 0) + weight * c
-            k += 1
-        if len(out) > caps.series:
-            raise CapExceeded(
-                "series exceeds term cap",
-                predicted=len(out), cap=caps.series)
-        return SparseSeries(self.nvars, self.bounds, out)
-
     def marginalize(self, keep: Sequence[int]) -> "SparseSeries":
         """Sum out all variables except ``keep`` (sets them to 1)."""
         keep = tuple(int(i) for i in keep)
@@ -146,16 +102,22 @@ class SparseSeries:
         return SparseSeries(len(keep), bounds, out)
 
 
+def flat_pairs(profile: Sequence[int]) -> PairProfile:
+    """Colored level profile of the plain forests with per-level vertex
+    counts profile: blacks below the top level, whites on it."""
+    p = tuple(int(v) for v in profile)
+    if not p or any(v <= 0 for v in p):
+        raise InvalidParameter(
+            "profile entries must be positive, got %r" % (p,))
+    return tuple((0, v) for v in p[:-1]) + ((p[-1], 0),)
+
+
 def count_forests(profile: Sequence[int]) -> int:
     """Number of distinct forests with the given per-level vertex counts:
     the classes of the white-topped pair profile.  The empty profile
     names the empty forest, counted once."""
-    p = tuple(int(v) for v in profile)
-    if any(v <= 0 for v in p):
-        raise InvalidParameter(
-            "profile entries must be positive, got %r" % (profile,))
-    return class_census(tuple((0, v) for v in p[:-1])
-                        + ((p[-1], 0),))[0] if p else 1
+    p = tuple(profile)
+    return class_census(flat_pairs(p))[0] if p else 1
 
 
 def _check_pairs(pairs: Sequence[Tuple[int, int]]) -> PairProfile:
@@ -378,13 +340,28 @@ def _envelope(bounds: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _restrict(series: SparseSeries,
-              bounds: Tuple[int, ...]) -> SparseSeries:
-    if bounds == series.bounds:
-        return series
-    kept = {m: c for m, c in series.terms.items()
-            if all(e <= b for e, b in zip(m, bounds))}
-    return SparseSeries(series.nvars, bounds, kept)
+def _multiply_geometric(terms: Dict[Monomial, int], box: Monomial,
+                        mono: Monomial, exponent: int, caps: Caps) -> None:
+    """Multiply terms, in place and inside box, by (1 - x^mono)^(-exponent)
+    for a nonconstant mono and exponent >= 1: x^(k*mono) gets C(exponent -
+    1 + k, k), the multisets of size k from exponent kinds.  A series past
+    ``caps.series`` terms is refused."""
+    shifts = []
+    shift = mono
+    while all(e <= b for e, b in zip(shift, box)):
+        shifts.append((shift, comb(exponent + len(shifts), len(shifts) + 1)))
+        shift = tuple(map(add, shift, mono))
+    if not shifts:
+        return
+    for m, c in list(terms.items()):
+        for shift, weight in shifts:
+            key = tuple(map(add, m, shift))
+            if any(e > b for e, b in zip(key, box)):
+                break
+            terms[key] = terms.get(key, 0) + weight * c
+    if len(terms) > caps.series:
+        raise CapExceeded("series exceeds term cap",
+                          predicted=len(terms), cap=caps.series)
 
 
 def _forest_series(n: int, truncation, merges: bool,
@@ -405,21 +382,22 @@ def _forest_series(n: int, truncation, merges: bool,
     yb = tuple(max(xb[k + 1] - 1, 0) for k in range(ny))
     wx = _envelope(xb)
     wy = tuple(max(wx[k + 1] - 1, 0) for k in range(ny))
-    series = SparseSeries.unit(nx + ny, wx + wy)
+    box = wx + wy
+    terms = {(0,) * len(box): 1}
     for h in range(nx):
         # every factor so far is a tree of height below h, so every term is
         # 0 past x_(h-1), and past y_(h-2) too; those of height h-1 are
         # positive up to x_(h-1)
         step = [(m[:h], m[nx:nx + max(h - 1, 0)], coeff)
-                for m, coeff in series.items()
+                for m, coeff in sorted(terms.items())
                 if all(m[i] >= 1 for i in range(h))]
         for p, c, coeff in step:
             factor = (1,) + p + (0,) * (n - h)
             if merges:
                 factor += ((p[0] - 1,) + c + (0,) * (n - h) if h
                            else (0,) * n)
-            series = series.multiply_geometric(factor, coeff, caps)
-    return _restrict(series, xb + yb)
+            _multiply_geometric(terms, box, factor, coeff, caps)
+    return SparseSeries(nx + ny, xb + yb, terms)
 
 
 def hilbert_series(n: int, truncation, caps: Caps = DEFAULT_CAPS

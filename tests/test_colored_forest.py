@@ -22,8 +22,8 @@ from fkforest import (Caps, black, black_chain, brute_force_colored_orbit_count,
                       path_profile_bar, white, white_topped_chain,
                       wick_colored_tree)
 from fkforest.cli import main
-from fkforest.colored_forest import (ColoredMapSeq, _colored_classes,
-                                     _group_order, _orbit_size,
+from fkforest.colored_forest import (ColoredMapSeq, ColoredTree,
+                                     _colored_classes, _group_order,
                                      colored_forest, flat_blocks)
 from fkforest.errors import CapExceeded, InvalidParameter
 from fkforest.genfunc import class_census, jungle_census
@@ -188,6 +188,8 @@ def test_merge_budget_filters_colored_enumeration():
 
 
 def test_a_budgeted_enumeration_builds_no_tree_over_its_budget(monkeypatch):
+    # the black root each ColoredForest holds over its trees is no tree of
+    # the class; it is built by ColoredTree itself, not through black
     from fkforest import colored_forest as module
     inner = module.black
     degrees = []
@@ -222,13 +224,14 @@ def orbit_totals(pairs, max_coal):
     """Per merge degree, the number of classes of a pair profile and the
     sum of their orbit sizes, by enumeration: the reference the censuses
     are checked against.  It sums over the classes as tuples of trees,
-    without building a ColoredForest per class."""
+    and divides the group order by the automorphisms of a black root
+    over them, which is the stabilizer of the class."""
     group = _group_order(pairs)
     totals = {}
     for trees in _colored_classes(pairs, max_coal):
         slot = totals.setdefault(sum(t.coal_degree for t in trees), [0, 0])
         slot[0] += 1
-        slot[1] += _orbit_size(group, trees)
+        slot[1] += group // ColoredTree(False, trees).aut
     return totals
 
 

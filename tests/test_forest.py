@@ -52,7 +52,8 @@ def plain_maps(a):
 # Reference orbit formula: strip the roots level by level, and divide the
 # group order by the factorials of the multiplicities of equal trees and of
 # equal sibling subtrees met on the way.  Only tests use it; the package
-# reads the same stabilizer off the per-tree automorphism counts.
+# reads the same stabilizer off one tree, the black root that a forest
+# holds over its trees: its automorphism count.
 
 
 def colored_remove_roots(f):

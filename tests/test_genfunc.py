@@ -23,7 +23,7 @@ from fkforest import (Caps, SparseSeries, coalescence_series, count_forests,
 from fkforest import colored_forest
 from fkforest.cli import main
 from fkforest.errors import CapExceeded, InvalidParameter
-from fkforest.genfunc import census_terms, class_census
+from fkforest.genfunc import _multiply_geometric, census_terms, class_census
 
 
 def enumerate_forests(profile):
@@ -223,7 +223,9 @@ def test_count_profile_edges():
 
 
 def test_sparse_series_basics():
-    s = SparseSeries.unit(2, (3, 2))
+    s = SparseSeries(2, (3, 2), {(0, 0): 1, (1, 0): 0, (4, 0): 3})
+    # zero terms and terms outside the box are dropped
+    assert s.terms == {(0, 0): 1}
     assert s.coefficient((0, 0)) == 1
     assert s.coefficient((1, 0)) == 0
     with pytest.raises(InvalidParameter):
@@ -235,19 +237,23 @@ def test_sparse_series_basics():
 
 
 def test_geometric_factor_coefficients_are_multichoose():
-    s = SparseSeries.unit(1, (6,)).multiply_geometric((1,), 3)
-    for k in range(7):
-        assert s.coefficient((k,)) == math.comb(3 - 1 + k, k)
-    # exponent zero is the identity
-    assert SparseSeries.unit(1, (6,)).multiply_geometric((1,), 0) == \
-        SparseSeries.unit(1, (6,))
+    terms = {(0,): 1}
+    _multiply_geometric(terms, (6,), (1,), 3, Caps())
+    assert terms == {(k,): math.comb(3 - 1 + k, k) for k in range(7)}
+    # a factor that leaves the box is the identity
+    before = dict(terms)
+    _multiply_geometric(terms, (6,), (7,), 3, Caps())
+    assert terms == before
 
 
 def test_geometric_factors_commute():
-    base = SparseSeries.unit(2, (4, 4))
-    one_way = base.multiply_geometric((1, 0), 2).multiply_geometric((1, 1), 3)
-    other = base.multiply_geometric((1, 1), 3).multiply_geometric((1, 0), 2)
+    one_way, other = {(0, 0): 1}, {(0, 0): 1}
+    for terms, factors in ((one_way, [((1, 0), 2), ((1, 1), 3)]),
+                           (other, [((1, 1), 3), ((1, 0), 2)])):
+        for mono, exponent in factors:
+            _multiply_geometric(terms, (4, 4), mono, exponent, Caps())
     assert one_way == other
+    assert len(one_way) == 15
 
 
 def test_marginalize_sums_dropped_variables():
