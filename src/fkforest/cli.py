@@ -151,8 +151,12 @@ def _manifest(args: SimpleNamespace, params: Dict[str, object],
 
 def _write_text(args: SimpleNamespace, text: str) -> None:
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(text.encode("utf-8"))
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+        except OSError as exc:
+            raise InvalidParameter("cannot write output file %s: %s"
+                                   % (args.out, exc))
     else:
         sys.stdout.write(text)
 

@@ -618,20 +618,27 @@ class _Table:
 
         The average at a point is the mean of the table over the point's
         orbit, since every orbit point is hit by as many permutations as the
-        point's stabilizer holds.  Sorting the coordinates of each group
-        names the orbit, so one pass sums each orbit once.
+        point's stabilizer holds.  An orbit is named by an integer
+        occupation code: in a group of m positions on s states, each
+        position in state x adds shift * (m+1)**x, where shift is the
+        product of (m+1)**s over the earlier groups, so two points share a
+        code exactly when they share an orbit.  The codes are built in
+        row-major order by list extension, and one pass sums each orbit.
         """
-        groups: Dict[int, List[int]] = {}
-        for pos, k in enumerate(self.levels):
-            groups.setdefault(k, []).append(pos)
-        keys = [tuple(tuple(sorted(point[i] for i in g))
-                      for g in groups.values())
-                for point in itertools.product(*map(range, self.sizes))]
-        sums: Dict[tuple, int] = {}
-        sizes: Dict[tuple, int] = {}
+        counts = Counter(self.levels)
+        shifts: Dict[int, int] = {}
+        shift = 1
+        for k, m in counts.items():
+            shifts[k] = shift
+            shift *= (m + 1) ** self.model.size(k)
+        keys = [0]
+        for k, s in zip(self.levels, self.sizes):
+            steps = [shifts[k] * (counts[k] + 1) ** x for x in range(s)]
+            keys = [key + c for key in keys for c in steps]
+        sums: Dict[int, int] = {}
         for key, w in zip(keys, self.nums):
             sums[key] = sums.get(key, 0) + w
-            sizes[key] = sizes.get(key, 0) + 1
+        sizes = Counter(keys)
         lcm = math.lcm(*sizes.values())
         return self._like([sums[key] * (lcm // sizes[key]) for key in keys],
                           self.den * lcm)

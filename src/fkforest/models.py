@@ -14,12 +14,19 @@ estimator is biased at finite N.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import random
 import string
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
+
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython before 3.12
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import IdentityMismatch, InvalidParameter, ValidationError
 from .fk_core import FKModel, flow, format_scalar
@@ -185,8 +192,14 @@ def load_model(source: str, field: Optional[str] = None) -> FKModel:
 
 
 def model_sha256(model: FKModel) -> str:
-    """Hash of the canonical JSON serialization; keys sorted, so stable."""
-    return hashlib.sha256(model.to_json().encode("utf-8")).hexdigest()
+    """Hash of the canonical JSON serialization; keys sorted, so stable.
+
+    The constructor is CPython's built-in SHA-256 where the interpreter
+    has one, the same algorithm and digest as ``hashlib.sha256``.  Going
+    through ``hashlib`` would load OpenSSL at import and initialize it
+    again in every forked request; the standard library's ``random``
+    module takes its own hash the same way, for the same reason."""
+    return sha256(model.to_json().encode("utf-8")).hexdigest()
 
 
 def _simplex(rng: random.Random, k: int) -> Tuple[Fraction, ...]:

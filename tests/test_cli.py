@@ -542,6 +542,31 @@ def test_the_cli_module_runs_as_a_script(tmp_path):
     assert json.loads(out.read_text())["manifest"]["command"] == "count"
 
 
+def test_an_unwritable_out_is_a_refusal(tmp_path, capsys):
+    """An --out that cannot be opened for writing (a directory, or a file
+    in a missing directory) exits 2 with one JSON error line, in process
+    and as a script, and leaves no traceback."""
+    for out in (tmp_path, tmp_path / "missing" / "x.json"):
+        assert main(["count", "--n", "1", "--q", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "InvalidParameter"
+        assert err["message"].startswith("cannot write output file %s: "
+                                         % out)
+    assert not (tmp_path / "missing").exists()
+    src = os.path.dirname(os.path.dirname(fkforest.__file__))
+    done = subprocess.run([sys.executable, "-m", "fkforest.cli", "count",
+                           "--n", "1", "--q", "2", "--out", str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    (line,) = done.stderr.splitlines()
+    assert json.loads(line)["error"] == "InvalidParameter"
+
+
 def test_a_request_imports_neither_argparse_nor_locale(tmp_path):
     """argparse, and the locale module its first message lookup imports,
     cost more than an oracle request's arithmetic; a request loads
@@ -558,7 +583,8 @@ def test_a_request_imports_neither_argparse_nor_locale(tmp_path):
 def test_an_exact_request_imports_neither_numpy_nor_dataclasses(tmp_path):
     """Only the Monte Carlo side uses numpy, and nothing uses dataclasses
     (which pulls in inspect): count, expand and oracle requests load none
-    of them."""
+    of them.  The manifest hash comes from the built-in SHA-256, so
+    neither hashlib nor its OpenSSL module is loaded either."""
     F = function_file(tmp_path, [1, 1], ["1", "2", "-1/2", "3"])
     code = ("import sys\n"
             "from fkforest.cli import main\n"
@@ -569,8 +595,8 @@ def test_an_exact_request_imports_neither_numpy_nor_dataclasses(tmp_path):
             "       main(['oracle', '--model', 'drift2', '--N', '3',\n"
             "             '--n', '1', '--q', '2', '--function', F,\n"
             "             '--out', out])]\n"
-            "print(rcs, sorted({'numpy', 'dataclasses', 'inspect'}\n"
-            "                  & set(sys.modules)))\n")
+            "print(rcs, sorted({'numpy', 'dataclasses', 'inspect',\n"
+            "                   'hashlib', '_hashlib'} & set(sys.modules)))\n")
     done = _run_code(code, tmp_path / "o", F)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["[0,", "0,", "0]", "[]"]

@@ -376,6 +376,47 @@ def test_orbit_sum_is_the_permutation_average(name, levels):
         assert sym.symmetrize_blocks() == sym
 
 
+def sorted_coordinate_symmetrize(t):
+    """Reference orbit sum: a point's orbit is named by the sorted
+    coordinates of each same-level group."""
+    groups = {}
+    for pos, k in enumerate(t.levels):
+        groups.setdefault(k, []).append(pos)
+    keys = [tuple(tuple(sorted(point[i] for i in g))
+                  for g in groups.values())
+            for point in itertools.product(*map(range, t.sizes))]
+    sums, sizes = {}, Counter(keys)
+    for key, w in zip(keys, t.nums):
+        sums[key] = sums.get(key, 0) + w
+    lcm = math.lcm(*sizes.values())
+    return type(t)(t.model, t.levels,
+                   [sums[key] * (lcm // sizes[key]) for key in keys],
+                   t.den * lcm)
+
+
+def test_occupation_codes_name_the_orbits():
+    """The integer occupation code sums the same orbits as the sorted
+    coordinate tuples, on random state counts and level lists, arity 0
+    included."""
+    rng = random.Random(29)
+    arities = set()
+    for case in range(150):
+        horizon = rng.randint(1, 3)
+        sizes = tuple(rng.randint(1, 4) for _ in range(horizon + 1))
+        m = random_rational_model(case, sizes=sizes, horizon=horizon)
+        levels = []
+        for _ in range(rng.randint(0, 6)):
+            k = rng.randint(0, horizon)
+            if math.prod(sizes[j] for j in levels) * sizes[k] > 2000:
+                break
+            levels.append(k)
+        arities.add(len(levels))
+        make = random_measure if case % 2 else random_function
+        t = make(m, tuple(levels), rng)
+        assert t.symmetrize_blocks() == sorted_coordinate_symmetrize(t)
+    assert 0 in arities and max(arities) >= 5
+
+
 def test_contract_is_weight_then_marginalize(blend3):
     # pushforward stays a Fraction walk, so it is the reference; on the
     # (2, 3, 2) model every coordinate has its own stride

@@ -3,10 +3,14 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import fkforest
 from fkforest import (
     DOCUMENTED_FLOW,
     FKModel,
@@ -23,6 +27,7 @@ from fkforest import (
     model_sha256,
     random_rational_model,
 )
+from fkforest import models
 from fkforest.fk_core import parse_values
 
 
@@ -138,6 +143,37 @@ def test_model_hash_equals_the_indented_json_dump(tmp_path, field):
     model = load_model(str(path), field)
     assert model_sha256(model) == indented_dump_hash(model) == \
         model_sha256(bundled_model("drift2", field))
+
+
+def test_the_hash_constructor_is_sha256_at_its_padding_edges():
+    """SHA-256 pads to 64-byte blocks and needs 9 bytes of room, so the
+    lengths around 55 and 64 take the one- and two-block paddings."""
+    for n in (0, 55, 56, 63, 64, 65, 1000):
+        data = bytes(i * 7 % 256 for i in range(n))
+        assert models.sha256(data).hexdigest() == \
+            hashlib.sha256(data).hexdigest()
+
+
+def test_the_hashlib_fallback_gives_the_same_model_hashes():
+    """With both built-in modules hidden the import falls back to
+    hashlib.sha256; every bundled model hashes as before, in both
+    fields."""
+    code = ("import sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "import hashlib\n"
+            "from fkforest import models\n"
+            "assert models.sha256 is hashlib.sha256\n"
+            "print(' '.join(models.model_sha256(models.bundled_model(n, f))\n"
+            "               for n in models.bundled_names()\n"
+            "               for f in ('rational', 'float')))\n")
+    src = os.path.dirname(os.path.dirname(fkforest.__file__))
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [
+        model_sha256(bundled_model(name, field))
+        for name in bundled_names() for field in ("rational", "float")]
 
 
 def test_random_model_is_seed_deterministic():
