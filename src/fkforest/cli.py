@@ -18,48 +18,40 @@ Commands and their flags are one table, `_COMMANDS`; the argv parser and
 the help text both read it.  Flags take `--flag value` or `--flag=value`,
 a value may be empty or start with '-', and a flag may be abbreviated to
 any unambiguous prefix.
+
+`import fkforest.cli` loads only what `count`, moment `expand` and
+`oracle` run.  Every other route loads in the body of its handler, the
+first time it runs: `verify` loads `selfcheck`, `simulate` `montecarlo`,
+`enumerate` `classsum`, `hilbert` `series`, and `expand --block` or
+`--wick` `fluctuation`; `csv` and `textwrap` load with the first CSV
+listing or help text.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 import json
 import sys
-import textwrap
 from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .colored_forest import (brute_force_colored_orbit_count,
-                             check_class_count, colored_planar_mapseq,
-                             enumerate_colored_forests,
-                             enumerate_colored_orbits, flat_blocks, flat_pairs,
-                             path_profile_bar)
-from .combinatorics import stirling_first, stirling_second
+from .colored_forest import check_class_count, flat_blocks, path_profile_bar
 from .config import Caps, DEFAULT_CAPS
 from .errors import (CapExceeded, IdentityMismatch, InvalidParameter,
                      ToolkitError, ValidationError)
-from .expansion import (centered_moment_expansion, closed_form_low_orders,
-                        derivative_P, exact_QN, expansion_report_P,
-                        expansion_report_Q, expansion_report_path_Q,
-                        first_order_P, gaussian_covariance, path_exact_QN,
-                        path_wick_Q)
+from .expansion import expansion_report_Q, expansion_report_path_Q
 from .fk_core import (FKModel, SignedMeasure, TensorFunction, _domain_size,
-                      center_function, constant_function, eta_tensor,
-                      fiber_count, flow, format_scalar, function_from_vector,
-                      parse_values, tensor_minus_dot_tv)
-from .genfunc import (coalescence_series, count_forests, hilbert_series,
-                      jungle_census, jungle_total, marginalize_coalescence)
+                      center_function, constant_function, format_scalar,
+                      parse_values)
+from .genfunc import jungle_census, jungle_total
 from .jsontext import canonical_json, json_float, write_json
-from .models import (DOCUMENTED_FLOW, bundled_model, bundled_names,
-                     check_documented_flow, load_model, model_sha256)
-from .particle import (exact_EN_oracle, exact_eta_tensor_oracle,
-                       exact_PN_oracle, exact_QN_oracle, estimators,
-                       simulate)
+from .models import load_model, model_sha256
+from .particle import (exact_eta_tensor_oracle, exact_PN_oracle,
+                       exact_QN_oracle)
 
 __all__ = ["main", "parse_args"]
 
@@ -150,7 +142,8 @@ def _manifest(args: SimpleNamespace, params: Dict[str, object],
 
 
 def _write_text(args: SimpleNamespace, text: str) -> None:
-    if args.out:
+    # an empty --out names a path, which open refuses
+    if args.out is not None:
         try:
             with open(args.out, "wb") as fh:
                 fh.write(text.encode("utf-8"))
@@ -169,6 +162,7 @@ def _emit_json(args: SimpleNamespace, manifest: Dict[str, object],
 
 def _emit_csv(args: SimpleNamespace, manifest: Dict[str, object],
               header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
+    import csv
     buf = io.StringIO()
     compact = json.dumps(manifest, sort_keys=True,
                          separators=(",", ":"))
@@ -257,6 +251,7 @@ def _class_manifest(args: SimpleNamespace, prof: Sequence[int]
 
 
 def cmd_enumerate(args: SimpleNamespace) -> int:
+    from .classsum import enumerate_colored_orbits
     caps = _caps_from_args(args)
     prof = _profile(args)
     kind, manifest = _class_manifest(args, prof)
@@ -329,6 +324,8 @@ def cmd_count(args: SimpleNamespace) -> int:
 
 
 def cmd_hilbert(args: SimpleNamespace) -> int:
+    from .series import (coalescence_series, hilbert_series,
+                         marginalize_coalescence)
     caps = _caps_from_args(args)
     trunc_list = _parse_ints(args.truncation)
     if not trunc_list:
@@ -394,6 +391,7 @@ def cmd_expand(args: SimpleNamespace) -> int:
             raise InvalidParameter("block-law expansion needs --function")
         if args.wick:
             raise InvalidParameter("--wick applies to moment expansions")
+        from .fluctuation import expansion_report_P
         kind = "block"
         report = expansion_report_P(model, args.n, args.q, F, Ns=eval_ns,
                                     top=args.top, caps=caps)
@@ -413,6 +411,7 @@ def cmd_expand(args: SimpleNamespace) -> int:
     result = report.to_jsonable()
 
     if args.wick:
+        from .fluctuation import path_wick_Q
         vanish, half = path_wick_Q(model, prof, F, caps)
         result["wick"] = {
             "vanishing_orders": vanish,
@@ -503,6 +502,7 @@ def cmd_simulate(args: SimpleNamespace) -> int:
     if draws > caps.tensor:
         raise CapExceeded("simulation too large", predicted=draws,
                           cap=caps.tensor)
+    from .montecarlo import estimators, simulate
     rows = []
     for r in range(args.replicas):
         traj = simulate(model, args.N, args.seed, horizon=horizon,
@@ -529,239 +529,10 @@ def cmd_simulate(args: SimpleNamespace) -> int:
 # verify
 
 
-def _check_stirling():
-    bad = []
-    for p in range(1, 11):
-        for k in range(p + 1):
-            first = (stirling_first(p - 1, k - 1) if k else 0) \
-                - (p - 1) * stirling_first(p - 1, k)
-            if stirling_first(p, k) != first:
-                bad.append(("first", p, k))
-            second = (stirling_second(p - 1, k - 1) if k else 0) \
-                + k * stirling_second(p - 1, k)
-            if stirling_second(p, k) != second:
-                bad.append(("second", p, k))
-    for p in range(9):
-        for m in range(9):
-            dot = sum(stirling_first(p, j) * stirling_second(j, m)
-                      for j in range(max(p, m) + 1))
-            if dot != (1 if p == m else 0):
-                bad.append(("orthogonality", p, m))
-    return [], bad
-
-
-def _check_model_flow():
-    derived = {}
-    for name in bundled_names():
-        check_documented_flow(name)
-        fl = flow(bundled_model(name))
-        derived[name] = {
-            "gamma_mass": [format_scalar(v) for v in fl.gnorm],
-            "eta": [[format_scalar(v) for v in vec] for vec in fl.eta_vec],
-        }
-    return DOCUMENTED_FLOW, derived
-
-
-def _check_orbit_counts():
-    want, got = [], []
-    for n, q in [(0, 2), (0, 3), (1, 2)]:
-        for f, cnt in enumerate_colored_orbits(flat_blocks(n, q)):
-            want.append(brute_force_colored_orbit_count(
-                colored_planar_mapseq(f)))
-            got.append(cnt)
-    return want, got
-
-
-def _check_partition_sums():
-    want, got = [], []
-    for q in (1, 2, 3):
-        for n in (0, 1, 2):
-            got.append(sum(c for _, c in
-                           enumerate_colored_orbits(flat_blocks(n, q))))
-            want.append(q ** (q * (n + 1)))
-    for prof in [(1, 1), (2, 1), (1, 1, 1)]:
-        got.append(sum(c for _, c in enumerate_colored_orbits(prof)))
-        want.append(jungle_total(path_profile_bar(prof)))
-    return want, got
-
-
-def _check_series_census():
-    n, bounds = 1, (2, 4)
-    series = hilbert_series(n, bounds)
-    want, got = [], []
-    for mono, coeff in series.items():
-        if not any(mono):
-            continue
-        prof = mono[:max(i + 1 for i, v in enumerate(mono) if v)]
-        listed = len(enumerate_colored_forests(flat_pairs(prof)))
-        want.append([listed, listed])
-        got.append([coeff, count_forests(prof)])
-    marg = marginalize_coalescence(coalescence_series(n, bounds), n)
-    want.append(sorted(series.terms.items()))
-    got.append(sorted(marg.terms.items()))
-    return want, got
-
-
-def _check_census():
-    want, got = [], []
-    for q in (flat_blocks(2, 3), flat_blocks(3, 3), (2, 1, 1), (1, 2, 2)):
-        for max_coal in (None, 1):
-            listed: Dict[int, Tuple[int, int]] = {}
-            for f, cnt in enumerate_colored_orbits(q, max_coal):
-                c, j = listed.get(f.coal_degree, (0, 0))
-                listed[f.coal_degree] = (c + 1, j + cnt)
-            want.append(sorted(listed.items()))
-            got.append(sorted(_degree_census(path_profile_bar(q), max_coal,
-                                             DEFAULT_CAPS).items()))
-    return want, got
-
-
-def _check_master_polynomial():
-    m = bundled_model("drift2")
-    rep = expansion_report_Q(m, 1, 2, Ns=(2, 3, 17))
-    return ({N: rep.partial_sum(N) for N in (2, 3, 17)}, rep.evaluations)
-
-
-def _observable(m: FKModel, k: int) -> TensorFunction:
-    return function_from_vector(
-        m, k, [m.scalar(2 + i) for i in range(m.size(k))])
-
-
-def _check_ensemble_oracle():
-    want, got = [], []
-    for name in ("flat2", "drift2"):
-        m = bundled_model(name)
-        f = _observable(m, 1)
-        F = f.tensor(f)
-        for N in (2, 3):
-            want.append(exact_QN_oracle(m, N, flat_blocks(1, 2), F))
-            got.append(exact_QN(m, 1, 2, N, F))
-    m = bundled_model("drift2")
-    Fp = _observable(m, 0).tensor(_observable(m, 1))
-    want.append(exact_QN_oracle(m, 3, (1, 1), Fp))
-    got.append(path_exact_QN(m, (1, 1), 3, Fp))
-    return want, got
-
-
-def _check_closed_forms():
-    # the library call cross-checks each order internally and raises on gap
-    m = bundled_model("drift2")
-    out = closed_form_low_orders(m, 1, 4)
-    return len(out), 3
-
-
-def _check_wick():
-    m = bundled_model("drift2")
-    f = center_function(m, _observable(m, 1))
-    vec = tuple(f.data)
-    vanish, half = path_wick_Q(m, flat_blocks(1, 2), f.tensor(f))
-    return ([m.zero, gaussian_covariance(m, 1, vec, 1, vec)],
-            [vanish[0], half])
-
-
-def _check_block_law():
-    m = bundled_model("drift2")
-    base = derivative_P(m, 1, 2, 0)
-    first_order_P(m, 1, 2)
-    return list(eta_tensor(m, 1, 2).data), list(base.data)
-
-
-def _check_moment_expansion():
-    m = bundled_model("drift2")
-    rep = centered_moment_expansion(m, 1, 2, Ns=(3,))
-    return {3: exact_EN_oracle(m, 3, 1, 2)}, rep.evaluations
-
-
-def _check_tv_formulas():
-    want, got = [], []
-    for q, N in [(2, 3), (3, 4)]:
-        counted: Dict[int, int] = {}
-        maps_q = list(itertools.product(range(1, q + 1), repeat=q))
-        injections = [a for a in itertools.permutations(range(1, N + 1), q)]
-        for a in injections:
-            for s in maps_q:
-                b = tuple(a[s[i] - 1] for i in range(q))
-                counted[b] = counted.get(b, 0) + 1
-        for b, c in counted.items():
-            want.append(fiber_count(q, N, len(set(b))))
-            got.append(c)
-    devs = [abs(N * tensor_minus_dot_tv(3, N) - 6) for N in (100, 1000, 10000)]
-    want.append(True)
-    got.append(devs[0] >= devs[1] >= devs[2])
-    return want, got
-
-
-def _check_simulate_determinism():
-    import numpy as np
-    m = bundled_model("flat2")
-    a = simulate(m, 16, 5)
-    b = simulate(m, 16, 5)
-    c = simulate(m, 16, 5, replica=1)
-    same = all(np.array_equal(x, y) for x, y in zip(a, b))
-    fresh = any(not np.array_equal(x, y) for x, y in zip(a, c))
-    return [True, True], [same, fresh]
-
-
-_CHECKS: List[Tuple[str, Callable]] = [
-    ("stirling", _check_stirling),
-    ("model-flow", _check_model_flow),
-    ("orbit-count", _check_orbit_counts),
-    ("partition-sum", _check_partition_sums),
-    ("series-census", _check_series_census),
-    ("census", _check_census),
-    ("master-polynomial", _check_master_polynomial),
-    ("ensemble-oracle", _check_ensemble_oracle),
-    ("closed-forms", _check_closed_forms),
-    ("wick-pairing", _check_wick),
-    ("block-law", _check_block_law),
-    ("moment-expansion", _check_moment_expansion),
-    ("tv-formulas", _check_tv_formulas),
-    ("simulate-determinism", _check_simulate_determinism),
-]
-
-
 def cmd_verify(args: SimpleNamespace) -> int:
     _require_json(args)
-    selected = [(name, fn) for name, fn in _CHECKS
-                if args.only is None or args.only in name]
-    if not selected:
-        raise InvalidParameter(
-            "--only %r matches no check; available: %s"
-            % (args.only, ", ".join(n for n, _ in _CHECKS)))
-    records = []
-    failed = 0
-    for name, fn in selected:
-        try:
-            expected, actual = fn()
-            # equal as written
-            ok = _json_text(expected) == _json_text(actual)
-            record = {"check": name,
-                      "status": "pass" if ok else "fail",
-                      "expected": expected, "actual": actual}
-        except ToolkitError as exc:
-            ok = False
-            record = {"check": name, "status": "fail",
-                      "expected": "no structured failure",
-                      "actual": "%s: %s" % (type(exc).__name__, exc)}
-        if not ok:
-            failed += 1
-            # smallest command that reruns exactly this failure
-            record["reproducer"] = {
-                "command": "verify",
-                "parameters": {"only": name},
-                "seed": args.seed,
-                "version": __version__,
-                "field": args.field,
-            }
-        records.append(record)
-    manifest = _manifest(args, {"only": args.only,
-                                "checks": [n for n, _ in selected]})
-    _emit_json(args, manifest, {
-        "checks": records,
-        "passed": len(records) - failed,
-        "failed": failed,
-    })
-    return 1 if failed else 0
+    from .selfcheck import run_checks
+    return run_checks(args)
 
 
 # ---------------------------------------------------------------------------
@@ -893,6 +664,7 @@ def _show(args: SimpleNamespace) -> int:
 
 
 def _help_text(command: Optional[str]) -> str:
+    import textwrap
     helps = [("-h, --help", "show this help")]
     if command is None:
         head = ["usage: fkforest [-h] [--version] <command> [flags]", "",

@@ -44,9 +44,6 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .colored_forest import (ColoredForest, ColoredMapSeq,
-                             colored_planar_mapseq, normalize_path_profile,
-                             path_profile_bar)
 from .combinatorics import (bell_number, falling_factorial, set_partitions,
                             stirling_second)
 from .config import Caps, DEFAULT_CAPS
@@ -848,40 +845,6 @@ def tensor_minus_dot_tv(q: int, N: int) -> Fraction:
             u -= Fraction(1, falling_factorial(N, q))
         total += abs(u) * falling_factorial(N, p) * stirling_second(q, p)
     return total
-
-
-# ---------------------------------------------------------------------------
-# path-space and genealogy measures
-
-
-def delta_colored(model: FKModel,
-                  f: Union[ColoredForest, ColoredMapSeq],
-                  q: Sequence[int]) -> SignedMeasure:
-    """Path-space measure of a colored genealogy class: white coordinates
-    freeze at their level in time order, black ones keep moving."""
-    qq = normalize_path_profile(q)
-    pairs = path_profile_bar(qq)
-    n = len(qq) - 1
-    if n > model.horizon:
-        raise InvalidParameter("model horizon too short")
-    a = colored_planar_mapseq(f) if isinstance(f, ColoredForest) else f
-    if not isinstance(a, ColoredMapSeq):
-        raise InvalidParameter("expected a ColoredForest or a ColoredMapSeq")
-    got = tuple(zip(a.white_sizes, a.black_sizes))
-    if got != pairs:
-        raise InvalidParameter("colored profile %r does not match %r"
-                               % (got, pairs))
-    mu = _tensor_power(model, 0, model.eta0, pairs[0][1])
-    frozen = 0
-    for k in range(n + 1):
-        wmap, bmap = a.maps[k]
-        combined = wmap + bmap
-        index_map = list(range(frozen)) + [frozen + v - 1 for v in combined]
-        mu = mu.pushforward(index_map)
-        frozen += len(wmap)
-        if k + 1 <= n:
-            mu = mu.transport_block(frozen, k + 1)
-    return mu
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,6 @@ estimator is biased at finite N.
 from __future__ import annotations
 
 import os
-import random
-import string
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -216,6 +214,8 @@ def random_rational_model(seed: int, sizes: Optional[Sequence[int]] = None,
     ``sizes`` fixes the per-level state counts; by default each level gets
     2 or 3 states, drawn from the same stream, over ``horizon`` steps.
     """
+    import random
+    import string
     rng = random.Random(seed)
     if sizes is None:
         sizes = [rng.randint(2, 3) for _ in range(horizon + 1)]

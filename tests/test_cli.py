@@ -201,10 +201,10 @@ def test_the_block_law_refuses_before_its_first_product(tmp_path, capsys,
                                                         monkeypatch):
     """The top-4 pass on cycle3 needs Bell(10) set partitions for its
     largest profile; the plan refuses it before any moment polynomial."""
-    from fkforest import expansion
+    from fkforest import fluctuation
     calls = []
-    polynomial = expansion._moment_polynomial
-    monkeypatch.setattr(expansion, "_moment_polynomial",
+    polynomial = fluctuation._moment_polynomial
+    monkeypatch.setattr(fluctuation, "_moment_polynomial",
                         lambda *a: calls.append(a) or polynomial(*a))
     F = function_file(tmp_path, [2, 2, 2], [str(v - 13) for v in range(27)])
     rc, data = run(tmp_path, "expand", "--model", "cycle3", "--n", "2",
@@ -277,7 +277,8 @@ def test_block_law_with_wick_is_refused_before_the_report(tmp_path, capsys,
     def unreachable(*args, **kwargs):
         raise AssertionError("the block-law report was built")
 
-    monkeypatch.setattr(cli, "expansion_report_P", unreachable)
+    from fkforest import fluctuation
+    monkeypatch.setattr(fluctuation, "expansion_report_P", unreachable)
     F = function_file(tmp_path, [1, 1], ["1", "2", "3", "-1/2"])
     rc, data = run(tmp_path, "expand", "--model", "drift2", "--n", "1",
                    "--q", "2", "--block", "--wick", "--function", F)
@@ -297,8 +298,8 @@ def test_negative_truncation_order_is_refused(tmp_path, capsys):
 
 
 def test_a_failed_check_exits_1_with_a_reproducer(tmp_path, monkeypatch):
-    from fkforest import cli
-    monkeypatch.setattr(cli, "_CHECKS", cli._CHECKS + [
+    from fkforest import selfcheck
+    monkeypatch.setattr(selfcheck, "_CHECKS", selfcheck._CHECKS + [
         ("always-unequal", lambda: ([Fraction(1)], [Fraction(2)]))])
     rc, data = run(tmp_path, "verify", "--only", "always-unequal")
     assert rc == 1
@@ -543,18 +544,20 @@ def test_the_cli_module_runs_as_a_script(tmp_path):
 
 
 def test_an_unwritable_out_is_a_refusal(tmp_path, capsys):
-    """An --out that cannot be opened for writing (a directory, or a file
-    in a missing directory) exits 2 with one JSON error line, in process
-    and as a script, and leaves no traceback."""
-    for out in (tmp_path, tmp_path / "missing" / "x.json"):
-        assert main(["count", "--n", "1", "--q", "2", "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        (line,) = captured.err.splitlines()
-        err = json.loads(line)
-        assert err["error"] == "InvalidParameter"
-        assert err["message"].startswith("cannot write output file %s: "
-                                         % out)
+    """An --out that cannot be opened for writing (a directory, a file in
+    a missing directory, or the empty path, given as --out '' or --out=)
+    exits 2 with one JSON error line, in process and as a script, and
+    leaves no traceback."""
+    for out in (tmp_path, tmp_path / "missing" / "x.json", ""):
+        for flags in (["--out", str(out)], ["--out=%s" % out]):
+            assert main(["count", "--n", "1", "--q", "2"] + flags) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            err = json.loads(line)
+            assert err["error"] == "InvalidParameter"
+            assert err["message"].startswith("cannot write output file %s: "
+                                             % out)
     assert not (tmp_path / "missing").exists()
     src = os.path.dirname(os.path.dirname(fkforest.__file__))
     done = subprocess.run([sys.executable, "-m", "fkforest.cli", "count",
@@ -669,15 +672,15 @@ def test_a_request_does_the_same_work_however_many_ran_before(tmp_path,
                                                              monkeypatch):
     """No tree outlives its request: a second identical colored
     enumeration builds as many black trees as the first."""
-    from fkforest import colored_forest
-    inner = colored_forest.black
+    from fkforest import classsum
+    inner = classsum.black
     calls = [0]
 
     def counted(*args):
         calls[0] += 1
         return inner(*args)
 
-    monkeypatch.setattr(colored_forest, "black", counted)
+    monkeypatch.setattr(classsum, "black", counted)
     work = []
     for _ in range(2):
         calls[0] = 0
@@ -747,7 +750,8 @@ def test_simulate_refuses_its_draws_before_the_first(tmp_path, capsys,
                                                      monkeypatch, argv,
                                                      predicted):
     """N (horizon + 1) replicas is held to caps.tensor before any draw."""
-    monkeypatch.setattr(cli, "simulate", lambda *a, **k: pytest.fail(
+    from fkforest import montecarlo
+    monkeypatch.setattr(montecarlo, "simulate", lambda *a, **k: pytest.fail(
         "drew before the check"))
     rc, data = run(tmp_path, "simulate", "--model", "drift2", *argv)
     assert (rc, data) == (2, None)

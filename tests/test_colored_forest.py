@@ -22,8 +22,8 @@ from fkforest import (Caps, black, black_chain, brute_force_colored_orbit_count,
                       path_profile_bar, white, white_topped_chain,
                       wick_colored_tree)
 from fkforest.cli import main
+from fkforest.classsum import _colored_classes, _group_order
 from fkforest.colored_forest import (ColoredMapSeq, ColoredTree,
-                                     _colored_classes, _group_order,
                                      colored_forest, flat_blocks)
 from fkforest.errors import CapExceeded, InvalidParameter
 from fkforest.genfunc import class_census, jungle_census
@@ -190,7 +190,7 @@ def test_merge_budget_filters_colored_enumeration():
 def test_a_budgeted_enumeration_builds_no_tree_over_its_budget(monkeypatch):
     # the black root each ColoredForest holds over its trees is no tree of
     # the class; it is built by ColoredTree itself, not through black
-    from fkforest import colored_forest as module
+    from fkforest import classsum as module
     inner = module.black
     degrees = []
 

@@ -26,10 +26,11 @@ from fkforest import (Caps, CapExceeded, ExpansionReport, FKModel,
                       gaussian_product_moment, gbar_vector, pair_partitions,
                       path_derivative_Q, path_exact_QN, path_max_order,
                       path_wick_Q, random_rational_model)
-from fkforest import expansion
+from fkforest import expansion, fluctuation
 from fkforest.combinatorics import compositions
-from fkforest.expansion import (_block_law_orders, _center_image,
-                                _contract_and_move, _zero_measure)
+from fkforest.expansion import _zero_measure
+from fkforest.fluctuation import (_block_law_orders, _center_image,
+                                  _contract_and_move)
 from fkforest.fk_core import eta_tensor, flow
 
 SMALL = Caps(forests=10)
@@ -328,7 +329,7 @@ def test_block_law_report_builds_each_table_once(drift2, monkeypatch):
         return moments(model, prof, top, caps, targets)
 
     monkeypatch.setattr(expansion, "_partition_targets", counted_build)
-    monkeypatch.setattr(expansion, "_moment_polynomial", counted_moments)
+    monkeypatch.setattr(fluctuation, "_moment_polynomial", counted_moments)
     F = function_from_vector(drift2, 3, [1, Fraction(-2)])
     F = F.tensor(F).tensor(function_from_vector(drift2, 3, [3, 1]))
     expansion_report_P(drift2, 3, 3, F, top=3)

@@ -24,12 +24,11 @@ from fkforest import (Caps, black, black_chain,
                       count_forests, enumerate_colored_forests,
                       enumerate_colored_orbits, flat_blocks, flat_pairs,
                       path_profile_bar, white, white_topped_chain)
-from fkforest.colored_forest import (ColoredMapSeq, colored_forest,
-                                     cut_branch_forest,
-                                     double_pair_forest, nested_merge_forest,
-                                     pair_merge_forest, staggered_merge_forest,
-                                     triple_merge_forest,
-                                     two_tree_merge_forest)
+from fkforest.classsum import (cut_branch_forest, double_pair_forest,
+                               nested_merge_forest, pair_merge_forest,
+                               staggered_merge_forest, triple_merge_forest,
+                               two_tree_merge_forest)
+from fkforest.colored_forest import ColoredMapSeq, colored_forest
 from fkforest.errors import CapExceeded, InvalidParameter
 
 

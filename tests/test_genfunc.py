@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 from fkforest import (Caps, SparseSeries, coalescence_series, count_forests,
                       enumerate_colored_forests, flat_pairs, hilbert_series,
                       marginalize_coalescence)
-from fkforest import colored_forest
+from fkforest import classsum
 from fkforest.cli import main
 from fkforest.errors import CapExceeded, InvalidParameter
-from fkforest.genfunc import _multiply_geometric, census_terms, class_census
+from fkforest.genfunc import census_terms, class_census
+from fkforest.series import _multiply_geometric
 
 
 def enumerate_forests(profile):
@@ -190,7 +191,7 @@ def test_count_enumerates_no_class(tmp_path, monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("enumerated %r" % (args[0],))
 
-    monkeypatch.setattr(colored_forest, "_colored_classes", no_enumeration)
+    monkeypatch.setattr(classsum, "_colored_classes", no_enumeration)
     assert main(["count", "--n", "3", "--q", "3",
                  "--out", str(tmp_path / "out.json")]) == 0
 

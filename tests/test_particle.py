@@ -44,12 +44,8 @@ from fkforest.combinatorics import falling_factorial
 from fkforest.expansion import (exact_QN, expansion_report_path_Q,
                                 expansion_report_Q)
 from fkforest.fk_core import TensorFunction
-from fkforest.particle import (
-    _configs,
-    dot_moment,
-    tensor_moment,
-    trajectory_config,
-)
+from fkforest.montecarlo import dot_moment, tensor_moment, trajectory_config
+from fkforest.particle import _configs
 
 
 # ---------------------------------------------------------------------------
