@@ -11,12 +11,13 @@ configuration dynamic program and a seeded Monte Carlo simulator.
 
 `import fkforest` loads no submodule: each public name below loads its
 module the first time it is read (PEP 562).  `import fkforest.cli` loads
-what `count`, `expand` and `oracle` run: `cli`, `colored_forest`,
-`combinatorics`, `config`, `errors`, `expansion`, `fk_core`, `genfunc`,
-`jsontext`, `models` and `particle`.  The cross-check routes load on
-first use: `selfcheck` (the `verify` suite), `montecarlo`, `fluctuation`
-(block law, Wick pairing, centered moments), `classsum` (class listing
-and class sum) and `series` (truncated series censuses).
+what `count`, `expand` and `oracle` run: `cli`, `combinatorics`,
+`config`, `errors`, `expansion`, `fk_core`, `genfunc`, `jsontext`,
+`models` and `particle`, and no tree type.  The cross-check routes load
+on first use: `selfcheck` (the `verify` checks), `montecarlo`,
+`fluctuation` (block law, Wick pairing, centered moments), `classsum`
+(class listing and class sum, on the trees of `colored_forest`) and
+`series` (truncated series censuses).  No module but `cli` imports `cli`.
 """
 
 __version__ = "0.1.0"
@@ -29,13 +30,13 @@ _HOMES = {name: module for module, names in (
     ("errors", "CapExceeded IdentityMismatch InvalidParameter ToolkitError "
      "ValidationError"),
     ("colored_forest", "ColoredForest ColoredMapSeq ColoredTree black "
-     "black_chain flat_blocks normalize_path_profile path_profile_bar white "
-     "white_topped_chain"),
+     "black_chain white white_topped_chain"),
     ("classsum", "brute_force_colored_orbit_count build_wick_forest "
      "closed_form_low_orders colored_forest_of colored_planar_mapseq "
      "count_colored_jungles delta_colored enumerate_colored_forests "
      "enumerate_colored_orbits first_order_path_forest wick_colored_tree"),
-    ("genfunc", "count_forests flat_pairs"),
+    ("genfunc", "count_forests flat_blocks flat_pairs normalize_path_profile "
+     "path_profile_bar"),
     ("series", "SparseSeries coalescence_series hilbert_series "
      "marginalize_coalescence"),
     ("fk_core", "FKModel Flow SignedMeasure TensorFunction center_function "

@@ -32,16 +32,15 @@ from operator import sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .colored_forest import (WHITE, ColoredForest, ColoredMapSeq, ColoredTree,
-                             black, black_chain, check_class_count,
-                             colored_forest, flat_blocks,
-                             normalize_path_profile, path_profile_bar,
+                             black, black_chain, colored_forest,
                              white_topped_chain)
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, IdentityMismatch, InvalidParameter
 from .expansion import _check_profile, _moment_polynomial, _zero_measure
 from .fk_core import (FKModel, SignedMeasure, _tensor_power, format_scalar,
                       gamma_tensor)
-from .genfunc import PairProfile, _check_pairs
+from .genfunc import (PairProfile, _check_pairs, check_class_count,
+                      flat_blocks, normalize_path_profile, path_profile_bar)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,14 @@ a value may be empty or start with '-', and a flag may be abbreviated to
 any unambiguous prefix.
 
 `import fkforest.cli` loads only what `count`, moment `expand` and
-`oracle` run.  Every other route loads in the body of its handler, the
-first time it runs: `verify` loads `selfcheck`, `simulate` `montecarlo`,
-`enumerate` `classsum`, `hilbert` `series`, and `expand --block` or
-`--wick` `fluctuation`; `csv` and `textwrap` load with the first CSV
-listing or help text.
+`oracle` run: `combinatorics`, `config`, `errors`, `expansion`,
+`fk_core`, `genfunc` (censuses and block profiles), `jsontext`, `models`
+and `particle`, and no tree type.  Every other route loads in the body
+of its handler, the first time it runs: `verify` loads the checks of
+`selfcheck`, `simulate` `montecarlo`, `enumerate` `classsum`, `hilbert`
+`series`, and `expand --block` or `--wick` `fluctuation`; `csv` and
+`textwrap` load with the first CSV listing or help text.  No other
+module imports this one.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .colored_forest import check_class_count, flat_blocks, path_profile_bar
 from .config import Caps, DEFAULT_CAPS
 from .errors import (CapExceeded, IdentityMismatch, InvalidParameter,
                      ToolkitError, ValidationError)
@@ -47,7 +49,8 @@ from .expansion import expansion_report_Q, expansion_report_path_Q
 from .fk_core import (FKModel, SignedMeasure, TensorFunction, _domain_size,
                       center_function, constant_function, format_scalar,
                       parse_values)
-from .genfunc import jungle_census, jungle_total
+from .genfunc import (_degree_census, flat_blocks, jungle_total,
+                      path_profile_bar)
 from .jsontext import canonical_json, json_float, write_json
 from .models import load_model, model_sha256
 from .particle import (exact_eta_tensor_oracle, exact_PN_oracle,
@@ -157,7 +160,13 @@ def _write_text(args: SimpleNamespace, text: str) -> None:
 def _emit_json(args: SimpleNamespace, manifest: Dict[str, object],
                result: object) -> None:
     doc = {"manifest": manifest, "result": result}
-    _write_text(args, _json_text(doc) + "\n")
+    try:
+        text = _json_text(doc)
+    except ValueError:
+        # the writer's one ValueError: an int too long for decimal text
+        raise InvalidParameter("the result holds an integer of more than "
+                               "%d digits" % sys.get_int_max_str_digits())
+    _write_text(args, text + "\n")
 
 
 def _emit_csv(args: SimpleNamespace, manifest: Dict[str, object],
@@ -270,22 +279,6 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
             "rows": [dict(zip(header, r)) for r in rows],
         })
     return 0
-
-
-def _degree_census(pairs: Sequence[Tuple[int, int]],
-                   max_coal: Optional[int], caps: Caps
-                   ) -> Dict[int, Tuple[int, int]]:
-    """{merge degree: (classes, jungles)} up to max_coal, from the
-    censuses; no class is enumerated.  The class count within the budget
-    is refused past ``caps.forests``, the plain total first, since it is
-    cheaper than the census by degree, which then reuses it."""
-    top, total = max_coal, None
-    if top is None:
-        (total,) = check_class_count(pairs, None, caps)
-        top = sum(w + b for w, b in pairs[1:])
-    return {d: (c, j) for d, (c, j) in enumerate(zip(
-        check_class_count(pairs, top, caps, total),
-        jungle_census(pairs, top))) if c}
 
 
 def cmd_count(args: SimpleNamespace) -> int:
@@ -531,8 +524,47 @@ def cmd_simulate(args: SimpleNamespace) -> int:
 
 def cmd_verify(args: SimpleNamespace) -> int:
     _require_json(args)
-    from .selfcheck import run_checks
-    return run_checks(args)
+    from .selfcheck import _CHECKS
+    selected = [(name, fn) for name, fn in _CHECKS
+                if args.only is None or args.only in name]
+    if not selected:
+        raise InvalidParameter(
+            "--only %r matches no check; available: %s"
+            % (args.only, ", ".join(n for n, _ in _CHECKS)))
+    records = []
+    failed = 0
+    for name, fn in selected:
+        try:
+            expected, actual = fn()
+            # equal as written
+            ok = _json_text(expected) == _json_text(actual)
+            record = {"check": name,
+                      "status": "pass" if ok else "fail",
+                      "expected": expected, "actual": actual}
+        except ToolkitError as exc:
+            ok = False
+            record = {"check": name, "status": "fail",
+                      "expected": "no structured failure",
+                      "actual": "%s: %s" % (type(exc).__name__, exc)}
+        if not ok:
+            failed += 1
+            # smallest command that reruns exactly this failure
+            record["reproducer"] = {
+                "command": "verify",
+                "parameters": {"only": name},
+                "seed": args.seed,
+                "version": __version__,
+                "field": args.field,
+            }
+        records.append(record)
+    manifest = _manifest(args, {"only": args.only,
+                                "checks": [n for n, _ in selected]})
+    _emit_json(args, manifest, {
+        "checks": records,
+        "passed": len(records) - failed,
+        "failed": failed,
+    })
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +812,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         doc = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, CapExceeded):
             doc.update(predicted=exc.predicted, cap=exc.cap)
+            try:
+                str(exc.predicted)
+            except ValueError:  # too many digits to write: say its size
+                doc["predicted"] = "at least 2**%d" % (
+                    exc.predicted.bit_length() - 1)
         sys.stderr.write(json.dumps(doc, sort_keys=True) + "\n")
         return 1 if isinstance(exc, IdentityMismatch) else 2
 

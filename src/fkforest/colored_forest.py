@@ -21,17 +21,18 @@ profile ``flat_blocks(n, q) == (0,)*n + (q,)``.
 Trees and forests are values: a tree sorts its children by encoding, so
 two trees of one shape built apart have the same encoding, and they
 compare and hash by it.  Listing the classes one by one, their orbit
-counts and the named shapes live in :mod:`fkforest.classsum`.
+counts and the named shapes live in :mod:`fkforest.classsum`, the one
+module that imports this one: the trees load on first use.  The block
+profiles and censuses are :mod:`fkforest.genfunc`'s.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
-from .config import Caps
-from .errors import CapExceeded, InvalidParameter
-from .genfunc import PairProfile, class_census
+from .errors import InvalidParameter
+from .genfunc import PairProfile
 
 
 class ColoredTree:
@@ -248,51 +249,3 @@ class ColoredMapSeq:
     def __repr__(self) -> str:
         return ("ColoredMapSeq(white=%r, black=%r, maps=%r)"
                 % (self.white_sizes, self.black_sizes, self.maps))
-
-
-# ---------------------------------------------------------------------------
-# profiles derived from per-time block sizes
-
-
-def normalize_path_profile(q: Sequence[int]) -> Tuple[int, ...]:
-    qq = tuple(int(v) for v in q)
-    if any(v < 0 for v in qq):
-        raise InvalidParameter("block sizes must be >= 0")
-    while qq and qq[-1] == 0:
-        qq = qq[:-1]
-    if not qq:
-        raise InvalidParameter("at least one positive block size required")
-    return qq
-
-
-def path_profile_bar(q: Sequence[int]) -> PairProfile:
-    """Colored level profile of the classes entering a per-time tensor
-    product with block sizes q = (q_0..q_n): level j holds q_{j-1} whites
-    (frozen at time j-1) and sum(q_j..q_n) blacks still moving."""
-    qq = normalize_path_profile(q)
-    n = len(qq) - 1
-    pairs = []
-    for j in range(n + 2):
-        wj = qq[j - 1] if j >= 1 else 0
-        bj = sum(qq[j:])
-        pairs.append((wj, bj))
-    return tuple(pairs)
-
-
-def flat_blocks(n: int, q: int) -> Tuple[int, ...]:
-    """Block profile of the plain q-block classes of height n+1: all q
-    coordinates freeze at time n."""
-    if n < 0 or q < 1:
-        raise InvalidParameter("need n >= 0 and q >= 1")
-    return (0,) * n + (q,)
-
-
-def check_class_count(pairs: PairProfile, max_coal: Optional[int],
-                      caps: Caps, total: Optional[int] = None) -> List[int]:
-    """The census of :func:`fkforest.genfunc.class_census`, refused when
-    the classes it counts number more than ``caps.forests``."""
-    classes = class_census(pairs, max_coal, caps, total)
-    if sum(classes) > caps.forests:
-        raise CapExceeded("enumeration would produce too many forests",
-                          predicted=sum(classes), cap=caps.forests)
-    return classes

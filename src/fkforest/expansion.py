@@ -57,13 +57,14 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .colored_forest import flat_blocks, normalize_path_profile
-from .combinatorics import _stirling_rows, bell_number, falling_factorial
+from .combinatorics import _stirling_rows, falling_factorial
 from .config import Caps, DEFAULT_CAPS
-from .errors import CapExceeded, IdentityMismatch, InvalidParameter
+from .errors import IdentityMismatch, InvalidParameter
 from .fk_core import (FKModel, SignedMeasure, TensorFunction, _block_levels,
-                      _domain_size, _over_lcm, _partition_targets,
-                      select_partitions, transport_numerators)
+                      _check_partitions, _domain_size, _over_lcm,
+                      _partition_targets, select_partitions,
+                      transport_numerators)
+from .genfunc import flat_blocks, normalize_path_profile
 
 __all__ = [
     "ExpansionReport",
@@ -131,10 +132,7 @@ def _check_product_caps(model: FKModel, prof: Tuple[int, ...],
     partitions; every table of the product, transport steps included, is
     no larger than the table right after some level's selection."""
     blacks = _blacks(prof)
-    bell = bell_number(blacks[0])
-    if bell > caps.forests:
-        raise CapExceeded("selection would enumerate too many set partitions",
-                          predicted=bell, cap=caps.forests)
+    _check_partitions(blacks[0], caps)
     prefix = 1
     for k, b in enumerate(blacks):
         caps.check_tensor(prefix * model.size(k) ** b)

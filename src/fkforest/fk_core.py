@@ -367,6 +367,14 @@ def _over_lcm(vals: Iterable[object]) -> Tuple[List[int], int]:
     return [n * (den // d) for n, d in ratios], den
 
 
+def _check_partitions(b: int, caps: Caps) -> None:
+    """Refuse the Bell(b) set partitions of b positions past caps.forests."""
+    bell = bell_number(b)
+    if bell > caps.forests:
+        raise CapExceeded("selection would enumerate too many set partitions",
+                          predicted=bell, cap=caps.forests)
+
+
 def _partition_targets(b: int,
                        s: int) -> Dict[int, List[List[Tuple[int, int]]]]:
     """For p = 1..b-1 and every point z of s**p (row-major index), the live
@@ -809,10 +817,7 @@ def partition_sums(mu: SignedMeasure, frozen: int,
     if not live or any(k != live[0] for k in live):
         raise InvalidParameter("the live block must sit on one level")
     b = len(live)
-    bell = bell_number(b)
-    if bell > caps.forests:
-        raise CapExceeded("selection would enumerate too many set partitions",
-                          predicted=bell, cap=caps.forests)
+    _check_partitions(b, caps)
     s = mu.model.size(live[0])
     stage = select_partitions(list(mu.nums), math.prod(mu.sizes[:frozen]),
                               b, s, [{(0, p): 1} for p in range(1, b + 1)],

@@ -40,8 +40,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .classsum import (build_wick_forest, delta_colored,
                        first_order_path_forest, pair_merge_forest)
-from .colored_forest import (flat_blocks, normalize_path_profile,
-                             path_profile_bar)
 from .combinatorics import compositions
 from .config import Caps, DEFAULT_CAPS
 from .errors import IdentityMismatch, InvalidParameter
@@ -51,6 +49,7 @@ from .expansion import (ExpansionReport, Scalar, Targets, _check_product_caps,
 from .fk_core import (FKModel, Flow, SignedMeasure, TensorFunction,
                       _block_levels, _over_lcm, _tensor_power, flow,
                       format_scalar, is_centered)
+from .genfunc import flat_blocks, normalize_path_profile, path_profile_bar
 from .particle import exact_EN_oracle, exact_PN_oracle
 
 

@@ -8,7 +8,9 @@ merge degree if asked, by Burnside's lemma over cycle types, and
 :func:`jungle_census` counts the labeled parent maps per merge degree.  A
 plain level profile ``p = (p_0, ..., p_h)`` of positive entries is the
 white-topped pair profile of :func:`flat_pairs`; :func:`count_forests`
-counts its forests.
+counts its forests.  The block profiles that requests name are read here
+too (:func:`path_profile_bar`, :func:`flat_blocks`), and `count` reads
+its census from :func:`_degree_census`.
 
 The truncated series census, an independent route to the same counts,
 is :mod:`fkforest.series`; it loads on first use.
@@ -37,6 +39,33 @@ def flat_pairs(profile: Sequence[int]) -> PairProfile:
         raise InvalidParameter(
             "profile entries must be positive, got %r" % (p,))
     return tuple((0, v) for v in p[:-1]) + ((p[-1], 0),)
+
+
+def normalize_path_profile(q: Sequence[int]) -> Tuple[int, ...]:
+    qq = tuple(int(v) for v in q)
+    if any(v < 0 for v in qq):
+        raise InvalidParameter("block sizes must be >= 0")
+    while qq and qq[-1] == 0:
+        qq = qq[:-1]
+    if not qq:
+        raise InvalidParameter("at least one positive block size required")
+    return qq
+
+
+def path_profile_bar(q: Sequence[int]) -> PairProfile:
+    """Colored level profile of the classes entering a per-time tensor
+    product with block sizes q = (q_0..q_n): level j holds q_{j-1} whites
+    (frozen at time j-1) and sum(q_j..q_n) blacks still moving."""
+    qq = normalize_path_profile(q)
+    return tuple(zip((0,) + qq, [sum(qq[j:]) for j in range(len(qq) + 1)]))
+
+
+def flat_blocks(n: int, q: int) -> Tuple[int, ...]:
+    """Block profile of the plain q-block classes of height n+1: all q
+    coordinates freeze at time n."""
+    if n < 0 or q < 1:
+        raise InvalidParameter("need n >= 0 and q >= 1")
+    return (0,) * n + (q,)
 
 
 def count_forests(profile: Sequence[int]) -> int:
@@ -212,6 +241,33 @@ def class_census(pairs: Sequence[Tuple[int, int]],
     z = 1 << total.bit_length()
     return _by_degree(_burnside(pp, z), z, sum(w + b for w, b in pp[1:]),
                       max_coal)
+
+
+def check_class_count(pairs: PairProfile, max_coal: Optional[int],
+                      caps: Caps, total: Optional[int] = None) -> List[int]:
+    """The census of :func:`class_census`, refused when the classes it
+    counts number more than ``caps.forests``."""
+    classes = class_census(pairs, max_coal, caps, total)
+    if sum(classes) > caps.forests:
+        raise CapExceeded("enumeration would produce too many forests",
+                          predicted=sum(classes), cap=caps.forests)
+    return classes
+
+
+def _degree_census(pairs: Sequence[Tuple[int, int]],
+                   max_coal: Optional[int], caps: Caps
+                   ) -> Dict[int, Tuple[int, int]]:
+    """{merge degree: (classes, jungles)} up to max_coal, from the
+    censuses; no class is enumerated.  The class count within the budget
+    is refused past ``caps.forests``, the plain total first, since it is
+    cheaper than the census by degree, which then reuses it."""
+    top, total = max_coal, None
+    if top is None:
+        (total,) = check_class_count(pairs, None, caps)
+        top = sum(w + b for w, b in pairs[1:])
+    return {d: (c, j) for d, (c, j) in enumerate(zip(
+        check_class_count(pairs, top, caps, total),
+        jungle_census(pairs, top))) if c}
 
 
 def jungle_total(pairs: PairProfile) -> int:

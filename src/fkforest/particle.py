@@ -33,19 +33,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import reduce
 from math import comb
 from operator import add, mul
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
-from .colored_forest import normalize_path_profile
 from .combinatorics import falling_factorial
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, InvalidParameter
 from .fk_core import (FKModel, Scalar, TensorFunction, _block_levels, _sum,
                       flow, q_operator)
+from .genfunc import normalize_path_profile
 
 Config = Tuple[int, ...]
 ConfigDistribution = Dict[Config, Scalar]

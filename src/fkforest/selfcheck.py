@@ -1,33 +1,31 @@
-"""The bundled self-check suite behind `fkforest verify`.
+"""The bundled self-checks that `fkforest verify` runs.
 
 Each check returns (expected, actual) from two independent routes, and
-passes when both are equal as written.  It loads the first time `verify`
-runs, with every cross-check route it calls: no `count`, `expand` or
+passes when both are equal as written.  `_CHECKS` names them in order;
+:func:`fkforest.cli.cmd_verify` runs them and writes the records.  This
+module loads the first time `verify` runs, with every cross-check route
+it calls, and imports nothing from the CLI: no `count`, `expand` or
 `oracle` request loads it.
 """
 
 from __future__ import annotations
 
 import itertools
-from types import SimpleNamespace
 from typing import Callable, Dict, List, Tuple
 
-from . import __version__
 from .classsum import (brute_force_colored_orbit_count, closed_form_low_orders,
                        colored_planar_mapseq, enumerate_colored_forests,
                        enumerate_colored_orbits)
-from .cli import _degree_census, _emit_json, _json_text, _manifest
-from .colored_forest import flat_blocks, path_profile_bar
 from .combinatorics import stirling_first, stirling_second
 from .config import DEFAULT_CAPS
-from .errors import InvalidParameter, ToolkitError
 from .expansion import exact_QN, expansion_report_Q, path_exact_QN
 from .fk_core import (FKModel, TensorFunction, center_function, eta_tensor,
                       fiber_count, flow, format_scalar, function_from_vector,
                       tensor_minus_dot_tv)
 from .fluctuation import (centered_moment_expansion, derivative_P,
                           first_order_P, gaussian_covariance, path_wick_Q)
-from .genfunc import count_forests, flat_pairs, jungle_total
+from .genfunc import (_degree_census, count_forests, flat_blocks, flat_pairs,
+                      jungle_total, path_profile_bar)
 from .models import (DOCUMENTED_FLOW, bundled_model, bundled_names,
                      check_documented_flow)
 from .montecarlo import simulate
@@ -224,48 +222,3 @@ _CHECKS: List[Tuple[str, Callable]] = [
     ("tv-formulas", _check_tv_formulas),
     ("simulate-determinism", _check_simulate_determinism),
 ]
-
-
-def run_checks(args: SimpleNamespace) -> int:
-    """The body of `fkforest verify`: run the checks --only selects and
-    write one record per check; exit 1 if any failed."""
-    selected = [(name, fn) for name, fn in _CHECKS
-                if args.only is None or args.only in name]
-    if not selected:
-        raise InvalidParameter(
-            "--only %r matches no check; available: %s"
-            % (args.only, ", ".join(n for n, _ in _CHECKS)))
-    records = []
-    failed = 0
-    for name, fn in selected:
-        try:
-            expected, actual = fn()
-            # equal as written
-            ok = _json_text(expected) == _json_text(actual)
-            record = {"check": name,
-                      "status": "pass" if ok else "fail",
-                      "expected": expected, "actual": actual}
-        except ToolkitError as exc:
-            ok = False
-            record = {"check": name, "status": "fail",
-                      "expected": "no structured failure",
-                      "actual": "%s: %s" % (type(exc).__name__, exc)}
-        if not ok:
-            failed += 1
-            # smallest command that reruns exactly this failure
-            record["reproducer"] = {
-                "command": "verify",
-                "parameters": {"only": name},
-                "seed": args.seed,
-                "version": __version__,
-                "field": args.field,
-            }
-        records.append(record)
-    manifest = _manifest(args, {"only": args.only,
-                                "checks": [n for n, _ in selected]})
-    _emit_json(args, manifest, {
-        "checks": records,
-        "passed": len(records) - failed,
-        "failed": failed,
-    })
-    return 1 if failed else 0

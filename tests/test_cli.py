@@ -570,6 +570,36 @@ def test_an_unwritable_out_is_a_refusal(tmp_path, capsys):
     assert json.loads(line)["error"] == "InvalidParameter"
 
 
+NINES = "9" * 3000
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["oracle", "--model", "cycle3", "--N", NINES, "--n", "1", "--q", "1",
+      "--kind", "eta"], "CapExceeded"),
+    (["simulate", "--model", "drift2", "--N", NINES, "--replicas", NINES],
+     "CapExceeded"),
+    (["expand", "--model", "drift2", "--n", "1", "--q", "2",
+      "--evaluate", NINES], "InvalidParameter"),
+])
+def test_an_integer_too_long_to_write_is_a_refusal(tmp_path, capsys, argv,
+                                                   error):
+    """A refusal or result holding an integer with more digits than int
+    writes in decimal by default (4,300) exits 2 with one JSON error line
+    and no output file."""
+    if argv[0] == "oracle":
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps({"levels": [1], "values": ["1", "2", "3"]}))
+        argv = argv + ["--function", str(f)]
+    assert run(tmp_path, *argv) == (2, None)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == error
+    if error == "CapExceeded":
+        assert re.fullmatch(r"at least 2\*\*\d+", err["predicted"])
+
+
 def test_a_request_imports_neither_argparse_nor_locale(tmp_path):
     """argparse, and the locale module its first message lookup imports,
     cost more than an oracle request's arithmetic; a request loads

@@ -23,10 +23,9 @@ from fkforest import (Caps, black, black_chain, brute_force_colored_orbit_count,
                       wick_colored_tree)
 from fkforest.cli import main
 from fkforest.classsum import _colored_classes, _group_order
-from fkforest.colored_forest import (ColoredMapSeq, ColoredTree,
-                                     colored_forest, flat_blocks)
+from fkforest.colored_forest import ColoredMapSeq, ColoredTree, colored_forest
 from fkforest.errors import CapExceeded, InvalidParameter
-from fkforest.genfunc import class_census, jungle_census
+from fkforest.genfunc import class_census, flat_blocks, jungle_census
 
 
 def all_colored_mapseqs(pairs):

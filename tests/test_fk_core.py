@@ -54,8 +54,7 @@ from fkforest import (
     white_topped_chain,
 )
 from fkforest.classsum import pair_merge_forest
-from fkforest.colored_forest import (ColoredMapSeq, colored_forest,
-                                     normalize_path_profile)
+from fkforest.colored_forest import ColoredMapSeq, colored_forest
 from fkforest.combinatorics import (falling_factorial, set_partitions,
                                     stirling_first, stirling_second)
 from fkforest.expansion import (ExpansionReport, expansion_report_Q,
@@ -64,6 +63,7 @@ from fkforest.fluctuation import (_block_law_orders, expansion_report_P,
                                   gaussian_product_moment, gbar_vector,
                                   path_wick_Q)
 from fkforest.fk_core import _encode, _partition_targets, _sum, parse_values
+from fkforest.genfunc import normalize_path_profile
 from fkforest.models import random_rational_model
 
 

@@ -2,14 +2,19 @@
 only on first use.
 
 `import fkforest.cli` loads the modules that `count`, `expand` and
-`oracle` run, and a request of each kind loads no further module.  The
-`verify` suite, Monte Carlo, the block law and Wick pairing, the class
-listing and the truncated series each load with the first command that
-runs them.  Each probe runs in a fresh interpreter; the request probe
-runs without `site` (-S), whose startup hooks may import `random`
-themselves.
+`oracle` run (`REQUEST_MODULES`: `cli`, `combinatorics`, `config`,
+`errors`, `expansion`, `fk_core`, `genfunc`, `jsontext`, `models` and
+`particle`), and a request of each kind loads no further module.  No
+request module imports the tree types of `colored_forest`, and no module
+but `cli` imports `cli`, so `python -m fkforest.cli verify` runs one
+copy of it.  The `verify` checks, Monte Carlo, the block law and Wick
+pairing, the class listing with its trees and the truncated series each
+load with the first command that runs them.  Each probe runs in a fresh
+interpreter; the request probe runs without `site` (-S), whose startup
+hooks may import `random` themselves.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -22,10 +27,12 @@ import fkforest
 from fkforest import random_rational_model
 
 REQUEST_MODULES = sorted("fkforest." + m for m in (
-    "cli", "colored_forest", "combinatorics", "config", "errors",
-    "expansion", "fk_core", "genfunc", "jsontext", "models", "particle"))
-DEFERRED = {"fkforest.classsum", "fkforest.fluctuation",
-            "fkforest.montecarlo", "fkforest.selfcheck", "fkforest.series"}
+    "cli", "combinatorics", "config", "errors", "expansion", "fk_core",
+    "genfunc", "jsontext", "models", "particle"))
+DEFERRED = {"fkforest.classsum", "fkforest.colored_forest",
+            "fkforest.fluctuation", "fkforest.montecarlo",
+            "fkforest.selfcheck", "fkforest.series"}
+SRC = os.path.dirname(fkforest.__file__)
 
 # prints, as JSON, the modules each step adds to sys.modules: importing
 # the package, importing the CLI, then one main(argv) per argv given
@@ -48,14 +55,42 @@ print(json.dumps(steps))
 """
 
 
-def probe(argvs, *flags):
-    src = os.path.dirname(os.path.dirname(fkforest.__file__))
-    done = subprocess.run([sys.executable, *flags, "-c", PROBE,
-                           json.dumps(argvs)],
-                          env=dict(os.environ, PYTHONPATH=src),
+def run_python(*argv):
+    done = subprocess.run([sys.executable, *argv],
+                          env=dict(os.environ,
+                                   PYTHONPATH=os.path.dirname(SRC)),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
+
+
+def probe(argvs, *flags):
+    return run_python(*flags, "-c", PROBE, json.dumps(argvs))
+
+
+def package_imports(module):
+    """The names fkforest.X that the source of module imports, at the top
+    or inside a function: `from .X import y` and `from . import X` alike
+    count as importing fkforest.X."""
+    path = os.path.join(SRC, module.rpartition(".")[2] + ".py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "fkforest." + base if base else "fkforest"
+            found.add(base)
+            found.update(base + "." + a.name for a in node.names)
+    return found
+
+
+def all_modules():
+    return sorted("fkforest." + name[:-3] for name in os.listdir(SRC)
+                  if name.endswith(".py") and name != "__init__.py")
 
 
 def write(path, text):
@@ -86,6 +121,33 @@ def test_a_request_loads_only_the_request_routes(tmp_path):
     assert requests == [[0, []]] * 4
 
 
+def test_no_module_but_the_cli_imports_the_cli():
+    assert [m for m in all_modules() if m != "fkforest.cli"
+            and "fkforest.cli" in package_imports(m)] == []
+
+
+def test_no_request_module_imports_the_tree_types():
+    assert [m for m in REQUEST_MODULES
+            if "fkforest.colored_forest" in package_imports(m)] == []
+
+
+def test_verify_as_a_script_runs_one_copy_of_the_cli(tmp_path):
+    """Run as __main__, as by `python -m fkforest.cli`, the CLI answers
+    `verify` without importing itself again under its module name."""
+    out = tmp_path / "out.json"
+    rc, again = run_python("-c", (
+        "import json, runpy, sys\n"
+        "sys.argv[1:] = ['verify', '--only', 'stirling', '--out', %r]\n"
+        "try:\n"
+        "    runpy.run_module('fkforest.cli', run_name='__main__',\n"
+        "                     alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print(json.dumps([exc.code, 'fkforest.cli' in sys.modules]))\n"
+        % str(out)))
+    assert rc == 0 and not again
+    assert json.loads(out.read_text())["result"]["passed"] == 1
+
+
 @pytest.mark.parametrize("argv, home", [
     (["verify", "--only", "stirling"], "fkforest.selfcheck"),
     (["simulate", "--model", "drift2", "--N", "3"], "fkforest.montecarlo"),
@@ -108,8 +170,9 @@ def test_a_cross_check_command_loads_its_module(tmp_path, argv, home):
     assert json.loads(out.read_text())["manifest"]["command"] == argv[0]
 
 
-# names that left the module named first for the one named second, which
-# loads on first use
+# names that left the module named first for the one named second: the
+# cross-check routes for the modules that load on first use, and the
+# block profiles for genfunc
 MOVED = {
     ("cli", "selfcheck"): "_CHECKS _observable",
     ("particle", "montecarlo"): "simulate trajectory_config estimators "
@@ -127,6 +190,8 @@ MOVED = {
     "first_order_path_forest pair_merge_forest _colored_classes",
     ("genfunc", "series"): "SparseSeries hilbert_series coalescence_series "
     "marginalize_coalescence _multiply_geometric",
+    ("colored_forest", "genfunc"): "normalize_path_profile path_profile_bar "
+    "flat_blocks check_class_count",
 }
 
 
@@ -151,3 +216,6 @@ def test_a_moved_name_lives_in_its_new_home_only():
         now = vars(importlib.import_module("fkforest." + new))
         for name in names.split():
             assert name in now and name not in was, (old, new, name)
+    # the CLI still calls the census it handed to genfunc, by import
+    from fkforest import cli
+    assert cli._degree_census.__module__ == "fkforest.genfunc"
