@@ -24,8 +24,8 @@ __version__ = "0.1.0"
 
 # public name -> the module that defines it
 _HOMES = {name: module for module, names in (
-    ("combinatorics", "bell_number compositions falling_factorial "
-     "set_partitions stirling_first stirling_second"),
+    ("combinatorics", "compositions falling_factorial set_partitions "
+     "stirling_first stirling_second"),
     ("config", "Caps DEFAULT_CAPS"),
     ("errors", "CapExceeded IdentityMismatch InvalidParameter ToolkitError "
      "ValidationError"),

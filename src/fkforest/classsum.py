@@ -476,7 +476,7 @@ def closed_form_low_orders(model: FKModel, n: int, q: int,
             "small q automatically" % q)
     prof = _check_profile(model, flat_blocks(n, q))
     # the generic product refuses oversized profiles before the class sum
-    generic = _moment_polynomial(model, prof, 2, caps, {})
+    generic = _moment_polynomial(model, prof, 2, caps)
 
     def dlt(f: ColoredForest) -> SignedMeasure:
         return delta_colored(model, f, prof)

@@ -583,10 +583,10 @@ _COMMON_FLAGS = (
      "the oracle and simulate compute in floats"),
     ("--cap-forests", "cap_forests", int, None, False,
      "override the enumeration size cap: genealogy classes listed or "
-     "counted, and set partitions of one live block in the moment "
-     "expansions"),
+     "counted"),
     ("--cap-tensor", "cap_tensor", int, None, False,
-     "override the dense table size cap; the same value also caps the "
+     "override the dense table size cap, every route's tables stacked in "
+     "a moment expansion included; the same value also caps the "
      "configurations of one oracle level, the retained terms of a "
      "truncated series, the census terms of a class count, "
      "sum_k p(b_(k-1)) (p(b_k) + w_k) for p(n) the cycle types of "

@@ -1,9 +1,10 @@
 """Exact integer combinatorics underlying every expansion coefficient.
 
-Stirling numbers of both kinds, Bell numbers, set partitions, falling
-factorials and compositions.  Everything here is arbitrary-precision
-integer arithmetic; nothing may round or overflow.  Stirling numbers are
-read from triangle rows built afresh by each call: no table is kept.
+Stirling numbers of both kinds, set partitions, falling factorials and
+compositions.  Everything here is arbitrary-precision integer arithmetic;
+nothing may round or overflow.  Stirling numbers are read from triangle
+rows built afresh by each call: no table is kept.  No engine lists set
+partitions: `set_partitions` is the reference the tests list.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ from typing import Iterable, List, Sequence
 
 from .errors import CapExceeded, InvalidParameter
 
-# Largest first argument of a Stirling or Bell number.  Every use in this
-# package is tiny.  The cap is what refuses a huge block at once:
-# `expand --n 0 --q 100000` asks for bell_number(100000) before any table,
-# and without the cap that would build a 100,000-row triangle.
+# Largest first argument of a Stirling number.  Every use in this package
+# is tiny.  The cap refuses a huge block at once: `expand --n 0 --q 100000`
+# asks for the Stirling row of its 100,000 live coordinates before any
+# table, which would otherwise build a 100,000-row triangle.
 STIRLING_CAP = 64
 
 
@@ -56,15 +57,10 @@ def stirling_second(q: int, p: int) -> int:
     return row[p] if p <= q else 0
 
 
-def bell_number(q: int) -> int:
-    """Number of set partitions of a q-set (0 for q < 0)."""
-    return sum(_stirling_rows(q, False)[q]) if q >= 0 else 0
-
-
 def set_partitions(q: int) -> Iterable[tuple]:
     """Every set partition of 0..q-1 once, as its restricted growth string:
     entry i is the 0-based block of i, blocks numbered in order of first
-    appearance.  Deterministic lexicographic order; bell_number(q) of them.
+    appearance.  Deterministic lexicographic order; Bell(q) of them.
     """
     if q < 0:
         raise InvalidParameter("set_partitions needs q >= 0")

@@ -19,12 +19,12 @@ class Caps(NamedTuple):
     (``Caps(forests=10)``) and derive a variant with ``caps._replace(...)``.
 
     forests:  largest combinatorial enumeration accepted (predicted count):
-              forest/orbit classes, and the Bell(b) set partitions of a
-              live block of b coordinates that the moment engines sum over.
+              the forest/orbit classes listed or counted.
     group:    largest permutation-group size accepted by brute-force orbit walks.
     tensor:   largest dense tensor table (number of entries), checked by
-              each route before it builds one: the moment product plan, the
-              block-law output domain, the oracle's table over the
+              each route before it builds one: each table of the moment
+              product and its largest stage, every route's tables stacked,
+              the block-law output domain, the oracle's table over the
               coordinates frozen before the last level, function files and
               simulate's constant F.  A table does not check it.  It also
               bounds simulate's draws, N (horizon + 1) replicas, before

@@ -41,14 +41,15 @@ engines.  Of the moment entry points only exact_QN and expansion_report_Q
 keep an (n, q) signature, each one call on that profile.
 
 Every table of the operator product is symmetric within each same-level
-group of coordinates by construction, so no symmetrization pass runs on
-it: eta0 on all b_0 coordinates is exchangeable; each partition piece of
-an exchangeable live block is exchangeable, because permuting positions
-permutes the set partitions; and freezing and transport act alike on
-every coordinate of a group and never mix groups.  Pairing a coefficient
-against any function therefore equals pairing it against the function's
-block symmetrization.  Only the class-based routes (the named-shape
-closed forms and the first-order block law) symmetrize their sums.
+group of coordinates by construction, as the selection tables need, and
+no symmetrization pass runs on it: eta0 on all b_0 coordinates is
+exchangeable; each partition piece of an exchangeable live block is
+exchangeable, because permuting positions permutes the set partitions;
+and freezing and transport act alike on every coordinate of a group and
+never mix groups.  Pairing a coefficient against any function therefore
+equals pairing it against the function's block symmetrization.  Only the
+class-based routes (the named-shape closed forms and the first-order
+block law) symmetrize their sums.
 """
 
 from __future__ import annotations
@@ -61,9 +62,8 @@ from .combinatorics import _stirling_rows, falling_factorial
 from .config import Caps, DEFAULT_CAPS
 from .errors import IdentityMismatch, InvalidParameter
 from .fk_core import (FKModel, SignedMeasure, TensorFunction, _block_levels,
-                      _check_partitions, _domain_size, _over_lcm,
-                      _partition_targets, select_partitions,
-                      transport_numerators)
+                      _domain_size, _over_lcm, _partition_targets,
+                      select_partitions, transport_numerators)
 from .genfunc import flat_blocks, normalize_path_profile
 
 __all__ = [
@@ -76,8 +76,6 @@ __all__ = [
 ]
 
 Scalar = Union[Fraction, float]
-# (b, s) -> set-partition table, as fk_core._partition_targets builds it
-Targets = Dict[Tuple[int, int], Dict]
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +126,11 @@ def _check_profile(model: FKModel, q: Sequence[int]) -> Tuple[int, ...]:
 
 def _check_product_caps(model: FKModel, prof: Tuple[int, ...],
                         caps: Caps) -> None:
-    """Refuse before any table is built.  Level 0 has the most set
-    partitions; every table of the product, transport steps included, is
-    no larger than the table right after some level's selection."""
+    """Refuse before any table is built.  Every table of the product,
+    transport steps included, is no larger than the table right after
+    some level's selection."""
     blacks = _blacks(prof)
-    _check_partitions(blacks[0], caps)
+    _stirling_rows(blacks[0], False)  # past STIRLING_CAP: refused at once
     prefix = 1
     for k, b in enumerate(blacks):
         caps.check_tensor(prefix * model.size(k) ** b)
@@ -140,8 +138,8 @@ def _check_product_caps(model: FKModel, prof: Tuple[int, ...],
 
 
 def _select_and_transport(model: FKModel, prof: Tuple[int, ...],
-                          routes: Sequence, caps: Caps,
-                          targets: Targets) -> List[List[SignedMeasure]]:
+                          routes: Sequence, caps: Caps
+                          ) -> List[List[SignedMeasure]]:
     """The operator product behind every block moment, for several
     selections (routes) in one pass over the levels.
 
@@ -160,13 +158,20 @@ def _select_and_transport(model: FKModel, prof: Tuple[int, ...],
     that of the operator rows.  Returns, per route, its final tables as
     measures on their numerators, with no entry read.
 
-    `targets` maps (b, s) to its set-partition table
-    (`fk_core._partition_targets`) and is filled as stages need them: a
-    caller running several products hands all of them one dict, so each
-    table is built once.
+    The weights of every level come first, then the largest stacked
+    stage, after some level's selection, is refused past caps.tensor.
+    Each (b, s) table (`fk_core._partition_targets`) is built once.
     """
     blacks = _blacks(prof)
     _check_product_caps(model, prof, caps)
+    # per level, per route: its weights and the factor of its denominator
+    plan, counts, prefix, largest = [], [1] * len(routes), 1, 0
+    for k, b in enumerate(blacks):
+        plan.append([select(b, c) for select, c in zip(routes, counts)])
+        counts = [len(weights) for weights, _ in plan[-1]]
+        largest = max(largest, sum(counts) * prefix * model.size(k) ** b)
+        prefix *= model.size(k) ** prof[k]
+    caps.check_tensor(largest)
     e0, den = model.eta0_row
     stage = [1]
     for _ in range(blacks[0]):
@@ -174,21 +179,20 @@ def _select_and_transport(model: FKModel, prof: Tuple[int, ...],
     # per route: (index of its first table in the stage, its table count)
     spans = [(0, 1)] * len(routes)
     dens = [den ** blacks[0]] * len(routes)
+    tables: Dict[Tuple[int, int], Dict] = {}
     prefix = 1
-    for k, b in enumerate(blacks):
+    for k, (b, level) in enumerate(zip(blacks, plan)):
         s = model.size(k)
-        table = targets.get((b, s))
-        if table is None:
-            table = targets[b, s] = _partition_targets(b, s)
+        if (b, s) not in tables:
+            tables[b, s] = _partition_targets(b, s)
         combos: List[Dict[Tuple[int, int], int]] = []
-        for r, select in enumerate(routes):
-            first, count = spans[r]
-            weights, scale = select(b, count)
+        for r, (weights, scale) in enumerate(level):
+            first = spans[r][0]
             spans[r] = (len(combos), len(weights))
             combos += [{(first + d, p): c for (d, p), c in w.items()}
                        for w in weights]
             dens[r] *= scale
-        stage = select_partitions(stage, prefix, b, s, combos, table)
+        stage = select_partitions(stage, prefix, b, s, combos, tables[b, s])
         prefix *= s ** prof[k]
         if k + 1 < len(prof):
             rows, qden = model.exact_q(k + 1)
@@ -240,11 +244,11 @@ def _exact_route(N: int):
 
 
 def _moment_polynomial(model: FKModel, prof: Tuple[int, ...], top: int,
-                       caps: Caps, targets: Targets) -> List[SignedMeasure]:
+                       caps: Caps) -> List[SignedMeasure]:
     """Coefficients 0..top of the moment in x = 1/N: the operator product
     with the one polynomial route."""
     (coeffs,) = _select_and_transport(model, prof, [_polynomial_route(top)],
-                                      caps, targets)
+                                      caps)
     return coeffs
 
 
@@ -265,7 +269,7 @@ def path_exact_QN(model: FKModel, q: Sequence[int], N: int,
     prof = _check_profile(model, q)
     _check_size(prof, N)
     ((total,),) = _select_and_transport(model, prof, [_exact_route(N)],
-                                        caps, {})
+                                        caps)
     return total if F is None else total.pair(F)
 
 
@@ -354,7 +358,7 @@ def _moment_report(model: FKModel, prof: Tuple[int, ...], kind: str,
         _check_size(prof, N)
     routes = [_polynomial_route(path_max_order(prof))]
     routes += [_exact_route(N) for N in sizes]
-    outs: List[List] = _select_and_transport(model, prof, routes, caps, {})
+    outs: List[List] = _select_and_transport(model, prof, routes, caps)
     if F is not None:
         outs = [[t.pair(F) for t in out] for out in outs]
     coeffs, *values = outs

@@ -19,7 +19,9 @@ would, and rounds each value once, where it is read: an entry (`data`,
 The partition selection and every linear map of single coordinates run
 on one integer kernel: each matrix enters as integer rows over the lcm
 of its entries, and a step multiplies the denominator once instead of
-paying a gcd per entry.  `_Table.map_coords` carries every coordinate map
+paying a gcd per entry.  The selection tables come from occupation counts
+and Stirling numbers, on live blocks in which each table is exchangeable,
+and list no set partition.  `_Table.map_coords` carries every coordinate map
 (transport, weights, contractions, integrals, pulls, centering); a
 composite operator Q_{k,n} is a chain of one-step moves on it
 (`transport_block` forward, `pull_coord` back), never a product of
@@ -44,10 +46,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .combinatorics import (bell_number, falling_factorial, set_partitions,
-                            stirling_second)
-from .config import Caps, DEFAULT_CAPS
-from .errors import CapExceeded, InvalidParameter, ValidationError
+from .combinatorics import _stirling_rows, falling_factorial, stirling_second
+from .errors import InvalidParameter, ValidationError
 from .jsontext import canonical_json
 
 Scalar = Union[Fraction, float]
@@ -367,45 +367,43 @@ def _over_lcm(vals: Iterable[object]) -> Tuple[List[int], int]:
     return [n * (den // d) for n, d in ratios], den
 
 
-def _check_partitions(b: int, caps: Caps) -> None:
-    """Refuse the Bell(b) set partitions of b positions past caps.forests."""
-    bell = bell_number(b)
-    if bell > caps.forests:
-        raise CapExceeded("selection would enumerate too many set partitions",
-                          predicted=bell, cap=caps.forests)
+def _occupation_codes(b: int, s: int) -> List[int]:
+    """Per point of s**b, row-major, a code its permutations share and no
+    other point does: a coordinate in state x adds (b+1)**x."""
+    codes = [0]
+    for _ in range(b):
+        codes = [c + (b + 1) ** x for c in codes for x in range(s)]
+    return codes
 
 
 def _partition_targets(b: int,
                        s: int) -> Dict[int, List[List[Tuple[int, int]]]]:
     """For p = 1..b-1 and every point z of s**p (row-major index), the live
     points y that the canonical maps of the set partitions of b positions
-    into p blocks send z to, with multiplicities.  The one partition into
-    b blocks maps every point to itself, so it gets no table:
-    `select_partitions` adds its piece as it is."""
-    width = s ** b
-    places = [s ** (b - 1 - i) for i in range(b)]
-    # z and y in one key z * width + y, counted at C speed one partition
-    # at a time, so only one partition's keys are ever listed
-    counts: Dict[int, Counter] = {p: Counter() for p in range(1, b)}
-    for rgs in set_partitions(b):
-        p = max(rgs) + 1
-        if p == b:
-            continue
-        weights = [0] * p
-        for v, w in zip(rgs, places):
-            weights[v] += w
-        # block v adds z_v * (its places in y + its place in z)
-        ks = [0]
-        for v, w in enumerate(weights):
-            w += width * s ** (p - 1 - v)
-            ks = [k + x * w for k in ks for x in range(s)]
-        counts[p].update(ks)
-    out = {}
-    for p, cp in counts.items():
-        hits: List[List[Tuple[int, int]]] = [[] for _ in range(s ** p)]
-        for key, c in cp.items():
-            hits[key // width].append((key % width, c))
-        out[p] = hits
+    into p blocks send z to, with multiplicities, for an exchangeable live
+    block.  Let y hold m_x coordinates in state x.  The partitions with
+    p_x blocks inside each level set of y, prod_x S(m_x, p_x) of them, send
+    to y one z each, all of occupation (p_x); these z hold one value, so
+    the sorted one takes the whole count.  The table is filled per
+    occupation, then per y, and lists no set partition.  The partition
+    into b blocks maps every point to itself and gets no table."""
+    points: Dict[int, List[int]] = {}
+    for y, code in enumerate(_occupation_codes(b, s)):
+        points.setdefault(code, []).append(y)
+    stirling = _stirling_rows(b, False)
+    # ones[j]: the index of (1,..,1) in s**j
+    ones = [sum(s ** i for i in range(j)) for j in range(b + 1)]
+    out = {p: [[] for _ in range(s ** p)] for p in range(1, b)}
+    for code, ys in points.items():
+        # (p, sorted z, partitions) per choice of p_x for the states so far
+        reps = [(0, 0, 1)]
+        for x in range(s):
+            m = code // (b + 1) ** x % (b + 1)
+            reps = [(p + px, z * s ** px + x * ones[px], c * stirling[m][px])
+                    for p, z, c in reps for px in range(min(m, 1), m + 1)]
+        for p, z, c in reps:
+            if p < b:
+                out[p][z] += [(y, c) for y in ys]
     return out
 
 
@@ -416,16 +414,15 @@ def select_partitions(stage: List[int], prefix: int, b: int, s: int,
     """Selection on the live block of a stage of integer tables.
 
     The stage stacks its tables one after another, each laid out as prefix
-    frozen points times s**b live points.  Piece (d, p) of table d sums,
-    over the set partitions of the b live positions into p blocks, the
-    pushforward under the partition's canonical map; output e is sum of
-    weights[e][d, p] * piece (d, p), and the outputs come back stacked the
-    same way.  Piece (d, b), the identity partition, is table d itself and
-    is added as it is, by a vector sum.  Every other p scatters through
-    `targets`, `_partition_targets(b, s)`, which the caller builds once for
-    as many stages as share (b, s); each output folds its weights into the
-    marginals before one scatter per p.  The stage denominator is
-    unchanged.
+    frozen points times s**b live points and exchangeable in its live
+    block.  Piece (d, p) of table d sums, over the set partitions of the b
+    live positions into p blocks, the pushforward under the partition's
+    canonical map; output e is sum of weights[e][d, p] * piece (d, p), and
+    the outputs come back stacked the same way.  Piece (d, b), the
+    identity partition, is table d itself, added by a vector sum.  Every
+    other p scatters through `targets`, `_partition_targets(b, s)`; each
+    output folds its weights into the marginals before one scatter per p.
+    The stage denominator is unchanged.
     """
     # margs[p]: every table on its frozen prefix and its first p live
     # points, stacked like the stage
@@ -794,8 +791,7 @@ def eta_tensor(model: FKModel, n: int, q: int) -> SignedMeasure:
 # selection operators
 
 
-def partition_sums(mu: SignedMeasure, frozen: int,
-                   caps: Caps = DEFAULT_CAPS) -> Dict[int, SignedMeasure]:
+def partition_sums(mu: SignedMeasure, frozen: int) -> Dict[int, SignedMeasure]:
     """Selection on the live block of mu, one piece per number of blocks.
 
     The coordinates from `frozen` on are the live block: b coordinates at
@@ -810,17 +806,21 @@ def partition_sums(mu: SignedMeasure, frozen: int,
 
     This is a thin wrapper over `select_partitions`: the integer kernel
     builds every piece from the numerators of mu, over its denominator.
-    The Bell(b) partitions are refused up front beyond caps.forests.
+    A live block that is not exchangeable is refused.
     """
     levels = mu.levels
     live = levels[frozen:]
     if not live or any(k != live[0] for k in live):
         raise InvalidParameter("the live block must sit on one level")
-    b = len(live)
-    _check_partitions(b, caps)
-    s = mu.model.size(live[0])
-    stage = select_partitions(list(mu.nums), math.prod(mu.sizes[:frozen]),
-                              b, s, [{(0, p): 1} for p in range(1, b + 1)],
+    b, s = len(live), mu.model.size(live[0])
+    prefix = math.prod(mu.sizes[:frozen])
+    # one orbit per frozen point and live occupation: one value each
+    orbits = [pre * (b + 1) ** s + code for pre in range(prefix)
+              for code in _occupation_codes(b, s)]
+    if len(set(zip(orbits, mu.nums))) != len(set(orbits)):
+        raise InvalidParameter("the live block must be exchangeable")
+    stage = select_partitions(list(mu.nums), prefix, b, s,
+                              [{(0, p): 1} for p in range(1, b + 1)],
                               _partition_targets(b, s))
     size = len(mu.nums)
     return {p: SignedMeasure(mu.model, levels,

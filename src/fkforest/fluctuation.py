@@ -17,8 +17,8 @@ polynomial for the profile (p, last block widened by q) up to the highest
 order that profile feeds, and adds its coefficient k, for every k > l/2,
 to order k.  Each term contracts its leading coordinates against the
 potential-fluctuation vectors and moves the rest to the target time in one
-`_Table.map_coords` call.  All products of the pass share one dict of
-set-partition tables, so each (b, s) table is built once.
+`_Table.map_coords` call.  Each product builds its own selection tables
+from occupation counts, once per (b, s).
 
 Every other move through Q_{k,n} chains one-step moves on the same
 kernel: the Gaussian covariance and the integral route of the first-order
@@ -43,7 +43,7 @@ from .classsum import (build_wick_forest, delta_colored,
 from .combinatorics import compositions
 from .config import Caps, DEFAULT_CAPS
 from .errors import IdentityMismatch, InvalidParameter
-from .expansion import (ExpansionReport, Scalar, Targets, _check_product_caps,
+from .expansion import (ExpansionReport, Scalar, _check_product_caps,
                         _check_profile, _moment_polynomial, _zero_measure,
                         path_max_order)
 from .fk_core import (FKModel, Flow, SignedMeasure, TensorFunction,
@@ -145,7 +145,7 @@ def path_derivative_Q(model: FKModel, q: Sequence[int], k: int,
     top = path_max_order(prof)
     if not 0 <= k <= top:
         raise InvalidParameter("order %d outside 0..%d" % (k, top))
-    return _moment_polynomial(model, prof, k, caps, {})[k]
+    return _moment_polynomial(model, prof, k, caps)[k]
 
 
 def _wick_assignments(prof: Tuple[int, ...],
@@ -191,7 +191,7 @@ def path_wick_Q(model: FKModel, q: Sequence[int], F: TensorFunction,
     lowest = (tot + 1) // 2
     half = tot // 2
     coeffs = [t.pair(F)
-              for t in _moment_polynomial(model, prof, half, caps, {})]
+              for t in _moment_polynomial(model, prof, half, caps)]
     vanishing = dict(enumerate(coeffs[:lowest]))
     if tot % 2:
         return vanishing, None
@@ -253,13 +253,12 @@ def centered_moment_expansion(model: FKModel, n: int, q: int,
     top = (n + 1) * (q - 1)
     orders = dict.fromkeys(range(lowest, top + 1), Fraction(0))
     qfact = math.factorial(q)
-    targets: Targets = {}
     for p in compositions(q, n + 1):
         prof = normalize_path_profile(p)
         # pmax >= q - 1 >= lowest: the first level holds all q blacks
         pmax = path_max_order(prof)
         coeff = Fraction(qfact, math.prod(map(math.factorial, p)))
-        coeffs = _moment_polynomial(model, prof, pmax, caps, targets)
+        coeffs = _moment_polynomial(model, prof, pmax, caps)
         moves = [(pos,) + tails[j] for pos, j in
                  reversed(list(enumerate(_block_levels(prof))))]
         for k in range(lowest, pmax + 1):
@@ -309,8 +308,8 @@ def _block_law_orders(model: FKModel, n_plus_1: int, q: int, top: int,
     with potential-fluctuation observables on the p coordinates, moved one
     step forward on the rest, and centered.  One walk over the p serves
     every order: each profile runs one moment polynomial up to the highest
-    order it feeds, and all of them share one dict of partition tables.
-    Every cap is checked on the planned profiles before the first product.
+    order it feeds.  The per-table caps are checked on the planned
+    profiles before the first product.
     """
     np1 = n_plus_1
     if top < 0:
@@ -335,10 +334,9 @@ def _block_law_orders(model: FKModel, n_plus_1: int, q: int, top: int,
     gb = [gbar_vector(model, j) for j in range(n + 1)]
     rows, den = model.exact_q(np1)
     qstep = (rows, np1, den)
-    targets: Targets = {}
     sums = [_zero_measure(model, (np1,) * q)] * (top + 1)
     for l, p, prof, ks in plan:
-        coeffs = _moment_polynomial(model, prof, ks[-1], caps, targets)
+        coeffs = _moment_polynomial(model, prof, ks[-1], caps)
         vecs = dict(enumerate(
             gb[j] for j, pj in enumerate(p) for _ in range(pj)))
         pfact = math.prod(math.factorial(pj) for pj in p)

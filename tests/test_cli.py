@@ -199,8 +199,10 @@ def test_a_lowered_tensor_cap_refuses_before_any_table(tmp_path, capsys,
 
 def test_the_block_law_refuses_before_its_first_product(tmp_path, capsys,
                                                         monkeypatch):
-    """The top-4 pass on cycle3 needs Bell(10) set partitions for its
-    largest profile; the plan refuses it before any moment polynomial."""
+    """The top-4 pass on cycle3 plans tables of 3**10 = 59,049 entries
+    for its largest profiles, those with 10 coordinates at time 0; under a
+    tensor cap one below, the plan refuses the first of them before any
+    moment polynomial runs."""
     from fkforest import fluctuation
     calls = []
     polynomial = fluctuation._moment_polynomial
@@ -209,12 +211,35 @@ def test_the_block_law_refuses_before_its_first_product(tmp_path, capsys,
     F = function_file(tmp_path, [2, 2, 2], [str(v - 13) for v in range(27)])
     rc, data = run(tmp_path, "expand", "--model", "cycle3", "--n", "2",
                    "--q", "3", "--block", "--top", "4", "--evaluate", "5",
-                   "--function", F)
+                   "--function", F, "--cap-tensor", "59048")
     assert (rc, data) == (2, None)
     err = json.loads(capsys.readouterr().err)
     assert (err["error"], err["predicted"], err["cap"]) == \
-        ("CapExceeded", 115975, 100000)
+        ("CapExceeded", 59049, 59048)
     assert calls == []
+
+
+def test_a_deep_block_answers_and_a_deeper_one_refuses_before_any_table(
+        tmp_path, capsys, monkeypatch):
+    """drift2 (0,0,10) has Bell(10) = 115,975 set partitions per level and
+    answers, as no table lists them.  (0,0,16) would stack 46 coefficient
+    tables of 2**16 entries at time 2, past the tensor cap: the plan
+    refuses it before the first table."""
+    from fkforest import expansion
+    rc, data = run(tmp_path, "expand", "--model", "drift2", "--q-seq",
+                   "0,0,10", "--evaluate", "11")
+    assert rc == 0
+    res = json.loads(data)["result"]
+    assert sorted(map(int, res["orders"])) == list(range(1, 28))
+    builds = []
+    monkeypatch.setattr(expansion, "_partition_targets",
+                        lambda *a: builds.append(a))
+    rc, data = run(tmp_path, "expand", "--model", "drift2", "--q-seq",
+                   "0,0,16", name="deeper.json")
+    assert (rc, data, builds) == (2, None, [])
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "CapExceeded", "message": "dense table too large",
+        "predicted": 46 * 2 ** 16, "cap": 1_000_000}
 
 
 def test_a_float_literal_is_refused_alike_in_model_and_function_files(

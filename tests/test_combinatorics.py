@@ -16,9 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fkforest.combinatorics import (bell_number, compositions,
-                                    falling_factorial, stirling_first,
-                                    stirling_second)
+from fkforest.combinatorics import (compositions, falling_factorial,
+                                    stirling_first, stirling_second)
 from fkforest.combinatorics import set_partitions as growth_strings
 from fkforest.errors import CapExceeded, InvalidParameter
 
@@ -187,7 +186,8 @@ def test_growth_strings_list_each_set_partition_once(q):
     want = {frozenset(frozenset(b) for b in part)
             for part in set_partitions(list(range(q)))}
     assert as_blocks == want
-    assert len(strings) == bell_number(q)
+    # the Bell number of q, summed off the Stirling row
+    assert len(strings) == sum(stirling_second(q, p) for p in range(q + 1))
 
 
 @pytest.mark.parametrize("p", range(0, 8))

@@ -8,6 +8,7 @@ other cross-checks of the engines on the bundled models (oracle, closed
 forms, block law) are the `verify` checks, which tests/test_cli.py runs.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,11 +16,11 @@ import pytest
 
 from fkforest import (Caps, CapExceeded, ExpansionReport, FKModel,
                       IdentityMismatch, InvalidParameter, SignedMeasure,
-                      TensorFunction,
-                      bell_number,
-                      bundled_model, center_function,
+                      TensorFunction, bundled_model, bundled_names,
+                      center_function,
                       centered_moment_expansion, derivative_P,
-                      enumerate_colored_orbits, exact_QN, expansion_report_P,
+                      enumerate_colored_orbits, exact_QN, exact_QN_oracle,
+                      expansion_report_P,
                       expansion_report_Q, expansion_report_path_Q,
                       first_order_P, flat_blocks, function_from_vector,
                       gamma_tensor, gaussian_covariance,
@@ -48,14 +49,17 @@ def test_caps_hold_whatever_the_caches_hold(drift2):
     exact_QN(drift2, 2, 3, 5)
     enumerate_colored_orbits(prof, 3)
     enumerate_colored_orbits(prof)
-    # the moment engines enumerate the Bell(3) = 5 set partitions of the
-    # live block, not forests
-    for call in (lambda c: path_derivative_Q(drift2, prof, 3, caps=c),
-                 lambda c: exact_QN(drift2, 2, 3, 5, caps=c)):
+    # the moment engines list no set partition: the tensor cap bounds their
+    # largest stacked stage, four coefficient tables of 2**3 entries for
+    # the polynomial up to order 3, one table for the exact route
+    for call, largest in (
+            (lambda c: path_derivative_Q(drift2, prof, 3, caps=c), 32),
+            (lambda c: exact_QN(drift2, 2, 3, 5, caps=c), 8)):
         with pytest.raises(CapExceeded) as err:
-            call(Caps(forests=4))
-        assert (err.value.predicted, err.value.cap) == (5, 4)
-        call(Caps(forests=5))
+            call(Caps(tensor=largest - 1))
+        assert (err.value.predicted, err.value.cap) == (largest, largest - 1)
+        call(Caps(tensor=largest))
+    path_derivative_Q(drift2, prof, 3, caps=Caps(forests=0))
     # the classes with at most 3 merges, counted by the census up front
     with pytest.raises(CapExceeded) as err:
         enumerate_colored_orbits(prof, 3, SMALL)
@@ -95,17 +99,25 @@ def test_a_raised_tensor_cap_holds_on_the_domains_it_admitted():
     assert head(rows, 2) == (sum(data[:s]), sum(data[s:2 * s]))
 
 
-def test_moment_engines_refuse_before_building_tables(drift2):
+def test_moment_engines_refuse_before_building_tables(drift2, monkeypatch):
+    builds = []
+    monkeypatch.setattr(expansion, "_partition_targets",
+                        lambda *a: builds.append(a))
     with pytest.raises(CapExceeded) as err:
         path_derivative_Q(drift2, flat_blocks(2, 3), 3, caps=Caps(tensor=7))
     assert (err.value.predicted, err.value.cap) == (8, 7)
+    # each table fits, the stage of four stacked coefficient tables not
+    with pytest.raises(CapExceeded) as err:
+        path_derivative_Q(drift2, flat_blocks(2, 3), 3, caps=Caps(tensor=31))
+    assert (err.value.predicted, err.value.cap) == (32, 31)
     # the 2**25-entry start table is refused, not built
     with pytest.raises(CapExceeded) as err:
         exact_QN(drift2, 0, 25, 30, caps=Caps(forests=10 ** 30))
     assert err.value.predicted == 2 ** 25
     with pytest.raises(CapExceeded) as err:
         exact_QN(drift2, 0, 25, 30)
-    assert err.value.predicted == bell_number(25)
+    assert (err.value.predicted, err.value.cap) == (2 ** 25, 10 ** 6)
+    assert builds == []
 
 
 def test_report_is_the_exact_polynomial_in_one_over_n(drift2):
@@ -263,7 +275,7 @@ def test_stacked_routes_equal_solo_routes(name, field, prof, sizes):
     m = bundled_model(name, field)
     rep = expansion_report_path_Q(m, prof, Ns=sizes)
     solo = expansion._moment_polynomial(m, prof, path_max_order(prof),
-                                        Caps(), {})
+                                        Caps())
     assert [rep.base] + [rep.orders[k] for k in sorted(rep.orders)] == solo
     assert list(rep.evaluations) == list(sizes)
     for N in sizes:
@@ -313,28 +325,90 @@ def test_a_size_below_the_block_refuses_before_any_table(monkeypatch):
     assert builds == []
 
 
+@pytest.mark.parametrize("b", [10, 12])
+def test_deep_blocks_past_the_partition_listing_equal_the_oracle(b):
+    """drift2 (0,0,10) and (0,0,12) have Bell(10) = 115,975 and Bell(12) =
+    4,213,597 set partitions at each level, past the 100,000 the moment
+    engines were once allowed to list.  Built from occupation counts, the
+    coefficients sum to the configuration oracle at every size."""
+    m = bundled_model("drift2")
+    F = TensorFunction(m, (2,) * b, [Fraction((-1) ** i * (i % 5 + 1),
+                                              i % 3 + 2)
+                                     for i in range(2 ** b)])
+    sizes = range(b, 14)
+    rep = expansion_report_path_Q(m, (0, 0, b), Ns=sizes, F=F)
+    for N in sizes:
+        assert rep.evaluations[N] == rep.partial_sum(N) == \
+            exact_QN_oracle(m, N, (0, 0, b), F)
+
+
+@pytest.fixture
+def live_blocks(monkeypatch):
+    """Every stage the selection sees, checked to be exchangeable in its
+    live block: each table of the stack holds at every live point the
+    value of the sorted point.  The selection tables count each merge on
+    the sorted point of its occupation only, so they are right only under
+    this symmetry.  Yields the (b, s) of the stages checked."""
+    seen = []
+    select = expansion.select_partitions
+
+    def checked(stage, prefix, b, s, weights, targets):
+        rep = [sum(x * s ** (b - 1 - i) for i, x in enumerate(sorted(y)))
+               for y in itertools.product(range(s), repeat=b)]
+        for i in range(0, len(stage), s ** b):
+            table = stage[i:i + s ** b]
+            assert all(table[y] == table[r] for y, r in enumerate(rep))
+        seen.append((b, s))
+        return select(stage, prefix, b, s, weights, targets)
+
+    monkeypatch.setattr(expansion, "select_partitions", checked)
+    return seen
+
+
+@pytest.mark.parametrize("field", ["rational", "float"])
+@pytest.mark.parametrize("name", bundled_names())
+def test_every_stage_is_exchangeable_in_its_live_block(name, field,
+                                                       live_blocks):
+    m = bundled_model(name, field)
+    f = [center_function(m, observable(m, k)) for k in range(3)]
+    for prof in [(4,), (2, 1, 1), (0, 2, 2), (1, 0, 3), (0, 3)]:
+        expansion_report_path_Q(m, prof, Ns=(sum(prof) + 1,))
+    for prof, F in [((1, 1), f[0].tensor(f[1])),
+                    ((0, 2, 2), f[1].tensor(f[1]).tensor(f[2]).tensor(f[2]))]:
+        path_wick_Q(m, prof, F)
+    centered_moment_expansion(m, 1, 3)
+    centered_moment_expansion(m, 2, 2)
+    F = observable(m, 2)
+    expansion_report_P(m, 2, 2, F.tensor(F), top=2)
+    assert {b for b, _ in live_blocks} == set(range(1, 6))
+
+
 def test_block_law_report_builds_each_table_once(drift2, monkeypatch):
-    """One report runs one moment polynomial per profile and builds each
-    (b, s) partition table once for the whole pass."""
-    builds, profiles = [], []
+    """One report runs one moment polynomial per profile, and each of them
+    builds each (b, s) selection table of its levels once."""
+    passes, profiles = [], []
     build = expansion._partition_targets
     moments = expansion._moment_polynomial
 
     def counted_build(b, s):
-        builds.append((b, s))
+        passes[-1].append((b, s))
         return build(b, s)
 
-    def counted_moments(model, prof, top, caps, targets):
+    def counted_moments(model, prof, top, caps):
         profiles.append(prof)
-        return moments(model, prof, top, caps, targets)
+        passes.append([])
+        return moments(model, prof, top, caps)
 
     monkeypatch.setattr(expansion, "_partition_targets", counted_build)
     monkeypatch.setattr(fluctuation, "_moment_polynomial", counted_moments)
     F = function_from_vector(drift2, 3, [1, Fraction(-2)])
     F = F.tensor(F).tensor(function_from_vector(drift2, 3, [3, 1]))
     expansion_report_P(drift2, 3, 3, F, top=3)
-    assert len(builds) == len(set(builds))
-    assert sorted(set(builds)) == [(b, 2) for b in range(3, 9)]
+    for prof, builds in zip(profiles, passes):
+        assert sorted(builds) == sorted(
+            {(b, 2) for b in expansion._blacks(prof)})
+    assert sorted({b for builds in passes for b in builds}) == \
+        [(b, 2) for b in range(3, 9)]
     # every composition p of l < 6 into 3 parts feeds some order <= 3
     assert len(profiles) == len(set(profiles)) == sum(
         math.comb(l + 2, 2) for l in range(6))

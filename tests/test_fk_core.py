@@ -57,8 +57,8 @@ from fkforest.classsum import pair_merge_forest
 from fkforest.colored_forest import ColoredMapSeq, colored_forest
 from fkforest.combinatorics import (falling_factorial, set_partitions,
                                     stirling_first, stirling_second)
-from fkforest.expansion import (ExpansionReport, expansion_report_Q,
-                                expansion_report_path_Q)
+from fkforest.expansion import (ExpansionReport, exact_QN,
+                                expansion_report_Q, expansion_report_path_Q)
 from fkforest.fluctuation import (_block_law_orders, expansion_report_P,
                                   gaussian_product_moment, gbar_vector,
                                   path_wick_Q)
@@ -699,10 +699,10 @@ def test_float_kernel_rounds_the_exact_result_once():
     m = bundled_model("cycle3", "float")
     rng = random.Random(21)
     data = [rng.uniform(-1, 1) for _ in range(27)]
-    mu = SignedMeasure(m, (0, 1, 1), data)
-    exact = [Fraction(v) for v in data]
+    # symmetrized: partition_sums needs an exchangeable live block
+    mu = SignedMeasure(m, (0, 1, 1), data).symmetrize_blocks()
     twin = exact_twin(m)
-    ref = SignedMeasure(twin, (0, 1, 1), exact)
+    ref = SignedMeasure(twin, (0, 1, 1), mu.nums, mu.den)
     for start in (1, 2):
         got = mu.transport_block(start, 2)
         want = reference_transport_block(ref, start, 2)
@@ -927,53 +927,68 @@ def test_partition_pieces_are_the_selection_operators(drift2):
 
 
 def test_partition_pieces_refuse_beyond_the_cap(drift2):
-    mu = gamma_tensor(drift2, 1, 4)
+    """The pieces list no set partition, so no enumeration cap bounds them:
+    a live block of 10 coordinates, Bell(10) = 115,975 set partitions,
+    answers.  Piece p of a product measure holds S(b, p) pushforwards of
+    it, each of its total mass.  The tensor cap bounds the product that
+    runs the pieces, before its first table."""
+    mu = gamma_tensor(drift2, 1, 10)
+    mass = mu.total_mass()
+    pieces = partition_sums(mu, 0)
+    assert sorted(pieces) == list(range(1, 11))
+    for p, piece in pieces.items():
+        assert piece.total_mass() == stirling_second(10, p) * mass
     with pytest.raises(CapExceeded) as err:
-        partition_sums(mu, 0, Caps(forests=14))
-    assert (err.value.predicted, err.value.cap) == (15, 14)
-    assert sorted(partition_sums(mu, 0, Caps(forests=15))) == [1, 2, 3, 4]
+        exact_QN(drift2, 1, 4, 5, caps=Caps(tensor=15))
+    assert (err.value.predicted, err.value.cap) == (16, 15)
+    exact_QN(drift2, 1, 4, 5, caps=Caps(tensor=16))
     with pytest.raises(InvalidParameter):
         partition_sums(path_gamma(drift2, (1, 1), 0).transport_block(1, 1), 0)
 
 
-def listed_partition_targets(b, s):
-    """The set-partition tables as they were first built: every (z, y) key
-    of every set partition listed, then counted at once."""
-    width = s ** b
-    places = [s ** (b - 1 - i) for i in range(b)]
-    keys = {p: [] for p in range(1, b)}
-    for rgs in set_partitions(b):
-        p = max(rgs) + 1
-        if p == b:
-            continue
-        weights = [0] * p
-        for v, w in zip(rgs, places):
-            weights[v] += w
-        ks = [0]
-        for v, w in enumerate(weights):
-            w += width * s ** (p - 1 - v)
-            ks = [k + x * w for k in ks for x in range(s)]
-        keys[p].extend(ks)
-    out = {}
-    for p, kp in keys.items():
-        hits = [[] for _ in range(s ** p)]
-        for key, c in Counter(kp).items():
-            hits[key // width].append((key % width, c))
-        out[p] = hits
-    return out
+def test_partition_pieces_refuse_a_live_block_that_is_not_exchangeable():
+    """The tables count each merge on the sorted point of its occupation
+    only, so an asymmetric live block would give wrong pieces: it is
+    refused, and its symmetrization answers.  The frozen prefix need not
+    be symmetric."""
+    m = random_rational_model(5, sizes=(2, 3))
+    rng = random.Random(8)
+    mu = random_measure(m, (0, 0, 1, 1), rng)
+    with pytest.raises(InvalidParameter,
+                       match="the live block must be exchangeable"):
+        partition_sums(mu, 2)
+    nums = list(mu.nums)
+    for i in range(0, len(nums), 9):
+        live = [nums[i + 3 * x + y] + nums[i + 3 * y + x]
+                for x in range(3) for y in range(3)]
+        nums[i:i + 9] = live
+    sym = SignedMeasure(m, mu.levels, nums, mu.den)
+    assert sym.symmetrize_blocks() != sym
+    assert partition_sums(sym, 2) == reference_partition_sums(sym, 2)
 
 
-@pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("b", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_partition_tables_equal_the_listed_construction(b, s):
-    # equal lists: the same hits in the same first-occurrence order
-    assert _partition_targets(b, s) == listed_partition_targets(b, s)
+    """The tables, built from occupation counts, put each merge on the
+    sorted point of its occupation only, so they are compared where they
+    are read: the pieces of symmetrized random stages, behind frozen
+    prefixes of 0-2 coordinates on earlier levels, equal the listed
+    construction over every set partition."""
+    m = random_rational_model(40 + s, sizes=(2, 3, s))
+    rng = random.Random(10 * b + s)
+    for prefix in ((), (0,), (0, 1)):
+        mu = random_measure(m, prefix + (2,) * b, rng).symmetrize_blocks()
+        assert partition_sums(mu, len(prefix)) == \
+            reference_partition_sums(mu, len(prefix))
 
 
 def test_partition_tables_count_one_partition_at_a_time():
-    """(8, 3) lists 675,309 keys over all its partitions; counted one
-    partition at a time, the build peaked at 21 MB under tracemalloc
-    against 39 MB when it listed them all first."""
+    """(8, 3) is built per occupation of its 6,561 live points, 45 of them,
+    from Stirling numbers, where the listed construction walked its 4,140
+    set partitions and 675,309 keys.  The build peaked at 5.9 MB under
+    tracemalloc, against 21 MB when the keys were counted one partition at
+    a time."""
     tracemalloc.start()
     try:
         _partition_targets(8, 3)

@@ -26,6 +26,7 @@ KEPT = {
     "gaussian_product_moment",
     "path_derivative_Q",
     "random_rational_model",
+    "set_partitions",
     # the read accessor of the series that hilbert_series returns
     "SparseSeries.coefficient",
 }
